@@ -16,7 +16,6 @@ from .detection import (
     Detection,
     GroundTruth,
     LinearDetector,
-    Proposal,
     TrainConfig,
     greedy_nms,
     iou,
@@ -68,7 +67,6 @@ __all__ = [
     "LinearDetector",
     "NormalizationStats",
     "NumericalError",
-    "Proposal",
     "SimilarityMatrix",
     "Subspace",
     "TrainConfig",

@@ -94,13 +94,27 @@ def _write_histogram(out: Path, name: str, hist, title: str) -> None:
 
 
 def _evaluate_detections(dets, dataset: Dataset) -> tuple[dict, float | None]:
+    """Per-class AP and their mean; the mean is None when no class has GT."""
     gts = dataset.ground_truths()
     per_class = {
         c: evaluation.average_precision(dets, gts, c) for c in dataset.classes
     }
-    defined = [v for v in per_class.values() if v is not None]
-    mean = float(np.mean(defined)) if defined else None
-    return per_class, mean
+    if all(v is None for v in per_class.values()):
+        return per_class, None
+    return per_class, evaluation.mean_ap(per_class)
+
+
+def _write_similarity(out: Path, states) -> dict[str, float]:
+    """Write the similarity matrix of the classes that carry subspaces and
+    return its diagonal; write nothing and return {} when none does."""
+    if all(s.source_subspace is None for s in states.values()):
+        return {}
+    sim = evaluation.similarity_matrix(states)
+    (out / "similarity.json").write_text(canonical_json(sim.to_dict()))
+    (out / "similarity.svg").write_text(
+        evaluation.render_similarity_svg(sim, "source vs target subspaces")
+    )
+    return sim.diagonal()
 
 
 def _weak_classes(diag: dict[str, float], ratio: float) -> list[str]:
@@ -179,17 +193,7 @@ def cmd_evaluate(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args)
-    states = dataio.load_states(args.states)
-    have_subspaces = any(
-        s.source_subspace is not None and s.target_subspace is not None
-        for s in states.values()
-    )
-    if have_subspaces:
-        sim = evaluation.similarity_matrix(states)
-        (out / "similarity.json").write_text(canonical_json(sim.to_dict()))
-        (out / "similarity.svg").write_text(
-            evaluation.render_similarity_svg(sim, "source vs target subspaces")
-        )
+    _write_similarity(out, dataio.load_states(args.states))
     if args.detections:
         dets = dataio.read_detections_csv(args.detections)
         hist = evaluation.score_histogram(
@@ -227,18 +231,11 @@ def cmd_pipeline(args) -> int:
     timing["train_initial"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _write_histogram(
-        out,
-        "histogram_source",
-        _initial_score_histogram(source, detectors, cfg),
-        "initial detector scores on source",
-    )
-    _write_histogram(
-        out,
-        "histogram_target",
-        _initial_score_histogram(target, detectors, cfg),
-        "initial detector scores on target",
-    )
+    for name, dataset in (("source", source), ("target", target)):
+        hist = _initial_score_histogram(dataset, detectors, cfg)
+        _write_histogram(
+            out, f"histogram_{name}", hist, f"initial detector scores on {name}"
+        )
     timing["histograms"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -254,23 +251,11 @@ def cmd_pipeline(args) -> int:
     timing["detect"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    per_class_ap: dict[str, float | None] = {c: None for c in target.classes}
-    mean = None
+    per_class_ap, mean = {}, None
     if target.labeled:
         per_class_ap, mean = _evaluate_detections(dets, target)
 
-    diag: dict[str, float] = {}
-    have_subspaces = any(
-        s.source_subspace is not None and s.target_subspace is not None
-        for s in states.values()
-    )
-    if have_subspaces:
-        sim = evaluation.similarity_matrix(states)
-        (out / "similarity.json").write_text(canonical_json(sim.to_dict()))
-        (out / "similarity.svg").write_text(
-            evaluation.render_similarity_svg(sim, "source vs target subspaces")
-        )
-        diag = sim.diagonal()
+    diag = _write_similarity(out, states)
     weak = _weak_classes(diag, cfg.weak_ratio)
 
     report = {

@@ -12,10 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import AlignedBasis, AlignmentMap
 from .datasets import Dataset, ImageRecord
 from .detection import BBox, Detection, LinearDetector, TrainConfig
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .linalg import NormalizationStats, Subspace
 from .pipeline import AdaptationConfig, ClassAdaptationState
 
@@ -596,7 +595,6 @@ def load_config(path=None) -> RunConfig:
         reg_lambda=values.get("reg_lambda", 0.01),
         iterations=values.get("train_iterations", 2000),
         max_hard_rounds=values.get("hard_neg_rounds", 10),
-        seed=seed,
     )
     adaptation = AdaptationConfig(
         gamma=values.get("gamma", 0.7),
@@ -693,27 +691,21 @@ def _stats_from_dict(d: dict) -> NormalizationStats:
     return NormalizationStats(np.array(d["mean"]), np.array(d["scale"]))
 
 
-def _subspace_to_dict(s: Subspace | None) -> dict | None:
-    if s is None:
-        return None
+def _subspace_to_dict(s: Subspace) -> dict:
     return {
         "basis": s.basis.tolist(),
         "eigenvalues": s.eigenvalues.tolist(),
         "stats": _stats_to_dict(s.stats),
-        "d": s.d,
-        "label": s.label,
     }
 
 
-def _subspace_from_dict(d: dict | None) -> Subspace | None:
-    if d is None:
-        return None
+def _subspace_from_dict(label: str, d: dict) -> Subspace:
     return Subspace(
         basis=np.array(d["basis"]),
         eigenvalues=np.array(d["eigenvalues"]),
         stats=_stats_from_dict(d["stats"]),
-        d=int(d["d"]),
-        label=d["label"],
+        d=len(d["eigenvalues"]),
+        label=label,
     )
 
 
@@ -735,6 +727,22 @@ def _detector_from_dict(d: dict) -> LinearDetector:
     )
 
 
+def _load_bundle(path, kind: str, parse):
+    """``parse`` applied to the JSON in ``path``; invalid JSON, a missing
+    key, a wrong type or a rejected value is a DataError naming the file."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{kind} '{path}' does not exist")
+    try:
+        return parse(json.loads(path.read_text()))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{kind} '{path}' is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"{kind} '{path}' is missing key {exc}") from None
+    except (DataError, NumericalError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{kind} '{path}' is malformed: {exc}") from None
+
+
 def save_detectors(path, detectors: dict[str, LinearDetector], warnings=None) -> None:
     bundle = {
         "detectors": {c: _detector_to_dict(det) for c, det in detectors.items()},
@@ -744,86 +752,80 @@ def save_detectors(path, detectors: dict[str, LinearDetector], warnings=None) ->
 
 
 def load_detectors(path) -> dict[str, LinearDetector]:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"detector bundle '{path}' does not exist")
-    bundle = json.loads(path.read_text())
-    return {c: _detector_from_dict(d) for c, d in bundle["detectors"].items()}
-
-
-def _state_to_dict(state: ClassAdaptationState) -> dict:
-    return {
-        "class_id": state.class_id,
-        "mode": state.mode,
-        "adapted_detector": _detector_to_dict(state.adapted_detector),
-        "source_subspace": _subspace_to_dict(state.source_subspace),
-        "target_subspace": _subspace_to_dict(state.target_subspace),
-        "map": None
-        if state.map is None
-        else {
-            "M": state.map.M.tolist(),
-            "source_dim": state.map.source_dim,
-            "provenance": list(state.map.provenance),
-        },
-        "aligned_basis": None
-        if state.aligned_basis is None
-        else {
-            "Xa": state.aligned_basis.Xa.tolist(),
-            "provenance": list(state.aligned_basis.provenance),
-        },
-        "n_pos_src": state.n_pos_src,
-        "n_pos_tgt": state.n_pos_tgt,
-        "downgraded": state.downgraded,
-        "note": state.note,
-    }
-
-
-def _state_from_dict(d: dict) -> ClassAdaptationState:
-    map_obj = None
-    if d["map"] is not None:
-        map_obj = AlignmentMap(
-            M=np.array(d["map"]["M"]),
-            source_dim=int(d["map"]["source_dim"]),
-            provenance=tuple(d["map"]["provenance"]),
-        )
-    basis_obj = None
-    if d["aligned_basis"] is not None:
-        basis_obj = AlignedBasis(
-            Xa=np.array(d["aligned_basis"]["Xa"]),
-            provenance=tuple(d["aligned_basis"]["provenance"]),
-        )
-    return ClassAdaptationState(
-        class_id=d["class_id"],
-        mode=d["mode"],
-        adapted_detector=_detector_from_dict(d["adapted_detector"]),
-        source_subspace=_subspace_from_dict(d["source_subspace"]),
-        target_subspace=_subspace_from_dict(d["target_subspace"]),
-        map=map_obj,
-        aligned_basis=basis_obj,
-        n_pos_src=int(d["n_pos_src"]),
-        n_pos_tgt=int(d["n_pos_tgt"]),
-        downgraded=bool(d["downgraded"]),
-        note=d["note"],
+    return _load_bundle(
+        path,
+        "detector bundle",
+        lambda b: {c: _detector_from_dict(d) for c, d in b["detectors"].items()},
     )
 
 
 def save_states(
     path, states: dict[str, ClassAdaptationState], warnings=None
 ) -> None:
+    """Write the states, which name their subspaces by label, and each
+    subspace once under ``subspaces``; alignment maps are never written."""
+    subspaces: dict[str, Subspace] = {}
+    for state in states.values():
+        for s in (state.source_subspace, state.target_subspace):
+            if s is not None and subspaces.setdefault(s.label, s) is not s:
+                raise DataError(f"two different subspaces are labeled '{s.label}'")
     bundle = {
-        "states": {c: _state_to_dict(s) for c, s in states.items()},
-        "pass_through": sorted(c for c, s in states.items() if s.mode == "none"),
+        "states": {
+            c: {
+                "class_id": state.class_id,
+                "mode": state.mode,
+                "adapted_detector": _detector_to_dict(state.adapted_detector),
+                "source_subspace": state.source_subspace and state.source_subspace.label,
+                "target_subspace": state.target_subspace and state.target_subspace.label,
+                "n_pos_src": state.n_pos_src,
+                "n_pos_tgt": state.n_pos_tgt,
+                "downgraded": state.downgraded,
+                "note": state.note,
+            }
+            for c, state in states.items()
+        },
+        "subspaces": {label: _subspace_to_dict(s) for label, s in subspaces.items()},
         "warnings": list(warnings or []),
     }
     Path(path).write_text(canonical_json(bundle))
 
 
+def _states_from_bundle(bundle: dict) -> dict[str, ClassAdaptationState]:
+    entries = bundle["states"]
+    if "subspaces" not in bundle:
+        raise DataError(
+            "no 'subspaces' map: the bundle predates the current layout; "
+            "rerun 'adapt' to rewrite it"
+        )
+    subspaces = {
+        label: _subspace_from_dict(label, d) for label, d in bundle["subspaces"].items()
+    }
+
+    def lookup(label: str | None) -> Subspace | None:
+        if label is None:
+            return None
+        if label not in subspaces:
+            raise DataError(f"state names unknown subspace '{label}'")
+        return subspaces[label]
+
+    return {
+        c: ClassAdaptationState(
+            class_id=d["class_id"],
+            mode=d["mode"],
+            adapted_detector=_detector_from_dict(d["adapted_detector"]),
+            source_subspace=lookup(d["source_subspace"]),
+            target_subspace=lookup(d["target_subspace"]),
+            n_pos_src=int(d["n_pos_src"]),
+            n_pos_tgt=int(d["n_pos_tgt"]),
+            downgraded=bool(d["downgraded"]),
+            note=d["note"],
+        )
+        for c, d in entries.items()
+    }
+
+
 def load_states(path) -> dict[str, ClassAdaptationState]:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"state bundle '{path}' does not exist")
-    bundle = json.loads(path.read_text())
-    return {c: _state_from_dict(s) for c, s in bundle["states"].items()}
+    return _load_bundle(path, "state bundle", _states_from_bundle)
 
 
 def save_oracle(path, oracle: dict) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import BBox, GroundTruth, Proposal
+from .detection import BBox, GroundTruth
 from .errors import DataError
 from .linalg import ensure_feature_matrix
 
@@ -79,12 +79,6 @@ class Dataset:
     def all_features(self) -> np.ndarray:
         """All proposal features stacked in image order."""
         return np.vstack([img.features for img in self.images])
-
-    def proposals(self):
-        """Iterate every proposal in image order."""
-        for img in self.images:
-            for row, box in enumerate(img.boxes):
-                yield Proposal(image_id=img.image_id, box=box, feature_row=row)
 
     def ground_truths(self) -> list[GroundTruth]:
         """Flatten ground truth across images; empty for unlabeled data."""

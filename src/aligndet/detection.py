@@ -45,15 +45,6 @@ class BBox:
 
 
 @dataclass(frozen=True)
-class Proposal:
-    """Candidate window tied to one row of its image's feature matrix."""
-
-    image_id: str
-    box: BBox
-    feature_row: int
-
-
-@dataclass(frozen=True)
 class GroundTruth:
     """Annotated object box."""
 
@@ -100,7 +91,6 @@ class TrainConfig:
     reg_lambda: float = 0.01
     iterations: int = 2000
     max_hard_rounds: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.reg_lambda) and self.reg_lambda > 0):

@@ -137,9 +137,6 @@ class Histogram:
     def bins(self) -> int:
         return len(self.counts)
 
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.bins + 1)
-
     def to_dict(self) -> dict:
         return {
             "counts": [int(c) for c in self.counts],

@@ -128,7 +128,10 @@ class Subspace:
     label: str = ""
 
     def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=np.float64)
+        # C order whatever the source (an eigh slice is Fortran-ordered, a
+        # basis read from JSON is not), so products with the basis sum in
+        # the same order and a saved state scores exactly like the live one.
+        self.basis = np.ascontiguousarray(self.basis, dtype=np.float64)
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
         if self.basis.ndim != 2:
             raise DataError("basis must be a D x d matrix")

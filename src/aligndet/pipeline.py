@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import (
-    AlignedBasis,
-    AlignmentMap,
     aligned_source_basis,
     project_for_testing,
     project_for_training,
@@ -31,7 +29,6 @@ from .errors import DataError, NumericalError
 from .linalg import Subspace, normalize, pca
 
 MODES = ("class-specific", "full-image", "none")
-FULL_IMAGE_FRAME = "aligned:__full__"
 
 
 @dataclass
@@ -74,8 +71,13 @@ class AdaptationConfig:
 class ClassAdaptationState:
     """Everything adaptation produced for one class.
 
-    Downgraded classes (too few mined samples or rank failure) keep the
-    initial raw-frame detector and carry no subspaces.
+    An adapted class keeps the subspace pair ``src:<tag>``/``tgt:<tag>`` it
+    was retrained against, and its detector lives in frame
+    ``aligned:<tag>``; the tag is the class id, or ``__full__`` for the one
+    global pair of full-image mode.  The alignment map and the aligned
+    source basis follow from the pair in closed form and are not stored.
+    Pass-through classes (mode ``none``, including downgraded ones) keep
+    the initial raw-frame detector and carry no subspaces.
     """
 
     class_id: str
@@ -83,25 +85,30 @@ class ClassAdaptationState:
     adapted_detector: LinearDetector
     source_subspace: Subspace | None = None
     target_subspace: Subspace | None = None
-    map: AlignmentMap | None = None
-    aligned_basis: AlignedBasis | None = None
     n_pos_src: int = 0
     n_pos_tgt: int = 0
     downgraded: bool = False
     note: str = ""
 
     def __post_init__(self):
-        if self.map is not None:
-            if self.source_subspace is None or self.target_subspace is None:
-                raise DataError("alignment map present without its subspaces")
-            if self.source_subspace.d != self.target_subspace.d:
-                raise DataError("state subspaces disagree on d")
-            expected = (self.source_subspace.label, self.target_subspace.label)
-            if self.map.provenance != expected:
-                raise DataError(
-                    f"map provenance {self.map.provenance} does not match "
-                    f"state subspaces {expected}"
-                )
+        if self.mode == "none":
+            return
+        S, T = self.source_subspace, self.target_subspace
+        if S is None or T is None:
+            raise DataError(f"adapted state '{self.class_id}' needs both subspaces")
+        if S.d != T.d:
+            raise DataError("state subspaces disagree on d")
+        tag = S.label.removeprefix("src:")
+        if (S.label, T.label) != (f"src:{tag}", f"tgt:{tag}"):
+            raise DataError(
+                f"subspace provenance {(S.label, T.label)} is not a "
+                "'src:<tag>', 'tgt:<tag>' pair"
+            )
+        if self.adapted_detector.frame != f"aligned:{tag}":
+            raise DataError(
+                f"detector frame '{self.adapted_detector.frame}' does not "
+                f"match subspaces tagged '{tag}'"
+            )
 
 
 def _class_max_overlaps(img: ImageRecord, class_id: str) -> np.ndarray:
@@ -114,6 +121,18 @@ def _class_max_overlaps(img: ImageRecord, class_id: str) -> np.ndarray:
             if ov > out[i]:
                 out[i] = ov
     return out
+
+
+def _stack_selected(dataset: Dataset, select, empty: str) -> np.ndarray:
+    """Feature rows kept by the boolean mask ``select(img)``, in image order.
+
+    Raises DataError with message ``empty`` when no row is kept.
+    """
+    masks = [(img, select(img)) for img in dataset.images]
+    rows = [img.features[keep] for img, keep in masks if np.any(keep)]
+    if not rows:
+        raise DataError(empty)
+    return np.vstack(rows)
 
 
 def _require_labeled(dataset: Dataset) -> None:
@@ -132,32 +151,22 @@ def mine_source_positives(source: Dataset, class_id: str, gamma: float) -> np.nd
     if class_id not in source.classes:
         raise DataError(f"unknown class '{class_id}'")
     _require_labeled(source)
-    rows = []
-    for img in source.images:
-        keep = _class_max_overlaps(img, class_id) >= gamma
-        if np.any(keep):
-            rows.append(img.features[keep])
-    if not rows:
-        raise DataError(
-            f"no source positives for class '{class_id}' at gamma={gamma}"
-        )
-    return np.vstack(rows)
+    return _stack_selected(
+        source,
+        lambda img: _class_max_overlaps(img, class_id) >= gamma,
+        f"no source positives for class '{class_id}' at gamma={gamma}",
+    )
 
 
 def _mine_source_negatives(
     source: Dataset, class_id: str, neg_lambda: float
 ) -> np.ndarray:
     """Features of proposals whose max same-class overlap stays below lambda."""
-    rows = []
-    for img in source.images:
-        keep = _class_max_overlaps(img, class_id) < neg_lambda
-        if np.any(keep):
-            rows.append(img.features[keep])
-    if not rows:
-        raise DataError(
-            f"no source negatives for class '{class_id}' at lambda={neg_lambda}"
-        )
-    return np.vstack(rows)
+    return _stack_selected(
+        source,
+        lambda img: _class_max_overlaps(img, class_id) < neg_lambda,
+        f"no source negatives for class '{class_id}' at lambda={neg_lambda}",
+    )
 
 
 def mine_target_positives(
@@ -172,18 +181,11 @@ def mine_target_positives(
         raise DataError(
             f"target mining needs a raw-frame detector, got '{init_detector.frame}'"
         )
-    rows = []
-    for img in target.images:
-        scores = score_proposals(init_detector, img.features, frame="raw")
-        keep = scores >= sigma
-        if np.any(keep):
-            rows.append(img.features[keep])
-    if not rows:
-        raise DataError(
-            f"no target positives for class '{init_detector.class_id}' "
-            f"at sigma={sigma}"
-        )
-    return np.vstack(rows)
+    return _stack_selected(
+        target,
+        lambda img: score_proposals(init_detector, img.features, frame="raw") >= sigma,
+        f"no target positives for class '{init_detector.class_id}' at sigma={sigma}",
+    )
 
 
 def train_initial_detectors(
@@ -195,172 +197,94 @@ def train_initial_detectors(
 
     Positives are proposals with IoU >= gamma to a same-class GT box,
     negatives proposals with max IoU < neg_lambda; proposals in between are
-    excluded.  Classes without positives are skipped with a warning record.
+    excluded.  Classes without positives or without negatives are skipped
+    with a warning record.
     """
     _require_labeled(source)
     detectors: dict[str, LinearDetector] = {}
     for class_id in source.classes:
         try:
             pos = mine_source_positives(source, class_id, cfg.gamma)
+            neg = _mine_source_negatives(source, class_id, cfg.neg_lambda)
         except DataError as exc:
             if warnings is not None:
                 warnings.append(f"initial-training: {exc}; class skipped")
             continue
-        neg = _mine_source_negatives(source, class_id, cfg.neg_lambda)
         detectors[class_id] = train_detector(
             pos, neg, cfg.train, class_id=class_id, frame="raw"
         )
     return detectors
 
 
-def _fit_subspace(X_raw: np.ndarray, d: int, label: str) -> Subspace:
-    """Normalize within-domain, then PCA; stats travel with the subspace."""
-    Xn, stats = normalize(X_raw)
-    return pca(Xn, d, stats=stats, label=label)
+def _fit_pair(
+    src_pool: np.ndarray, tgt_pool: np.ndarray, d: int, tag: str
+) -> tuple[Subspace, Subspace]:
+    """Subspaces ``src:<tag>`` and ``tgt:<tag>`` of one pool per domain.
+
+    Each pool is normalized with its own statistics, which travel with its
+    subspace.
+    """
+    n_src, n_tgt = src_pool.shape[0], tgt_pool.shape[0]
+    # A d-dimensional subspace needs at least d+1 samples.
+    if n_src < d + 1 or n_tgt < d + 1:
+        raise DataError(f"sample counts src={n_src}, tgt={n_tgt} below d+1={d + 1}")
+    pair = []
+    for domain, pool in (("src", src_pool), ("tgt", tgt_pool)):
+        Xn, stats = normalize(pool)
+        pair.append(pca(Xn, d, stats=stats, label=f"{domain}:{tag}"))
+    return pair[0], pair[1]
 
 
-def _passthrough_state(
-    class_id: str,
-    detector: LinearDetector,
-    n_src: int = 0,
-    n_tgt: int = 0,
-    downgraded: bool = False,
-    note: str = "",
-) -> ClassAdaptationState:
-    return ClassAdaptationState(
-        class_id=class_id,
-        mode="none",
-        adapted_detector=detector,
-        n_pos_src=n_src,
-        n_pos_tgt=n_tgt,
-        downgraded=downgraded,
-        note=note,
-    )
-
-
-def _adapt_class_specific(
+def _adapt_class(
     source: Dataset,
     target: Dataset,
     cfg: AdaptationConfig,
-    init: dict[str, LinearDetector],
+    class_id: str,
+    det: LinearDetector,
+    shared: tuple[Subspace, Subspace] | None,
     warnings: list[str],
-) -> dict[str, ClassAdaptationState]:
-    states: dict[str, ClassAdaptationState] = {}
-    for class_id, det in init.items():
+) -> ClassAdaptationState:
+    """Align one class and retrain its detector on projected source data.
+
+    The subspace pair is fitted on the class's mined positives in both
+    domains, or is ``shared``, the global pair of full-image mode.  A class
+    whose mining or fitting fails is downgraded to its initial detector.
+    """
+    n_src = n_tgt = 0
+    try:
         pos_src = mine_source_positives(source, class_id, cfg.gamma)
         n_src = pos_src.shape[0]
-        try:
+        if shared is None:
             pos_tgt = mine_target_positives(target, det, cfg.sigma)
-        except DataError as exc:
-            warnings.append(f"adapt: {exc}; class downgraded")
-            states[class_id] = _passthrough_state(
-                class_id, det, n_src, 0, downgraded=True, note=str(exc)
-            )
-            continue
-        n_tgt = pos_tgt.shape[0]
-
-        # A d-dimensional subspace needs at least d+1 samples.
-        if n_src < cfg.d + 1 or n_tgt < cfg.d + 1:
-            note = (
-                f"mined counts src={n_src}, tgt={n_tgt} below d+1={cfg.d + 1}"
-            )
-            warnings.append(f"adapt: class '{class_id}': {note}; downgraded")
-            states[class_id] = _passthrough_state(
-                class_id, det, n_src, n_tgt, downgraded=True, note=note
-            )
-            continue
-        try:
-            S = _fit_subspace(pos_src, cfg.d, f"src:{class_id}")
-            T = _fit_subspace(pos_tgt, cfg.d, f"tgt:{class_id}")
-        except NumericalError as exc:
-            warnings.append(f"adapt: class '{class_id}': {exc}; downgraded")
-            states[class_id] = _passthrough_state(
-                class_id, det, n_src, n_tgt, downgraded=True, note=str(exc)
-            )
-            continue
-
-        M = solve_alignment(S, T)
-        Xa = aligned_source_basis(S, M)
-        frame = f"aligned:{class_id}"
+            n_tgt = pos_tgt.shape[0]
+            S, T = _fit_pair(pos_src, pos_tgt, cfg.d, class_id)
+        else:
+            S, T = shared
         neg_src = _mine_source_negatives(source, class_id, cfg.neg_lambda)
-        pos_proj = project_for_training(normalize(pos_src, S.stats)[0], S, Xa)
-        neg_proj = project_for_training(normalize(neg_src, S.stats)[0], S, Xa)
-        adapted = train_detector(
-            pos_proj, neg_proj, cfg.train, class_id=class_id, frame=frame
+    except (DataError, NumericalError) as exc:
+        warnings.append(f"adapt: class '{class_id}': {exc}; downgraded")
+        return ClassAdaptationState(
+            class_id, "none", det, n_pos_src=n_src, n_pos_tgt=n_tgt,
+            downgraded=True, note=str(exc),
         )
-        states[class_id] = ClassAdaptationState(
-            class_id=class_id,
-            mode="class-specific",
-            adapted_detector=adapted,
-            source_subspace=S,
-            target_subspace=T,
-            map=M,
-            aligned_basis=Xa,
-            n_pos_src=n_src,
-            n_pos_tgt=n_tgt,
-        )
-    return states
 
-
-def _adapt_full_image(
-    source: Dataset,
-    target: Dataset,
-    cfg: AdaptationConfig,
-    init: dict[str, LinearDetector],
-    warnings: list[str],
-) -> dict[str, ClassAdaptationState]:
-    src_all = source.all_features()
-    tgt_all = target.all_features()
-    n_src, n_tgt = src_all.shape[0], tgt_all.shape[0]
-    if n_src < cfg.d + 1 or n_tgt < cfg.d + 1:
-        warnings.append(
-            f"adapt: full-image pool too small for d={cfg.d}; "
-            "all classes pass through"
-        )
-        return {
-            c: _passthrough_state(c, det, downgraded=True, note="global pool too small")
-            for c, det in init.items()
-        }
-    try:
-        S = _fit_subspace(src_all, cfg.d, "src:__full__")
-        T = _fit_subspace(tgt_all, cfg.d, "tgt:__full__")
-    except NumericalError as exc:
-        warnings.append(f"adapt: full-image subspace failed ({exc}); pass-through")
-        return {
-            c: _passthrough_state(c, det, downgraded=True, note=str(exc))
-            for c, det in init.items()
-        }
-    M = solve_alignment(S, T)
-    Xa = aligned_source_basis(S, M)
-
-    states: dict[str, ClassAdaptationState] = {}
-    for class_id, det in init.items():
-        pos_src = mine_source_positives(source, class_id, cfg.gamma)
-        neg_src = _mine_source_negatives(source, class_id, cfg.neg_lambda)
-        pos_proj = project_for_training(normalize(pos_src, S.stats)[0], S, Xa)
-        neg_proj = project_for_training(normalize(neg_src, S.stats)[0], S, Xa)
-        adapted = train_detector(
-            pos_proj, neg_proj, cfg.train, class_id=class_id, frame=FULL_IMAGE_FRAME
-        )
-        states[class_id] = ClassAdaptationState(
-            class_id=class_id,
-            mode="full-image",
-            adapted_detector=adapted,
-            source_subspace=S,
-            target_subspace=T,
-            map=M,
-            aligned_basis=Xa,
-            n_pos_src=pos_src.shape[0],
-            n_pos_tgt=0,
-        )
-    return states
+    Xa = aligned_source_basis(S, solve_alignment(S, T))
+    pos_proj = project_for_training(normalize(pos_src, S.stats)[0], S, Xa)
+    neg_proj = project_for_training(normalize(neg_src, S.stats)[0], S, Xa)
+    frame = "aligned:" + S.label.removeprefix("src:")
+    adapted = train_detector(
+        pos_proj, neg_proj, cfg.train, class_id=class_id, frame=frame
+    )
+    return ClassAdaptationState(
+        class_id, cfg.mode, adapted, S, T, n_pos_src=n_src, n_pos_tgt=n_tgt
+    )
 
 
 def passthrough_states(
     detectors: dict[str, LinearDetector],
 ) -> dict[str, ClassAdaptationState]:
     """Wrap raw-frame detectors as unadapted per-class states."""
-    return {c: _passthrough_state(c, det) for c, det in detectors.items()}
+    return {c: ClassAdaptationState(c, "none", det) for c, det in detectors.items()}
 
 
 def adapt(
@@ -375,7 +299,8 @@ def adapt(
     Returns one :class:`ClassAdaptationState` per class that produced an
     initial detector.  Per-class failures (empty mining, rank trouble)
     downgrade that class to a pass-through of its initial detector instead
-    of aborting the run.
+    of aborting the run; in full-image mode a failure of the global pool
+    downgrades every class.
     """
     if source.feature_dim != target.feature_dim:
         raise DataError(
@@ -390,10 +315,23 @@ def adapt(
     warnings = warnings if warnings is not None else []
     init = init_detectors or train_initial_detectors(source, cfg, warnings)
     if cfg.mode == "none":
-        return {c: _passthrough_state(c, det) for c, det in init.items()}
+        return passthrough_states(init)
+    shared = None
     if cfg.mode == "full-image":
-        return _adapt_full_image(source, target, cfg, init, warnings)
-    return _adapt_class_specific(source, target, cfg, init, warnings)
+        try:
+            shared = _fit_pair(
+                source.all_features(), target.all_features(), cfg.d, "__full__"
+            )
+        except (DataError, NumericalError) as exc:
+            warnings.append(f"adapt: full-image pool: {exc}; all classes downgraded")
+            return {
+                c: ClassAdaptationState(c, "none", det, downgraded=True, note=str(exc))
+                for c, det in init.items()
+            }
+    return {
+        c: _adapt_class(source, target, cfg, c, det, shared, warnings)
+        for c, det in init.items()
+    }
 
 
 def detect(

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datasets import Dataset
-from .pipeline import AdaptationConfig
+from aligndet.datasets import Dataset
+from aligndet.pipeline import AdaptationConfig
 
 _MARGIN = 1.0
 _INIT_CACHE = 1024

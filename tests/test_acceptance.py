@@ -38,11 +38,11 @@ from aligndet.pipeline import (
     passthrough_states,
     train_initial_detectors,
 )
-from aligndet.reference import reference_run
 from oracles import brute_force_ap, exhaustive_nms, gd_align, random_orthonormal
+from reference import reference_run
 
 # Margin of the class-specific route over no adaptation on the default
-# seeded scenario, locked in by running aligndet.reference.reference_run
+# seeded scenario, locked in by running reference.reference_run
 # (the brute-force dense pipeline) once on that scenario.  Reproduction is
 # asserted to within one mAP point.
 REFERENCE_UNADAPTED_MAP = 0.764164
@@ -130,7 +130,8 @@ def test_c2_fixed_point(tmp_path):
     states = adapt(src, tgt, cfg, init_detectors=init)
     for c, state in states.items():
         assert not state.downgraded, f"{c} downgraded in fixed-point run"
-        assert np.linalg.norm(state.map.M - np.eye(cfg.d)) < 1e-6
+        M = solve_alignment(state.source_subspace, state.target_subspace).M
+        assert np.linalg.norm(M - np.eye(cfg.d)) < 1e-6
         diag = subspace_similarity(state.source_subspace, state.target_subspace)
         assert abs(diag - math.sqrt(cfg.d)) < 1e-6
 
@@ -272,6 +273,15 @@ def test_c6_pipeline_determinism(tmp_path):
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
     assert (out_a / "detections.csv").read_bytes() == (
         out_b / "detections.csv"
+    ).read_bytes()
+    # The saved state bundle reproduces the pipeline's detections exactly.
+    out_d = tmp_path / "d"
+    args = ["detect", "--config", str(cfg_file), "--out", str(out_d)]
+    args += ["--dataset", str(out_a / "target" / "manifest.json")]
+    args += ["--states", str(out_a / "states.json")]
+    assert cli.main(args) == 0
+    assert (out_d / "detections.csv").read_bytes() == (
+        out_a / "detections.csv"
     ).read_bytes()
     _passed(6, "pipeline determinism")
 

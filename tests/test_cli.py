@@ -39,6 +39,28 @@ def test_missing_manifest_file_is_data_error(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bundle", ["--states", "--detectors"])
+@pytest.mark.parametrize("text", ["not json", '{"warnings": []}'])
+def test_malformed_bundle_is_data_error(tmp_path, capsys, fast_config, bundle, text):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", fast_config, "--out", str(data)]) == 0
+    path = tmp_path / "bundle.json"
+    path.write_text(text)
+    rc = cli.main(
+        [
+            "detect",
+            "--dataset",
+            str(data / "target" / "manifest.json"),
+            bundle,
+            str(path),
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_bad_config_key_is_data_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("gama = 0.7\n")
@@ -224,8 +246,9 @@ def test_adapt_mode_none_flags_pass_through(tmp_path):
     )
     assert rc == 0
     bundle = json.loads((out / "states.json").read_text())
-    assert set(bundle["pass_through"]) == set(bundle["states"])
     assert all(s["mode"] == "none" for s in bundle["states"].values())
+    assert all(s["source_subspace"] is None for s in bundle["states"].values())
+    assert bundle["subspaces"] == {}
 
 
 def test_pipeline_produces_full_artifact_set(tmp_path, fast_config):

@@ -70,7 +70,7 @@ class TestContainers:
         ds = tiny_dataset()
         assert ds.n_proposals == 6
         assert ds.all_features().shape == (6, 4)
-        assert len(list(ds.proposals())) == 6
+        npt.assert_array_equal(ds.all_features()[3:], ds.images[1].features)
         assert len(ds.ground_truths()) == 2
         assert ds.labeled
 
@@ -334,7 +334,6 @@ class TestConfig:
         assert cfg.adaptation.d == 12
         assert cfg.adaptation.mode == "full-image"
         assert cfg.seed == 3
-        assert cfg.adaptation.train.seed == 3
         assert cfg.synth.seed == 3
         assert cfg.synth.corrupt_classes == (1, 2)
 
@@ -385,26 +384,88 @@ class TestBundles:
         save_detectors(p2, loaded, warnings=["note"])
         assert p.read_bytes() == p2.read_bytes()
 
-    def test_state_bundle_round_trip(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def adapted(self):
+        """States of a small synthetic pair, per adaptation mode."""
         from aligndet.pipeline import AdaptationConfig, adapt
         from aligndet.detection import TrainConfig
 
         spec = SynthShiftSpec(samples_per_class=30, n_classes=2)
         src, tgt, _ = generate_synthetic(spec)
-        cfg = AdaptationConfig(
-            d=5, train=TrainConfig(reg_lambda=0.001, iterations=500)
-        )
-        states = adapt(src, tgt, cfg)
+        train = TrainConfig(reg_lambda=0.001, iterations=500)
+        return {
+            mode: adapt(src, tgt, AdaptationConfig(d=5, mode=mode, train=train))
+            for mode in ("class-specific", "full-image")
+        }
+
+    def test_state_bundle_round_trip(self, tmp_path, adapted):
+        for mode, states in adapted.items():
+            p = tmp_path / f"{mode}.json"
+            save_states(p, states, warnings=[])
+            loaded = load_states(p)
+            assert set(loaded) == set(states)
+            for c in states:
+                npt.assert_array_equal(
+                    loaded[c].adapted_detector.weights,
+                    states[c].adapted_detector.weights,
+                )
+                for side in ("source_subspace", "target_subspace"):
+                    a, b = getattr(loaded[c], side), getattr(states[c], side)
+                    assert a.label == b.label
+                    npt.assert_array_equal(a.basis, b.basis)
+                    npt.assert_array_equal(a.stats.mean, b.stats.mean)
+            p2 = tmp_path / f"{mode}2.json"
+            save_states(p2, loaded, warnings=[])
+            assert p.read_bytes() == p2.read_bytes()
+
+    def test_state_bundle_stores_each_subspace_once(self, tmp_path, adapted):
+        for mode, states in adapted.items():
+            p = tmp_path / f"{mode}.json"
+            save_states(p, states)
+            bundle = json.loads(p.read_text())
+            labels = {
+                s.label
+                for st in states.values()
+                for s in (st.source_subspace, st.target_subspace)
+            }
+            assert set(bundle["subspaces"]) == labels
+            assert len(labels) == (2 if mode == "full-image" else 2 * len(states))
+            for entry in bundle["states"].values():
+                assert "map" not in entry and "aligned_basis" not in entry
+                assert entry["source_subspace"] in labels
+                assert entry["target_subspace"] in labels
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda b: "not json", "not valid JSON"),
+            (lambda b: json.dumps({"warnings": []}), "missing key 'states'"),
+            (lambda b: json.dumps({k: v for k, v in b.items() if k != "subspaces"}),
+             "rerun 'adapt'"),
+            (lambda b: json.dumps({**b, "subspaces": {}}), "unknown subspace"),
+            (lambda b: json.dumps({**b, "states": []}), "malformed"),
+        ],
+        ids=["invalid-json", "missing-key", "old-layout", "unknown-label", "wrong-type"],
+    )
+    def test_malformed_state_bundle_is_data_error(self, tmp_path, adapted, edit, match):
         p = tmp_path / "states.json"
-        save_states(p, states, warnings=[])
-        loaded = load_states(p)
-        assert set(loaded) == set(states)
-        for c in states:
-            npt.assert_array_equal(
-                loaded[c].adapted_detector.weights, states[c].adapted_detector.weights
-            )
-            if states[c].map is not None:
-                npt.assert_array_equal(loaded[c].map.M, states[c].map.M)
-        p2 = tmp_path / "states2.json"
-        save_states(p2, loaded, warnings=[])
-        assert p.read_bytes() == p2.read_bytes()
+        save_states(p, adapted["class-specific"])
+        p.write_text(edit(json.loads(p.read_text())))
+        with pytest.raises(DataError, match=match) as info:
+            load_states(p)
+        assert str(p) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("not json", "not valid JSON"),
+            ('{"warnings": []}', "missing key 'detectors'"),
+            ('{"detectors": {"cat": {"class_id": "cat"}}}', "missing key 'weights'"),
+        ],
+    )
+    def test_malformed_detector_bundle_is_data_error(self, tmp_path, text, match):
+        p = tmp_path / "det.json"
+        p.write_text(text)
+        with pytest.raises(DataError, match=match) as info:
+            load_detectors(p)
+        assert str(p) in str(info.value)

@@ -120,7 +120,7 @@ class TestTrainDetector:
 
     def test_bitwise_determinism(self):
         pos, neg = make_blobs(4)
-        cfg = TrainConfig(seed=7)
+        cfg = TrainConfig()
         a = train_detector(pos, neg, cfg)
         b = train_detector(pos, neg, cfg)
         npt.assert_array_equal(a.weights, b.weights)

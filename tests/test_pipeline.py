@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from aligndet.dataio import SynthShiftSpec, generate_synthetic
+from aligndet.alignment import solve_alignment
+from aligndet.dataio import SynthShiftSpec, generate_synthetic, load_states, save_states
 from aligndet.datasets import Dataset, ImageRecord
 from aligndet.detection import BBox, LinearDetector, TrainConfig, greedy_nms, iou
 from aligndet.errors import DataError
@@ -167,6 +168,22 @@ class TestTrainInitialDetectors:
         assert detectors == {}
         assert any("obj" in w for w in warnings)
 
+    def test_class_without_negatives_skipped_with_warning(self):
+        # One-axis shifts of a 100-wide box: every proposal overlaps the
+        # 'obj' box with IoU >= 0.33 (no negatives at lambda 0.3), while
+        # 'far' (shifted by 50) has one positive and one negative.
+        boxes = [BBox(dx, 0.0, dx + 100.0, 100.0) for dx in (-40.0, 0.0, 50.0)]
+        gt = [
+            ("obj", BBox(0.0, 0.0, 100.0, 100.0)),
+            ("far", BBox(50.0, 0.0, 150.0, 100.0)),
+        ]
+        feats = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+        ds = Dataset("g", ["obj", "far"], 2, [ImageRecord("g0", feats, boxes, gt)])
+        warnings = []
+        detectors = train_initial_detectors(ds, small_cfg(), warnings)
+        assert set(detectors) == {"far"}
+        assert any("'obj'" in w and "negatives" in w for w in warnings)
+
     def test_detectors_are_raw_frame(self, small_pair):
         src, _ = small_pair
         detectors = train_initial_detectors(src, small_cfg())
@@ -180,7 +197,8 @@ class TestAdapt:
         states = adapt(src, src, cfg)
         for c, s in states.items():
             assert not s.downgraded
-            assert np.linalg.norm(s.map.M - np.eye(cfg.d)) < 1e-6
+            M = solve_alignment(s.source_subspace, s.target_subspace).M
+            assert np.linalg.norm(M - np.eye(cfg.d)) < 1e-6
             assert subspace_similarity(
                 s.source_subspace, s.target_subspace
             ) == pytest.approx(np.sqrt(cfg.d), abs=1e-6)
@@ -246,6 +264,83 @@ class TestAdapt:
         )[1]
         with pytest.raises(DataError, match="feature dims differ"):
             adapt(src, other, small_cfg())
+
+
+def low_rank_copy(ds, rank=2, seed=0):
+    """``ds`` with every feature row projected on one random rank-``rank``
+    subspace, so no pool drawn from it can span d > rank dimensions."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(ds.feature_dim, rank)))
+    images = [
+        ImageRecord(img.image_id, img.features @ Q @ Q.T, img.boxes, img.gt)
+        for img in ds.images
+    ]
+    return Dataset(ds.name, ds.classes, ds.feature_dim, images)
+
+
+def tiny_target(ds, n):
+    """One unlabeled image holding the first ``n`` proposals of ``ds``."""
+    img = ds.images[0]
+    return Dataset(
+        ds.name,
+        ds.classes,
+        ds.feature_dim,
+        [ImageRecord("tiny", img.features[:n], img.boxes[:n])],
+    )
+
+
+class TestDowngradePaths:
+    """Every way adaptation can fail for a class leaves that class on its
+    raw-frame initial detector, with a note and a warning, and detection
+    (also from a saved bundle) still runs."""
+
+    @pytest.fixture(scope="class")
+    def init(self, small_pair):
+        return train_initial_detectors(small_pair[0], small_cfg())
+
+    def check_downgraded(self, states, init, warnings, target, cfg, tmp_path):
+        assert set(states) == set(init)
+        for c, s in states.items():
+            assert s.downgraded and s.mode == "none"
+            assert s.adapted_detector is init[c]
+            assert s.adapted_detector.frame == "raw"
+            assert s.source_subspace is None and s.target_subspace is None
+            assert s.note
+        assert warnings
+        expected = detect(target, passthrough_states(init), cfg)
+        assert detect(target, states, cfg) == expected
+        save_states(tmp_path / "states.json", states, warnings)
+        assert detect(target, load_states(tmp_path / "states.json"), cfg) == expected
+
+    def run(self, src, target, cfg, init, tmp_path):
+        warnings = []
+        states = adapt(src, target, cfg, init_detectors=init, warnings=warnings)
+        self.check_downgraded(states, init, warnings, target, cfg, tmp_path)
+        return warnings
+
+    def test_class_specific_no_target_positives(self, small_pair, init, tmp_path):
+        src, tgt = small_pair
+        warnings = self.run(src, tgt, small_cfg(sigma=1e9), init, tmp_path)
+        assert all(any(c in w for w in warnings) for c in init)
+
+    def test_class_specific_too_few_samples(self, small_pair, init, tmp_path):
+        src, tgt = small_pair
+        cfg = small_cfg(sigma=-1e9)
+        warnings = self.run(src, tiny_target(tgt, cfg.d), cfg, init, tmp_path)
+        assert all(any(c in w for w in warnings) for c in init)
+
+    def test_class_specific_rank_failure(self, small_pair, init, tmp_path):
+        src, tgt = small_pair
+        warnings = self.run(src, low_rank_copy(tgt), small_cfg(sigma=-1e9), init, tmp_path)
+        assert all(any(c in w for w in warnings) for c in init)
+
+    def test_full_image_pool_too_small(self, small_pair, init, tmp_path):
+        src, tgt = small_pair
+        cfg = small_cfg(mode="full-image")
+        self.run(src, tiny_target(tgt, cfg.d), cfg, init, tmp_path)
+
+    def test_full_image_rank_failure(self, small_pair, init, tmp_path):
+        src, tgt = small_pair
+        self.run(src, low_rank_copy(tgt), small_cfg(mode="full-image"), init, tmp_path)
 
 
 class TestDetect:
@@ -331,11 +426,12 @@ class TestMiningMonotonicity:
 
 
 class TestClassAdaptationState:
-    def test_provenance_mismatch_rejected(self, small_pair):
+    @pytest.fixture(scope="class")
+    def good(self, small_pair):
         src, tgt = small_pair
-        cfg = small_cfg()
-        states = adapt(src, tgt, cfg)
-        good = next(iter(states.values()))
+        return next(iter(adapt(src, tgt, small_cfg()).values()))
+
+    def test_provenance_mismatch_rejected(self, good):
         with pytest.raises(DataError, match="provenance"):
             ClassAdaptationState(
                 class_id=good.class_id,
@@ -343,7 +439,21 @@ class TestClassAdaptationState:
                 adapted_detector=good.adapted_detector,
                 source_subspace=good.target_subspace,  # swapped on purpose
                 target_subspace=good.source_subspace,
-                map=good.map,
+            )
+
+    def test_adapted_state_needs_both_subspaces(self, good):
+        with pytest.raises(DataError, match="both subspaces"):
+            ClassAdaptationState(
+                good.class_id, "class-specific", good.adapted_detector,
+                source_subspace=good.source_subspace,
+            )
+
+    def test_detector_frame_must_match_subspace_tag(self, good):
+        raw = LinearDetector(good.class_id, good.adapted_detector.weights, 0.0, "raw")
+        with pytest.raises(DataError, match="frame"):
+            ClassAdaptationState(
+                good.class_id, "class-specific", raw,
+                good.source_subspace, good.target_subspace,
             )
 
 
