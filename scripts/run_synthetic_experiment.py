@@ -18,12 +18,7 @@ import numpy as np
 
 from aligndet.dataio import generate_synthetic, load_config
 from aligndet.evaluation import average_precision, similarity_matrix
-from aligndet.pipeline import (
-    adapt,
-    detect,
-    passthrough_states,
-    train_initial_detectors,
-)
+from aligndet.pipeline import adapt, detect, train_initial_detectors
 
 
 def main() -> int:
@@ -54,10 +49,7 @@ def main() -> int:
     for mode in ["none", "full-image", "class-specific"]:
         acfg.mode = mode
         t0 = time.perf_counter()
-        if mode == "none":
-            states = passthrough_states(init)
-        else:
-            states = adapt(source, target, acfg, init_detectors=init)
+        states = adapt(source, target, acfg, init_detectors=init)
         dets = detect(target, states, acfg)
         results[mode] = {
             c: average_precision(dets, gts, c) for c in target.classes

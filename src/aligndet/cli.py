@@ -79,18 +79,29 @@ def _outdir(args) -> Path:
     return out
 
 
-def _initial_score_histogram(dataset: Dataset, detectors, cfg: RunConfig):
-    scores = []
-    for det in detectors.values():
-        for img in dataset.images:
-            scores.append(score_proposals(det, img.features, frame="raw"))
-    flat = np.concatenate(scores) if scores else np.zeros(0)
-    return evaluation.score_histogram(flat, cfg.hist_bins, (cfg.hist_lo, cfg.hist_hi))
+def _initial_scores(dataset: Dataset, detectors) -> np.ndarray:
+    scores = [
+        score_proposals(det, img.features, frame="raw")
+        for det in detectors.values()
+        for img in dataset.images
+    ]
+    return np.concatenate(scores) if scores else np.zeros(0)
 
 
-def _write_histogram(out: Path, name: str, hist, title: str) -> None:
+def _write_histogram(out: Path, name: str, scores, cfg: RunConfig, title: str) -> None:
+    hist = evaluation.score_histogram(scores, cfg.hist_bins, (cfg.hist_lo, cfg.hist_hi))
     (out / f"{name}.json").write_text(canonical_json(hist.to_dict()))
     (out / f"{name}.svg").write_text(evaluation.render_histogram_svg(hist, title))
+
+
+def _synth(cfg: RunConfig, out: Path) -> tuple[Path, Path]:
+    """Write the synthetic source, target and oracle; return the manifests."""
+    source, target, oracle = dataio.generate_synthetic(cfg.synth)
+    dataio.save_oracle(out / "oracle.json", oracle)
+    return (
+        dataio.save_dataset(source, out / "source"),
+        dataio.save_dataset(target, out / "target"),
+    )
 
 
 def _evaluate_detections(dets, dataset: Dataset) -> tuple[dict, float | None]:
@@ -126,12 +137,7 @@ def _weak_classes(diag: dict[str, float], ratio: float) -> list[str]:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    out = _outdir(args)
-    source, target, oracle = dataio.generate_synthetic(cfg.synth)
-    dataio.save_dataset(source, out / "source")
-    dataio.save_dataset(target, out / "target")
-    dataio.save_oracle(out / "oracle.json", oracle)
-    log.info("wrote %s and %s", out / "source", out / "target")
+    log.info("wrote %s and %s", *_synth(cfg, _outdir(args)))
     return 0
 
 
@@ -195,11 +201,8 @@ def cmd_analyze(args) -> int:
     out = _outdir(args)
     _write_similarity(out, dataio.load_states(args.states))
     if args.detections:
-        dets = dataio.read_detections_csv(args.detections)
-        hist = evaluation.score_histogram(
-            [d.score for d in dets], cfg.hist_bins, (cfg.hist_lo, cfg.hist_hi)
-        )
-        _write_histogram(out, "histogram_detections", hist, "detection scores")
+        scores = [d.score for d in dataio.read_detections_csv(args.detections)]
+        _write_histogram(out, "histogram_detections", scores, cfg, "detection scores")
     return 0
 
 
@@ -209,19 +212,13 @@ def cmd_pipeline(args) -> int:
     timing: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    if cfg.source_manifest and cfg.target_manifest:
-        source = dataio.load_dataset(cfg.source_manifest)
-        target = dataio.load_dataset(cfg.target_manifest)
-    elif cfg.source_manifest or cfg.target_manifest:
+    manifests = cfg.source_manifest, cfg.target_manifest
+    if any(manifests) and not all(manifests):
         raise DataError("source_manifest and target_manifest must be set together")
-    else:
-        gen_source, gen_target, oracle = dataio.generate_synthetic(cfg.synth)
-        dataio.save_dataset(gen_source, out / "source")
-        dataio.save_dataset(gen_target, out / "target")
-        dataio.save_oracle(out / "oracle.json", oracle)
+    if not any(manifests):
         # Reload from disk so the saved artifacts are exactly what ran.
-        source = dataio.load_dataset(out / "source" / "manifest.json")
-        target = dataio.load_dataset(out / "target" / "manifest.json")
+        manifests = _synth(cfg, out)
+    source, target = map(dataio.load_dataset, manifests)
     timing["data"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -232,9 +229,9 @@ def cmd_pipeline(args) -> int:
 
     t0 = time.perf_counter()
     for name, dataset in (("source", source), ("target", target)):
-        hist = _initial_score_histogram(dataset, detectors, cfg)
+        scores = _initial_scores(dataset, detectors)
         _write_histogram(
-            out, f"histogram_{name}", hist, f"initial detector scores on {name}"
+            out, f"histogram_{name}", scores, cfg, f"initial detector scores on {name}"
         )
     timing["histograms"] = time.perf_counter() - t0
 

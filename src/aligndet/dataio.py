@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -84,97 +85,80 @@ def _parse_float(token: str, path, lineno: int) -> float:
     return v
 
 
-def write_boxes_csv(path, image_id: str, boxes: list[BBox]) -> None:
-    lines = [BOX_HEADER]
-    for b in boxes:
-        lines.append(
-            f"{image_id},{_fmt_float(b.x_min)},{_fmt_float(b.y_min)},"
-            f"{_fmt_float(b.x_max)},{_fmt_float(b.y_max)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_boxes_csv(path) -> list[tuple[str, BBox]]:
+def _read_box_rows(path, kind: str, header: str):
+    """Yield the rows of a box CSV as (cells, numbers).  Its first five
+    columns are ``BOX_HEADER``; ``image_id`` and ``class`` (the sixth) are
+    text and every other column is a finite float, listed in ``numbers``.
+    Rows are yielded, not collected: a list of them would double the live
+    objects, and the garbage collector's work, of a large detections file."""
     path = Path(path)
     if not path.is_file():
-        raise DataError(f"boxes file '{path}' does not exist")
+        raise DataError(f"{kind} file '{path}' does not exist")
     lines = path.read_text().splitlines()
-    if not lines or lines[0] != BOX_HEADER:
-        raise DataError(f"boxes file '{path}' must start with '{BOX_HEADER}'")
-    out = []
+    if not lines or lines[0] != header:
+        raise DataError(f"{kind} file '{path}' must start with '{header}'")
+    n_columns = header.count(",") + 1
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 5:
-            raise DataError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-        vals = [_parse_float(p, path, lineno) for p in parts[1:]]
-        out.append((parts[0], BBox(*vals)))
-    return out
+        if len(parts) != n_columns:
+            raise DataError(
+                f"{path}:{lineno}: expected {n_columns} columns, got {len(parts)}"
+            )
+        yield parts, [_parse_float(p, path, lineno) for p in parts[1:5] + parts[6:]]
+
+
+def _box_line(image_id: str, b: BBox) -> str:
+    return (
+        f"{image_id},{_fmt_float(b.x_min)},{_fmt_float(b.y_min)},"
+        f"{_fmt_float(b.x_max)},{_fmt_float(b.y_max)}"
+    )
+
+
+def _write_lines(path, header: str, lines) -> None:
+    Path(path).write_text("\n".join([header, *lines]) + "\n")
+
+
+def write_boxes_csv(path, image_id: str, boxes: list[BBox]) -> None:
+    _write_lines(path, BOX_HEADER, (_box_line(image_id, b) for b in boxes))
+
+
+def read_boxes_csv(path) -> list[tuple[str, BBox]]:
+    return [
+        (parts[0], BBox(*nums))
+        for parts, nums in _read_box_rows(path, "boxes", BOX_HEADER)
+    ]
 
 
 def write_gt_csv(path, image_id: str, gt: list[tuple[str, BBox]]) -> None:
-    lines = [GT_HEADER]
-    for class_id, b in gt:
-        lines.append(
-            f"{image_id},{_fmt_float(b.x_min)},{_fmt_float(b.y_min)},"
-            f"{_fmt_float(b.x_max)},{_fmt_float(b.y_max)},{class_id}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, GT_HEADER, (f"{_box_line(image_id, b)},{c}" for c, b in gt))
 
 
 def read_gt_csv(path) -> list[tuple[str, str, BBox]]:
     """Rows of (image_id, class_id, box)."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"gt file '{path}' does not exist")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != GT_HEADER:
-        raise DataError(f"gt file '{path}' must start with '{GT_HEADER}'")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise DataError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
-        vals = [_parse_float(p, path, lineno) for p in parts[1:5]]
-        out.append((parts[0], parts[5], BBox(*vals)))
-    return out
+    return [
+        (parts[0], parts[5], BBox(*nums))
+        for parts, nums in _read_box_rows(path, "gt", GT_HEADER)
+    ]
 
 
 def write_detections_csv(path, dets: list[Detection]) -> None:
-    lines = [DETECTION_HEADER]
-    for d in dets:
-        b = d.box
-        lines.append(
-            f"{d.image_id},{_fmt_float(b.x_min)},{_fmt_float(b.y_min)},"
-            f"{_fmt_float(b.x_max)},{_fmt_float(b.y_max)},{d.class_id},"
-            f"{_fmt_float(d.score)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(
+        path,
+        DETECTION_HEADER,
+        (
+            f"{_box_line(d.image_id, d.box)},{d.class_id},{_fmt_float(d.score)}"
+            for d in dets
+        ),
+    )
 
 
 def read_detections_csv(path) -> list[Detection]:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"detections file '{path}' does not exist")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != DETECTION_HEADER:
-        raise DataError(f"detections file '{path}' must start with '{DETECTION_HEADER}'")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise DataError(f"{path}:{lineno}: expected 7 columns, got {len(parts)}")
-        vals = [_parse_float(p, path, lineno) for p in parts[1:5]]
-        score = _parse_float(parts[6], path, lineno)
-        out.append(
-            Detection(image_id=parts[0], box=BBox(*vals), class_id=parts[5], score=score)
-        )
-    return out
+    return [
+        Detection(parts[0], BBox(*nums[:4]), parts[5], nums[4])
+        for parts, nums in _read_box_rows(path, "detections", DETECTION_HEADER)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +168,22 @@ def read_detections_csv(path) -> list[Detection]:
 def canonical_json(obj) -> str:
     """Stable JSON serialization: sorted keys, two-space indent, newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _load_bundle(path, kind: str, parse):
+    """``parse`` applied to the JSON in ``path``; invalid JSON, a missing
+    key, a wrong type or a rejected value is a DataError naming the file."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{kind} '{path}' does not exist")
+    try:
+        return parse(json.loads(path.read_text()))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{kind} '{path}' is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"{kind} '{path}' is missing key {exc}") from None
+    except (DataError, NumericalError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{kind} '{path}' is malformed: {exc}") from None
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
@@ -223,23 +223,20 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
 
 def load_dataset(manifest_path) -> Dataset:
     """Load and eagerly validate a dataset; every violation names its file."""
-    manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise DataError(f"manifest '{manifest_path}' does not exist")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"manifest '{manifest_path}' is not valid JSON: {exc}") from None
-    for key in ("name", "classes", "feature_dim", "images"):
-        if key not in manifest:
-            raise DataError(f"manifest '{manifest_path}' missing key '{key}'")
-    base = manifest_path.parent
-    classes = list(manifest["classes"])
+    base = Path(manifest_path).parent
+    return _load_bundle(
+        manifest_path, "manifest", lambda m: _dataset_from_manifest(m, base)
+    )
+
+
+def _dataset_from_manifest(manifest: dict, base: Path) -> Dataset:
+    name, classes = manifest["name"], list(manifest["classes"])
+    feature_dim, entries = int(manifest["feature_dim"]), manifest["images"]
     images = []
-    for entry in manifest["images"]:
+    for entry in entries:
         image_id = entry.get("image_id")
         if not image_id:
-            raise DataError(f"manifest '{manifest_path}': image entry without id")
+            raise DataError("image entry without id")
         feat_path = base / entry["feature_file"]
         boxes_path = base / entry["boxes_file"]
         features = read_features(feat_path)
@@ -279,12 +276,7 @@ def load_dataset(manifest_path) -> Dataset:
                 gt=gt,
             )
         )
-    return Dataset(
-        name=manifest["name"],
-        classes=classes,
-        feature_dim=int(manifest["feature_dim"]),
-        images=images,
-    )
+    return Dataset(name=name, classes=classes, feature_dim=feature_dim, images=images)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +491,8 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
 
 @dataclass
 class RunConfig:
-    """Everything a CLI run needs, with defaults matching the reference
-    protocol (gamma 0.7, sigma 0.4, d 100)."""
+    """Everything a CLI run needs; its defaults, and those of the configs
+    it holds, are the reference protocol."""
 
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
     synth: SynthShiftSpec = field(default_factory=SynthShiftSpec)
@@ -510,7 +502,6 @@ class RunConfig:
     hist_lo: float = -3.0
     hist_hi: float = 3.0
     weak_ratio: float = 0.75
-    seed: int = 0
 
 
 def _parse_corrupt(text: str) -> tuple[int, ...]:
@@ -520,37 +511,40 @@ def _parse_corrupt(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-_CONFIG_KEYS: dict[str, type | str] = {
-    "gamma": float,
-    "sigma": float,
-    "d": int,
-    "mode": str,
-    "nms_thresh": float,
-    "neg_lambda": float,
-    "detect_thresh": float,
-    "reg_lambda": float,
-    "train_iterations": int,
-    "hard_neg_rounds": int,
-    "seed": int,
-    "source_manifest": str,
-    "target_manifest": str,
-    "synth_classes": int,
-    "synth_dim": int,
-    "synth_samples": int,
-    "synth_separation": float,
-    "synth_rotation": float,
-    "synth_noise": float,
-    "synth_drift": float,
-    "synth_spread": float,
-    "synth_latent": int,
-    "synth_pos_per_image": int,
-    "synth_neg_per_image": int,
-    "synth_min_iou": float,
-    "synth_corrupt": "corrupt",
-    "hist_bins": int,
-    "hist_lo": float,
-    "hist_hi": float,
-    "weak_ratio": float,
+# Config key -> (section, field, parser).  A section is the RunConfig itself
+# ("run") or one of the configs it holds; every default is its field's.
+# A ``Path`` value is resolved against the config file's directory.
+_CONFIG_KEYS = {
+    "gamma": ("adaptation", "gamma", float),
+    "sigma": ("adaptation", "sigma", float),
+    "d": ("adaptation", "d", int),
+    "mode": ("adaptation", "mode", str),
+    "nms_thresh": ("adaptation", "nms_thresh", float),
+    "neg_lambda": ("adaptation", "neg_lambda", float),
+    "detect_thresh": ("adaptation", "detect_thresh", float),
+    "reg_lambda": ("train", "reg_lambda", float),
+    "train_iterations": ("train", "iterations", int),
+    "hard_neg_rounds": ("train", "max_hard_rounds", int),
+    "seed": ("synth", "seed", int),
+    "source_manifest": ("run", "source_manifest", Path),
+    "target_manifest": ("run", "target_manifest", Path),
+    "synth_classes": ("synth", "n_classes", int),
+    "synth_dim": ("synth", "feature_dim", int),
+    "synth_samples": ("synth", "samples_per_class", int),
+    "synth_separation": ("synth", "class_separation", float),
+    "synth_rotation": ("synth", "rotation_budget", float),
+    "synth_noise": ("synth", "noise_scale", float),
+    "synth_drift": ("synth", "mean_drift", float),
+    "synth_spread": ("synth", "target_spread", float),
+    "synth_latent": ("synth", "latent_dim", int),
+    "synth_pos_per_image": ("synth", "pos_per_image", int),
+    "synth_neg_per_image": ("synth", "neg_per_image", int),
+    "synth_min_iou": ("synth", "min_object_iou", float),
+    "synth_corrupt": ("synth", "corrupt_classes", _parse_corrupt),
+    "hist_bins": ("run", "hist_bins", int),
+    "hist_lo": ("run", "hist_lo", float),
+    "hist_hi": ("run", "hist_hi", float),
+    "weak_ratio": ("run", "weak_ratio", float),
 }
 
 
@@ -560,13 +554,11 @@ def load_config(path=None) -> RunConfig:
     Lines starting with '#' and blank lines are ignored; unknown keys are
     rejected so typos cannot silently fall back to defaults.
     """
-    values: dict[str, object] = {}
-    base: Path | None = None
+    sections: dict[str, dict] = defaultdict(dict)
     if path is not None:
         path = Path(path)
         if not path.is_file():
             raise DataError(f"config file '{path}' does not exist")
-        base = path.parent
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -577,106 +569,36 @@ def load_config(path=None) -> RunConfig:
             key, raw = key.strip(), raw.strip()
             if key not in _CONFIG_KEYS:
                 raise DataError(f"{path}:{lineno}: unknown config key '{key}'")
-            kind = _CONFIG_KEYS[key]
+            section, name, parse = _CONFIG_KEYS[key]
             try:
-                if kind == "corrupt":
-                    values[key] = _parse_corrupt(raw)
-                elif kind is str:
-                    values[key] = raw
-                else:
-                    values[key] = kind(raw)
+                value = parse(raw)
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: cannot parse '{raw}' for key '{key}'"
                 ) from None
+            if isinstance(value, Path):
+                value = str(path.parent / value)
+            sections[section][name] = value
 
-    seed = int(values.get("seed", 0))
-    train = TrainConfig(
-        reg_lambda=values.get("reg_lambda", 0.01),
-        iterations=values.get("train_iterations", 2000),
-        max_hard_rounds=values.get("hard_neg_rounds", 10),
-    )
-    adaptation = AdaptationConfig(
-        gamma=values.get("gamma", 0.7),
-        sigma=values.get("sigma", 0.4),
-        d=values.get("d", 100),
-        mode=values.get("mode", "class-specific"),
-        nms_thresh=values.get("nms_thresh", 0.3),
-        neg_lambda=values.get("neg_lambda", 0.3),
-        detect_thresh=values.get("detect_thresh", 0.0),
-        train=train,
-    )
-    synth = SynthShiftSpec(
-        n_classes=values.get("synth_classes", 5),
-        feature_dim=values.get("synth_dim", 30),
-        samples_per_class=values.get("synth_samples", 200),
-        class_separation=values.get("synth_separation", 10.0),
-        rotation_budget=values.get("synth_rotation", 1.0),
-        noise_scale=values.get("synth_noise", 0.1),
-        mean_drift=values.get("synth_drift", 1.0),
-        target_spread=values.get("synth_spread", 2.5),
-        seed=seed,
-        latent_dim=values.get("synth_latent", 12),
-        pos_per_image=values.get("synth_pos_per_image", 10),
-        neg_per_image=values.get("synth_neg_per_image", 10),
-        min_object_iou=values.get("synth_min_iou", 0.72),
-        corrupt_classes=values.get("synth_corrupt", ()),
-    )
-
-    def _resolve(p):
-        if p is None or base is None:
-            return p
-        p = Path(p)
-        return str(p if p.is_absolute() else base / p)
-
-    return RunConfig(
-        adaptation=adaptation,
-        synth=synth,
-        source_manifest=_resolve(values.get("source_manifest")),
-        target_manifest=_resolve(values.get("target_manifest")),
-        hist_bins=values.get("hist_bins", 20),
-        hist_lo=values.get("hist_lo", -3.0),
-        hist_hi=values.get("hist_hi", 3.0),
-        weak_ratio=values.get("weak_ratio", 0.75),
-        seed=seed,
-    )
+    train = TrainConfig(**sections["train"])
+    adaptation = AdaptationConfig(train=train, **sections["adaptation"])
+    synth = SynthShiftSpec(**sections["synth"])
+    return RunConfig(adaptation=adaptation, synth=synth, **sections["run"])
 
 
 def config_echo(cfg: RunConfig) -> dict:
     """Flat, JSON-ready snapshot of every effective config value."""
-    a, s = cfg.adaptation, cfg.synth
-    return {
-        "gamma": a.gamma,
-        "sigma": a.sigma,
-        "d": a.d,
-        "mode": a.mode,
-        "nms_thresh": a.nms_thresh,
-        "neg_lambda": a.neg_lambda,
-        "detect_thresh": a.detect_thresh,
-        "reg_lambda": a.train.reg_lambda,
-        "train_iterations": a.train.iterations,
-        "hard_neg_rounds": a.train.max_hard_rounds,
-        "seed": cfg.seed,
-        "source_manifest": cfg.source_manifest,
-        "target_manifest": cfg.target_manifest,
-        "synth_classes": s.n_classes,
-        "synth_dim": s.feature_dim,
-        "synth_samples": s.samples_per_class,
-        "synth_separation": s.class_separation,
-        "synth_rotation": s.rotation_budget,
-        "synth_noise": s.noise_scale,
-        "synth_drift": s.mean_drift,
-        "synth_spread": s.target_spread,
-        "synth_latent": s.latent_dim,
-        "synth_pos_per_image": s.pos_per_image,
-        "synth_neg_per_image": s.neg_per_image,
-        "synth_min_iou": s.min_object_iou,
-        "synth_corrupt": list(s.corrupt_classes),
-        "hist_bins": cfg.hist_bins,
-        "hist_lo": cfg.hist_lo,
-        "hist_hi": cfg.hist_hi,
-        "weak_ratio": cfg.weak_ratio,
+    sections = {
+        "run": cfg,
+        "adaptation": cfg.adaptation,
+        "train": cfg.adaptation.train,
+        "synth": cfg.synth,
     }
+    echo = {}
+    for key, (section, name, _) in _CONFIG_KEYS.items():
+        value = getattr(sections[section], name)
+        echo[key] = list(value) if isinstance(value, tuple) else value
+    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -725,22 +647,6 @@ def _detector_from_dict(d: dict) -> LinearDetector:
         bias=float(d["bias"]),
         frame=d["frame"],
     )
-
-
-def _load_bundle(path, kind: str, parse):
-    """``parse`` applied to the JSON in ``path``; invalid JSON, a missing
-    key, a wrong type or a rejected value is a DataError naming the file."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"{kind} '{path}' does not exist")
-    try:
-        return parse(json.loads(path.read_text()))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{kind} '{path}' is not valid JSON: {exc}") from None
-    except KeyError as exc:
-        raise DataError(f"{kind} '{path}' is missing key {exc}") from None
-    except (DataError, NumericalError, TypeError, ValueError, AttributeError) as exc:
-        raise DataError(f"{kind} '{path}' is malformed: {exc}") from None
 
 
 def save_detectors(path, detectors: dict[str, LinearDetector], warnings=None) -> None:

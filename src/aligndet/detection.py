@@ -211,8 +211,10 @@ def score_proposals(det: LinearDetector, X, frame: str) -> np.ndarray:
     return A @ det.weights + det.bias
 
 
-def _nms_key(d: Detection):
-    # Full ordering: score desc, then image id, then box lexicographic.
+def rank_key(d: Detection):
+    """The order in which NMS and AP matching visit detections: score
+    descending, then image id, then box coordinates, so ties never depend
+    on input order."""
     return (-d.score, d.image_id, d.box.as_tuple())
 
 
@@ -228,7 +230,7 @@ def greedy_nms(dets: list[Detection], overlap_thresh: float) -> list[Detection]:
     classes = {d.class_id for d in dets}
     if len(classes) > 1:
         raise DataError(f"NMS input mixes classes: {sorted(classes)}")
-    remaining = sorted(dets, key=_nms_key)
+    remaining = sorted(dets, key=rank_key)
     kept: list[Detection] = []
     while remaining:
         top = remaining.pop(0)

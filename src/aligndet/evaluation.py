@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import Detection, GroundTruth, iou
+from .detection import Detection, GroundTruth, iou, rank_key
 from .errors import DataError
 from .linalg import subspace_similarity
 
@@ -31,15 +31,12 @@ def _match_detections(
 ) -> tuple[np.ndarray, np.ndarray, int, list[Detection]]:
     """Greedy TP/FP assignment for one class.
 
-    Detections are visited in score order (ties broken by image id then box
-    so runs are reproducible); each matches the highest-IoU still-unmatched
-    ground truth of its image when that IoU reaches ``iou_thresh``.
+    Detections are visited in ``rank_key`` order, the order of NMS; each
+    matches the highest-IoU still-unmatched ground truth of its image when
+    that IoU reaches ``iou_thresh``.
     """
     gt_c = [g for g in gts if g.class_id == class_id]
-    det_c = sorted(
-        (d for d in dets if d.class_id == class_id),
-        key=lambda d: (-d.score, d.image_id, d.box.as_tuple()),
-    )
+    det_c = sorted((d for d in dets if d.class_id == class_id), key=rank_key)
     unmatched: dict[str, list[GroundTruth]] = {}
     for g in gt_c:
         unmatched.setdefault(g.image_id, []).append(g)

@@ -39,6 +39,20 @@ def test_missing_manifest_file_is_data_error(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "images",
+    [[{"image_id": "img0", "boxes_file": "boxes/img0.csv"}], 5],
+    ids=["no-feature-file", "images-not-a-list"],
+)
+def test_malformed_manifest_is_data_error(tmp_path, capsys, images):
+    manifest = tmp_path / "manifest.json"
+    doc = {"name": "m", "classes": ["cat"], "feature_dim": 4, "images": images}
+    manifest.write_text(json.dumps(doc))
+    rc = cli.main(["train", "--source", str(manifest), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert str(manifest) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bundle", ["--states", "--detectors"])
 @pytest.mark.parametrize("text", ["not json", '{"warnings": []}'])
 def test_malformed_bundle_is_data_error(tmp_path, capsys, fast_config, bundle, text):

@@ -5,6 +5,7 @@ import pytest
 
 from aligndet.datasets import Dataset, ImageRecord
 from aligndet.dataio import (
+    RunConfig,
     SynthShiftSpec,
     bounded_rotation,
     canonical_json,
@@ -17,6 +18,7 @@ from aligndet.dataio import (
     read_boxes_csv,
     read_detections_csv,
     read_features,
+    read_gt_csv,
     save_dataset,
     save_detectors,
     save_states,
@@ -144,6 +146,55 @@ class TestCsvFiles:
         p = tmp_path / "d.csv"
         write_detections_csv(p, dets)
         assert read_detections_csv(p) == dets
+
+
+# reader, "<kind> file" prefix of its messages, header, one valid row.
+CSV_KINDS = [
+    (read_boxes_csv, "boxes file", "image_id,x_min,y_min,x_max,y_max", "img0,0,0,1,1"),
+    (
+        read_gt_csv,
+        "gt file",
+        "image_id,x_min,y_min,x_max,y_max,class",
+        "img0,0,0,1,1,cat",
+    ),
+    (
+        read_detections_csv,
+        "detections file",
+        "image_id,x_min,y_min,x_max,y_max,class,score",
+        "img0,0,0,1,1,cat,0.5",
+    ),
+]
+
+
+@pytest.mark.parametrize("reader, kind, header, row", CSV_KINDS)
+@pytest.mark.parametrize(
+    "defect", ["missing", "header", "columns", "not_a_number", "non_finite"]
+)
+def test_malformed_csv_names_file_or_line(tmp_path, reader, kind, header, row, defect):
+    p = tmp_path / "rows.csv"
+    cells = row.split(",")
+    if defect == "columns":
+        bad = row + ",9"
+    elif defect == "not_a_number":
+        bad = ",".join(cells[:1] + ["a"] + cells[2:])
+    else:
+        # The last numeric column: the score of a detection, else y_max.
+        col = 6 if reader is read_detections_csv else 4
+        bad = ",".join(cells[:col] + ["inf"] + cells[col + 1 :])
+    if defect == "header":
+        p.write_text(header.replace("x_min", "xmin") + "\n" + row + "\n")
+    elif defect != "missing":
+        p.write_text(f"{header}\n{row}\n{bad}\n")
+    expected = {
+        "missing": f"{kind} '{p}' does not exist",
+        "header": f"{kind} '{p}' must start with '{header}'",
+        "columns": f"{p}:3: expected {len(cells)} columns, got {len(cells) + 1}",
+        "not_a_number": f"{p}:3: 'a' is not a number",
+        "non_finite": f"{p}:3: non-finite value",
+    }[defect]
+    with pytest.raises(DataError) as info:
+        reader(p)
+    assert str(info.value) == expected
 
 
 class TestDatasetRoundTrip:
@@ -333,7 +384,6 @@ class TestConfig:
         assert cfg.adaptation.sigma == 0.1
         assert cfg.adaptation.d == 12
         assert cfg.adaptation.mode == "full-image"
-        assert cfg.seed == 3
         assert cfg.synth.seed == 3
         assert cfg.synth.corrupt_classes == (1, 2)
 
@@ -369,6 +419,66 @@ class TestConfig:
 
     def test_echo_is_json_serializable(self):
         json.dumps(config_echo(load_config(None)))
+
+
+# Every config key, a value unlike its default (as written in the file and
+# as echoed), and the RunConfig attribute path it sets.
+CONFIG_CASES = {
+    "gamma": ("0.8", 0.8, "adaptation.gamma"),
+    "sigma": ("0.1", 0.1, "adaptation.sigma"),
+    "d": ("7", 7, "adaptation.d"),
+    "mode": ("full-image", "full-image", "adaptation.mode"),
+    "nms_thresh": ("0.45", 0.45, "adaptation.nms_thresh"),
+    "neg_lambda": ("0.2", 0.2, "adaptation.neg_lambda"),
+    "detect_thresh": ("-0.5", -0.5, "adaptation.detect_thresh"),
+    "reg_lambda": ("0.002", 0.002, "adaptation.train.reg_lambda"),
+    "train_iterations": ("123", 123, "adaptation.train.iterations"),
+    "hard_neg_rounds": ("4", 4, "adaptation.train.max_hard_rounds"),
+    "seed": ("3", 3, "synth.seed"),
+    "source_manifest": ("src/m.json", "src/m.json", "source_manifest"),
+    "target_manifest": ("tgt/m.json", "tgt/m.json", "target_manifest"),
+    "synth_classes": ("3", 3, "synth.n_classes"),
+    "synth_dim": ("20", 20, "synth.feature_dim"),
+    "synth_samples": ("50", 50, "synth.samples_per_class"),
+    "synth_separation": ("7.5", 7.5, "synth.class_separation"),
+    "synth_rotation": ("0.5", 0.5, "synth.rotation_budget"),
+    "synth_noise": ("0.2", 0.2, "synth.noise_scale"),
+    "synth_drift": ("0.5", 0.5, "synth.mean_drift"),
+    "synth_spread": ("1.5", 1.5, "synth.target_spread"),
+    "synth_latent": ("6", 6, "synth.latent_dim"),
+    "synth_pos_per_image": ("4", 4, "synth.pos_per_image"),
+    "synth_neg_per_image": ("6", 6, "synth.neg_per_image"),
+    "synth_min_iou": ("0.8", 0.8, "synth.min_object_iou"),
+    "synth_corrupt": ("1,2", [1, 2], "synth.corrupt_classes"),
+    "hist_bins": ("10", 10, "hist_bins"),
+    "hist_lo": ("-2", -2.0, "hist_lo"),
+    "hist_hi": ("2.5", 2.5, "hist_hi"),
+    "weak_ratio": ("0.5", 0.5, "weak_ratio"),
+}
+
+
+def _config_default(path: str):
+    obj = RunConfig()
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return list(obj) if isinstance(obj, tuple) else obj
+
+
+class TestConfigTable:
+    def test_every_key_round_trips(self, tmp_path):
+        p = tmp_path / "all.cfg"
+        p.write_text("".join(f"{k} = {v[0]}\n" for k, v in CONFIG_CASES.items()))
+        expected = {k: value for k, (_, value, _) in CONFIG_CASES.items()}
+        for key in ("source_manifest", "target_manifest"):
+            expected[key] = str(tmp_path / expected[key])
+        assert config_echo(load_config(p)) == expected
+        for key, (_, value, path) in CONFIG_CASES.items():
+            assert value != _config_default(path), key
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert config_echo(load_config(None)) == {
+            k: _config_default(path) for k, (_, _, path) in CONFIG_CASES.items()
+        }
 
 
 class TestBundles:
