@@ -2,8 +2,6 @@
 on precomputed proposal features."""
 
 from .alignment import (
-    AlignedBasis,
-    AlignmentMap,
     aligned_source_basis,
     alignment_objective,
     project_for_testing,
@@ -54,8 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptationConfig",
-    "AlignedBasis",
-    "AlignmentMap",
     "BBox",
     "ClassAdaptationState",
     "DataError",

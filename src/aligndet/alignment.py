@@ -1,53 +1,20 @@
 """Closed-form alignment of a source subspace to a target subspace, and the
-projection conventions used for training and test data."""
+projection conventions used for training and test data.
+
+Every function works on plain arrays: the alignment map ``M`` is a d x d
+matrix and the aligned source basis ``Xa`` a D x d matrix.  Shapes are
+checked by :func:`linalg.project`; which class a pair belongs to is checked
+by the adaptation state that holds it.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .linalg import Subspace, ensure_feature_matrix
+from .linalg import Subspace, project
 
 _CONTRACTION_TOL = 1e-8
-
-
-@dataclass(eq=False)
-class AlignmentMap:
-    """A d x d matrix mapping source subspace coordinates toward the target.
-
-    ``provenance`` records the labels of the two subspaces the map links so
-    a transform cannot silently be applied to the wrong class.
-    """
-
-    M: np.ndarray
-    source_dim: int
-    provenance: tuple[str, str] = ("", "")
-
-    def __post_init__(self):
-        self.M = np.asarray(self.M, dtype=np.float64)
-        if self.M.ndim != 2:
-            raise DataError("alignment map must be a matrix")
-        if not np.all(np.isfinite(self.M)):
-            raise DataError("alignment map must be finite")
-        if self.M.shape[0] != self.source_dim:
-            raise DataError("alignment map rows must equal source_dim")
-
-
-@dataclass(eq=False)
-class AlignedBasis:
-    """Target-aligned source basis: the source basis times an alignment map."""
-
-    Xa: np.ndarray
-    provenance: tuple[str, str] = ("", "")
-
-    def __post_init__(self):
-        self.Xa = np.asarray(self.Xa, dtype=np.float64)
-        if self.Xa.ndim != 2:
-            raise DataError("aligned basis must be a D x d matrix")
-        if not np.all(np.isfinite(self.Xa)):
-            raise DataError("aligned basis must be finite")
 
 
 def _check_pair(S: Subspace, T: Subspace) -> None:
@@ -72,8 +39,8 @@ def alignment_objective(M, S: Subspace, T: Subspace) -> float:
     return float(np.sum(R * R))
 
 
-def solve_alignment(S: Subspace, T: Subspace) -> AlignmentMap:
-    """Minimizer of :func:`alignment_objective` over all d x d matrices.
+def solve_alignment(S: Subspace, T: Subspace) -> np.ndarray:
+    """Minimizer ``M`` (d x d) of :func:`alignment_objective`.
 
     Closed form: the product of the transposed source basis and the target
     basis.  As a product of matrices with orthonormal columns it is a
@@ -83,33 +50,21 @@ def solve_alignment(S: Subspace, T: Subspace) -> AlignmentMap:
     M = S.basis.T @ T.basis
     if np.linalg.norm(M, 2) > 1.0 + _CONTRACTION_TOL:
         raise NumericalError("alignment map exceeds the contraction bound")
-    return AlignmentMap(M=M, source_dim=S.d, provenance=(S.label, T.label))
+    return M
 
 
-def aligned_source_basis(S: Subspace, M: AlignmentMap) -> AlignedBasis:
-    """Source basis carried into the target frame: ``basis_S @ M``."""
-    if M.source_dim != S.d:
-        raise DataError(
-            f"map expects source dimension {M.source_dim}, subspace has {S.d}"
-        )
-    if M.provenance[0] and S.label and M.provenance[0] != S.label:
-        raise DataError(
-            f"alignment map was solved for '{M.provenance[0]}' "
-            f"but applied to '{S.label}'"
-        )
-    return AlignedBasis(Xa=S.basis @ M.M, provenance=M.provenance)
+def aligned_source_basis(S: Subspace, M) -> np.ndarray:
+    """Source basis carried into the target frame: ``Xa = basis_S @ M``."""
+    return project(S.basis, M)
 
 
-def project_for_training(X_src, S: Subspace, Xa: AlignedBasis) -> np.ndarray:
+def project_for_training(X_src, Xa) -> np.ndarray:
     """Project source data (already normalized with S's stats) for retraining.
 
     Returns ``X_src @ Xa`` (n x d), the representation the adapted classifier
     is trained in.
     """
-    A = ensure_feature_matrix(X_src, "X_src")
-    if A.shape[1] != S.ambient_dim or Xa.Xa.shape[0] != S.ambient_dim:
-        raise DataError("ambient dimension mismatch in training projection")
-    return A @ Xa.Xa
+    return project(X_src, Xa)
 
 
 def project_for_testing(X_tgt, T: Subspace) -> np.ndarray:
@@ -118,7 +73,4 @@ def project_for_testing(X_tgt, T: Subspace) -> np.ndarray:
     Test-time data goes through the target subspace alone, not the aligned
     basis; the asymmetry is deliberate.
     """
-    A = ensure_feature_matrix(X_tgt, "X_tgt")
-    if A.shape[1] != T.ambient_dim:
-        raise DataError("ambient dimension mismatch in test projection")
-    return A @ T.basis
+    return project(X_tgt, T.basis)

@@ -511,9 +511,14 @@ def _parse_corrupt(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
+def _parse_path(text: str) -> Path | None:
+    return Path(text) if text else None
+
+
 # Config key -> (section, field, parser).  A section is the RunConfig itself
 # ("run") or one of the configs it holds; every default is its field's.
-# A ``Path`` value is resolved against the config file's directory.
+# A ``Path`` value is resolved against the config file's directory; an
+# empty one means unset.
 _CONFIG_KEYS = {
     "gamma": ("adaptation", "gamma", float),
     "sigma": ("adaptation", "sigma", float),
@@ -526,8 +531,8 @@ _CONFIG_KEYS = {
     "train_iterations": ("train", "iterations", int),
     "hard_neg_rounds": ("train", "max_hard_rounds", int),
     "seed": ("synth", "seed", int),
-    "source_manifest": ("run", "source_manifest", Path),
-    "target_manifest": ("run", "target_manifest", Path),
+    "source_manifest": ("run", "source_manifest", _parse_path),
+    "target_manifest": ("run", "target_manifest", _parse_path),
     "synth_classes": ("synth", "n_classes", int),
     "synth_dim": ("synth", "feature_dim", int),
     "synth_samples": ("synth", "samples_per_class", int),
@@ -626,7 +631,6 @@ def _subspace_from_dict(label: str, d: dict) -> Subspace:
         basis=np.array(d["basis"]),
         eigenvalues=np.array(d["eigenvalues"]),
         stats=_stats_from_dict(d["stats"]),
-        d=len(d["eigenvalues"]),
         label=label,
     )
 

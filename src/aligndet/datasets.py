@@ -50,6 +50,9 @@ class Dataset:
     images: list[ImageRecord] = field(default_factory=list)
 
     def __post_init__(self):
+        for class_id in self.classes:
+            if self.classes.count(class_id) > 1:
+                raise DataError(f"duplicate class id '{class_id}'")
         seen: set[str] = set()
         for img in self.images:
             if img.image_id in seen:

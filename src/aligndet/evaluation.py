@@ -14,21 +14,12 @@ from .errors import DataError
 from .linalg import subspace_similarity
 
 
-@dataclass(frozen=True)
-class PRPoint:
-    """One precision/recall measurement, taken at a score threshold."""
-
-    recall: float
-    precision: float
-    threshold: float
-
-
 def _match_detections(
     dets: list[Detection],
     gts: list[GroundTruth],
     class_id: str,
     iou_thresh: float,
-) -> tuple[np.ndarray, np.ndarray, int, list[Detection]]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Greedy TP/FP assignment for one class.
 
     Detections are visited in ``rank_key`` order, the order of NMS; each
@@ -55,30 +46,7 @@ def _match_detections(
             pool.pop(best_j)
         else:
             fp[i] = 1.0
-    return tp, fp, len(gt_c), det_c
-
-
-def pr_curve(
-    dets: list[Detection],
-    gts: list[GroundTruth],
-    class_id: str,
-    iou_thresh: float = 0.5,
-) -> list[PRPoint]:
-    """Precision/recall points after each detection, best score first."""
-    tp, fp, n_gt, det_c = _match_detections(dets, gts, class_id, iou_thresh)
-    if n_gt == 0:
-        raise DataError(f"no ground truth for class '{class_id}'")
-    ctp, cfp = np.cumsum(tp), np.cumsum(fp)
-    points = []
-    for i in range(len(det_c)):
-        points.append(
-            PRPoint(
-                recall=float(ctp[i] / n_gt),
-                precision=float(ctp[i] / (ctp[i] + cfp[i])),
-                threshold=det_c[i].score,
-            )
-        )
-    return points
+    return tp, fp, len(gt_c)
 
 
 def average_precision(
@@ -93,7 +61,7 @@ def average_precision(
     nonincreasing and integrated over recall.  Returns None (undefined, not
     zero) when the class has no ground-truth boxes.
     """
-    tp, fp, n_gt, _ = _match_detections(dets, gts, class_id, iou_thresh)
+    tp, fp, n_gt = _match_detections(dets, gts, class_id, iou_thresh)
     if n_gt == 0:
         return None
     if len(tp) == 0:

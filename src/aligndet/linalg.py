@@ -114,17 +114,15 @@ class Subspace:
         Nonincreasing, clamped to be nonnegative.
     stats : NormalizationStats
         Normalization applied to the data this subspace was fit on.
-    d : int
-        Subspace dimensionality (number of basis columns).
     label : str
-        Provenance identifier, e.g. ``"src:car"``; used to catch
-        cross-class application of alignment maps.
+        Provenance identifier, e.g. ``"src:car"``; an adaptation state
+        checks that its two subspaces form one ``src:<tag>``/``tgt:<tag>``
+        pair matching its detector's frame.
     """
 
     basis: np.ndarray
     eigenvalues: np.ndarray
     stats: NormalizationStats
-    d: int
     label: str = ""
 
     def __post_init__(self):
@@ -136,8 +134,6 @@ class Subspace:
         if self.basis.ndim != 2:
             raise DataError("basis must be a D x d matrix")
         D, d = self.basis.shape
-        if d != self.d:
-            raise DataError(f"basis has {d} columns but d={self.d}")
         if self.eigenvalues.shape != (d,):
             raise DataError("eigenvalues must have length d")
         if self.stats.dim != D:
@@ -154,6 +150,11 @@ class Subspace:
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[0]
+
+    @property
+    def d(self) -> int:
+        """Subspace dimensionality (number of basis columns)."""
+        return self.basis.shape[1]
 
 
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
@@ -236,14 +237,17 @@ def pca(
         basis = (Xc.T @ V[:, :d]) / np.sqrt(denom * w[:d])
     basis = _fix_signs(basis)
     eigenvalues = np.maximum(w[:d], 0.0)
-    return Subspace(basis=basis, eigenvalues=eigenvalues, stats=stats, d=d, label=label)
+    return Subspace(basis=basis, eigenvalues=eigenvalues, stats=stats, label=label)
 
 
 def project(X, basis) -> np.ndarray:
-    """Project row vectors onto ``basis`` columns: returns ``X @ basis`` (n x d)."""
+    """Project row vectors onto ``basis`` columns: returns ``X @ basis`` (n x d).
+
+    Both operands must be finite matrices with matching inner dimension.
+    """
     A = ensure_feature_matrix(X)
-    B = np.asarray(basis, dtype=np.float64)
-    if B.ndim != 2 or A.shape[1] != B.shape[0]:
+    B = ensure_feature_matrix(basis, "basis")
+    if A.shape[1] != B.shape[0]:
         raise DataError(
             f"cannot project {A.shape} data onto basis with {B.shape} shape"
         )

@@ -269,8 +269,8 @@ def _adapt_class(
         )
 
     Xa = aligned_source_basis(S, solve_alignment(S, T))
-    pos_proj = project_for_training(normalize(pos_src, S.stats)[0], S, Xa)
-    neg_proj = project_for_training(normalize(neg_src, S.stats)[0], S, Xa)
+    pos_proj = project_for_training(normalize(pos_src, S.stats)[0], Xa)
+    neg_proj = project_for_training(normalize(neg_src, S.stats)[0], Xa)
     frame = "aligned:" + S.label.removeprefix("src:")
     adapted = train_detector(
         pos_proj, neg_proj, cfg.train, class_id=class_id, frame=frame

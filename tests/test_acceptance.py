@@ -83,7 +83,6 @@ def _random_subspace(rng, ambient, d, label=""):
         basis=random_orthonormal(rng, ambient, d),
         eigenvalues=np.ones(d),
         stats=identity_stats(ambient),
-        d=d,
         label=label,
     )
 
@@ -95,7 +94,7 @@ def test_c1_closed_form_optimality():
         (_random_subspace(rng, 20, 4), _random_subspace(rng, 20, 4))
         for _ in range(20)
     ]
-    solutions = [solve_alignment(S, T).M for S, T in pairs]
+    solutions = [solve_alignment(S, T) for S, T in pairs]
 
     for (S, T), M in zip(pairs, solutions):
         base = alignment_objective(M, S, T)
@@ -130,7 +129,7 @@ def test_c2_fixed_point(tmp_path):
     states = adapt(src, tgt, cfg, init_detectors=init)
     for c, state in states.items():
         assert not state.downgraded, f"{c} downgraded in fixed-point run"
-        M = solve_alignment(state.source_subspace, state.target_subspace).M
+        M = solve_alignment(state.source_subspace, state.target_subspace)
         assert np.linalg.norm(M - np.eye(cfg.d)) < 1e-6
         diag = subspace_similarity(state.source_subspace, state.target_subspace)
         assert abs(diag - math.sqrt(cfg.d)) < 1e-6
@@ -165,7 +164,7 @@ def test_c3_principal_angle_identities():
 
         S = _random_subspace(r, 14, 5, "src:x")
         T = _random_subspace(r, 14, 5, "tgt:x")
-        M = solve_alignment(S, T).M
+        M = solve_alignment(S, T)
         cos = principal_angle_cosines(S, T)
         assert abs(np.linalg.norm(M) ** 2 - np.sum(cos**2)) < 1e-8
     _passed(3, "principal-angle identities")

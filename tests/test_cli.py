@@ -320,3 +320,36 @@ def test_pipeline_from_manifests(tmp_path, fast_config):
     assert not (out / "source").exists()  # no re-synthesis
     report = json.loads((out / "report.json").read_text())
     assert report["mean_ap"] is not None
+
+
+def test_pipeline_empty_manifest_values_mean_unset(tmp_path):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(FAST_CFG + "source_manifest =\ntarget_manifest =\n")
+    out = tmp_path / "run"
+    assert cli.main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "source" / "manifest.json").is_file()  # synthesized
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config["source_manifest"] is None
+    assert config["target_manifest"] is None
+
+
+def test_pipeline_one_empty_manifest_value_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "half.cfg"
+    cfg.write_text(FAST_CFG + "source_manifest = src.json\ntarget_manifest =\n")
+    rc = cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "must be set together" in capsys.readouterr().err
+
+
+def test_repeated_class_id_in_manifest_is_data_error(tmp_path, capsys, fast_config):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", fast_config, "--out", str(data)]) == 0
+    manifest = data / "source" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["classes"].append(doc["classes"][0])
+    manifest.write_text(json.dumps(doc))
+    rc = cli.main(["train", "--source", str(manifest), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err
+    assert f"duplicate class id '{doc['classes'][0]}'" in err

@@ -56,6 +56,10 @@ class TestContainers:
         with pytest.raises(DataError, match="duplicate"):
             Dataset("d", [], 2, [img, img2])
 
+    def test_duplicate_class_ids(self):
+        with pytest.raises(DataError, match="duplicate class id 'cat'"):
+            Dataset("d", ["cat", "dog", "cat"], 2)
+
     def test_unknown_gt_class(self):
         img = ImageRecord(
             "a", np.ones((1, 2)), [BBox(0, 0, 1, 1)], gt=[("dog", BBox(0, 0, 1, 1))]

@@ -9,7 +9,6 @@ from aligndet.errors import DataError
 from aligndet.evaluation import (
     average_precision,
     mean_ap,
-    pr_curve,
     render_histogram_svg,
     render_similarity_svg,
     score_histogram,
@@ -109,13 +108,6 @@ class TestAveragePrecision:
             ap = average_precision(dets, gts, "obj")
             assert 0.0 <= ap <= 1.0
 
-    def test_pr_curve_recall_nondecreasing(self):
-        gts = [gt_at(0), gt_at(40)]
-        dets = [det_at(0, 0.9), det_at(200, 0.5), det_at(40, 0.4)]
-        points = pr_curve(dets, gts, "obj")
-        recalls = [p.recall for p in points]
-        assert recalls == sorted(recalls)
-
 
 class TestMeanAp:
     def test_two_classes(self):
@@ -186,7 +178,6 @@ def _subspace(basis):
         basis=basis,
         eigenvalues=np.ones(basis.shape[1]),
         stats=identity_stats(basis.shape[0]),
-        d=basis.shape[1],
     )
 
 

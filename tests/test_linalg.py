@@ -289,7 +289,6 @@ class TestSubspaceType:
                 basis=np.ones((4, 2)),
                 eigenvalues=np.array([2.0, 1.0]),
                 stats=identity_stats(4),
-                d=2,
             )
 
     def test_rejects_increasing_eigenvalues(self):
@@ -298,7 +297,6 @@ class TestSubspaceType:
                 basis=np.eye(4)[:, :2],
                 eigenvalues=np.array([1.0, 2.0]),
                 stats=identity_stats(4),
-                d=2,
             )
 
     def test_clamps_tiny_negative_eigenvalues(self):
@@ -306,6 +304,5 @@ class TestSubspaceType:
             basis=np.eye(4)[:, :2],
             eigenvalues=np.array([1.0, -1e-12]),
             stats=identity_stats(4),
-            d=2,
         )
         assert sub.eigenvalues[1] == 0.0

@@ -197,7 +197,7 @@ class TestAdapt:
         states = adapt(src, src, cfg)
         for c, s in states.items():
             assert not s.downgraded
-            M = solve_alignment(s.source_subspace, s.target_subspace).M
+            M = solve_alignment(s.source_subspace, s.target_subspace)
             assert np.linalg.norm(M - np.eye(cfg.d)) < 1e-6
             assert subspace_similarity(
                 s.source_subspace, s.target_subspace
