@@ -115,6 +115,24 @@ def _evaluate_detections(dets, dataset: Dataset) -> tuple[dict, float | None]:
     return per_class, evaluation.mean_ap(per_class)
 
 
+def _check_detections(path, dets, dataset: Dataset) -> None:
+    """Reject detections of a class or image the dataset does not have: AP
+    would drop the class or count the image's rows as false positives."""
+    classes = set(dataset.classes)
+    images = {img.image_id for img in dataset.images}
+    for d in dets:
+        if d.class_id not in classes:
+            unknown = f"class '{d.class_id}'"
+        elif d.image_id not in images:
+            unknown = f"image id '{d.image_id}'"
+        else:
+            continue
+        raise DataError(
+            f"detections file '{path}' names {unknown}, "
+            f"which dataset '{dataset.name}' does not have"
+        )
+
+
 def _write_similarity(out: Path, states) -> dict[str, float]:
     """Write the similarity matrix of the classes that carry subspaces and
     return its diagonal; write nothing and return {} when none does."""
@@ -185,6 +203,7 @@ def cmd_evaluate(args) -> int:
     if not dataset.labeled:
         raise DataError(f"dataset '{dataset.name}' has no ground truth to score")
     dets = dataio.read_detections_csv(args.detections)
+    _check_detections(args.detections, dets, dataset)
     per_class, mean = _evaluate_detections(dets, dataset)
     report = {
         "ap_convention": AP_CONVENTION,

@@ -15,6 +15,9 @@ from .linalg import ensure_feature_matrix
 HINGE_MARGIN = 1.0
 # Size of the initial negative cache before any mining round.
 INITIAL_NEG_CACHE = 1024
+# greedy_nms computes IoU rows for at most this many ranked detections at a
+# time, which bounds its memory and lets it skip rows suppressed earlier.
+NMS_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,24 @@ def iou(a: BBox, b: BBox) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def pairwise_iou(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """IoU of every box row of ``A`` (n x 4) with every box row of ``B``
+    (m x 4), rows in ``BBox.as_tuple`` order, as an n x m matrix.
+
+    Each entry equals ``iou`` of the two boxes exactly: the same float
+    operations run in the same order, with 0 where the union is not
+    positive.  Like Python floats, overflow gives inf or nan silently.
+    """
+    ax0, ay0, ax1, ay1 = (A[:, k, None] for k in range(4))
+    bx0, by0, bx1, by1 = B.T
+    with np.errstate(all="ignore"):
+        ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+        iy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+        inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+        return np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0.0))
 
 
 @dataclass
@@ -224,16 +245,33 @@ def greedy_nms(dets: list[Detection], overlap_thresh: float) -> list[Detection]:
     Repeatedly keeps the highest-scoring remaining detection and drops every
     remaining one whose IoU with it exceeds ``overlap_thresh``.  Ties break
     by image id, then box coordinates, so output order is reproducible.
+
+    IoUs come from ``pairwise_iou`` in blocks of ``NMS_BLOCK_ROWS`` ranked
+    detections against all later ones, so a call on n detections holds a
+    few ``min(n, NMS_BLOCK_ROWS) x n`` float arrays: up to 256 detections
+    that is one n x n matrix (0.3 MB at n = 200).  Rows already suppressed
+    when their block starts are not computed.
     """
     if not 0.0 <= overlap_thresh <= 1.0:
         raise DataError("overlap threshold must be in [0, 1]")
     classes = {d.class_id for d in dets}
     if len(classes) > 1:
         raise DataError(f"NMS input mixes classes: {sorted(classes)}")
-    remaining = sorted(dets, key=rank_key)
-    kept: list[Detection] = []
-    while remaining:
-        top = remaining.pop(0)
-        kept.append(top)
-        remaining = [r for r in remaining if iou(top.box, r.box) <= overlap_thresh]
-    return kept
+    if not dets:
+        return []
+    ranked = sorted(dets, key=rank_key)
+    boxes = np.array([d.box.as_tuple() for d in ranked])
+    n = len(ranked)
+    alive = np.ones(n, dtype=bool)
+    for start in range(0, n, NMS_BLOCK_ROWS):
+        stop = min(start + NMS_BLOCK_ROWS, n)
+        if start == 0:  # all rows still alive: slice, don't copy
+            rows, block = range(stop), boxes[:stop]
+        else:  # rows that earlier blocks suppressed need no IoUs
+            rows = (start + np.flatnonzero(alive[start:stop])).tolist()
+            block = boxes[rows]
+        compatible = pairwise_iou(block, boxes[start:]) <= overlap_thresh
+        for k, i in enumerate(rows):
+            if alive[i]:
+                alive[i + 1 :] &= compatible[k, i + 1 - start :]
+    return [d for d, keep in zip(ranked, alive.tolist()) if keep]

@@ -57,6 +57,19 @@ def exhaustive_nms(dets, overlap_thresh):
         kept.append(candidates[0])
 
 
+def sequential_nms(dets, overlap_thresh):
+    """The list-based greedy loop: pop the best remaining detection, filter
+    the rest against it with the scalar ``iou``.  Quadratic in Python calls
+    but fast enough for inputs of a few hundred boxes."""
+    remaining = sorted(dets, key=lambda d: (-d.score, d.image_id, d.box.as_tuple()))
+    kept = []
+    while remaining:
+        top = remaining.pop(0)
+        kept.append(top)
+        remaining = [r for r in remaining if iou(top.box, r.box) <= overlap_thresh]
+    return kept
+
+
 def brute_force_ap(dets, gts, class_id, iou_thresh=0.5):
     """First-principles PR-curve evaluation.
 

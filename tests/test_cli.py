@@ -292,6 +292,37 @@ def test_pipeline_produces_full_artifact_set(tmp_path, fast_config):
     assert "timing" not in report
 
 
+@pytest.mark.parametrize("column, unknown", [(5, "classXX"), (0, "imgXX")])
+def test_evaluate_rejects_detections_outside_dataset(
+    tmp_path, capsys, fast_config, column, unknown
+):
+    out = tmp_path / "run"
+    assert cli.main(["pipeline", "--config", fast_config, "--out", str(out)]) == 0
+    header, *rows = (out / "detections.csv").read_text().splitlines()
+    fields = rows[-1].split(",")
+    fields[column] = unknown
+    rows[-1] = ",".join(fields)
+    detections = tmp_path / "detections.csv"
+    detections.write_text("\n".join([header, *rows]) + "\n")
+    rc = cli.main(
+        [
+            "evaluate",
+            "--config",
+            fast_config,
+            "--detections",
+            str(detections),
+            "--dataset",
+            str(out / "target" / "manifest.json"),
+            "--out",
+            str(tmp_path / "evaluated"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(detections) in err
+    assert f"'{unknown}'" in err
+
+
 def test_pipeline_mean_ap_matches_recomputed_mean_on_many_classes(tmp_path):
     cfg = tmp_path / "many.cfg"
     cfg.write_text(

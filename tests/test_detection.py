@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aligndet.detection import (
+    NMS_BLOCK_ROWS,
     BBox,
     Detection,
     LinearDetector,
@@ -12,11 +13,12 @@ from aligndet.detection import (
     greedy_nms,
     hinge_objective,
     iou,
+    pairwise_iou,
     score_proposals,
     train_detector,
 )
 from aligndet.errors import DataError
-from oracles import exhaustive_nms, random_detections
+from oracles import exhaustive_nms, random_detections, sequential_nms
 
 finite_coord = st.floats(-500, 500, allow_nan=False)
 
@@ -27,6 +29,40 @@ def boxes(draw):
     w = draw(st.floats(0, 100))
     h = draw(st.floats(0, 100))
     return BBox(x0, y0, x0 + w, y0 + h)
+
+
+grid_coord = st.integers(-2, 4).map(float)
+
+
+@st.composite
+def grid_boxes(draw):
+    """Boxes on a unit grid: identical, nested, touching and zero-area
+    boxes are all likely."""
+    x0, y0 = draw(grid_coord), draw(grid_coord)
+    return BBox(x0, y0, x0 + draw(st.integers(0, 3)), y0 + draw(st.integers(0, 3)))
+
+
+def degenerate_detections(rng, n):
+    """``n`` one-class detections, mostly on a coarse grid (duplicates,
+    nested, touching and zero-area boxes) and otherwise random boxes that
+    reach negative coordinates; scores tie often and two image ids mix."""
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.7:
+            x, y = rng.integers(0, 6, size=2) * 5.0
+            w, h = rng.integers(0, 4, size=2) * 5.0
+        else:
+            x, y = rng.uniform(-100, 50, size=2)
+            w, h = rng.uniform(0, 60, size=2)
+        out.append(
+            Detection(
+                image_id=f"img{rng.integers(2)}",
+                box=BBox(x, y, x + w, y + h),
+                class_id="obj",
+                score=float(rng.integers(5)) / 4,
+            )
+        )
+    return out
 
 
 def make_blobs(seed, n=200, center=2.0, spread=0.3):
@@ -77,6 +113,20 @@ class TestIou:
     def test_self_iou(self, a):
         if a.area > 0:
             assert iou(a, a) == 1.0
+
+    @given(
+        a=st.lists(st.one_of(grid_boxes(), boxes()), min_size=1, max_size=12),
+        b=st.lists(st.one_of(grid_boxes(), boxes()), min_size=1, max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pairwise_equals_scalar_exactly(self, a, b):
+        M = pairwise_iou(
+            np.array([x.as_tuple() for x in a]), np.array([y.as_tuple() for y in b])
+        )
+        assert M.shape == (len(a), len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                assert M[i, j] == iou(x, y)
 
 
 class TestTrainConfig:
@@ -208,6 +258,21 @@ class TestGreedyNms:
         for seed in range(50):
             dets = random_detections(np.random.default_rng(seed), 10)
             assert greedy_nms(dets, 0.3) == exhaustive_nms(dets, 0.3)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 300),
+        thresh=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sequential_loop_on_large_degenerate_inputs(self, seed, n, thresh):
+        dets = degenerate_detections(np.random.default_rng(seed), n)
+        assert greedy_nms(dets, thresh) == sequential_nms(dets, thresh)
+
+    @pytest.mark.parametrize("thresh", [0.0, 0.3, 1.0])
+    def test_matches_sequential_loop_across_row_blocks(self, thresh):
+        dets = degenerate_detections(np.random.default_rng(7), 2 * NMS_BLOCK_ROWS + 50)
+        assert greedy_nms(dets, thresh) == sequential_nms(dets, thresh)
 
     def test_idempotent(self):
         for seed in range(10):

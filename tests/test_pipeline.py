@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from aligndet import pipeline
 from aligndet.alignment import solve_alignment
 from aligndet.dataio import SynthShiftSpec, generate_synthetic, load_states, save_states
 from aligndet.datasets import Dataset, ImageRecord
@@ -19,6 +20,8 @@ from aligndet.pipeline import (
     passthrough_states,
     train_initial_detectors,
 )
+
+from oracles import sequential_nms
 
 FAST_TRAIN = TrainConfig(reg_lambda=0.001, iterations=800)
 SMALL_SPEC = SynthShiftSpec(samples_per_class=40, n_classes=3)
@@ -393,6 +396,18 @@ class TestDetect:
             for i, a in enumerate(group):
                 for b in group[i + 1 :]:
                     assert iou(a.box, b.box) <= cfg.nms_thresh
+
+    def test_dense_full_image_matches_sequential_nms(self, monkeypatch):
+        spec = SynthShiftSpec(
+            samples_per_class=20, n_classes=2, pos_per_image=20, neg_per_image=60
+        )
+        src, tgt = generate_synthetic(spec)[:2]
+        cfg = small_cfg(mode="full-image", detect_thresh=-1000)
+        states = adapt(src, tgt, cfg)
+        fast = detect(tgt, states, cfg)
+        assert len(fast) > 0
+        monkeypatch.setattr(pipeline, "greedy_nms", sequential_nms)
+        assert detect(tgt, states, cfg) == fast
 
 
 class TestMiningMonotonicity:

@@ -52,5 +52,11 @@ def test_traced_pipeline_records_layer_spans(tmp_path):
         "alignment.project_for_testing",
         "linalg.pca",
         "linalg.normalize",
+        "detection.greedy_nms",
     }
     assert expected <= names, sorted(expected - names)
+    # The NMS counters read ``greedy_nms``'s ``dets`` argument and its result.
+    counters = trace["counters"]
+    rows = (tmp_path / "out" / "detections.csv").read_text().splitlines()[1:]
+    assert counters["detection.greedy_nms.kept"] == len(rows) > 0
+    assert counters["detection.greedy_nms.kept"] <= counters["detection.greedy_nms.in"]
