@@ -18,6 +18,9 @@ INITIAL_NEG_CACHE = 1024
 # greedy_nms computes IoU rows for at most this many ranked detections at a
 # time, which bounds its memory and lets it skip rows suppressed earlier.
 NMS_BLOCK_ROWS = 256
+# _subgradient_descent caches Gram columns (n floats each) up to this many
+# floats in all (16 MiB); past it, a step recomputes its margins instead.
+GRAM_CACHE_FLOATS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,10 @@ class TrainConfig:
     ``reg_lambda`` weights the L2 penalty; training is deterministic
     full-batch subgradient descent with step 1/(reg_lambda * t) for
     ``iterations`` steps, repeated over at most ``max_hard_rounds`` rounds
-    of hard-negative mining.
+    of hard-negative mining.  From a zero start that step makes each
+    iterate a running sum of the rows that violated the margin so far, so
+    the trainer replays the step-by-step trajectory exactly from
+    per-row violation counts (see ``_subgradient_descent``).
     """
 
     reg_lambda: float = 0.01
@@ -143,31 +149,102 @@ class LinearDetector:
 
 
 def hinge_objective(w, b, X, y, reg_lambda: float) -> float:
-    """L2-regularized mean hinge loss at (w, b)."""
+    """L2-regularized mean hinge loss at (w, b): the objective that
+    ``_subgradient_descent`` descends, ``0.5 * reg_lambda * (|w|^2 + b^2)``
+    plus the mean of ``max(0, 1 - y * (X @ w + b))``.  The bias is
+    penalized like a weight because the trainer carries it as a constant
+    feature."""
     margins = y * (X @ w + b)
     hinge = np.maximum(0.0, HINGE_MARGIN - margins)
-    return 0.5 * reg_lambda * float(w @ w) + float(hinge.mean())
+    return 0.5 * reg_lambda * (float(w @ w) + b * b) + float(hinge.mean())
 
 
-def _subgradient_descent(X, y, cfg: TrainConfig) -> tuple[np.ndarray, float]:
-    """Full-batch subgradient descent on the regularized hinge objective.
+def _first_loud_step(umin: float, scale: float, t: int, T: int) -> int:
+    """First step s in (t, T] at which some row violates when ``u`` stays
+    as it is: the first whose threshold ``scale * (s - 1)`` exceeds
+    ``umin``, or T + 1.  The candidate comes from a division and is then
+    moved to agree with that exact float expression, which is
+    nondecreasing in s."""
+    q = umin / scale
+    if not math.isfinite(q):
+        return T + 1
+    s = max(t + 1, min(math.floor(q) + 2, T + 1))
+    while s > t + 1 and scale * (s - 2) > umin:
+        s -= 1
+    while s <= T and scale * (s - 1) <= umin:
+        s += 1
+    return s
+
+
+def _subgradient_descent(
+    X, y, cfg: TrainConfig, counts: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """Full-batch subgradient descent on the regularized hinge objective
+    (``hinge_objective``).
 
     Deterministic: fixed iteration count, step 1/(reg_lambda * t), start at
     zero.  The bias rides along as a constant feature so it shares the
     weight shrinkage; an unregularized bias is unstable under the 1/(l*t)
     schedule (the first step is huge).
+
+    With that step and start, the iterate after step t is the running sum
+    ``Z.T @ c / (reg_lambda * t * n)``, where ``Z = y * [X, 1]`` and ``c[i]``
+    counts the steps at which row i violated the margin (the Pegasos
+    iterate without its projection).  So the trajectory is replayed from
+    the counts: with ``u = Z @ Z.T @ c``, row i violates at step t exactly
+    when ``u[i] < HINGE_MARGIN * reg_lambda * n * (t - 1)``.  A step with
+    few violators adds their Gram columns ``Z @ z_j`` to ``u`` (each
+    computed once, at most ``GRAM_CACHE_FLOATS`` floats in all), a step
+    with many recomputes ``u``, and steps without a violator are skipped.
+    The violators, and so the iterates, are those of the step-by-step loop
+    up to float rounding.
+
+    ``counts``, when given (length n), receives the final counts ``c``.
     """
     n = X.shape[0]
-    Xa = np.hstack([X, np.ones((n, 1))])
-    w = np.zeros(Xa.shape[1])
-    yX = y[:, None] * Xa
-    for t in range(1, cfg.iterations + 1):
-        eta = 1.0 / (cfg.reg_lambda * t)
-        viol = y * (Xa @ w) < HINGE_MARGIN
-        gw = cfg.reg_lambda * w
-        if np.any(viol):
-            gw = gw - yX[viol].sum(axis=0) / n
-        w = w - eta * gw
+    lam, T = cfg.reg_lambda, cfg.iterations
+    Z = y[:, None] * np.hstack([X, np.ones((n, 1))])
+    D = Z.shape[1]
+    c = np.ones(n)  # at w = 0 every row violates
+    u = Z @ (Z.T @ c)
+    scale = HINGE_MARGIN * lam * n
+    max_cols = min(n, GRAM_CACHE_FLOATS // n)
+    gram = np.empty((0, n))  # gram[slot[j]] = Z @ z_j
+    slot = np.full(n, -1)
+    cached = 0
+    t = 2
+    while t <= T:
+        thr = scale * (t - 1)
+        umin = u[u.argmin()]  # argmin is cheaper than min on short arrays
+        if not umin < thr:
+            t = _first_loud_step(float(umin), scale, t, T)
+            continue
+        viol = (u < thr).nonzero()[0]
+        c[viol] += 1.0
+        rows = slot[viol]
+        new = viol[rows < 0]
+        # Cached columns cost n flops each and new ones n * D, against
+        # 2 * n * D for recomputing u.
+        if viol.size + new.size * D < 2 * D and cached + new.size <= max_cols:
+            if new.size:
+                if cached + new.size > gram.shape[0]:
+                    grown = np.empty((min(max_cols, 2 * (cached + new.size)), n))
+                    grown[:cached] = gram[:cached]
+                    gram = grown
+                gram[cached : cached + new.size] = Z[new] @ Z.T
+                slot[new] = np.arange(cached, cached + new.size)
+                cached += new.size
+                rows = slot[viol]
+            if rows.size == 1:  # the common case; a row view needs no sum
+                u += gram[rows[0]]
+            else:
+                u += gram[rows].sum(axis=0)
+        else:
+            u = Z @ (Z.T @ c)
+        t += 1
+    if counts is not None:
+        counts[:] = c
+    w = (Z.T @ c) / (lam * T * n)
     return w[:-1], float(w[-1])
 
 
@@ -187,7 +264,14 @@ def train_detector(
     ``cfg.max_hard_rounds`` rounds.
 
     ``record``, when given, receives one dict per round with the weights,
-    bias and cache indices of that round (used by diagnostics and tests).
+    bias and cache indices of that round and the trainer's violation
+    counts over its rows (positives, then cache), used by diagnostics and
+    tests.  With ``T = cfg.iterations`` and n rows, ``alpha = counts / (T
+    * n)`` is dual feasible (``0 <= alpha <= 1/n``) and gives the round's
+    (weights, bias) as ``Z.T @ alpha / reg_lambda`` (see
+    ``_subgradient_descent``), so ``sum(alpha) - reg_lambda / 2 *
+    (|w|^2 + b^2)`` is a lower bound on the round's optimal
+    ``hinge_objective``.
     """
     P = ensure_feature_matrix(pos, "pos")
     N = ensure_feature_matrix(neg, "neg")
@@ -201,9 +285,12 @@ def train_detector(
     for _ in range(cfg.max_hard_rounds):
         X = np.vstack([P, N[cache]])
         y = np.concatenate([np.ones(P.shape[0]), -np.ones(cache.shape[0])])
-        w, b = _subgradient_descent(X, y, cfg)
+        counts = None if record is None else np.empty(len(y), dtype=np.int64)
+        w, b = _subgradient_descent(X, y, cfg, counts)
         if record is not None:
-            record.append({"weights": w.copy(), "bias": b, "cache": cache.copy()})
+            record.append(
+                {"weights": w.copy(), "bias": b, "cache": cache.copy(), "counts": counts}
+            )
         pool_scores = N @ w + b
         violators = np.flatnonzero(pool_scores > -HINGE_MARGIN)
         new = np.setdiff1d(violators, cache, assume_unique=False)

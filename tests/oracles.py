@@ -8,7 +8,7 @@ plain gradient descent.
 
 import numpy as np
 
-from aligndet.detection import Detection, iou
+from aligndet.detection import HINGE_MARGIN, Detection, iou
 
 
 def brute_force_objective(M, Bs, Bt) -> float:
@@ -140,3 +140,24 @@ def random_detections(rng, n, class_id="obj", image_id="img0"):
             )
         )
     return out
+
+
+def subgradient_loop(X, y, cfg):
+    """The step-by-step hinge trainer: full-batch subgradient descent from
+    zero with step 1/(reg_lambda * t), the bias carried as a constant
+    feature.  Returns (w, b, counts), where ``counts[i]`` is the number of
+    steps at which row i violated the margin."""
+    n = X.shape[0]
+    Xa = np.hstack([X, np.ones((n, 1))])
+    w = np.zeros(Xa.shape[1])
+    yX = y[:, None] * Xa
+    counts = np.zeros(n, dtype=np.int64)
+    for t in range(1, cfg.iterations + 1):
+        eta = 1.0 / (cfg.reg_lambda * t)
+        viol = y * (Xa @ w) < HINGE_MARGIN
+        counts += viol
+        gw = cfg.reg_lambda * w
+        if np.any(viol):
+            gw = gw - yX[viol].sum(axis=0) / n
+        w = w - eta * gw
+    return w[:-1], float(w[-1]), counts

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aligndet import detection
 from aligndet.detection import (
     NMS_BLOCK_ROWS,
     BBox,
@@ -15,10 +16,17 @@ from aligndet.detection import (
     iou,
     pairwise_iou,
     score_proposals,
+    _first_loud_step,
+    _subgradient_descent,
     train_detector,
 )
 from aligndet.errors import DataError
-from oracles import exhaustive_nms, random_detections, sequential_nms
+from oracles import (
+    exhaustive_nms,
+    random_detections,
+    sequential_nms,
+    subgradient_loop,
+)
 
 finite_coord = st.floats(-500, 500, allow_nan=False)
 
@@ -63,6 +71,29 @@ def degenerate_detections(rng, n):
             )
         )
     return out
+
+
+@st.composite
+def hinge_problems(draw):
+    """(X, y) for the trainer: random rows, rows drawn from a few distinct
+    ones, constant columns, a single row, or blobs so far apart that most
+    steps have no violator.  Values come from a seeded Gaussian, so no row
+    sits exactly on the margin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "duplicated", "constant", "single", "blobs"]))
+    n = 1 if kind == "single" else draw(st.integers(2, 60))
+    dim = draw(st.integers(1, 6))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    if kind == "duplicated":
+        distinct = draw(st.integers(1, 4))
+        X = rng.normal(size=(distinct, dim))[rng.integers(0, distinct, n)]
+    elif kind == "blobs":
+        X = y[:, None] * 20.0 + rng.normal(size=(n, dim)) * 0.1
+    else:
+        X = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0)
+        if kind == "constant":
+            X[:, : draw(st.integers(1, dim))] = rng.normal()
+    return X, y
 
 
 def make_blobs(seed, n=200, center=2.0, spread=0.3):
@@ -204,6 +235,123 @@ class TestTrainDetector:
     def test_dim_mismatch(self):
         with pytest.raises(DataError):
             train_detector(np.ones((2, 3)), np.ones((2, 4)), TrainConfig())
+
+    def test_round_counts_certify_a_dual_lower_bound(self):
+        # The mining data of test_hard_negative_rounds_reduce_objective.
+        rng = np.random.default_rng(5)
+        pos = rng.normal(size=(100, 3)) + [3.0, 0, 0]
+        easy = rng.normal(size=(1024, 3)) + [-6.0, 0, 0]
+        hard = rng.normal(size=(300, 3)) * 0.5 + [1.0, 0, 0]
+        neg = np.vstack([easy, hard])
+        record = []
+        cfg = TrainConfig()
+        train_detector(pos, neg, cfg, record=record)
+        assert len(record) > 1
+        lam = cfg.reg_lambda
+        for r in record:
+            X = np.vstack([pos, neg[r["cache"]]])
+            y = np.concatenate([np.ones(len(pos)), -np.ones(len(r["cache"]))])
+            n = len(y)
+            alpha = r["counts"] / (cfg.iterations * n)
+            assert r["counts"].shape == (n,)
+            assert np.all(alpha >= 0.0) and np.all(alpha <= 1.0 / n)
+            Z = y[:, None] * np.hstack([X, np.ones((n, 1))])
+            wb = Z.T @ alpha / lam
+            npt.assert_allclose(wb, np.append(r["weights"], r["bias"]), rtol=1e-9)
+            dual = alpha.sum() - 0.5 * lam * float(wb @ wb)
+            primal = hinge_objective(r["weights"], r["bias"], X, y, lam)
+            assert 0.0 < dual <= primal
+
+
+class TestHingeObjective:
+    def test_bias_is_penalized_like_a_weight(self):
+        X, y = np.zeros((1, 2)), np.ones(1)
+        # margin 2 >= 1, so only the regularizer remains: 0.5 * l * b^2
+        assert hinge_objective(np.zeros(2), 2.0, X, y, 0.1) == pytest.approx(0.2)
+
+
+class TestSubgradientDescent:
+    """The count replay against the step-by-step loop of ``oracles``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        problem=hinge_problems(),
+        iterations=st.sampled_from([1, 2, 3, 50]),
+        reg_lambda=st.sampled_from([1e-3, 1e-1, 10.0]),
+        cache_columns=st.sampled_from([None, 0, 1, 3]),
+    )
+    def test_replays_the_step_by_step_loop(
+        self, problem, iterations, reg_lambda, cache_columns
+    ):
+        X, y = problem
+        cfg = TrainConfig(reg_lambda=reg_lambda, iterations=iterations)
+        w0, b0, counts0 = subgradient_loop(X, y, cfg)
+        counts = np.full(len(y), -1, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            if cache_columns is not None:  # small bounds force the recompute
+                mp.setattr(detection, "GRAM_CACHE_FLOATS", cache_columns * len(y))
+            w, b = _subgradient_descent(X, y, cfg, counts)
+        npt.assert_array_equal(counts, counts0)
+        # Relative to the size of the summands of w = Z.T @ c / (l * T * n):
+        # where they cancel to 0, rounding leaves a few ulps of them.
+        n = len(y)
+        Za = np.abs(np.hstack([X, np.ones((n, 1))]))
+        size = Za.T @ counts0 / (reg_lambda * iterations * n)
+        error = np.abs(np.append(w, b) - np.append(w0, b0))
+        assert np.all(error <= 1e-9 * size), (error, size)
+
+    @pytest.mark.parametrize("cache_columns", [None, 0, 5])
+    def test_mining_sized_problem_takes_every_path(self, cache_columns):
+        # 1k rows, 3000 steps, classes 5 sigma apart on one axis: the run
+        # skips quiet steps, adds new and cached Gram columns and
+        # recomputes; bounds of 0 and 5 columns force the recompute.
+        rng = np.random.default_rng(7)
+        pos = rng.normal(size=(100, 30))
+        neg = rng.normal(size=(900, 30))
+        pos[:, 0] += 2.5
+        neg[:, 0] -= 2.5
+        X = np.vstack([pos, neg])
+        y = np.concatenate([np.ones(100), -np.ones(900)])
+        cfg = TrainConfig(reg_lambda=1e-3, iterations=3000)
+        w0, b0, counts0 = subgradient_loop(X, y, cfg)
+        counts = np.empty(len(y), dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            if cache_columns is not None:
+                mp.setattr(detection, "GRAM_CACHE_FLOATS", cache_columns * len(y))
+            w, b = _subgradient_descent(X, y, cfg, counts)
+        npt.assert_array_equal(counts, counts0)
+        npt.assert_allclose(np.append(w, b), np.append(w0, b0), rtol=1e-9)
+
+    @pytest.mark.parametrize("iterations,expected", [(1, [1, 1]), (2, [1, 2]), (3, [2, 3])])
+    def test_margin_tie_is_not_a_violation(self, iterations, expected):
+        # Orthogonal rows z = (1, 1, 1, 1) and (-1, 0, 0, 1), reg_lambda 2:
+        # every value is dyadic, so both loops are exact.  After step 1 the
+        # first margin is 1.0 exactly and the second 0.5, so step 2 has
+        # one violator.
+        X, y = np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]]), np.ones(2)
+        cfg = TrainConfig(reg_lambda=2.0, iterations=iterations)
+        _, _, counts0 = subgradient_loop(X, y, cfg)
+        counts = np.empty(2, dtype=np.int64)
+        _subgradient_descent(X, y, cfg, counts)
+        assert counts.tolist() == counts0.tolist() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scale=st.floats(1e-6, 1e3),
+        k=st.integers(0, 5000),
+        t=st.integers(2, 300),
+        more=st.integers(0, 300),
+    )
+    def test_first_loud_step_matches_a_linear_scan(self, scale, k, t, more):
+        T = t + more
+        # umin just below, on and just above the threshold of step k + 1,
+        # where the division that finds the candidate may round either way
+        on = scale * k
+        for umin in (float(np.nextafter(on, -np.inf)), on, float(np.nextafter(on, np.inf))):
+            if not scale * (t - 1) <= umin:
+                continue  # only called on a quiet step t
+            loud = [s for s in range(t + 1, T + 1) if scale * (s - 1) > umin]
+            assert _first_loud_step(umin, scale, t, T) == (loud[0] if loud else T + 1)
 
 
 class TestScoreProposals:
