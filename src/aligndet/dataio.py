@@ -1,12 +1,13 @@
 """Dataset persistence (binary feature files, CSV boxes, JSON manifests),
 the synthetic domain-shift generator, run configuration, and bundle
-serialization for detectors and adaptation states."""
+serialization for detectors, adaptation states and the synthetic oracle."""
 
 from __future__ import annotations
 
 import json
 import math
 import struct
+import zlib
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -16,6 +17,7 @@ import numpy as np
 from .datasets import Dataset, ImageRecord
 from .detection import BBox, Detection, LinearDetector, TrainConfig
 from .errors import DataError, NumericalError
+from .evaluation import check_histogram_layout
 from .linalg import NormalizationStats, Subspace
 from .pipeline import AdaptationConfig, ClassAdaptationState
 
@@ -170,14 +172,100 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# A bundle is canonical JSON at ``<stem>.json`` plus the array file
+# ``<stem>.f8``: every float ndarray of the document, as raw little-endian
+# float64 in C order, concatenated in the order the sorted-key JSON visits
+# them.  In the JSON each array is a reference {"f8_offset": <byte offset>,
+# "shape": [...]}, and ``array_file`` records the array file's byte length
+# and CRC-32.  The array file's name is derived from the JSON path, never
+# stored, so a bundle saved under two names has identical JSON.
+_ARRAY_REF_KEYS = {"f8_offset", "shape"}
+
+
+def _array_path(path) -> Path:
+    return Path(path).with_suffix(".f8")
+
+
+def _save_bundle(path, doc: dict) -> None:
+    """Write ``doc`` with each ndarray moved to the array file."""
+    chunks: list[bytes] = []
+    offset = 0
+
+    def swap(v):
+        nonlocal offset
+        if isinstance(v, np.ndarray):
+            chunks.append(np.ascontiguousarray(v, dtype="<f8").tobytes())
+            ref = {"f8_offset": offset, "shape": list(v.shape)}
+            offset += len(chunks[-1])
+            return ref
+        if isinstance(v, dict):
+            return {k: swap(v[k]) for k in sorted(v)}
+        if isinstance(v, (list, tuple)):
+            return [swap(x) for x in v]
+        return v
+
+    doc = swap(doc)
+    blob = b"".join(chunks)
+    doc["array_file"] = {"bytes": len(blob), "crc32": zlib.crc32(blob)}
+    _array_path(path).write_bytes(blob)
+    Path(path).write_text(canonical_json(doc))
+
+
+def _resolve_arrays(doc, path):
+    """``doc`` with its array references replaced by writable float64
+    arrays, after checking the array file's length and CRC-32."""
+    if not isinstance(doc, dict) or "array_file" not in doc:
+        return doc
+    header, f8 = doc.pop("array_file"), _array_path(path)
+    if not f8.is_file():
+        raise DataError(f"array file '{f8}' does not exist")
+    # ``frombuffer`` over ``bytes`` is read-only; over a bytearray it is not.
+    buf = bytearray(f8.read_bytes())
+    if len(buf) != header["bytes"]:
+        raise DataError(
+            f"array file '{f8}' has {len(buf)} bytes, expected {header['bytes']}"
+        )
+    if zlib.crc32(buf) != header["crc32"]:
+        raise DataError(f"array file '{f8}' fails its CRC-32 check")
+
+    def resolve(v):
+        if isinstance(v, dict):
+            if v.keys() != _ARRAY_REF_KEYS:
+                return {k: resolve(x) for k, x in v.items()}
+            offset, shape = v["f8_offset"], v["shape"]
+            count = math.prod(shape)
+            if offset + 8 * count > len(buf):
+                raise DataError(
+                    f"array reference (offset {offset}, shape {shape}) runs "
+                    f"past the end of array file '{f8}'"
+                )
+            return np.frombuffer(buf, "<f8", count, offset).reshape(shape)
+        if isinstance(v, list):
+            return [resolve(x) for x in v]
+        return v
+
+    return resolve(doc)
+
+
+def _stored_array(v) -> np.ndarray:
+    """A resolved array reference of a bundle."""
+    if not isinstance(v, np.ndarray):
+        raise DataError(
+            "arrays must be references into the array file; inline lists "
+            "predate it: rerun 'train' or 'adapt' to rewrite the bundle"
+        )
+    return v
+
+
 def _load_bundle(path, kind: str, parse):
-    """``parse`` applied to the JSON in ``path``; invalid JSON, a missing
-    key, a wrong type or a rejected value is a DataError naming the file."""
+    """``parse`` applied to the JSON in ``path``, its array references
+    resolved; invalid JSON, a bad array file, a missing key, a wrong type
+    or a rejected value is a DataError naming the file."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{kind} '{path}' does not exist")
     try:
-        return parse(json.loads(path.read_text()))
+        return parse(_resolve_arrays(json.loads(path.read_text()), path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{kind} '{path}' is not valid JSON: {exc}") from None
     except KeyError as exc:
@@ -503,6 +591,11 @@ class RunConfig:
     hist_hi: float = 3.0
     weak_ratio: float = 0.75
 
+    def __post_init__(self):
+        # Checked here, not first by the histogram, so that a bad layout
+        # fails before any command trains or writes anything.
+        check_histogram_layout(self.hist_bins, self.hist_lo, self.hist_hi)
+
 
 def _parse_corrupt(text: str) -> tuple[int, ...]:
     text = text.strip()
@@ -607,29 +700,29 @@ def config_echo(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Detector / state bundles (canonical JSON, byte-exact round trips)
+# Detector / state / oracle bundles (byte-exact round trips)
 # ---------------------------------------------------------------------------
 
 def _stats_to_dict(s: NormalizationStats) -> dict:
-    return {"mean": s.mean.tolist(), "scale": s.scale.tolist()}
+    return {"mean": s.mean, "scale": s.scale}
 
 
 def _stats_from_dict(d: dict) -> NormalizationStats:
-    return NormalizationStats(np.array(d["mean"]), np.array(d["scale"]))
+    return NormalizationStats(_stored_array(d["mean"]), _stored_array(d["scale"]))
 
 
 def _subspace_to_dict(s: Subspace) -> dict:
     return {
-        "basis": s.basis.tolist(),
-        "eigenvalues": s.eigenvalues.tolist(),
+        "basis": s.basis,
+        "eigenvalues": s.eigenvalues,
         "stats": _stats_to_dict(s.stats),
     }
 
 
 def _subspace_from_dict(label: str, d: dict) -> Subspace:
     return Subspace(
-        basis=np.array(d["basis"]),
-        eigenvalues=np.array(d["eigenvalues"]),
+        basis=_stored_array(d["basis"]),
+        eigenvalues=_stored_array(d["eigenvalues"]),
         stats=_stats_from_dict(d["stats"]),
         label=label,
     )
@@ -638,7 +731,7 @@ def _subspace_from_dict(label: str, d: dict) -> Subspace:
 def _detector_to_dict(det: LinearDetector) -> dict:
     return {
         "class_id": det.class_id,
-        "weights": det.weights.tolist(),
+        "weights": det.weights,
         "bias": det.bias,
         "frame": det.frame,
     }
@@ -647,7 +740,7 @@ def _detector_to_dict(det: LinearDetector) -> dict:
 def _detector_from_dict(d: dict) -> LinearDetector:
     return LinearDetector(
         class_id=d["class_id"],
-        weights=np.array(d["weights"]),
+        weights=_stored_array(d["weights"]),
         bias=float(d["bias"]),
         frame=d["frame"],
     )
@@ -658,7 +751,7 @@ def save_detectors(path, detectors: dict[str, LinearDetector], warnings=None) ->
         "detectors": {c: _detector_to_dict(det) for c, det in detectors.items()},
         "warnings": list(warnings or []),
     }
-    Path(path).write_text(canonical_json(bundle))
+    _save_bundle(path, bundle)
 
 
 def load_detectors(path) -> dict[str, LinearDetector]:
@@ -697,7 +790,7 @@ def save_states(
         "subspaces": {label: _subspace_to_dict(s) for label, s in subspaces.items()},
         "warnings": list(warnings or []),
     }
-    Path(path).write_text(canonical_json(bundle))
+    _save_bundle(path, bundle)
 
 
 def _states_from_bundle(bundle: dict) -> dict[str, ClassAdaptationState]:
@@ -739,13 +832,4 @@ def load_states(path) -> dict[str, ClassAdaptationState]:
 
 
 def save_oracle(path, oracle: dict) -> None:
-    def _clean(v):
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        if isinstance(v, dict):
-            return {k: _clean(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [_clean(x) for x in v]
-        return v
-
-    Path(path).write_text(canonical_json(_clean(oracle)))
+    _save_bundle(path, oracle)

@@ -112,13 +112,18 @@ class Histogram:
         }
 
 
-def score_histogram(scores, bins: int, value_range: tuple[float, float]) -> Histogram:
-    """Bin ``scores`` into ``bins`` equal-width bins over ``value_range``."""
-    lo, hi = float(value_range[0]), float(value_range[1])
+def check_histogram_layout(bins: int, lo: float, hi: float) -> None:
+    """Reject a bin count below one or a range that is not finite lo < hi."""
     if bins < 1:
         raise DataError("bins must be >= 1")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DataError(f"invalid range ({lo}, {hi})")
+
+
+def score_histogram(scores, bins: int, value_range: tuple[float, float]) -> Histogram:
+    """Bin ``scores`` into ``bins`` equal-width bins over ``value_range``."""
+    lo, hi = float(value_range[0]), float(value_range[1])
+    check_histogram_layout(bins, lo, hi)
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(s)):
         raise DataError("scores must be finite")

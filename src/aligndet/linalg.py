@@ -127,8 +127,9 @@ class Subspace:
 
     def __post_init__(self):
         # C order whatever the source (an eigh slice is Fortran-ordered, a
-        # basis read from JSON is not), so products with the basis sum in
-        # the same order and a saved state scores exactly like the live one.
+        # basis read from a bundle's array file is not), so products with
+        # the basis sum in the same order and a saved state scores exactly
+        # like the live one.
         self.basis = np.ascontiguousarray(self.basis, dtype=np.float64)
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
         if self.basis.ndim != 2:

@@ -1,9 +1,13 @@
 import json
+import math
+import shutil
 
+import numpy as np
 import pytest
 
 from aligndet import cli
-from aligndet.errors import NumericalError
+from aligndet.dataio import load_detectors, load_states
+from aligndet.errors import DataError, NumericalError
 
 FAST_CFG = """
 d = 5
@@ -110,7 +114,12 @@ def test_synth_outputs_are_deterministic(tmp_path, fast_config):
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["synth", "--config", fast_config, "--out", str(a)]) == 0
     assert cli.main(["synth", "--config", fast_config, "--out", str(b)]) == 0
-    for rel in ["source/manifest.json", "target/manifest.json", "oracle.json"]:
+    for rel in [
+        "source/manifest.json",
+        "target/manifest.json",
+        "oracle.json",
+        "oracle.f8",
+    ]:
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
     feat = next((a / "source" / "features").iterdir()).name
     assert (a / "source" / "features" / feat).read_bytes() == (
@@ -272,7 +281,9 @@ def test_pipeline_produces_full_artifact_set(tmp_path, fast_config):
         "report.json",
         "detections.csv",
         "states.json",
+        "states.f8",
         "detectors.json",
+        "detectors.f8",
         "similarity.json",
         "similarity.svg",
         "histogram_source.json",
@@ -281,6 +292,7 @@ def test_pipeline_produces_full_artifact_set(tmp_path, fast_config):
         "histogram_target.svg",
         "timing.json",
         "oracle.json",
+        "oracle.f8",
     ]:
         assert (out / name).is_file(), name
     report = json.loads((out / "report.json").read_text())
@@ -384,3 +396,127 @@ def test_repeated_class_id_in_manifest_is_data_error(tmp_path, capsys, fast_conf
     err = capsys.readouterr().err
     assert str(manifest) in err
     assert f"duplicate class id '{doc['classes'][0]}'" in err
+
+
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        ("hist_bins = 0\n", "bins must be >= 1"),
+        ("hist_lo = 3\nhist_hi = -3\n", "invalid range (3.0, -3.0)"),
+    ],
+    ids=["no-bins", "inverted-range"],
+)
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_bad_histogram_layout_fails_before_any_work(
+    tmp_path, capsys, command, layout, message
+):
+    cfg = tmp_path / "hist.cfg"
+    cfg.write_text(FAST_CFG + layout)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # so no detectors.json either
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory):
+    """Output directory of one fast ``pipeline`` run, and its config."""
+    root = tmp_path_factory.mktemp("bundles")
+    cfg = root / "run.cfg"
+    cfg.write_text(FAST_CFG)
+    out = root / "run"
+    assert cli.main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    return out, cfg
+
+
+def _rewrite_references(new, keep_array_file=True):
+    """A defect that replaces each array reference ``ref`` of the bundle by
+    ``new(ref, blob)``, where ``blob`` is the array file's content."""
+
+    def damage(path, f8):
+        blob = f8.read_bytes()
+
+        def hook(d):
+            if d.keys() == {"f8_offset", "shape"}:
+                return new(d, blob)
+            if not keep_array_file:
+                d.pop("array_file", None)
+            return d
+
+        path.write_text(json.dumps(json.loads(path.read_text(), object_hook=hook)))
+        if not keep_array_file:
+            f8.unlink()
+
+    return damage
+
+
+def _as_list(ref, blob):
+    n = math.prod(ref["shape"])
+    return np.frombuffer(blob, "<f8", n, ref["f8_offset"]).reshape(ref["shape"]).tolist()
+
+
+def _flip_byte(path, f8):
+    raw = bytearray(f8.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    f8.write_bytes(raw)
+
+
+# Defect name -> (damage(json path, array file path), expected message).
+ARRAY_FILE_DEFECTS = {
+    "missing": (lambda path, f8: f8.unlink(), "does not exist"),
+    "truncated": (
+        lambda path, f8: f8.write_bytes(f8.read_bytes()[:-8]), "bytes, expected"
+    ),
+    "extra-bytes": (
+        lambda path, f8: f8.write_bytes(f8.read_bytes() + b"\0" * 8), "bytes, expected"
+    ),
+    "flipped-byte": (_flip_byte, "CRC-32"),
+    "offset-past-end": (
+        _rewrite_references(lambda ref, blob: {**ref, "f8_offset": len(blob)}),
+        "runs past the end",
+    ),
+    "shape-past-end": (
+        _rewrite_references(lambda ref, blob: {**ref, "shape": [len(blob) // 8 + 1]}),
+        "runs past the end",
+    ),
+    # The layout from before the array file.
+    "inline-lists": (
+        _rewrite_references(_as_list, keep_array_file=False),
+        "rerun 'train' or 'adapt'",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", list(ARRAY_FILE_DEFECTS))
+@pytest.mark.parametrize(
+    "option, name, load",
+    [("--states", "states", load_states), ("--detectors", "detectors", load_detectors)],
+    ids=["states", "detectors"],
+)
+def test_bad_array_file_is_data_error(
+    tmp_path, capsys, pipeline_run, option, name, load, defect
+):
+    run, cfg = pipeline_run
+    path, f8 = tmp_path / f"{name}.json", tmp_path / f"{name}.f8"
+    shutil.copy(run / f"{name}.json", path)
+    shutil.copy(run / f"{name}.f8", f8)
+    damage, match = ARRAY_FILE_DEFECTS[defect]
+    damage(path, f8)
+    with pytest.raises(DataError, match=match) as info:
+        load(path)
+    assert str(path) in str(info.value)
+    rc = cli.main(
+        [
+            "detect",
+            "--config",
+            str(cfg),
+            "--dataset",
+            str(run / "target" / "manifest.json"),
+            option,
+            str(path),
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    assert str(path) in capsys.readouterr().err

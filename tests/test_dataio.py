@@ -1,4 +1,7 @@
 import json
+import math
+import zlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -21,6 +24,7 @@ from aligndet.dataio import (
     read_gt_csv,
     save_dataset,
     save_detectors,
+    save_oracle,
     save_states,
     write_boxes_csv,
     write_detections_csv,
@@ -485,6 +489,13 @@ class TestConfigTable:
         }
 
 
+def _transpose_bases(bundle: dict) -> dict:
+    """The bundle with each basis reference's shape read as d x D."""
+    for sub in bundle["subspaces"].values():
+        sub["basis"]["shape"].reverse()
+    return bundle
+
+
 class TestBundles:
     def test_detector_bundle_round_trip(self, tmp_path):
         dets = {
@@ -494,9 +505,11 @@ class TestBundles:
         save_detectors(p, dets, warnings=["note"])
         loaded = load_detectors(p)
         npt.assert_array_equal(loaded["cat"].weights, dets["cat"].weights)
+        assert loaded["cat"].weights.flags.writeable
         p2 = tmp_path / "det2.json"
         save_detectors(p2, loaded, warnings=["note"])
         assert p.read_bytes() == p2.read_bytes()
+        assert p.with_suffix(".f8").read_bytes() == p2.with_suffix(".f8").read_bytes()
 
     @pytest.fixture(scope="class")
     def adapted(self):
@@ -528,9 +541,58 @@ class TestBundles:
                     assert a.label == b.label
                     npt.assert_array_equal(a.basis, b.basis)
                     npt.assert_array_equal(a.stats.mean, b.stats.mean)
+                    assert a.basis.flags.writeable
             p2 = tmp_path / f"{mode}2.json"
             save_states(p2, loaded, warnings=[])
             assert p.read_bytes() == p2.read_bytes()
+            f8, f8_2 = p.with_suffix(".f8"), p2.with_suffix(".f8")
+            assert f8.read_bytes() == f8_2.read_bytes()
+
+    def test_bundle_json_does_not_name_its_array_file(self, tmp_path, adapted):
+        states = adapted["class-specific"]
+        save_states(tmp_path / "a.json", states)
+        save_states(tmp_path / "b.json", states)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert (tmp_path / "a.f8").read_bytes() == (tmp_path / "b.f8").read_bytes()
+
+    def test_oracle_bundle_layout(self, tmp_path):
+        """Read the oracle's arrays back by the documented layout alone."""
+        _, _, oracle = generate_synthetic(SynthShiftSpec(n_classes=2, samples_per_class=10))
+        p = tmp_path / "oracle.json"
+        save_oracle(p, oracle)
+        doc = json.loads(p.read_text())
+        blob = (tmp_path / "oracle.f8").read_bytes()
+        assert doc["array_file"] == {"bytes": len(blob), "crc32": zlib.crc32(blob)}
+
+        def arrays(v):  # the array references in sorted-key order
+            if isinstance(v, dict):
+                if v.keys() == {"f8_offset", "shape"}:
+                    return [v]
+                return [r for k in sorted(v) for r in arrays(v[k])]
+            return []
+
+        expected = [
+            oracle["class_directions"]["class00"],
+            oracle["class_directions"]["class01"],
+            oracle["drifts"]["class00"],
+            oracle["drifts"]["class01"],
+            oracle["latent_scales"],
+            oracle["rotation"],
+            oracle["source_means"]["class00"],
+            oracle["source_means"]["class01"],
+            oracle["target_means"]["class00"],
+            oracle["target_means"]["class01"],
+        ]
+        offset = 0
+        for ref, a in zip(arrays(doc), expected, strict=True):
+            assert ref == {"f8_offset": offset, "shape": list(a.shape)}
+            n = math.prod(a.shape)
+            npt.assert_array_equal(
+                np.frombuffer(blob, "<f8", n, offset).reshape(a.shape), a
+            )
+            offset += 8 * n
+        assert offset == len(blob)
+        assert doc["spec"]["corrupt_classes"] == []
 
     def test_state_bundle_stores_each_subspace_once(self, tmp_path, adapted):
         for mode, states in adapted.items():
@@ -558,8 +620,16 @@ class TestBundles:
              "rerun 'adapt'"),
             (lambda b: json.dumps({**b, "subspaces": {}}), "unknown subspace"),
             (lambda b: json.dumps({**b, "states": []}), "malformed"),
+            (lambda b: json.dumps(_transpose_bases(b)), "eigenvalues must have length d"),
         ],
-        ids=["invalid-json", "missing-key", "old-layout", "unknown-label", "wrong-type"],
+        ids=[
+            "invalid-json",
+            "missing-key",
+            "old-layout",
+            "unknown-label",
+            "wrong-type",
+            "transposed-basis",
+        ],
     )
     def test_malformed_state_bundle_is_data_error(self, tmp_path, adapted, edit, match):
         p = tmp_path / "states.json"

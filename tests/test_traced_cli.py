@@ -18,10 +18,7 @@ synth_samples = 20
 """
 
 
-def test_traced_pipeline_records_layer_spans(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(TINY_CFG)
-    spans_path = tmp_path / "spans.json"
+def _traced(tmp_path, spans_path, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [
@@ -29,11 +26,7 @@ def test_traced_pipeline_records_layer_spans(tmp_path):
             str(ROOT / "bench" / "traced_cli.py"),
             "--trace-out",
             str(spans_path),
-            "pipeline",
-            "--config",
-            str(cfg),
-            "--out",
-            str(tmp_path / "out"),
+            *args,
         ],
         env=env,
         cwd=tmp_path,
@@ -44,6 +37,22 @@ def test_traced_pipeline_records_layer_spans(tmp_path):
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(spans_path.read_text())
     assert trace["exit_code"] == 0
+    return trace
+
+
+def test_traced_pipeline_records_layer_spans(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CFG)
+    out = tmp_path / "out"
+    trace = _traced(
+        tmp_path,
+        tmp_path / "spans.json",
+        "pipeline",
+        "--config",
+        str(cfg),
+        "--out",
+        str(out),
+    )
     names = {span[0] for span in trace["spans"]}
     expected = {
         "alignment.solve_alignment",
@@ -53,10 +62,33 @@ def test_traced_pipeline_records_layer_spans(tmp_path):
         "linalg.pca",
         "linalg.normalize",
         "detection.greedy_nms",
+        "dataio.save_detectors",
+        "dataio.save_states",
     }
     assert expected <= names, sorted(expected - names)
     # The NMS counters read ``greedy_nms``'s ``dets`` argument and its result.
     counters = trace["counters"]
-    rows = (tmp_path / "out" / "detections.csv").read_text().splitlines()[1:]
+    rows = (out / "detections.csv").read_text().splitlines()[1:]
     assert counters["detection.greedy_nms.kept"] == len(rows) > 0
     assert counters["detection.greedy_nms.kept"] <= counters["detection.greedy_nms.in"]
+    # ``states_bytes`` reads ``save_states``'s ``path`` argument.
+    assert counters["dataio.states_bytes"] == (out / "states.json").stat().st_size > 0
+
+    # The bench's detect stage: the saved states score like the live ones.
+    trace = _traced(
+        tmp_path,
+        tmp_path / "detect_spans.json",
+        "detect",
+        "--config",
+        str(cfg),
+        "--dataset",
+        str(out / "target" / "manifest.json"),
+        "--states",
+        str(out / "states.json"),
+        "--out",
+        str(tmp_path / "detected"),
+    )
+    assert "dataio.load_states" in {span[0] for span in trace["spans"]}
+    assert (tmp_path / "detected" / "detections.csv").read_bytes() == (
+        out / "detections.csv"
+    ).read_bytes()
