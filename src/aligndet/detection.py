@@ -18,8 +18,9 @@ INITIAL_NEG_CACHE = 1024
 # greedy_nms computes IoU rows for at most this many ranked detections at a
 # time, which bounds its memory and lets it skip rows suppressed earlier.
 NMS_BLOCK_ROWS = 256
-# _subgradient_descent caches Gram columns (n floats each) up to this many
-# floats in all (16 MiB); past it, a step recomputes its margins instead.
+# The hinge trainer's Gram cache (_GramCache) holds columns of n floats each
+# up to this many floats in all (16 MiB); past it, a step recomputes its
+# margins instead.
 GRAM_CACHE_FLOATS = 1 << 21
 
 
@@ -112,7 +113,10 @@ class TrainConfig:
     of hard-negative mining.  From a zero start that step makes each
     iterate a running sum of the rows that violated the margin so far, so
     the trainer replays the step-by-step trajectory exactly from
-    per-row violation counts (see ``_subgradient_descent``).
+    per-row violation counts (see ``_subgradient_descent``).  The Gram
+    columns that replay uses live for one ``train_detector`` call: they
+    are carried from each mining round to the next and computed in blocks,
+    within the ``GRAM_CACHE_FLOATS`` bound.
     """
 
     reg_lambda: float = 0.01
@@ -176,11 +180,63 @@ def _first_loud_step(umin: float, scale: float, t: int, T: int) -> int:
     return s
 
 
+class _GramCache:
+    """Gram columns ``Z @ z_j`` of the rows ``Z`` of a hinge problem, kept
+    across the rounds of one ``train_detector`` call.
+
+    ``select(Z, ids)`` makes ``Z`` the current rows; ``ids`` names each row
+    (increasing) and contains every id of the previous round.  Columns are
+    keyed by row id, so a round's columns are carried into the next: their
+    entries move to the new row positions and only the entries of the
+    added rows are computed, in one product.  ``slot[i]`` is the index in
+    ``cols`` of the column of row i, or -1.  For n rows at most
+    ``min(n, GRAM_CACHE_FLOATS // n)`` columns are kept; a round with a
+    lower bound drops the latest ones.  Each column is its own array, so
+    adding columns copies none and a round replaces them one at a time.
+    """
+
+    def __init__(self):
+        self.ids = np.empty(0, dtype=np.intp)
+        self.keys = np.empty(0, dtype=np.intp)  # row id of each column
+        self.cols: list[np.ndarray] = []
+        self.slot = np.empty(0, dtype=np.intp)
+        self.max_cols = 0
+
+    def select(self, Z: np.ndarray, ids: np.ndarray) -> None:
+        """Make ``Z`` the current rows, carrying the kept columns."""
+        n = ids.size
+        self.max_cols = min(n, GRAM_CACHE_FLOATS // n)
+        del self.cols[self.max_cols :]
+        self.keys = self.keys[: self.max_cols]
+        owners = np.searchsorted(ids, self.keys)
+        if self.cols:
+            at = np.searchsorted(ids, self.ids)
+            added = np.ones(n, dtype=bool)
+            added[at] = False
+            fresh = Z[owners] @ Z[added].T
+            for k, old in enumerate(self.cols):
+                col = np.empty(n)
+                col[at] = old
+                col[added] = fresh[k]
+                self.cols[k] = col
+        self.ids = ids
+        self.slot = np.full(n, -1)
+        self.slot[owners] = np.arange(owners.size)
+
+    def add(self, Z: np.ndarray, new: np.ndarray) -> None:
+        """Compute the columns of the uncached rows ``new``, all in one
+        product."""
+        self.slot[new] = np.arange(len(self.cols), len(self.cols) + new.size)
+        self.cols.extend(Z[new] @ Z.T)
+        self.keys = np.append(self.keys, self.ids[new])
+
+
 def _subgradient_descent(
     X, y, cfg: TrainConfig, counts: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """Full-batch subgradient descent on the regularized hinge objective
-    (``hinge_objective``).
+    (``hinge_objective``), with a Gram cache of its own (``_replay`` does
+    the work; ``train_detector`` keeps one cache across its rounds).
 
     Deterministic: fixed iteration count, step 1/(reg_lambda * t), start at
     zero.  The bias rides along as a constant feature so it shares the
@@ -192,26 +248,34 @@ def _subgradient_descent(
     counts the steps at which row i violated the margin (the Pegasos
     iterate without its projection).  So the trajectory is replayed from
     the counts: with ``u = Z @ Z.T @ c``, row i violates at step t exactly
-    when ``u[i] < HINGE_MARGIN * reg_lambda * n * (t - 1)``.  A step with
-    few violators adds their Gram columns ``Z @ z_j`` to ``u`` (each
-    computed once, at most ``GRAM_CACHE_FLOATS`` floats in all), a step
-    with many recomputes ``u``, and steps without a violator are skipped.
-    The violators, and so the iterates, are those of the step-by-step loop
-    up to float rounding.
+    when ``u[i] < HINGE_MARGIN * reg_lambda * n * (t - 1)``.  A step adds
+    its violators' Gram columns ``Z @ z_j`` to ``u``, computing those not
+    yet cached in one block; a step with many violators, or whose new
+    columns would pass the ``GRAM_CACHE_FLOATS`` bound, recomputes ``u``
+    instead, and steps without a violator are skipped.  The violators, and
+    so the iterates, are those of the step-by-step loop up to float
+    rounding.
 
     ``counts``, when given (length n), receives the final counts ``c``.
     """
     n = X.shape[0]
-    lam, T = cfg.reg_lambda, cfg.iterations
     Z = y[:, None] * np.hstack([X, np.ones((n, 1))])
-    D = Z.shape[1]
+    gram = _GramCache()
+    gram.select(Z, np.arange(n))
+    return _replay(Z, gram, cfg, counts)
+
+
+def _replay(
+    Z: np.ndarray, gram: _GramCache, cfg: TrainConfig, counts: np.ndarray | None
+) -> tuple[np.ndarray, float]:
+    """``_subgradient_descent`` on the rows ``Z``, using and extending the
+    columns of ``gram``, whose current rows they are."""
+    slot, cols = gram.slot, gram.cols
+    n, D = Z.shape
+    lam, T = cfg.reg_lambda, cfg.iterations
     c = np.ones(n)  # at w = 0 every row violates
     u = Z @ (Z.T @ c)
     scale = HINGE_MARGIN * lam * n
-    max_cols = min(n, GRAM_CACHE_FLOATS // n)
-    gram = np.empty((0, n))  # gram[slot[j]] = Z @ z_j
-    slot = np.full(n, -1)
-    cached = 0
     t = 2
     while t <= T:
         thr = scale * (t - 1)
@@ -223,22 +287,20 @@ def _subgradient_descent(
         c[viol] += 1.0
         rows = slot[viol]
         new = viol[rows < 0]
-        # Cached columns cost n flops each and new ones n * D, against
-        # 2 * n * D for recomputing u.
-        if viol.size + new.size * D < 2 * D and cached + new.size <= max_cols:
+        # A cached column costs n flops, a block of new ones about one pass
+        # over Z (n * D: one product streams Z once) and recomputing u two.
+        cost = viol.size + (D if new.size else 0)
+        if cost < 2 * D and len(cols) + new.size <= gram.max_cols:
             if new.size:
-                if cached + new.size > gram.shape[0]:
-                    grown = np.empty((min(max_cols, 2 * (cached + new.size)), n))
-                    grown[:cached] = gram[:cached]
-                    gram = grown
-                gram[cached : cached + new.size] = Z[new] @ Z.T
-                slot[new] = np.arange(cached, cached + new.size)
-                cached += new.size
+                gram.add(Z, new)
                 rows = slot[viol]
-            if rows.size == 1:  # the common case; a row view needs no sum
-                u += gram[rows[0]]
-            else:
-                u += gram[rows].sum(axis=0)
+            if rows.size == 1:  # the common case
+                u += cols[rows[0]]
+            else:  # summed in row order, as an axis-0 sum would
+                total = cols[rows[0]] + cols[rows[1]]
+                for r in rows[2:].tolist():
+                    total += cols[r]
+                u += total
         else:
             u = Z @ (Z.T @ c)
         t += 1
@@ -261,15 +323,20 @@ def train_detector(
     Each round trains on the positives plus the current negative cache,
     scores the full negative pool, and adds margin violators (score above
     -1) to the cache; mining stops when a round adds nothing new or after
-    ``cfg.max_hard_rounds`` rounds.
+    ``cfg.max_hard_rounds`` rounds.  The rounds share one Gram cache
+    (``_GramCache``), which lives for the call: the columns of one round
+    are carried into the next, so a round computes only their entries for
+    its added rows, plus the columns of its new violators in blocks.
 
     ``record``, when given, receives one dict per round with the weights,
-    bias and cache indices of that round and the trainer's violation
-    counts over its rows (positives, then cache), used by diagnostics and
-    tests.  With ``T = cfg.iterations`` and n rows, ``alpha = counts / (T
-    * n)`` is dual feasible (``0 <= alpha <= 1/n``) and gives the round's
-    (weights, bias) as ``Z.T @ alpha / reg_lambda`` (see
-    ``_subgradient_descent``), so ``sum(alpha) - reg_lambda / 2 *
+    bias and cache indices of that round, the trainer's violation counts
+    over its rows (positives, then cache), and ``new``, the number of pool
+    violators outside the cache after the round: 0 when mining ended
+    because nothing new violated, and positive when it stopped at
+    ``cfg.max_hard_rounds``.  With ``T = cfg.iterations`` and n rows,
+    ``alpha = counts / (T * n)`` is dual feasible (``0 <= alpha <= 1/n``)
+    and gives the round's (weights, bias) as ``Z.T @ alpha / reg_lambda``
+    (see ``_subgradient_descent``), so ``sum(alpha) - reg_lambda / 2 *
     (|w|^2 + b^2)`` is a lower bound on the round's optimal
     ``hinge_objective``.
     """
@@ -280,20 +347,34 @@ def train_detector(
             f"positive dim {P.shape[1]} != negative dim {N.shape[1]}"
         )
 
+    p, dim = P.shape
+    gram = _GramCache()
     cache = np.arange(min(N.shape[0], INITIAL_NEG_CACHE))
-    w, b = np.zeros(P.shape[1]), 0.0
+    w, b = np.zeros(dim), 0.0
     for _ in range(cfg.max_hard_rounds):
-        X = np.vstack([P, N[cache]])
-        y = np.concatenate([np.ones(P.shape[0]), -np.ones(cache.shape[0])])
-        counts = None if record is None else np.empty(len(y), dtype=np.int64)
-        w, b = _subgradient_descent(X, y, cfg, counts)
+        # Z = y * [X, 1] of the round, built in place: negation and the
+        # constant column are exact, so these are the product's bits.
+        Z = np.empty((p + cache.size, dim + 1))
+        Z[:p, :dim] = P
+        np.negative(N[cache], out=Z[p:, :dim])
+        Z[:p, dim] = 1.0
+        Z[p:, dim] = -1.0
+        gram.select(Z, np.concatenate([np.arange(p), p + cache]))
+        counts = None if record is None else np.empty(Z.shape[0], dtype=np.int64)
+        w, b = _replay(Z, gram, cfg, counts)
+        del Z  # freed before the next round builds its rows
+        violators = np.flatnonzero(N @ w + b > -HINGE_MARGIN)
+        new = np.setdiff1d(violators, cache, assume_unique=False)
         if record is not None:
             record.append(
-                {"weights": w.copy(), "bias": b, "cache": cache.copy(), "counts": counts}
+                {
+                    "weights": w.copy(),
+                    "bias": b,
+                    "cache": cache.copy(),
+                    "counts": counts,
+                    "new": int(new.size),
+                }
             )
-        pool_scores = N @ w + b
-        violators = np.flatnonzero(pool_scores > -HINGE_MARGIN)
-        new = np.setdiff1d(violators, cache, assume_unique=False)
         if new.size == 0:
             break
         cache = np.union1d(cache, new)
@@ -327,11 +408,12 @@ def rank_key(d: Detection):
 
 
 def greedy_nms(dets: list[Detection], overlap_thresh: float) -> list[Detection]:
-    """Greedy non-maximum suppression.
+    """Greedy non-maximum suppression over the detections of one image and
+    one class; input that mixes image ids or classes is a ``DataError``.
 
     Repeatedly keeps the highest-scoring remaining detection and drops every
     remaining one whose IoU with it exceeds ``overlap_thresh``.  Ties break
-    by image id, then box coordinates, so output order is reproducible.
+    by box coordinates (``rank_key``), so output order is reproducible.
 
     IoUs come from ``pairwise_iou`` in blocks of ``NMS_BLOCK_ROWS`` ranked
     detections against all later ones, so a call on n detections holds a
@@ -341,9 +423,11 @@ def greedy_nms(dets: list[Detection], overlap_thresh: float) -> list[Detection]:
     """
     if not 0.0 <= overlap_thresh <= 1.0:
         raise DataError("overlap threshold must be in [0, 1]")
-    classes = {d.class_id for d in dets}
-    if len(classes) > 1:
-        raise DataError(f"NMS input mixes classes: {sorted(classes)}")
+    groups = {(d.image_id, d.class_id) for d in dets}
+    if len(groups) > 1:
+        images, classes = (sorted(set(ids)) for ids in zip(*groups))
+        what, ids = ("classes", classes) if len(classes) > 1 else ("image ids", images)
+        raise DataError(f"NMS input mixes {what}: {ids}")
     if not dets:
         return []
     ranked = sorted(dets, key=rank_key)

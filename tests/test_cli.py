@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from aligndet import cli
+from aligndet import cli, detection, pipeline
 from aligndet.dataio import load_detectors, load_states
 from aligndet.errors import DataError, NumericalError
 
@@ -302,6 +302,51 @@ def test_pipeline_produces_full_artifact_set(tmp_path, fast_config):
         assert "ap" in entry and "similarity_diag" in entry
         assert "n_pos_src" in entry and "n_pos_tgt" in entry
     assert "timing" not in report
+
+
+# 128-dim features and pools of 1,224 negatives per class, past the initial
+# negative cache of 1,024, so the raw-frame trainers mine over several rounds.
+WIDE_CFG = """
+d = 8
+reg_lambda = 0.001
+train_iterations = 200
+synth_dim = 128
+synth_latent = 16
+synth_classes = 2
+synth_samples = 24
+synth_pos_per_image = 2
+synth_neg_per_image = 50
+synth_separation = 20
+"""
+
+
+def test_gram_cache_leaves_pipeline_outputs_unchanged(tmp_path, monkeypatch):
+    # A bound of 0 floats disables the trainer's Gram cache, so every step
+    # recomputes its margins; the cached run must write the same bytes.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(WIDE_CFG)
+    train = pipeline.train_detector
+    shapes = []
+
+    def recorded(pos, neg, cfg, **kwargs):
+        record = []
+        det = train(pos, neg, cfg, record=record, **kwargs)
+        shapes.append((pos.shape[1], len(record)))
+        return det
+
+    monkeypatch.setattr(pipeline, "train_detector", recorded)
+    default = detection.GRAM_CACHE_FLOATS
+    outputs = {}
+    for floats in (0, default):
+        monkeypatch.setattr(detection, "GRAM_CACHE_FLOATS", floats)
+        out = tmp_path / f"run{floats}"
+        assert cli.main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs[floats] = {
+            name: (out / name).read_bytes()
+            for name in ("detectors.f8", "states.f8", "report.json", "detections.csv")
+        }
+    assert max(rounds for dim, rounds in shapes if dim >= 128) >= 2
+    assert outputs[0] == outputs[default]
 
 
 @pytest.mark.parametrize("column, unknown", [(5, "classXX"), (0, "imgXX")])

@@ -15,6 +15,7 @@ from aligndet.detection import (
     hinge_objective,
     iou,
     pairwise_iou,
+    rank_key,
     score_proposals,
     _first_loud_step,
     _subgradient_descent,
@@ -51,9 +52,9 @@ def grid_boxes(draw):
 
 
 def degenerate_detections(rng, n):
-    """``n`` one-class detections, mostly on a coarse grid (duplicates,
-    nested, touching and zero-area boxes) and otherwise random boxes that
-    reach negative coordinates; scores tie often and two image ids mix."""
+    """``n`` detections of one image and class, mostly on a coarse grid
+    (duplicates, nested, touching and zero-area boxes) and otherwise random
+    boxes that reach negative coordinates; scores tie often."""
     out = []
     for _ in range(n):
         if rng.random() < 0.7:
@@ -64,7 +65,7 @@ def degenerate_detections(rng, n):
             w, h = rng.uniform(0, 60, size=2)
         out.append(
             Detection(
-                image_id=f"img{rng.integers(2)}",
+                image_id="img0",
                 box=BBox(x, y, x + w, y + h),
                 class_id="obj",
                 score=float(rng.integers(5)) / 4,
@@ -94,6 +95,24 @@ def hinge_problems(draw):
         if kind == "constant":
             X[:, : draw(st.integers(1, dim))] = rng.normal()
     return X, y
+
+
+@st.composite
+def mining_problems(draw):
+    """(pos, neg, initial cache size) for ``train_detector``: positives on
+    one side, a pool of easy negatives far on the other side with hard ones
+    near the positives at random pool positions, so mining adds rows over
+    several rounds and later additions fall between earlier ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 5))
+    m = draw(st.integers(8, 60))
+    shift = np.zeros(dim)
+    shift[0] = 2.0
+    pos = rng.normal(size=(draw(st.integers(1, 12)), dim)) + shift
+    neg = rng.normal(size=(m, dim)) * 0.5 - 3.0 * shift
+    hard = rng.random(m) < draw(st.floats(0.1, 0.6))
+    neg[hard] = rng.normal(size=(int(hard.sum()), dim)) * draw(st.floats(0.5, 2.0)) + shift
+    return pos, neg, draw(st.integers(1, m // 2))
 
 
 def make_blobs(seed, n=200, center=2.0, spread=0.3):
@@ -261,6 +280,104 @@ class TestTrainDetector:
             dual = alpha.sum() - 0.5 * lam * float(wb @ wb)
             primal = hinge_objective(r["weights"], r["bias"], X, y, lam)
             assert 0.0 < dual <= primal
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        problem=mining_problems(),
+        iterations=st.sampled_from([1, 2, 50]),
+        reg_lambda=st.sampled_from([1e-3, 1e-1, 10.0]),
+        cache_columns=st.sampled_from([None, 0, 1, 3]),
+    )
+    def test_rounds_replay_the_step_by_step_loop(
+        self, problem, iterations, reg_lambda, cache_columns
+    ):
+        # The Gram cache is carried from round to round; every round must
+        # still be the step-by-step loop on its own rows.  Bounds of 0, 1
+        # and 3 columns (of the first round's rows) force recomputes and
+        # drop carried columns once later rounds have more rows.
+        pos, neg, first = problem
+        cfg = TrainConfig(reg_lambda=reg_lambda, iterations=iterations)
+        record = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detection, "INITIAL_NEG_CACHE", first)
+            if cache_columns is not None:
+                mp.setattr(
+                    detection, "GRAM_CACHE_FLOATS", cache_columns * (len(pos) + first)
+                )
+            det = train_detector(pos, neg, cfg, record=record)
+        for r in record:
+            X = np.vstack([pos, neg[r["cache"]]])
+            y = np.concatenate([np.ones(len(pos)), -np.ones(len(r["cache"]))])
+            w0, b0, counts0 = subgradient_loop(X, y, cfg)
+            npt.assert_array_equal(r["counts"], counts0)
+            # The summand tolerance of TestSubgradientDescent.
+            n = len(y)
+            Za = np.abs(np.hstack([X, np.ones((n, 1))]))
+            size = Za.T @ counts0 / (reg_lambda * iterations * n)
+            error = np.abs(np.append(r["weights"], r["bias"]) - np.append(w0, b0))
+            assert np.all(error <= 1e-9 * size), (error, size)
+        for r, later in zip(record, record[1:]):
+            assert r["new"] == len(later["cache"]) - len(r["cache"]) > 0
+        assert record[-1]["new"] == 0 or len(record) == cfg.max_hard_rounds
+        npt.assert_array_equal(det.weights, record[-1]["weights"])
+
+    def test_record_new_counts_violators_left_outside_the_cache(self):
+        # The mining data of test_hard_negative_rounds_reduce_objective.
+        rng = np.random.default_rng(5)
+        pos = rng.normal(size=(100, 3)) + [3.0, 0, 0]
+        easy = rng.normal(size=(1024, 3)) + [-6.0, 0, 0]
+        hard = rng.normal(size=(300, 3)) * 0.5 + [1.0, 0, 0]
+        neg = np.vstack([easy, hard])
+        for rounds in (1, 10):
+            record = []
+            train_detector(pos, neg, TrainConfig(max_hard_rounds=rounds), record=record)
+            last = record[-1]
+            outside = np.setdiff1d(
+                np.flatnonzero(neg @ last["weights"] + last["bias"] > -1.0), last["cache"]
+            )
+            assert last["new"] == outside.size
+            if rounds == 1:  # stopped at the round limit with work left
+                assert len(record) == 1 and last["new"] > 0
+            else:  # stopped because nothing new violated
+                assert len(record) < rounds and last["new"] == 0
+
+
+class TestGramCache:
+    """Columns carried from one round's rows to the next."""
+
+    # Integer rows keep every product exact, so a carried column must equal
+    # the new round's product bit for bit.
+    POOL = np.random.default_rng(3).integers(-4, 5, size=(12, 4)).astype(float)
+    OLD = np.array([0, 2, 3, 7, 9])
+    NEW = np.array([0, 1, 2, 3, 5, 7, 8, 9, 11])  # added rows fall in between
+
+    def carried(self):
+        gram = detection._GramCache()
+        Z = self.POOL[self.OLD]
+        gram.select(Z, self.OLD)
+        gram.add(Z, np.array([4, 1]))  # ids 9 and 2, in one block
+        gram.add(Z, np.array([0]))  # id 0
+        gram.select(self.POOL[self.NEW], self.NEW)
+        return gram
+
+    def test_remapped_columns_equal_the_new_products(self):
+        gram = self.carried()
+        Z = self.POOL[self.NEW]
+        assert gram.keys.tolist() == [9, 2, 0]
+        for k, key in enumerate(gram.keys.tolist()):
+            i = self.NEW.tolist().index(key)
+            assert gram.slot[i] == k
+            npt.assert_array_equal(gram.cols[k], Z @ Z[i])
+        assert np.count_nonzero(gram.slot >= 0) == 3
+
+    def test_remap_drops_the_latest_columns_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(detection, "GRAM_CACHE_FLOATS", 2 * self.NEW.size + 1)
+        gram = self.carried()
+        Z = self.POOL[self.NEW]
+        assert gram.max_cols == 2 and gram.keys.tolist() == [9, 2]
+        assert gram.slot.tolist() == [-1, -1, 1, -1, -1, -1, -1, 0, -1]
+        npt.assert_array_equal(gram.cols[0], Z @ Z[7])
+        npt.assert_array_equal(gram.cols[1], Z @ Z[2])
 
 
 class TestHingeObjective:
@@ -450,7 +567,16 @@ class TestGreedyNms:
             greedy_nms([det_at(0, 1.0)], 1.5)
 
     def test_tie_broken_by_image_then_box(self):
+        # NMS sees one image, so its ties break by box; rank_key, the order
+        # it shares with AP matching, puts the image id first.
         a = det_at(100, 0.5, image_id="img1")
         b = det_at(0, 0.5, image_id="img0")
         c = Detection("img0", BBox(0, 5, 10, 15), "obj", 0.5)
-        assert greedy_nms([a, c, b], 0.9) == [b, c, a]
+        assert greedy_nms([c, b], 0.9) == [b, c]
+        assert sorted([a, c, b], key=rank_key) == [b, c, a]
+
+    def test_mixed_image_ids_rejected(self):
+        # The same box in two images: suppressing one by the other was wrong.
+        a, b = det_at(0, 0.9, image_id="img0"), det_at(0, 0.8, image_id="img1")
+        with pytest.raises(DataError, match="mixes image ids"):
+            greedy_nms([a, b], 0.3)
