@@ -10,6 +10,7 @@ import argparse
 import logging
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -104,17 +105,6 @@ def _synth(cfg: RunConfig, out: Path) -> tuple[Path, Path]:
     )
 
 
-def _evaluate_detections(dets, dataset: Dataset) -> tuple[dict, float | None]:
-    """Per-class AP and their mean; the mean is None when no class has GT."""
-    gts = dataset.ground_truths()
-    per_class = {
-        c: evaluation.average_precision(dets, gts, c) for c in dataset.classes
-    }
-    if all(v is None for v in per_class.values()):
-        return per_class, None
-    return per_class, evaluation.mean_ap(per_class)
-
-
 def _check_detections(path, dets, dataset: Dataset) -> None:
     """Reject detections of a class or image the dataset does not have: AP
     would drop the class or count the image's rows as false positives."""
@@ -153,71 +143,101 @@ def _weak_classes(diag: dict[str, float], ratio: float) -> list[str]:
     return sorted(c for c, v in diag.items() if v < ratio * mean)
 
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    log.info("wrote %s and %s", *_synth(cfg, _outdir(args)))
-    return 0
+@contextmanager
+def _timed(timing: dict[str, float], key: str):
+    """Record the wall time of the block under ``timing[key]``."""
+    t0 = time.perf_counter()
+    yield
+    timing[key] = time.perf_counter() - t0
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    out = _outdir(args)
-    source = dataio.load_dataset(args.source)
-    warnings: list[str] = []
+def _train(source: Dataset, cfg: RunConfig, out: Path, warnings: list[str]):
     detectors = pipeline.train_initial_detectors(source, cfg.adaptation, warnings)
     dataio.save_detectors(out / "detectors.json", detectors, warnings)
     log.info("trained %d detectors", len(detectors))
+    return detectors
+
+
+def _adapt(
+    source: Dataset,
+    target: Dataset,
+    cfg: RunConfig,
+    out: Path,
+    warnings: list[str],
+    detectors=None,
+):
+    """Adapt from ``detectors``, or from detectors trained here when None."""
+    states = pipeline.adapt(
+        source, target, cfg.adaptation, init_detectors=detectors, warnings=warnings
+    )
+    dataio.save_states(out / "states.json", states, warnings)
+    log.info("adapted %d classes (%s mode)", len(states), cfg.adaptation.mode)
+    return states
+
+
+def _detect(dataset: Dataset, states, cfg: RunConfig, out: Path):
+    dets = pipeline.detect(dataset, states, cfg.adaptation)
+    dataio.write_detections_csv(out / "detections.csv", dets)
+    log.info("wrote %d detections", len(dets))
+    return dets
+
+
+def _report(dets, dataset: Dataset, cfg: RunConfig) -> dict:
+    """Per-class AP and their mean, which is None when no class has GT (or
+    the dataset is not fully labeled), with the AP convention and the
+    config echo."""
+    gts = dataset.ground_truths() if dataset.labeled else None
+    per_class = {
+        c: None if gts is None else evaluation.average_precision(dets, gts, c)
+        for c in dataset.classes
+    }
+    defined = any(ap is not None for ap in per_class.values())
+    return {
+        "ap_convention": AP_CONVENTION,
+        "per_class": {c: {"ap": ap} for c, ap in per_class.items()},
+        "mean_ap": evaluation.mean_ap(per_class) if defined else None,
+        "config": config_echo(cfg),
+    }
+
+
+def cmd_synth(args, cfg: RunConfig, out: Path) -> int:
+    log.info("wrote %s and %s", *_synth(cfg, out))
     return 0
 
 
-def cmd_detect(args) -> int:
-    cfg = load_config(args.config)
-    out = _outdir(args)
+def cmd_train(args, cfg: RunConfig, out: Path) -> int:
+    _train(dataio.load_dataset(args.source), cfg, out, [])
+    return 0
+
+
+def cmd_detect(args, cfg: RunConfig, out: Path) -> int:
     dataset = dataio.load_dataset(args.dataset)
     if args.detectors:
         states = pipeline.passthrough_states(dataio.load_detectors(args.detectors))
     else:
         states = dataio.load_states(args.states)
-    dets = pipeline.detect(dataset, states, cfg.adaptation)
-    dataio.write_detections_csv(out / "detections.csv", dets)
-    log.info("wrote %d detections", len(dets))
+    _detect(dataset, states, cfg, out)
     return 0
 
 
-def cmd_adapt(args) -> int:
-    cfg = load_config(args.config)
-    out = _outdir(args)
+def cmd_adapt(args, cfg: RunConfig, out: Path) -> int:
     source = dataio.load_dataset(args.source)
     target = dataio.load_dataset(args.target)
-    warnings: list[str] = []
-    states = pipeline.adapt(source, target, cfg.adaptation, warnings=warnings)
-    dataio.save_states(out / "states.json", states, warnings)
-    log.info("adapted %d classes (%s mode)", len(states), cfg.adaptation.mode)
+    _adapt(source, target, cfg, out, [])
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
-    out = _outdir(args)
+def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     dataset = dataio.load_dataset(args.dataset)
     if not dataset.labeled:
         raise DataError(f"dataset '{dataset.name}' has no ground truth to score")
     dets = dataio.read_detections_csv(args.detections)
     _check_detections(args.detections, dets, dataset)
-    per_class, mean = _evaluate_detections(dets, dataset)
-    report = {
-        "ap_convention": AP_CONVENTION,
-        "per_class": {c: {"ap": ap} for c, ap in per_class.items()},
-        "mean_ap": mean,
-        "config": config_echo(cfg),
-    }
-    (out / "report.json").write_text(canonical_json(report))
+    (out / "report.json").write_text(canonical_json(_report(dets, dataset, cfg)))
     return 0
 
 
-def cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
-    out = _outdir(args)
+def cmd_analyze(args, cfg: RunConfig, out: Path) -> int:
     _write_similarity(out, dataio.load_states(args.states))
     if args.detections:
         scores = [d.score for d in dataio.read_detections_csv(args.detections)]
@@ -225,86 +245,59 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_pipeline(args) -> int:
-    cfg = load_config(args.config)
-    out = _outdir(args)
+def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
+    """The stage functions of ``train``, ``adapt``, ``detect`` and
+    ``evaluate`` in one process, plus the initial-score histograms, the
+    similarity files and the adaptation fields of the report."""
     timing: dict[str, float] = {}
+    with _timed(timing, "data"):
+        manifests = cfg.source_manifest, cfg.target_manifest
+        if any(manifests) and not all(manifests):
+            raise DataError("source_manifest and target_manifest must be set together")
+        if not any(manifests):
+            # Reload from disk so the saved artifacts are exactly what ran.
+            manifests = _synth(cfg, out)
+        source, target = map(dataio.load_dataset, manifests)
 
-    t0 = time.perf_counter()
-    manifests = cfg.source_manifest, cfg.target_manifest
-    if any(manifests) and not all(manifests):
-        raise DataError("source_manifest and target_manifest must be set together")
-    if not any(manifests):
-        # Reload from disk so the saved artifacts are exactly what ran.
-        manifests = _synth(cfg, out)
-    source, target = map(dataio.load_dataset, manifests)
-    timing["data"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     warnings: list[str] = []
-    detectors = pipeline.train_initial_detectors(source, cfg.adaptation, warnings)
-    dataio.save_detectors(out / "detectors.json", detectors, warnings)
-    timing["train_initial"] = time.perf_counter() - t0
+    with _timed(timing, "train_initial"):
+        detectors = _train(source, cfg, out, warnings)
 
-    t0 = time.perf_counter()
-    for name, dataset in (("source", source), ("target", target)):
-        scores = _initial_scores(dataset, detectors)
-        _write_histogram(
-            out, f"histogram_{name}", scores, cfg, f"initial detector scores on {name}"
+    with _timed(timing, "histograms"):
+        for name, dataset in (("source", source), ("target", target)):
+            scores = _initial_scores(dataset, detectors)
+            _write_histogram(
+                out, f"histogram_{name}", scores, cfg, f"initial detector scores on {name}"
+            )
+
+    with _timed(timing, "adapt"):
+        states = _adapt(source, target, cfg, out, warnings, detectors)
+
+    with _timed(timing, "detect"):
+        dets = _detect(target, states, cfg, out)
+
+    with _timed(timing, "evaluate"):
+        report = _report(dets, target, cfg)
+        diag = _write_similarity(out, states)
+        weak = _weak_classes(diag, cfg.weak_ratio)
+        for c, entry in report["per_class"].items():
+            for key in ("n_pos_src", "n_pos_tgt", "downgraded"):
+                entry[key] = getattr(states.get(c), key, None)
+            entry.update(similarity_diag=diag.get(c), weak=c in weak)
+        report.update(
+            mode=cfg.adaptation.mode,
+            weak_classes=weak,
+            downgraded_classes=sorted(c for c, s in states.items() if s.downgraded),
+            pass_through_classes=sorted(
+                c for c, s in states.items() if s.mode == "none"
+            ),
+            warnings=warnings,
         )
-    timing["histograms"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    states = pipeline.adapt(
-        source, target, cfg.adaptation, init_detectors=detectors, warnings=warnings
-    )
-    dataio.save_states(out / "states.json", states, warnings)
-    timing["adapt"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    dets = pipeline.detect(target, states, cfg.adaptation)
-    dataio.write_detections_csv(out / "detections.csv", dets)
-    timing["detect"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    per_class_ap, mean = {}, None
-    if target.labeled:
-        per_class_ap, mean = _evaluate_detections(dets, target)
-
-    diag = _write_similarity(out, states)
-    weak = _weak_classes(diag, cfg.weak_ratio)
-
-    report = {
-        "ap_convention": AP_CONVENTION,
-        "mode": cfg.adaptation.mode,
-        "mean_ap": mean,
-        "per_class": {
-            c: {
-                "ap": per_class_ap.get(c),
-                "n_pos_src": states[c].n_pos_src if c in states else None,
-                "n_pos_tgt": states[c].n_pos_tgt if c in states else None,
-                "similarity_diag": diag.get(c),
-                "downgraded": states[c].downgraded if c in states else None,
-                "weak": c in weak,
-            }
-            for c in target.classes
-        },
-        "weak_classes": weak,
-        "downgraded_classes": sorted(
-            c for c, s in states.items() if s.downgraded
-        ),
-        "pass_through_classes": sorted(
-            c for c, s in states.items() if s.mode == "none"
-        ),
-        "warnings": warnings,
-        "config": config_echo(cfg),
-    }
-    (out / "report.json").write_text(canonical_json(report))
-    timing["evaluate"] = time.perf_counter() - t0
+        (out / "report.json").write_text(canonical_json(report))
     # Timing lives outside report.json so reports stay byte-reproducible.
     (out / "timing.json").write_text(canonical_json(timing))
-    if mean is not None:
-        log.info("mode=%s mean AP = %.4f", cfg.adaptation.mode, mean)
+    if report["mean_ap"] is not None:
+        log.info("mode=%s mean AP = %.4f", cfg.adaptation.mode, report["mean_ap"])
     return 0
 
 
@@ -331,7 +324,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return _COMMANDS[args.command](args)
+        cfg = load_config(args.config)
+        return _COMMANDS[args.command](args, cfg, _outdir(args))
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

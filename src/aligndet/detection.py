@@ -113,7 +113,7 @@ class TrainConfig:
     of hard-negative mining.  From a zero start that step makes each
     iterate a running sum of the rows that violated the margin so far, so
     the trainer replays the step-by-step trajectory exactly from
-    per-row violation counts (see ``_subgradient_descent``).  The Gram
+    per-row violation counts (see ``_replay``).  The Gram
     columns that replay uses live for one ``train_detector`` call: they
     are carried from each mining round to the next and computed in blocks,
     within the ``GRAM_CACHE_FLOATS`` bound.
@@ -154,10 +154,9 @@ class LinearDetector:
 
 def hinge_objective(w, b, X, y, reg_lambda: float) -> float:
     """L2-regularized mean hinge loss at (w, b): the objective that
-    ``_subgradient_descent`` descends, ``0.5 * reg_lambda * (|w|^2 + b^2)``
-    plus the mean of ``max(0, 1 - y * (X @ w + b))``.  The bias is
-    penalized like a weight because the trainer carries it as a constant
-    feature."""
+    ``_replay`` descends, ``0.5 * reg_lambda * (|w|^2 + b^2)`` plus the
+    mean of ``max(0, 1 - y * (X @ w + b))``.  The bias is penalized like a
+    weight because the trainer carries it as a constant feature."""
     margins = y * (X @ w + b)
     hinge = np.maximum(0.0, HINGE_MARGIN - margins)
     return 0.5 * reg_lambda * (float(w @ w) + b * b) + float(hinge.mean())
@@ -231,12 +230,13 @@ class _GramCache:
         self.keys = np.append(self.keys, self.ids[new])
 
 
-def _subgradient_descent(
-    X, y, cfg: TrainConfig, counts: np.ndarray | None = None
+def _replay(
+    Z: np.ndarray, gram: _GramCache, cfg: TrainConfig, counts: np.ndarray | None
 ) -> tuple[np.ndarray, float]:
     """Full-batch subgradient descent on the regularized hinge objective
-    (``hinge_objective``), with a Gram cache of its own (``_replay`` does
-    the work; ``train_detector`` keeps one cache across its rounds).
+    (``hinge_objective``) over the rows ``Z = y * [X, 1]``, using and
+    extending the columns of ``gram``, whose current rows they are
+    (``train_detector`` keeps one cache across its rounds).
 
     Deterministic: fixed iteration count, step 1/(reg_lambda * t), start at
     zero.  The bias rides along as a constant feature so it shares the
@@ -244,32 +244,19 @@ def _subgradient_descent(
     schedule (the first step is huge).
 
     With that step and start, the iterate after step t is the running sum
-    ``Z.T @ c / (reg_lambda * t * n)``, where ``Z = y * [X, 1]`` and ``c[i]``
-    counts the steps at which row i violated the margin (the Pegasos
-    iterate without its projection).  So the trajectory is replayed from
-    the counts: with ``u = Z @ Z.T @ c``, row i violates at step t exactly
-    when ``u[i] < HINGE_MARGIN * reg_lambda * n * (t - 1)``.  A step adds
-    its violators' Gram columns ``Z @ z_j`` to ``u``, computing those not
-    yet cached in one block; a step with many violators, or whose new
-    columns would pass the ``GRAM_CACHE_FLOATS`` bound, recomputes ``u``
-    instead, and steps without a violator are skipped.  The violators, and
-    so the iterates, are those of the step-by-step loop up to float
-    rounding.
+    ``Z.T @ c / (reg_lambda * t * n)``, where ``c[i]`` counts the steps at
+    which row i violated the margin (the Pegasos iterate without its
+    projection).  So the trajectory is replayed from the counts: with
+    ``u = Z @ Z.T @ c``, row i violates at step t exactly when
+    ``u[i] < HINGE_MARGIN * reg_lambda * n * (t - 1)``.  A step adds its
+    violators' Gram columns ``Z @ z_j`` to ``u``, computing those not yet
+    cached in one block; a step with many violators, or whose new columns
+    would pass the ``GRAM_CACHE_FLOATS`` bound, recomputes ``u`` instead,
+    and steps without a violator are skipped.  The violators, and so the
+    iterates, are those of the step-by-step loop up to float rounding.
 
     ``counts``, when given (length n), receives the final counts ``c``.
     """
-    n = X.shape[0]
-    Z = y[:, None] * np.hstack([X, np.ones((n, 1))])
-    gram = _GramCache()
-    gram.select(Z, np.arange(n))
-    return _replay(Z, gram, cfg, counts)
-
-
-def _replay(
-    Z: np.ndarray, gram: _GramCache, cfg: TrainConfig, counts: np.ndarray | None
-) -> tuple[np.ndarray, float]:
-    """``_subgradient_descent`` on the rows ``Z``, using and extending the
-    columns of ``gram``, whose current rows they are."""
     slot, cols = gram.slot, gram.cols
     n, D = Z.shape
     lam, T = cfg.reg_lambda, cfg.iterations
@@ -336,7 +323,7 @@ def train_detector(
     ``cfg.max_hard_rounds``.  With ``T = cfg.iterations`` and n rows,
     ``alpha = counts / (T * n)`` is dual feasible (``0 <= alpha <= 1/n``)
     and gives the round's (weights, bias) as ``Z.T @ alpha / reg_lambda``
-    (see ``_subgradient_descent``), so ``sum(alpha) - reg_lambda / 2 *
+    (see ``_replay``), so ``sum(alpha) - reg_lambda / 2 *
     (|w|^2 + b^2)`` is a lower bound on the round's optimal
     ``hinge_objective``.
     """

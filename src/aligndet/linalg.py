@@ -171,15 +171,13 @@ def pca(
     d: int,
     stats: NormalizationStats | None = None,
     label: str = "",
-    method: str = "auto",
 ) -> Subspace:
     """Top-``d`` PCA subspace of ``X``.
 
     ``X`` is expected to be normalized already (see :func:`normalize`); it is
     centered internally so the decomposition is of the covariance of ``X``.
     The eigendecomposition runs on the D x D covariance when D <= n and on
-    the n x n Gram matrix otherwise; ``method`` ("cov" | "gram") forces one
-    route for cross-checking.
+    the n x n Gram matrix otherwise, whichever is smaller.
 
     Parameters
     ----------
@@ -211,14 +209,8 @@ def pca(
     Xc = A - A.mean(axis=0)
     denom = n - 1
 
-    if method == "auto":
-        method = "cov" if D <= n else "gram"
-    if method == "cov":
-        w, V = np.linalg.eigh((Xc.T @ Xc) / denom)
-    elif method == "gram":
-        w, V = np.linalg.eigh((Xc @ Xc.T) / denom)
-    else:
-        raise DataError(f"unknown pca method '{method}'")
+    cov = D <= n
+    w, V = np.linalg.eigh((Xc.T @ Xc if cov else Xc @ Xc.T) / denom)
     order = np.argsort(w)[::-1]
     w, V = w[order], V[:, order]
 
@@ -230,7 +222,7 @@ def pca(
             "no silent truncation"
         )
 
-    if method == "cov":
+    if cov:
         basis = np.array(V[:, :d])
     else:
         # Gram eigenvector u maps to the covariance eigenvector

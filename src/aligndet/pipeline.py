@@ -297,10 +297,11 @@ def adapt(
     """Run subspace-alignment adaptation from ``source`` to ``target``.
 
     Returns one :class:`ClassAdaptationState` per class that produced an
-    initial detector.  Per-class failures (empty mining, rank trouble)
-    downgrade that class to a pass-through of its initial detector instead
-    of aborting the run; in full-image mode a failure of the global pool
-    downgrades every class.
+    initial detector: ``init_detectors`` when given, even empty, and
+    otherwise the detectors trained here.  Per-class failures (empty
+    mining, rank trouble) downgrade that class to a pass-through of its
+    initial detector instead of aborting the run; in full-image mode a
+    failure of the global pool downgrades every class.
     """
     if source.feature_dim != target.feature_dim:
         raise DataError(
@@ -313,7 +314,9 @@ def adapt(
             f"{source.feature_dim}; no class can form a subspace"
         )
     warnings = warnings if warnings is not None else []
-    init = init_detectors or train_initial_detectors(source, cfg, warnings)
+    init = init_detectors
+    if init is None:
+        init = train_initial_detectors(source, cfg, warnings)
     if cfg.mode == "none":
         return passthrough_states(init)
     shared = None

@@ -304,6 +304,21 @@ def test_pipeline_produces_full_artifact_set(tmp_path, fast_config):
     assert "timing" not in report
 
 
+def test_pipeline_trains_initial_detectors_once(tmp_path):
+    # gamma = 1 mines no source positives, so initial training skips every
+    # class and adaptation receives no detectors; it must not train again.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG + "gamma = 1.0\n")
+    out = tmp_path / "run"
+    assert cli.main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["warnings"] == [
+        f"initial-training: no source positives for class '{c}' at gamma=1.0; "
+        "class skipped"
+        for c in ("class00", "class01")
+    ]
+
+
 # 128-dim features and pools of 1,224 negatives per class, past the initial
 # negative cache of 1,024, so the raw-frame trainers mine over several rounds.
 WIDE_CFG = """
@@ -565,3 +580,38 @@ def test_bad_array_file_is_data_error(
     )
     assert rc == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_stage_commands_reproduce_pipeline(tmp_path, pipeline_run):
+    # train, adapt, detect --states and evaluate, run one by one on the
+    # pipeline's own manifests, write the pipeline's artifacts byte for byte.
+    run, cfg = pipeline_run
+    src, tgt = (str(run / name / "manifest.json") for name in ("source", "target"))
+
+    def stage(command, *args):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), *args]) == 0
+        return out
+
+    trained = stage("train", "--source", src)
+    adapted = stage("adapt", "--source", src, "--target", tgt)
+    states = str(adapted / "states.json")
+    detected = stage("detect", "--dataset", tgt, "--states", states)
+    detections = str(detected / "detections.csv")
+    evaluated = stage("evaluate", "--dataset", tgt, "--detections", detections)
+    for out, name in [
+        (trained, "detectors.json"),
+        (trained, "detectors.f8"),
+        (adapted, "states.json"),
+        (adapted, "states.f8"),
+        (detected, "detections.csv"),
+    ]:
+        assert (out / name).read_bytes() == (run / name).read_bytes(), name
+    full = json.loads((run / "report.json").read_text())
+    assert full["mean_ap"] is not None
+    assert json.loads((evaluated / "report.json").read_text()) == {
+        "ap_convention": full["ap_convention"],
+        "per_class": {c: {"ap": e["ap"]} for c, e in full["per_class"].items()},
+        "mean_ap": full["mean_ap"],
+        "config": full["config"],
+    }

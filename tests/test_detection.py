@@ -18,7 +18,7 @@ from aligndet.detection import (
     rank_key,
     score_proposals,
     _first_loud_step,
-    _subgradient_descent,
+    _replay,
     train_detector,
 )
 from aligndet.errors import DataError
@@ -387,6 +387,16 @@ class TestHingeObjective:
         assert hinge_objective(np.zeros(2), 2.0, X, y, 0.1) == pytest.approx(0.2)
 
 
+def replay(X, y, cfg, counts=None):
+    """The trainer's replay on the rows of ``(X, y)`` with a fresh Gram
+    cache, as one mining round starts it."""
+    n = X.shape[0]
+    Z = y[:, None] * np.hstack([X, np.ones((n, 1))])
+    gram = detection._GramCache()
+    gram.select(Z, np.arange(n))
+    return _replay(Z, gram, cfg, counts)
+
+
 class TestSubgradientDescent:
     """The count replay against the step-by-step loop of ``oracles``."""
 
@@ -407,7 +417,7 @@ class TestSubgradientDescent:
         with pytest.MonkeyPatch.context() as mp:
             if cache_columns is not None:  # small bounds force the recompute
                 mp.setattr(detection, "GRAM_CACHE_FLOATS", cache_columns * len(y))
-            w, b = _subgradient_descent(X, y, cfg, counts)
+            w, b = replay(X, y, cfg, counts)
         npt.assert_array_equal(counts, counts0)
         # Relative to the size of the summands of w = Z.T @ c / (l * T * n):
         # where they cancel to 0, rounding leaves a few ulps of them.
@@ -435,7 +445,7 @@ class TestSubgradientDescent:
         with pytest.MonkeyPatch.context() as mp:
             if cache_columns is not None:
                 mp.setattr(detection, "GRAM_CACHE_FLOATS", cache_columns * len(y))
-            w, b = _subgradient_descent(X, y, cfg, counts)
+            w, b = replay(X, y, cfg, counts)
         npt.assert_array_equal(counts, counts0)
         npt.assert_allclose(np.append(w, b), np.append(w0, b0), rtol=1e-9)
 
@@ -449,7 +459,7 @@ class TestSubgradientDescent:
         cfg = TrainConfig(reg_lambda=2.0, iterations=iterations)
         _, _, counts0 = subgradient_loop(X, y, cfg)
         counts = np.empty(2, dtype=np.int64)
-        _subgradient_descent(X, y, cfg, counts)
+        replay(X, y, cfg, counts)
         assert counts.tolist() == counts0.tolist() == expected
 
     @settings(max_examples=300, deadline=None)

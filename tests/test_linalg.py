@@ -123,16 +123,6 @@ class TestPca:
             with pytest.raises(DataError, match="out of range"):
                 pca(X, d)
 
-    def test_cov_and_gram_paths_agree(self):
-        rng = np.random.default_rng(3)
-        for n, D in [(50, 8), (9, 20), (30, 30)]:
-            X = rng.normal(size=(n, D))
-            d = min(n - 1, D, 5)
-            a = pca(X, d, method="cov")
-            b = pca(X, d, method="gram")
-            npt.assert_allclose(a.basis, b.basis, atol=1e-8)
-            npt.assert_allclose(a.eigenvalues, b.eigenvalues, atol=1e-8)
-
     def test_sign_rule_largest_entry_nonnegative(self):
         rng = np.random.default_rng(11)
         sub = pca(rng.normal(size=(40, 6)), 4)
@@ -168,6 +158,20 @@ class TestPca:
                         top = V[:, np.argsort(w)[::-1][:d]]
                         cos = principal_angle_cosines(sub.basis, top)
                         assert np.all(cos > 1 - 1e-8)
+        # Covariance route (D <= n) and Gram route (D > n): the eigenvalues
+        # and the sign-fixed basis themselves, not only the span.
+        rng = np.random.default_rng(3)
+        for n, D in [(50, 8), (9, 20), (30, 30)]:
+            X = rng.normal(size=(n, D))
+            d = min(n - 1, D, 5)
+            sub = pca(X, d)
+            Xc = X - X.mean(axis=0)
+            w, V = np.linalg.eigh(Xc.T @ Xc / (n - 1))
+            order = np.argsort(w)[::-1][:d]
+            top = V[:, order]
+            top *= np.where(top[np.argmax(np.abs(top), axis=0), range(d)] < 0, -1, 1)
+            npt.assert_allclose(sub.basis, top, atol=1e-8)
+            npt.assert_allclose(sub.eigenvalues, w[order], atol=1e-8)
 
     def test_deterministic(self):
         X = np.random.default_rng(9).normal(size=(30, 6))
