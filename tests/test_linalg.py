@@ -158,8 +158,10 @@ class TestPca:
                         top = V[:, np.argsort(w)[::-1][:d]]
                         cos = principal_angle_cosines(sub.basis, top)
                         assert np.all(cos > 1 - 1e-8)
-        # Covariance route (D <= n) and Gram route (D > n): the eigenvalues
-        # and the sign-fixed basis themselves, not only the span.
+
+    def test_cov_and_gram_paths_agree(self):
+        # Covariance route (D <= n) and Gram route (D > n) both reproduce the
+        # eigenvalues and sign-fixed basis of the explicit covariance eigh.
         rng = np.random.default_rng(3)
         for n, D in [(50, 8), (9, 20), (30, 30)]:
             X = rng.normal(size=(n, D))
