@@ -411,6 +411,13 @@ class SynthShiftSpec:
         )
         if any(c < 1 for c in counts):
             raise DataError("all synthetic counts must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
+        for name in ("class_separation", "rotation_budget", "noise_scale",
+                     "mean_drift", "target_spread"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
         if self.noise_scale < 0 or self.rotation_budget < 0 or self.mean_drift < 0:
             raise DataError("scales and budgets must be nonnegative")
         if self.target_spread <= 0:
@@ -595,6 +602,8 @@ class RunConfig:
         # Checked here, not first by the histogram, so that a bad layout
         # fails before any command trains or writes anything.
         check_histogram_layout(self.hist_bins, self.hist_lo, self.hist_hi)
+        if not (math.isfinite(self.weak_ratio) and self.weak_ratio >= 0):
+            raise DataError(f"weak_ratio must be finite and >= 0, got {self.weak_ratio}")
 
 
 def _parse_corrupt(text: str) -> tuple[int, ...]:
@@ -649,10 +658,12 @@ _CONFIG_KEYS = {
 def load_config(path=None) -> RunConfig:
     """Parse a flat key=value config file; ``None`` yields all defaults.
 
-    Lines starting with '#' and blank lines are ignored; unknown keys are
-    rejected so typos cannot silently fall back to defaults.
+    Lines starting with '#' and blank lines are ignored; unknown keys, and
+    keys set twice, are rejected so typos cannot silently fall back to
+    defaults or be overridden.
     """
     sections: dict[str, dict] = defaultdict(dict)
+    set_on: dict[str, int] = {}  # key -> line that set it
     if path is not None:
         path = Path(path)
         if not path.is_file():
@@ -667,6 +678,11 @@ def load_config(path=None) -> RunConfig:
             key, raw = key.strip(), raw.strip()
             if key not in _CONFIG_KEYS:
                 raise DataError(f"{path}:{lineno}: unknown config key '{key}'")
+            if key in set_on:
+                raise DataError(
+                    f"{path}:{lineno}: config key '{key}' already set on line {set_on[key]}"
+                )
+            set_on[key] = lineno
             section, name, parse = _CONFIG_KEYS[key]
             try:
                 value = parse(raw)
@@ -746,6 +762,15 @@ def _detector_from_dict(d: dict) -> LinearDetector:
     )
 
 
+def _by_class(entries: dict) -> dict:
+    """``entries`` (detectors or states), when each one's ``class_id`` is
+    the key it is stored under."""
+    for key, entry in entries.items():
+        if entry.class_id != key:
+            raise DataError(f"entry '{key}' holds class_id '{entry.class_id}'")
+    return entries
+
+
 def save_detectors(path, detectors: dict[str, LinearDetector], warnings=None) -> None:
     bundle = {
         "detectors": {c: _detector_to_dict(det) for c, det in detectors.items()},
@@ -758,7 +783,7 @@ def load_detectors(path) -> dict[str, LinearDetector]:
     return _load_bundle(
         path,
         "detector bundle",
-        lambda b: {c: _detector_from_dict(d) for c, d in b["detectors"].items()},
+        lambda b: _by_class({c: _detector_from_dict(d) for c, d in b["detectors"].items()}),
     )
 
 
@@ -811,7 +836,7 @@ def _states_from_bundle(bundle: dict) -> dict[str, ClassAdaptationState]:
             raise DataError(f"state names unknown subspace '{label}'")
         return subspaces[label]
 
-    return {
+    return _by_class({
         c: ClassAdaptationState(
             class_id=d["class_id"],
             mode=d["mode"],
@@ -824,7 +849,7 @@ def _states_from_bundle(bundle: dict) -> dict[str, ClassAdaptationState]:
             note=d["note"],
         )
         for c, d in entries.items()
-    }
+    })
 
 
 def load_states(path) -> dict[str, ClassAdaptationState]:

@@ -112,11 +112,12 @@ class TrainConfig:
     ``iterations`` steps, repeated over at most ``max_hard_rounds`` rounds
     of hard-negative mining.  From a zero start that step makes each
     iterate a running sum of the rows that violated the margin so far, so
-    the trainer replays the step-by-step trajectory exactly from
-    per-row violation counts (see ``_replay``).  The Gram
-    columns that replay uses live for one ``train_detector`` call: they
-    are carried from each mining round to the next and computed in blocks,
-    within the ``GRAM_CACHE_FLOATS`` bound.
+    the trainer replays the step-by-step trajectory exactly from per-row
+    violation counts (see ``_replay``).  The Gram columns that replay uses
+    live for one ``train_detector`` call and are computed in blocks, within
+    the ``GRAM_CACHE_FLOATS`` bound.  Mining appends to the negative cache,
+    so a column carried into the next round gains only the entries of the
+    appended rows.
     """
 
     reg_lambda: float = 0.01
@@ -183,56 +184,43 @@ class _GramCache:
     """Gram columns ``Z @ z_j`` of the rows ``Z`` of a hinge problem, kept
     across the rounds of one ``train_detector`` call.
 
-    ``select(Z, ids)`` makes ``Z`` the current rows; ``ids`` names each row
-    (increasing) and contains every id of the previous round.  Columns are
-    keyed by row id, so a round's columns are carried into the next: their
-    entries move to the new row positions and only the entries of the
-    added rows are computed, in one product.  ``slot[i]`` is the index in
-    ``cols`` of the column of row i, or -1.  For n rows at most
-    ``min(n, GRAM_CACHE_FLOATS // n)`` columns are kept; a round with a
-    lower bound drops the latest ones.  Each column is its own array, so
-    adding columns copies none and a round replaces them one at a time.
+    Each round's rows are the previous round's, in the same positions, then
+    the appended ones.  ``extend(Z)`` makes ``Z`` the current rows: each
+    carried column gains only the entries of the appended rows, all from
+    one product.  ``slot[i]`` is the index in ``cols`` of the column of row
+    i, or -1.  For n rows at most ``min(n, GRAM_CACHE_FLOATS // n)`` columns
+    are kept; a round with a lower bound drops the latest ones.  Each column
+    is its own array, so adding columns copies none and a round replaces
+    them one at a time.
     """
 
     def __init__(self):
-        self.ids = np.empty(0, dtype=np.intp)
-        self.keys = np.empty(0, dtype=np.intp)  # row id of each column
         self.cols: list[np.ndarray] = []
         self.slot = np.empty(0, dtype=np.intp)
         self.max_cols = 0
 
-    def select(self, Z: np.ndarray, ids: np.ndarray) -> None:
+    def extend(self, Z: np.ndarray) -> None:
         """Make ``Z`` the current rows, carrying the kept columns."""
-        n = ids.size
+        n, old = Z.shape[0], self.slot.size
         self.max_cols = min(n, GRAM_CACHE_FLOATS // n)
         del self.cols[self.max_cols :]
-        self.keys = self.keys[: self.max_cols]
-        owners = np.searchsorted(ids, self.keys)
-        if self.cols:
-            at = np.searchsorted(ids, self.ids)
-            added = np.ones(n, dtype=bool)
-            added[at] = False
-            fresh = Z[owners] @ Z[added].T
-            for k, old in enumerate(self.cols):
-                col = np.empty(n)
-                col[at] = old
-                col[added] = fresh[k]
-                self.cols[k] = col
-        self.ids = ids
-        self.slot = np.full(n, -1)
-        self.slot[owners] = np.arange(owners.size)
+        self.slot = np.append(self.slot, np.full(n - old, -1))
+        self.slot[self.slot >= self.max_cols] = -1
+        owners = np.flatnonzero(self.slot >= 0)
+        fresh = Z[owners] @ Z[old:].T
+        for k, entries in zip(self.slot[owners].tolist(), fresh):
+            self.cols[k] = np.concatenate((self.cols[k], entries))
 
     def add(self, Z: np.ndarray, new: np.ndarray) -> None:
         """Compute the columns of the uncached rows ``new``, all in one
         product."""
         self.slot[new] = np.arange(len(self.cols), len(self.cols) + new.size)
         self.cols.extend(Z[new] @ Z.T)
-        self.keys = np.append(self.keys, self.ids[new])
 
 
 def _replay(
-    Z: np.ndarray, gram: _GramCache, cfg: TrainConfig, counts: np.ndarray | None
-) -> tuple[np.ndarray, float]:
+    Z: np.ndarray, gram: _GramCache, cfg: TrainConfig
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Full-batch subgradient descent on the regularized hinge objective
     (``hinge_objective``) over the rows ``Z = y * [X, 1]``, using and
     extending the columns of ``gram``, whose current rows they are
@@ -255,7 +243,7 @@ def _replay(
     and steps without a violator are skipped.  The violators, and so the
     iterates, are those of the step-by-step loop up to float rounding.
 
-    ``counts``, when given (length n), receives the final counts ``c``.
+    Returns the weights, the bias and the final counts ``c`` as int64.
     """
     slot, cols = gram.slot, gram.cols
     n, D = Z.shape
@@ -291,10 +279,8 @@ def _replay(
         else:
             u = Z @ (Z.T @ c)
         t += 1
-    if counts is not None:
-        counts[:] = c
     w = (Z.T @ c) / (lam * T * n)
-    return w[:-1], float(w[-1])
+    return w[:-1], float(w[-1]), c.astype(np.int64)
 
 
 def train_detector(
@@ -308,18 +294,20 @@ def train_detector(
     """Train a linear detector with hard-negative mining.
 
     Each round trains on the positives plus the current negative cache,
-    scores the full negative pool, and adds margin violators (score above
-    -1) to the cache; mining stops when a round adds nothing new or after
-    ``cfg.max_hard_rounds`` rounds.  The rounds share one Gram cache
-    (``_GramCache``), which lives for the call: the columns of one round
-    are carried into the next, so a round computes only their entries for
-    its added rows, plus the columns of its new violators in blocks.
+    scores the full negative pool, and appends the margin violators (score
+    above -1) that are new to the cache, in ascending pool order; mining
+    stops when a round adds nothing new or after ``cfg.max_hard_rounds``
+    rounds.  The rounds share one Gram cache (``_GramCache``), which lives
+    for the call: earlier rows keep their positions, so a column carried
+    into the next round gains only the entries of the appended rows, and
+    the columns of new violators are computed in blocks.
 
     ``record``, when given, receives one dict per round with the weights,
-    bias and cache indices of that round, the trainer's violation counts
-    over its rows (positives, then cache), and ``new``, the number of pool
-    violators outside the cache after the round: 0 when mining ended
-    because nothing new violated, and positive when it stopped at
+    bias and cache indices of that round (the initial cache, then each
+    earlier round's additions in ascending order), the trainer's violation
+    counts over its rows (positives, then cache), and ``new``, the number
+    of pool violators outside the cache after the round: 0 when mining
+    ended because nothing new violated, and positive when it stopped at
     ``cfg.max_hard_rounds``.  With ``T = cfg.iterations`` and n rows,
     ``alpha = counts / (T * n)`` is dual feasible (``0 <= alpha <= 1/n``)
     and gives the round's (weights, bias) as ``Z.T @ alpha / reg_lambda``
@@ -346,25 +334,24 @@ def train_detector(
         np.negative(N[cache], out=Z[p:, :dim])
         Z[:p, dim] = 1.0
         Z[p:, dim] = -1.0
-        gram.select(Z, np.concatenate([np.arange(p), p + cache]))
-        counts = None if record is None else np.empty(Z.shape[0], dtype=np.int64)
-        w, b = _replay(Z, gram, cfg, counts)
+        gram.extend(Z)
+        w, b, counts = _replay(Z, gram, cfg)
         del Z  # freed before the next round builds its rows
         violators = np.flatnonzero(N @ w + b > -HINGE_MARGIN)
-        new = np.setdiff1d(violators, cache, assume_unique=False)
+        new = np.setdiff1d(violators, cache)  # ascending
         if record is not None:
             record.append(
                 {
                     "weights": w.copy(),
                     "bias": b,
-                    "cache": cache.copy(),
+                    "cache": cache,
                     "counts": counts,
                     "new": int(new.size),
                 }
             )
         if new.size == 0:
             break
-        cache = np.union1d(cache, new)
+        cache = np.concatenate((cache, new))
     return LinearDetector(class_id=class_id, weights=w, bias=b, frame=frame)
 
 

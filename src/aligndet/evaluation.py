@@ -19,8 +19,9 @@ def _match_detections(
     gts: list[GroundTruth],
     class_id: str,
     iou_thresh: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Greedy TP/FP assignment for one class.
+) -> tuple[np.ndarray, int]:
+    """Greedy TP assignment for one class: 1.0 for each detection that is a
+    true positive, 0.0 for a false one, and the number of ground truths.
 
     Detections are visited in ``rank_key`` order, the order of NMS; each
     matches the highest-IoU still-unmatched ground truth of its image when
@@ -33,7 +34,6 @@ def _match_detections(
         unmatched.setdefault(g.image_id, []).append(g)
 
     tp = np.zeros(len(det_c))
-    fp = np.zeros(len(det_c))
     for i, det in enumerate(det_c):
         pool = unmatched.get(det.image_id, [])
         best_iou, best_j = 0.0, -1
@@ -44,9 +44,7 @@ def _match_detections(
         if best_j >= 0 and best_iou >= iou_thresh:
             tp[i] = 1.0
             pool.pop(best_j)
-        else:
-            fp[i] = 1.0
-    return tp, fp, len(gt_c)
+    return tp, len(gt_c)
 
 
 def average_precision(
@@ -61,19 +59,18 @@ def average_precision(
     nonincreasing and integrated over recall.  Returns None (undefined, not
     zero) when the class has no ground-truth boxes.
     """
-    tp, fp, n_gt = _match_detections(dets, gts, class_id, iou_thresh)
+    tp, n_gt = _match_detections(dets, gts, class_id, iou_thresh)
     if n_gt == 0:
         return None
     if len(tp) == 0:
         return 0.0
-    ctp, cfp = np.cumsum(tp), np.cumsum(fp)
+    ctp = np.cumsum(tp)
     recall = ctp / n_gt
-    precision = ctp / (ctp + cfp)
+    precision = ctp / np.arange(1, len(tp) + 1)  # the exact rank
 
     mrec = np.concatenate([[0.0], recall, [1.0]])
     mpre = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
 
 

@@ -91,6 +91,11 @@ class ClassAdaptationState:
     note: str = ""
 
     def __post_init__(self):
+        if self.adapted_detector.class_id != self.class_id:
+            raise DataError(
+                f"state '{self.class_id}' holds the detector of class "
+                f"'{self.adapted_detector.class_id}'"
+            )
         if self.mode == "none":
             return
         S, T = self.source_subspace, self.target_subspace

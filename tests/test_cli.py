@@ -86,6 +86,15 @@ def test_bad_config_key_is_data_error(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_negative_seed_is_data_error(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = -1\n")
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_numerical_error_maps_to_exit_3(tmp_path, monkeypatch, fast_config):
     out = tmp_path / "s"
     assert cli.main(["synth", "--config", fast_config, "--out", str(out)]) == 0
@@ -580,6 +589,40 @@ def test_bad_array_file_is_data_error(
     )
     assert rc == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, name", [("--detectors", "detectors"), ("--states", "states")])
+def test_bundle_entry_of_another_class_is_data_error(
+    tmp_path, capsys, pipeline_run, option, name
+):
+    # The entry stored under class00 claims class01; in the state bundle its
+    # detector does too, so only the key it is stored under disagrees.
+    run, cfg = pipeline_run
+    path = tmp_path / f"{name}.json"
+    shutil.copy(run / f"{name}.f8", tmp_path / f"{name}.f8")
+    bundle = json.loads((run / f"{name}.json").read_text())
+    entry = bundle[name]["class00"]
+    entry["class_id"] = "class01"
+    if name == "states":
+        entry["adapted_detector"]["class_id"] = "class01"
+    path.write_text(json.dumps(bundle))
+    rc = cli.main(
+        [
+            "detect",
+            "--config",
+            str(cfg),
+            "--dataset",
+            str(run / "target" / "manifest.json"),
+            option,
+            str(path),
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "entry 'class00' holds class_id 'class01'" in err
 
 
 def test_stage_commands_reproduce_pipeline(tmp_path, pipeline_run):

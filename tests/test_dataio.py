@@ -366,6 +366,11 @@ class TestSynthGenerator:
         with pytest.raises(DataError):
             SynthShiftSpec(corrupt_classes=(9,))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            SynthShiftSpec(seed=-1)
+        assert SynthShiftSpec(seed=0).seed == 0
+
 
 class TestConfig:
     def test_defaults_match_reference_protocol(self):
@@ -418,6 +423,38 @@ class TestConfig:
         p.write_text("gamma = 1.0001\n")
         with pytest.raises(DataError, match="gamma"):
             load_config(p)
+
+    def test_key_set_twice_rejected(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text("d = 3\n# again\nd = 4\n")
+        with pytest.raises(DataError, match=r"bad.cfg:3: config key 'd' already set on line 1"):
+            load_config(p)
+
+    @pytest.mark.parametrize(
+        "key, name",
+        [
+            ("synth_separation", "class_separation"),
+            ("synth_rotation", "rotation_budget"),
+            ("synth_noise", "noise_scale"),
+            ("synth_drift", "mean_drift"),
+            ("synth_spread", "target_spread"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_synth_value_rejected(self, tmp_path, key, name, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"{key} = {value}\n")
+        with pytest.raises(DataError, match=f"{name} must be finite"):
+            load_config(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_weak_ratio_must_be_finite_and_nonnegative(self, tmp_path, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"weak_ratio = {value}\n")
+        with pytest.raises(DataError, match="weak_ratio"):
+            load_config(p)
+        p.write_text("weak_ratio = 0\n")
+        assert load_config(p).weak_ratio == 0.0
 
     def test_relative_manifest_resolved_against_config_dir(self, tmp_path):
         p = tmp_path / "run.cfg"

@@ -101,8 +101,9 @@ def hinge_problems(draw):
 def mining_problems(draw):
     """(pos, neg, initial cache size) for ``train_detector``: positives on
     one side, a pool of easy negatives far on the other side with hard ones
-    near the positives at random pool positions, so mining adds rows over
-    several rounds and later additions fall between earlier ones."""
+    near the positives at random pool positions, so mining appends rows
+    over several rounds and later additions have pool indices below and
+    between earlier ones."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(1, 5))
     m = draw(st.integers(8, 60))
@@ -341,43 +342,62 @@ class TestTrainDetector:
             else:  # stopped because nothing new violated
                 assert len(record) < rounds and last["new"] == 0
 
+    def test_mining_appends_each_rounds_new_rows_to_the_cache(self, monkeypatch):
+        # Hard negatives at random pool positions: the third round adds rows
+        # whose pool indices lie below ones the second round added.
+        rng = np.random.default_rng(7)
+        pos = rng.normal(size=(10, 3)) + [2.0, 0, 0]
+        neg = rng.normal(size=(60, 3)) * 0.5 - [6.0, 0, 0]
+        hard = rng.random(60) < 0.4
+        neg[hard] = rng.normal(size=(int(hard.sum()), 3)) + [2.0, 0, 0]
+        monkeypatch.setattr(detection, "INITIAL_NEG_CACHE", 10)
+        record = []
+        train_detector(pos, neg, TrainConfig(reg_lambda=0.1, iterations=50), record=record)
+        assert len(record) == 3
+        assert record[0]["cache"].tolist() == list(range(10))
+        for r, later in zip(record, record[1:]):
+            head, added = np.split(later["cache"], [len(r["cache"])])
+            npt.assert_array_equal(head, r["cache"])
+            violators = np.flatnonzero(neg @ r["weights"] + r["bias"] > -1.0)
+            npt.assert_array_equal(added, np.setdiff1d(violators, r["cache"]))
+            assert np.all(np.diff(added) > 0)
+        assert np.any(np.diff(record[-1]["cache"]) < 0)
+
 
 class TestGramCache:
-    """Columns carried from one round's rows to the next."""
+    """Columns carried from one round's rows to the next, which appends."""
 
     # Integer rows keep every product exact, so a carried column must equal
     # the new round's product bit for bit.
-    POOL = np.random.default_rng(3).integers(-4, 5, size=(12, 4)).astype(float)
-    OLD = np.array([0, 2, 3, 7, 9])
-    NEW = np.array([0, 1, 2, 3, 5, 7, 8, 9, 11])  # added rows fall in between
+    POOL = np.random.default_rng(3).integers(-4, 5, size=(9, 4)).astype(float)
+    OLD = 5  # the first round's rows; the next round appends 4 more
 
     def carried(self):
         gram = detection._GramCache()
-        Z = self.POOL[self.OLD]
-        gram.select(Z, self.OLD)
-        gram.add(Z, np.array([4, 1]))  # ids 9 and 2, in one block
-        gram.add(Z, np.array([0]))  # id 0
-        gram.select(self.POOL[self.NEW], self.NEW)
+        Z = self.POOL[: self.OLD]
+        gram.extend(Z)
+        gram.add(Z, np.array([4, 1]))  # in one block
+        gram.add(Z, np.array([0]))
+        gram.extend(self.POOL)
         return gram
 
-    def test_remapped_columns_equal_the_new_products(self):
+    def test_carried_columns_equal_the_new_products(self):
         gram = self.carried()
-        Z = self.POOL[self.NEW]
-        assert gram.keys.tolist() == [9, 2, 0]
-        for k, key in enumerate(gram.keys.tolist()):
-            i = self.NEW.tolist().index(key)
-            assert gram.slot[i] == k
-            npt.assert_array_equal(gram.cols[k], Z @ Z[i])
-        assert np.count_nonzero(gram.slot >= 0) == 3
+        Z = self.POOL
+        assert gram.slot.tolist() == [2, 1, -1, -1, 0, -1, -1, -1, -1]
+        for i, k in enumerate(gram.slot.tolist()):
+            if k >= 0:
+                npt.assert_array_equal(gram.cols[k], Z @ Z[i])
+        assert len(gram.cols) == 3
 
-    def test_remap_drops_the_latest_columns_past_the_bound(self, monkeypatch):
-        monkeypatch.setattr(detection, "GRAM_CACHE_FLOATS", 2 * self.NEW.size + 1)
+    def test_extend_drops_the_latest_columns_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(detection, "GRAM_CACHE_FLOATS", 2 * len(self.POOL) + 1)
         gram = self.carried()
-        Z = self.POOL[self.NEW]
-        assert gram.max_cols == 2 and gram.keys.tolist() == [9, 2]
-        assert gram.slot.tolist() == [-1, -1, 1, -1, -1, -1, -1, 0, -1]
-        npt.assert_array_equal(gram.cols[0], Z @ Z[7])
-        npt.assert_array_equal(gram.cols[1], Z @ Z[2])
+        Z = self.POOL
+        assert gram.max_cols == 2 and len(gram.cols) == 2
+        assert gram.slot.tolist() == [-1, 1, -1, -1, 0, -1, -1, -1, -1]
+        npt.assert_array_equal(gram.cols[0], Z @ Z[4])
+        npt.assert_array_equal(gram.cols[1], Z @ Z[1])
 
 
 class TestHingeObjective:
@@ -387,14 +407,14 @@ class TestHingeObjective:
         assert hinge_objective(np.zeros(2), 2.0, X, y, 0.1) == pytest.approx(0.2)
 
 
-def replay(X, y, cfg, counts=None):
+def replay(X, y, cfg):
     """The trainer's replay on the rows of ``(X, y)`` with a fresh Gram
-    cache, as one mining round starts it."""
+    cache, as the first mining round starts it: (weights, bias, counts)."""
     n = X.shape[0]
     Z = y[:, None] * np.hstack([X, np.ones((n, 1))])
     gram = detection._GramCache()
-    gram.select(Z, np.arange(n))
-    return _replay(Z, gram, cfg, counts)
+    gram.extend(Z)
+    return _replay(Z, gram, cfg)
 
 
 class TestSubgradientDescent:
@@ -413,11 +433,11 @@ class TestSubgradientDescent:
         X, y = problem
         cfg = TrainConfig(reg_lambda=reg_lambda, iterations=iterations)
         w0, b0, counts0 = subgradient_loop(X, y, cfg)
-        counts = np.full(len(y), -1, dtype=np.int64)
         with pytest.MonkeyPatch.context() as mp:
             if cache_columns is not None:  # small bounds force the recompute
                 mp.setattr(detection, "GRAM_CACHE_FLOATS", cache_columns * len(y))
-            w, b = replay(X, y, cfg, counts)
+            w, b, counts = replay(X, y, cfg)
+        assert counts.dtype == np.int64
         npt.assert_array_equal(counts, counts0)
         # Relative to the size of the summands of w = Z.T @ c / (l * T * n):
         # where they cancel to 0, rounding leaves a few ulps of them.
@@ -441,11 +461,10 @@ class TestSubgradientDescent:
         y = np.concatenate([np.ones(100), -np.ones(900)])
         cfg = TrainConfig(reg_lambda=1e-3, iterations=3000)
         w0, b0, counts0 = subgradient_loop(X, y, cfg)
-        counts = np.empty(len(y), dtype=np.int64)
         with pytest.MonkeyPatch.context() as mp:
             if cache_columns is not None:
                 mp.setattr(detection, "GRAM_CACHE_FLOATS", cache_columns * len(y))
-            w, b = replay(X, y, cfg, counts)
+            w, b, counts = replay(X, y, cfg)
         npt.assert_array_equal(counts, counts0)
         npt.assert_allclose(np.append(w, b), np.append(w0, b0), rtol=1e-9)
 
@@ -458,8 +477,7 @@ class TestSubgradientDescent:
         X, y = np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]]), np.ones(2)
         cfg = TrainConfig(reg_lambda=2.0, iterations=iterations)
         _, _, counts0 = subgradient_loop(X, y, cfg)
-        counts = np.empty(2, dtype=np.int64)
-        replay(X, y, cfg, counts)
+        _, _, counts = replay(X, y, cfg)
         assert counts.tolist() == counts0.tolist() == expected
 
     @settings(max_examples=300, deadline=None)

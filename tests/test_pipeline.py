@@ -471,6 +471,15 @@ class TestClassAdaptationState:
                 good.source_subspace, good.target_subspace,
             )
 
+    @pytest.mark.parametrize("mode", ["none", "class-specific"])
+    def test_detector_of_another_class_rejected(self, good, mode):
+        det = good.adapted_detector
+        other = LinearDetector(det.class_id + "x", det.weights, det.bias, det.frame)
+        with pytest.raises(DataError, match=f"holds the detector of class '{other.class_id}'"):
+            ClassAdaptationState(
+                good.class_id, mode, other, good.source_subspace, good.target_subspace
+            )
+
 
 class TestEndToEndQuality:
     def test_adaptation_beats_no_adaptation_on_shifted_pair(self):
