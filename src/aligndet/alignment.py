@@ -1,10 +1,11 @@
 """Closed-form alignment of a source subspace to a target subspace, and the
 projection conventions used for training and test data.
 
-Every function works on plain arrays: the alignment map ``M`` is a d x d
-matrix and the aligned source basis ``Xa`` a D x d matrix.  Shapes are
-checked by :func:`linalg.project`; which class a pair belongs to is checked
-by the adaptation state that holds it.
+Every function works on plain arrays: the alignment map ``M`` is d x d, the
+aligned source basis ``Xa`` D x d.  Source data is projected for retraining;
+the test-time projection is folded into the retrained detector instead, so
+proposals are scored raw.  Which class a pair belongs to is checked by the
+adaptation state that holds it.
 """
 
 from __future__ import annotations
@@ -67,10 +68,15 @@ def project_for_training(X_src, Xa) -> np.ndarray:
     return project(X_src, Xa)
 
 
-def project_for_testing(X_tgt, T: Subspace) -> np.ndarray:
-    """Project target data (normalized with T's stats) onto the target basis.
+def project_for_testing(w, b: float, T: Subspace) -> tuple[np.ndarray, float]:
+    """Fold the test-time projection into an aligned-frame detector ``(w, b)``.
 
     Test-time data goes through the target subspace alone, not the aligned
-    basis; the asymmetry is deliberate.
+    basis; the asymmetry is deliberate.  So a raw target row ``x`` scores
+    ``((x - mean) / scale) @ basis @ w + b`` (T's stats and basis), which is
+    ``x @ v + c`` for the returned ``v = basis @ w / scale``, ``c = b - mean @ v``.
     """
-    return project(X_tgt, T.basis)
+    if np.shape(w) != (T.d,):
+        raise DataError(f"detector weights have shape {np.shape(w)}, need ({T.d},)")
+    v = (T.basis @ w) / T.stats.scale
+    return v, float(b - T.stats.mean @ v)

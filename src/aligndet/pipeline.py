@@ -96,23 +96,24 @@ class ClassAdaptationState:
                 f"state '{self.class_id}' holds the detector of class "
                 f"'{self.adapted_detector.class_id}'"
             )
-        if self.mode == "none":
-            return
-        S, T = self.source_subspace, self.target_subspace
-        if S is None or T is None:
-            raise DataError(f"adapted state '{self.class_id}' needs both subspaces")
-        if S.d != T.d:
-            raise DataError("state subspaces disagree on d")
-        tag = S.label.removeprefix("src:")
-        if (S.label, T.label) != (f"src:{tag}", f"tgt:{tag}"):
-            raise DataError(
-                f"subspace provenance {(S.label, T.label)} is not a "
-                "'src:<tag>', 'tgt:<tag>' pair"
-            )
-        if self.adapted_detector.frame != f"aligned:{tag}":
+        frame = "raw"
+        if self.mode != "none":
+            S, T = self.source_subspace, self.target_subspace
+            if S is None or T is None:
+                raise DataError(f"adapted state '{self.class_id}' needs both subspaces")
+            if S.d != T.d:
+                raise DataError("state subspaces disagree on d")
+            tag = S.label.removeprefix("src:")
+            if (S.label, T.label) != (f"src:{tag}", f"tgt:{tag}"):
+                raise DataError(
+                    f"subspace provenance {(S.label, T.label)} is not a "
+                    "'src:<tag>', 'tgt:<tag>' pair"
+                )
+            frame = f"aligned:{tag}"
+        if self.adapted_detector.frame != frame:
             raise DataError(
                 f"detector frame '{self.adapted_detector.frame}' does not "
-                f"match subspaces tagged '{tag}'"
+                f"match the state's frame '{frame}'"
             )
 
 
@@ -182,10 +183,6 @@ def mine_target_positives(
     NMS is deliberately not applied here so the sample count feeding the
     target subspace stays consistent.
     """
-    if init_detector.frame != "raw":
-        raise DataError(
-            f"target mining needs a raw-frame detector, got '{init_detector.frame}'"
-        )
     return _stack_selected(
         target,
         lambda img: score_proposals(init_detector, img.features, frame="raw") >= sigma,
@@ -349,10 +346,10 @@ def detect(
 ) -> list[Detection]:
     """Adapted detection over the target set.
 
-    Per class: target features are normalized with the class's target stats
-    and projected on the target basis (pass-through classes score raw
-    features), thresholded at ``cfg.detect_thresh``, then NMS runs per image.
-    Output order is class, then image, then NMS keep order.
+    Per class, the test-time projection is folded into the detector once
+    (pass-through classes keep theirs); raw features are scored with it,
+    thresholded at ``cfg.detect_thresh``, then NMS runs per image.  Output
+    order is class, then image, then NMS keep order.
     """
     out: list[Detection] = []
     for class_id in target.classes:
@@ -360,23 +357,20 @@ def detect(
         if state is None:
             continue
         det = state.adapted_detector
+        if state.mode != "none":
+            v, c = project_for_testing(det.weights, det.bias, state.target_subspace)
+            det = LinearDetector(class_id, v, c, "raw")
+        if det.weights.shape[0] != target.feature_dim:
+            raise DataError(
+                f"class '{class_id}' scores {det.weights.shape[0]}-dim features, "
+                f"dataset '{target.name}' has {target.feature_dim}"
+            )
         for img in target.images:
-            if state.mode == "none":
-                feats = img.features
-                frame = "raw"
-            else:
-                normalized, _ = normalize(img.features, state.target_subspace.stats)
-                feats = project_for_testing(normalized, state.target_subspace)
-                frame = det.frame
-            scores = score_proposals(det, feats, frame=frame)
+            scores = img.features @ det.weights + det.bias
+            keep = np.flatnonzero(scores >= cfg.detect_thresh)
             picked = [
-                Detection(
-                    image_id=img.image_id,
-                    box=img.boxes[k],
-                    class_id=class_id,
-                    score=float(scores[k]),
-                )
-                for k in np.flatnonzero(scores >= cfg.detect_thresh)
+                Detection(img.image_id, img.boxes[k], class_id, score)
+                for k, score in zip(keep.tolist(), scores[keep].tolist())
             ]
             out.extend(greedy_nms(picked, cfg.nms_thresh))
     return out

@@ -117,6 +117,34 @@ def brute_force_ap(dets, gts, class_id, iou_thresh=0.5):
     return area
 
 
+def project_target(X, T):
+    """The unfolded test-time projection: z-score ``X`` with the target
+    subspace's stats, then project it on the target basis alone."""
+    return ((np.asarray(X, dtype=np.float64) - T.stats.mean) / T.stats.scale) @ T.basis
+
+
+def unfolded_detect(target, states, cfg):
+    """Detection with the test-time projection applied to every image, per
+    (class, image): z-score and project the features of an adapted class,
+    score, threshold, then ``sequential_nms``."""
+    out = []
+    for c in target.classes:
+        if c not in states:
+            continue
+        state, det = states[c], states[c].adapted_detector
+        for img in target.images:
+            feats = img.features
+            if state.mode != "none":
+                feats = project_target(feats, state.target_subspace)
+            scores = feats @ det.weights + det.bias
+            picked = [
+                Detection(img.image_id, img.boxes[k], c, float(scores[k]))
+                for k in np.flatnonzero(scores >= cfg.detect_thresh)
+            ]
+            out.extend(sequential_nms(picked, cfg.nms_thresh))
+    return out
+
+
 def random_orthonormal(rng, ambient, d):
     """Random D x d matrix with orthonormal columns."""
     Q, _ = np.linalg.qr(rng.normal(size=(ambient, d)))

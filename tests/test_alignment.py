@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aligndet.alignment import (
     aligned_source_basis,
@@ -11,13 +13,14 @@ from aligndet.alignment import (
 )
 from aligndet.errors import DataError
 from aligndet.linalg import (
+    NormalizationStats,
     Subspace,
     identity_stats,
     principal_angle_cosines,
     project,
     subspace_similarity,
 )
-from oracles import brute_force_objective, gd_align, random_orthonormal
+from oracles import brute_force_objective, gd_align, project_target, random_orthonormal
 
 
 def make_subspace(basis, label=""):
@@ -188,26 +191,48 @@ class TestProjections:
         two_step = project(X, S.basis) @ M
         npt.assert_allclose(one_step, two_step, atol=1e-10)
 
-    def test_testing_projects_on_target_basis_alone(self):
-        rng = np.random.default_rng(16)
-        _, T = random_pair(16)
-        X = rng.normal(size=(8, 10))
-        npt.assert_array_equal(project_for_testing(X, T), X @ T.basis)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 8)),
+        n=st.integers(1, 20),
+        bias=st.floats(-1e3, 1e3),
+    )
+    def test_testing_projects_on_target_basis_alone(self, seed, shape, n, bias):
+        # The folded detector scores raw rows exactly as the unfolded path
+        # does: z-score with T's stats, project on T's basis, score.
+        D, d = shape[0], min(shape)
+        rng = np.random.default_rng(seed)
+        stats = NormalizationStats(
+            rng.normal(scale=10.0, size=D), np.exp(rng.uniform(-3.0, 3.0, size=D))
+        )
+        T = Subspace(random_orthonormal(rng, D, d), np.ones(d), stats, "tgt:x")
+        w = rng.normal(size=d)
+        X = rng.normal(loc=stats.mean, scale=5.0 * stats.scale, size=(n, D))
+        v, c = project_for_testing(w, bias, T)
+        expected = project_target(X, T) @ w + bias
+        assert np.all(np.abs(X @ v + c - expected) <= 1e-12 * (1.0 + np.abs(expected)))
 
     def test_testing_non_expansive(self):
+        # |basis @ w| = |w| for orthonormal columns, so the folded weights
+        # in normalized units never outgrow the aligned-frame ones.
         rng = np.random.default_rng(17)
-        _, T = random_pair(17)
-        X = rng.normal(size=(12, 10))
-        P = project_for_testing(X, T)
-        assert np.all(np.linalg.norm(P, axis=1) <= np.linalg.norm(X, axis=1) + 1e-12)
+        _, T0 = random_pair(17)
+        stats = NormalizationStats(rng.normal(size=10), rng.uniform(0.1, 5.0, 10))
+        T = Subspace(T0.basis, T0.eigenvalues, stats, T0.label)
+        for _ in range(20):
+            w = rng.normal(size=T.d)
+            v, _ = project_for_testing(w, 0.5, T)
+            assert np.linalg.norm(v * T.stats.scale) <= np.linalg.norm(w) + 1e-12
 
     def test_dim_mismatches(self):
         S, T = random_pair(18)
         Xa = aligned_source_basis(S, solve_alignment(S, T))
         with pytest.raises(DataError):
             project_for_training(np.ones((4, 7)), Xa)
-        with pytest.raises(DataError):
-            project_for_testing(np.ones((4, 7)), T)
+        for w in (np.ones(T.d + 1), np.ones(T.d - 1), np.ones((T.d, 1))):
+            with pytest.raises(DataError, match="detector weights"):
+                project_for_testing(w, 0.0, T)
 
     def test_rejects_non_finite_aligned_basis(self):
         Xa = np.zeros((10, 3))

@@ -257,6 +257,39 @@ def test_detect_with_raw_detectors(tmp_path, fast_config):
     assert (out / "detections.csv").is_file()
 
 
+@pytest.mark.parametrize(
+    "flag, bundle", [("--states", "states.json"), ("--detectors", "detectors.json")]
+)
+def test_detect_with_bundle_of_another_width_is_data_error(
+    tmp_path, capsys, fast_config, flag, bundle
+):
+    narrow = tmp_path / "narrow.cfg"
+    narrow.write_text(FAST_CFG + "synth_dim = 16\nsynth_latent = 6\n")
+    run = tmp_path / "run"
+    assert cli.main(["pipeline", "--config", str(narrow), "--out", str(run)]) == 0
+    assert any(s.mode != "none" for s in load_states(run / "states.json").values())
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", fast_config, "--out", str(data)]) == 0
+    capsys.readouterr()
+    rc = cli.main(
+        [
+            "detect",
+            "--config",
+            fast_config,
+            "--dataset",
+            str(data / "target" / "manifest.json"),
+            flag,
+            str(run / bundle),
+            "--out",
+            str(tmp_path / "det"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "class 'class00' scores 16-dim features" in err
+    assert "has 30" in err
+
+
 def test_adapt_mode_none_flags_pass_through(tmp_path):
     cfg = tmp_path / "none.cfg"
     cfg.write_text(FAST_CFG + "mode = none\n")

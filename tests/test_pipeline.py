@@ -21,7 +21,7 @@ from aligndet.pipeline import (
     train_initial_detectors,
 )
 
-from oracles import sequential_nms
+from oracles import sequential_nms, unfolded_detect
 
 FAST_TRAIN = TrainConfig(reg_lambda=0.001, iterations=800)
 SMALL_SPEC = SynthShiftSpec(samples_per_class=40, n_classes=3)
@@ -397,6 +397,35 @@ class TestDetect:
                 for b in group[i + 1 :]:
                     assert iou(a.box, b.box) <= cfg.nms_thresh
 
+    @pytest.mark.parametrize("mode", ["class-specific", "full-image"])
+    def test_folded_detect_matches_unfolded_path(self, small_pair, mode):
+        src, tgt = small_pair
+        cfg = small_cfg(mode=mode)
+        init = train_initial_detectors(src, cfg)
+        states = adapt(src, tgt, cfg, init_detectors=init)
+        c0 = tgt.classes[0]
+        states[c0] = ClassAdaptationState(c0, "none", init[c0], downgraded=True)
+        assert {s.mode for s in states.values()} == {mode, "none"}
+        folded = detect(tgt, states, cfg)
+        unfolded = unfolded_detect(tgt, states, cfg)
+        assert len(folded) == len(unfolded) > 0
+        assert {d.class_id for d in folded} == set(tgt.classes)
+        for a, b in zip(folded, unfolded):
+            assert (a.image_id, a.box, a.class_id) == (b.image_id, b.box, b.class_id)
+            assert abs(a.score - b.score) <= 1e-12
+
+    def test_detect_normalizes_no_image(self, small_pair, monkeypatch):
+        src, tgt = small_pair
+        cfg = small_cfg()
+        states = adapt(src, tgt, cfg)
+        expected = detect(tgt, states, cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("detect normalized target features")
+
+        monkeypatch.setattr(pipeline, "normalize", refuse)
+        assert detect(tgt, states, cfg) == expected
+
     def test_dense_full_image_matches_sequential_nms(self, monkeypatch):
         spec = SynthShiftSpec(
             samples_per_class=20, n_classes=2, pos_per_image=20, neg_per_image=60
@@ -470,6 +499,10 @@ class TestClassAdaptationState:
                 good.class_id, "class-specific", raw,
                 good.source_subspace, good.target_subspace,
             )
+
+    def test_passthrough_detector_must_be_raw(self, good):
+        with pytest.raises(DataError, match="state's frame 'raw'"):
+            ClassAdaptationState(good.class_id, "none", good.adapted_detector)
 
     @pytest.mark.parametrize("mode", ["none", "class-specific"])
     def test_detector_of_another_class_rejected(self, good, mode):
