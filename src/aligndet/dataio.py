@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset, ImageRecord
+from .datasets import Dataset, ImageRecord, check_id
 from .detection import BBox, Detection, LinearDetector, TrainConfig
 from .errors import DataError, NumericalError
 from .evaluation import check_histogram_layout
@@ -320,11 +320,14 @@ def load_dataset(manifest_path) -> Dataset:
 def _dataset_from_manifest(manifest: dict, base: Path) -> Dataset:
     name, classes = manifest["name"], list(manifest["classes"])
     feature_dim, entries = int(manifest["feature_dim"]), manifest["images"]
+    # Checked before any file is read: a file holding a bad id fails to
+    # parse, and its error would blame the CSV instead of the id.
+    for class_id in classes:
+        check_id("class id", class_id)
     images = []
     for entry in entries:
         image_id = entry.get("image_id")
-        if not image_id:
-            raise DataError("image entry without id")
+        check_id("image id", image_id)
         feat_path = base / entry["feature_file"]
         boxes_path = base / entry["boxes_file"]
         features = read_features(feat_path)

@@ -12,6 +12,19 @@ from .errors import DataError
 from .linalg import ensure_feature_matrix
 
 
+def check_id(kind: str, value) -> None:
+    """Reject an id that the CSV files cannot carry.  Image and class ids
+    are written bare into the comma-separated box, ground-truth and
+    detection files, one record per line, so each must be a non-empty
+    string without ',', '\\n' or '\\r'.  ``kind`` names the id in the
+    ``DataError``."""
+    if not isinstance(value, str) or not value or any(c in value for c in ",\n\r"):
+        raise DataError(
+            f"{kind} {value!r} cannot be written to the CSV files: ids must be "
+            "non-empty strings without ',' or line breaks"
+        )
+
+
 @dataclass(eq=False)
 class ImageRecord:
     """One image's proposals: row i of ``features`` belongs to ``boxes[i]``.
@@ -26,6 +39,7 @@ class ImageRecord:
     gt: list[tuple[str, BBox]] | None = None
 
     def __post_init__(self):
+        check_id("image id", self.image_id)
         self.features = ensure_feature_matrix(
             self.features, f"features[{self.image_id}]"
         )
@@ -51,6 +65,7 @@ class Dataset:
 
     def __post_init__(self):
         for class_id in self.classes:
+            check_id("class id", class_id)
             if self.classes.count(class_id) > 1:
                 raise DataError(f"duplicate class id '{class_id}'")
         seen: set[str] = set()

@@ -3,6 +3,7 @@ classifiers with hard-negative mining, proposal scoring, and greedy NMS."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,9 +16,15 @@ from .linalg import ensure_feature_matrix
 HINGE_MARGIN = 1.0
 # Size of the initial negative cache before any mining round.
 INITIAL_NEG_CACHE = 1024
-# greedy_nms computes IoU rows for at most this many ranked detections at a
-# time, which bounds its memory and lets it skip rows suppressed earlier.
-NMS_BLOCK_ROWS = 256
+# greedy_nms suppresses in tiles of (images, ranked rows, columns) holding at
+# most this many IoUs (256 KiB of float64 per tile array).  Small images of
+# a class share one tile; an image too large for it alone gets row blocks.
+# Measured on the benchmark workloads' NMS inputs and on one image of 2,000
+# boxes: 2**13 to 2**16 are within noise of each other on many small images,
+# while a larger budget computes more wasted IoUs on large images (2**17 is
+# about 2x slower there) and a smaller one pays more block overhead
+# (2**13 is 1.6x slower on 2,000 sparse boxes).
+NMS_TILE_FLOATS = 1 << 15
 # The hinge trainer's Gram cache (_GramCache) holds columns of n floats each
 # up to this many floats in all (16 MiB); past it, a step recomputes its
 # margins instead.
@@ -86,21 +93,38 @@ def iou(a: BBox, b: BBox) -> float:
 
 
 def pairwise_iou(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """IoU of every box row of ``A`` (n x 4) with every box row of ``B``
-    (m x 4), rows in ``BBox.as_tuple`` order, as an n x m matrix.
+    """IoU of every box row of ``A`` (``..., n, 4``) with every box row of
+    ``B`` (``..., m, 4``), rows in ``BBox.as_tuple`` order, as a
+    ``..., n, m`` array; leading dimensions broadcast, so one call serves a
+    stack of images.
 
     Each entry equals ``iou`` of the two boxes exactly: the same float
     operations run in the same order, with 0 where the union is not
-    positive.  Like Python floats, overflow gives inf or nan silently.
+    positive.  Integer coordinates are computed as float64.  The result,
+    two float scratch arrays and one boolean mask are the only full-size
+    allocations; every step writes into them in place.  Like Python
+    floats, overflow gives inf or nan silently.
     """
-    ax0, ay0, ax1, ay1 = (A[:, k, None] for k in range(4))
-    bx0, by0, bx1, by1 = B.T
+    dtype = np.result_type(A, B, 0.0)
+    A, B = np.asarray(A, dtype=dtype), np.asarray(B, dtype=dtype)
+    ax0, ay0, ax1, ay1 = (A[..., :, k, None] for k in range(4))
+    bx0, by0, bx1, by1 = (B[..., None, :, k] for k in range(4))
     with np.errstate(all="ignore"):
-        ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
-        iy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
-        inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-        return np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0.0))
+        inter = np.minimum(ax1, bx1)
+        tmp = np.maximum(ax0, bx0)
+        inter -= tmp
+        out = np.minimum(ay1, by1)
+        np.maximum(ay0, by0, out=tmp)
+        out -= tmp
+        np.maximum(inter, 0.0, out=inter)
+        np.maximum(out, 0.0, out=out)
+        inter *= out
+        union = np.add((ax1 - ax0) * (ay1 - ay0), (bx1 - bx0) * (by1 - by0), out=tmp)
+        union -= inter
+        where = np.less_equal(union, 0.0)
+        np.logical_not(where, out=where)
+        out.fill(0.0)
+        return np.divide(inter, union, out=out, where=where)
 
 
 @dataclass
@@ -382,41 +406,98 @@ def rank_key(d: Detection):
 
 
 def greedy_nms(dets: list[Detection], overlap_thresh: float) -> list[Detection]:
-    """Greedy non-maximum suppression over the detections of one image and
-    one class; input that mixes image ids or classes is a ``DataError``.
+    """Greedy non-maximum suppression over the detections of one class,
+    each image on its own; input that mixes classes is a ``DataError``.
 
-    Repeatedly keeps the highest-scoring remaining detection and drops every
-    remaining one whose IoU with it exceeds ``overlap_thresh``.  Ties break
-    by box coordinates (``rank_key``), so output order is reproducible.
+    Within an image, repeatedly keeps the highest-scoring remaining
+    detection and drops every remaining one whose IoU with it exceeds
+    ``overlap_thresh``; a detection never suppresses one of another image.
+    Images are listed in the order they first appear in ``dets``, and each
+    image's kept detections in ``rank_key`` order (score descending, ties
+    by box), so output order is reproducible.
 
-    IoUs come from ``pairwise_iou`` in blocks of ``NMS_BLOCK_ROWS`` ranked
-    detections against all later ones, so a call on n detections holds a
-    few ``min(n, NMS_BLOCK_ROWS) x n`` float arrays: up to 256 detections
-    that is one n x n matrix (0.3 MB at n = 200).  Rows already suppressed
-    when their block starts are not computed.
+    One call serves a whole class.  Images, largest first, are packed into
+    tiles of ``(images, rows, columns)`` of at most ``NMS_TILE_FLOATS``
+    IoUs, padded to the tile's largest image, and the greedy pass runs
+    over every image of a tile at once (``_suppress``).  An image too
+    large for a tile of its own gets row blocks of its next alive ranked
+    detections against the alive ones that follow, so rows suppressed by
+    earlier blocks get no IoUs.  Beyond its ``(n, 4)`` box arrays, a call
+    holds a few arrays of at most ``NMS_TILE_FLOATS`` entries at a time.
     """
     if not 0.0 <= overlap_thresh <= 1.0:
         raise DataError("overlap threshold must be in [0, 1]")
-    groups = {(d.image_id, d.class_id) for d in dets}
-    if len(groups) > 1:
-        images, classes = (sorted(set(ids)) for ids in zip(*groups))
-        what, ids = ("classes", classes) if len(classes) > 1 else ("image ids", images)
-        raise DataError(f"NMS input mixes {what}: {ids}")
+    classes = {d.class_id for d in dets}
+    if len(classes) > 1:
+        raise DataError(f"NMS input mixes classes: {sorted(classes)}")
     if not dets:
         return []
-    ranked = sorted(dets, key=rank_key)
-    boxes = np.array([d.box.as_tuple() for d in ranked])
-    n = len(ranked)
+    first: dict[str, int] = {}
+    image = np.array([first.setdefault(d.image_id, len(first)) for d in dets])
+    boxes = np.fromiter(
+        itertools.chain.from_iterable(d.box.as_tuple() for d in dets), float, 4 * len(dets)
+    ).reshape(-1, 4)
+    scores = np.fromiter((d.score for d in dets), float, len(dets))
+    # rank_key order within each image, images in order of appearance.
+    order = np.lexsort((*boxes.T[::-1], -scores, image))
+    boxes = boxes[order]
+    sizes = np.bincount(image)
+    starts = np.cumsum(sizes) - sizes
+    keep = np.zeros(len(dets), dtype=bool)
+    # Largest images first, so that the images of a tile differ little in
+    # size and its padding stays small.
+    by_size = np.argsort(-sizes, kind="stable")
+    g = 0
+    while g < by_size.size:
+        m = int(sizes[by_size[g]])
+        if m * m > NMS_TILE_FLOATS:
+            rows = slice(starts[by_size[g]], starts[by_size[g]] + m)
+            keep[rows] = _suppress_blocks(boxes[rows], overlap_thresh)
+            g += 1
+            continue
+        tile_images = by_size[g : g + NMS_TILE_FLOATS // (m * m)]
+        valid = np.arange(m) < sizes[tile_images][:, None]
+        rows = (starts[tile_images][:, None] + np.arange(m))[valid]
+        tile = np.zeros((tile_images.size, m, 4))
+        tile[valid] = boxes[rows]
+        alive = valid.copy()
+        _suppress(pairwise_iou(tile, tile) <= overlap_thresh, alive)
+        keep[rows] = alive[valid]
+        g += tile_images.size
+    return [dets[i] for i in order[keep].tolist()]
+
+
+def _suppress(compatible: np.ndarray, alive: np.ndarray) -> None:
+    """The greedy pass over a tile, for all its images at once: ranked row
+    j of image i, while ``alive[i, j]``, clears ``alive[i, k]`` for every
+    later column k it is not ``compatible`` with.  ``compatible`` is
+    (images, rows, columns) and row j is column j; padding starts dead, so
+    it suppresses nothing."""
+    if alive.shape[0] == 1:  # one image: skip its dead rows instead of masking
+        live, rows = alive[0], compatible[0]
+        for j in range(rows.shape[0]):
+            if live[j]:
+                live[j + 1 :] &= rows[j, j + 1 :]
+        return
+    for j in range(compatible.shape[1]):
+        alive[:, j + 1 :] &= compatible[:, j, j + 1 :] | ~alive[:, j, None]
+
+
+def _suppress_blocks(boxes: np.ndarray, overlap_thresh: float) -> np.ndarray:
+    """Keep mask of one image's ranked ``boxes``, too many for one tile:
+    each block takes the next alive rows, as many as the tile budget
+    allows against every alive column from the first of them on."""
+    n = boxes.shape[0]
     alive = np.ones(n, dtype=bool)
-    for start in range(0, n, NMS_BLOCK_ROWS):
-        stop = min(start + NMS_BLOCK_ROWS, n)
-        if start == 0:  # all rows still alive: slice, don't copy
-            rows, block = range(stop), boxes[:stop]
-        else:  # rows that earlier blocks suppressed need no IoUs
-            rows = (start + np.flatnonzero(alive[start:stop])).tolist()
-            block = boxes[rows]
-        compatible = pairwise_iou(block, boxes[start:]) <= overlap_thresh
-        for k, i in enumerate(rows):
-            if alive[i]:
-                alive[i + 1 :] &= compatible[k, i + 1 - start :]
-    return [d for d, keep in zip(ranked, alive.tolist()) if keep]
+    start = 0
+    while start < n:
+        cols = start + np.flatnonzero(alive[start:])
+        if cols.size == 0:
+            break
+        r = min(max(1, NMS_TILE_FLOATS // cols.size), cols.size)
+        sub = boxes[cols]
+        live = np.ones((1, cols.size), dtype=bool)
+        _suppress((pairwise_iou(sub[:r], sub) <= overlap_thresh)[None], live)
+        alive[cols] = live[0]
+        start = cols[r - 1] + 1
+    return alive

@@ -348,8 +348,9 @@ def detect(
 
     Per class, the test-time projection is folded into the detector once
     (pass-through classes keep theirs); raw features are scored with it,
-    thresholded at ``cfg.detect_thresh``, then NMS runs per image.  Output
-    order is class, then image, then NMS keep order.
+    thresholded at ``cfg.detect_thresh``, and the class's detections over
+    every image go to one ``greedy_nms`` call, which suppresses each image
+    on its own.  Output order is class, then image, then NMS keep order.
     """
     out: list[Detection] = []
     for class_id in target.classes:
@@ -365,12 +366,13 @@ def detect(
                 f"class '{class_id}' scores {det.weights.shape[0]}-dim features, "
                 f"dataset '{target.name}' has {target.feature_dim}"
             )
+        picked = []
         for img in target.images:
             scores = img.features @ det.weights + det.bias
             keep = np.flatnonzero(scores >= cfg.detect_thresh)
-            picked = [
+            picked += [
                 Detection(img.image_id, img.boxes[k], class_id, score)
                 for k, score in zip(keep.tolist(), scores[keep].tolist())
             ]
-            out.extend(greedy_nms(picked, cfg.nms_thresh))
+        out.extend(greedy_nms(picked, cfg.nms_thresh))
     return out

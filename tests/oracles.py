@@ -70,6 +70,15 @@ def sequential_nms(dets, overlap_thresh):
     return kept
 
 
+def per_image_nms(dets, overlap_thresh):
+    """``sequential_nms`` on each image's detections alone, the images
+    concatenated in the order they first appear in ``dets``."""
+    images = {}
+    for d in dets:
+        images.setdefault(d.image_id, []).append(d)
+    return [k for group in images.values() for k in sequential_nms(group, overlap_thresh)]
+
+
 def brute_force_ap(dets, gts, class_id, iou_thresh=0.5):
     """First-principles PR-curve evaluation.
 

@@ -500,6 +500,28 @@ def test_repeated_class_id_in_manifest_is_data_error(tmp_path, capsys, fast_conf
     assert f"duplicate class id '{doc['classes'][0]}'" in err
 
 
+@pytest.mark.parametrize("field", ["image_id", "classes"])
+def test_manifest_id_that_breaks_the_csv_files_is_data_error(
+    tmp_path, capsys, fast_config, field
+):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", fast_config, "--out", str(data)]) == 0
+    manifest = data / "source" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    if field == "image_id":
+        doc["images"][0]["image_id"] = "im,0"
+        message = "image id 'im,0'"
+    else:
+        doc["classes"][0] = "cls,a"
+        message = "class id 'cls,a'"
+    manifest.write_text(json.dumps(doc))
+    rc = cli.main(["train", "--source", str(manifest), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err
+    assert message in err
+
+
 @pytest.mark.parametrize(
     "layout, message",
     [

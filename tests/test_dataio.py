@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import zlib
 
 import numpy as np
@@ -63,6 +64,16 @@ class TestContainers:
     def test_duplicate_class_ids(self):
         with pytest.raises(DataError, match="duplicate class id 'cat'"):
             Dataset("d", ["cat", "dog", "cat"], 2)
+
+    @pytest.mark.parametrize("bad", ["im,0", "im\n0", "im\r0", ""])
+    def test_image_id_that_breaks_the_csv_files(self, bad):
+        with pytest.raises(DataError, match=f"image id {re.escape(repr(bad))}"):
+            ImageRecord(bad, np.ones((1, 2)), [BBox(0, 0, 1, 1)])
+
+    @pytest.mark.parametrize("bad", ["cls,a", "cls\na", "cls\ra", ""])
+    def test_class_id_that_breaks_the_csv_files(self, bad):
+        with pytest.raises(DataError, match=f"class id {re.escape(repr(bad))}"):
+            Dataset("d", ["cat", bad], 2)
 
     def test_unknown_gt_class(self):
         img = ImageRecord(

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,7 +10,7 @@ from hypothesis import strategies as st
 
 from aligndet import detection
 from aligndet.detection import (
-    NMS_BLOCK_ROWS,
+    NMS_TILE_FLOATS,
     BBox,
     Detection,
     LinearDetector,
@@ -24,6 +28,7 @@ from aligndet.detection import (
 from aligndet.errors import DataError
 from oracles import (
     exhaustive_nms,
+    per_image_nms,
     random_detections,
     sequential_nms,
     subgradient_loop,
@@ -49,6 +54,29 @@ def grid_boxes(draw):
     boxes are all likely."""
     x0, y0 = draw(grid_coord), draw(grid_coord)
     return BBox(x0, y0, x0 + draw(st.integers(0, 3)), y0 + draw(st.integers(0, 3)))
+
+
+@st.composite
+def int_boxes(draw):
+    """Boxes with Python int coordinates, on the same small grid."""
+    x0, y0 = draw(st.integers(-2, 4)), draw(st.integers(-2, 4))
+    return BBox(x0, y0, x0 + draw(st.integers(0, 3)), y0 + draw(st.integers(0, 3)))
+
+
+@st.composite
+def multi_image_detections(draw):
+    """Detections of one class over up to four images, interleaved in the
+    input: grid boxes (duplicates, nested and zero-area boxes are likely)
+    and arbitrary ones, or only integer boxes, with scores that tie often."""
+    images = [f"img{k}" for k in range(draw(st.integers(1, 4)))]
+    box = draw(st.sampled_from([st.one_of(grid_boxes(), boxes()), int_boxes()]))
+    score = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-10, 10))
+    return draw(
+        st.lists(
+            st.builds(Detection, st.sampled_from(images), box, st.just("obj"), score),
+            max_size=40,
+        )
+    )
 
 
 def degenerate_detections(rng, n):
@@ -175,6 +203,34 @@ class TestIou:
             np.array([x.as_tuple() for x in a]), np.array([y.as_tuple() for y in b])
         )
         assert M.shape == (len(a), len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                assert M[i, j] == iou(x, y)
+
+    @given(
+        a=st.lists(st.one_of(grid_boxes(), boxes()), min_size=6, max_size=6),
+        b=st.lists(st.one_of(grid_boxes(), boxes()), min_size=8, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pairwise_batches_over_leading_dimensions(self, a, b):
+        A = np.array([x.as_tuple() for x in a]).reshape(3, 2, 4)
+        B = np.array([y.as_tuple() for y in b]).reshape(2, 1, 4, 4)
+        M = pairwise_iou(A, B)
+        assert M.shape == (2, 3, 2, 4)
+        for k in range(2):
+            for i in range(3):
+                npt.assert_array_equal(M[k, i], pairwise_iou(A[i], B[k, 0]))
+
+    @given(
+        a=st.lists(int_boxes(), min_size=1, max_size=8),
+        b=st.lists(int_boxes(), min_size=1, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pairwise_takes_integer_boxes(self, a, b):
+        A = np.array([x.as_tuple() for x in a])
+        B = np.array([y.as_tuple() for y in b])
+        assert A.dtype.kind == B.dtype.kind == "i"
+        M = pairwise_iou(A, B)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 assert M[i, j] == iou(x, y)
@@ -564,7 +620,9 @@ class TestGreedyNms:
 
     @pytest.mark.parametrize("thresh", [0.0, 0.3, 1.0])
     def test_matches_sequential_loop_across_row_blocks(self, thresh):
-        dets = degenerate_detections(np.random.default_rng(7), 2 * NMS_BLOCK_ROWS + 50)
+        # Too many for one tile: row blocks of the one image.
+        n = 2 * math.isqrt(NMS_TILE_FLOATS) + 50
+        dets = degenerate_detections(np.random.default_rng(7), n)
         assert greedy_nms(dets, thresh) == sequential_nms(dets, thresh)
 
     def test_idempotent(self):
@@ -603,8 +661,58 @@ class TestGreedyNms:
         assert greedy_nms([c, b], 0.9) == [b, c]
         assert sorted([a, c, b], key=rank_key) == [b, c, a]
 
-    def test_mixed_image_ids_rejected(self):
-        # The same box in two images: suppressing one by the other was wrong.
+    def test_mixed_image_ids_suppressed_per_image(self):
+        # The same box in two images: neither suppresses the other.  Images
+        # come out in the order they first appear.
         a, b = det_at(0, 0.9, image_id="img0"), det_at(0, 0.8, image_id="img1")
-        with pytest.raises(DataError, match="mixes image ids"):
-            greedy_nms([a, b], 0.3)
+        c = det_at(1, 0.7, image_id="img0")
+        assert greedy_nms([b, a, c], 0.3) == [b, a]
+        with pytest.raises(DataError, match="mixes classes"):
+            greedy_nms([a, det_at(0, 0.8, image_id="img1", class_id="other")], 0.3)
+
+    @pytest.mark.parametrize("budget", [1, 7, 50, NMS_TILE_FLOATS])
+    @given(dets=multi_image_detections(), thresh=st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_multi_image_matches_per_image_sequential_loop(self, budget, dets, thresh):
+        # Budget 1 gives one-row blocks, 7 and 50 tiles of several small
+        # images with padding and row blocks of the larger ones.
+        with mock.patch.object(detection, "NMS_TILE_FLOATS", budget):
+            assert greedy_nms(dets, thresh) == per_image_nms(dets, thresh)
+
+    @pytest.mark.parametrize("thresh", [0.0, 0.3, 1.0])
+    def test_large_interleaved_images_match_per_image_sequential_loop(self, thresh):
+        rng = np.random.default_rng(11)
+        dets = [
+            dataclasses.replace(d, image_id=f"img{k}")
+            for d, k in zip(
+                degenerate_detections(rng, 700),
+                rng.choice(4, size=700, p=[0.6, 0.2, 0.15, 0.05]).tolist(),
+            )
+        ]
+        assert greedy_nms(dets, thresh) == per_image_nms(dets, thresh)
+
+    def test_tiles_pad_small_images_and_block_large_ones(self):
+        # With a budget of 50 IoUs, an image of 9 detections gets blocks of
+        # its alive rows against the alive columns from the first of them
+        # on; images of 3 and 2 then share one padded 2 x 3 x 3 tile.
+        rng = np.random.default_rng(3)
+        sizes = {"a": 3, "b": 2, "c": 9}
+        dets = [
+            dataclasses.replace(d, image_id=image)
+            for image, n in sizes.items()
+            for d in degenerate_detections(rng, n)
+        ]
+        shapes = []
+        suppress = detection._suppress
+
+        def spy(compatible, alive):
+            shapes.append(compatible.shape)
+            suppress(compatible, alive)
+
+        with mock.patch.object(detection, "NMS_TILE_FLOATS", 50), mock.patch.object(
+            detection, "_suppress", spy
+        ):
+            assert greedy_nms(dets, 0.3) == per_image_nms(dets, 0.3)
+        assert shapes[0] == (1, 5, 9)
+        assert all(k == 1 and r * c <= 50 for k, r, c in shapes[:-1])
+        assert shapes[-1] == (2, 3, 3)

@@ -21,7 +21,7 @@ from aligndet.pipeline import (
     train_initial_detectors,
 )
 
-from oracles import sequential_nms, unfolded_detect
+from oracles import per_image_nms, unfolded_detect
 
 FAST_TRAIN = TrainConfig(reg_lambda=0.001, iterations=800)
 SMALL_SPEC = SynthShiftSpec(samples_per_class=40, n_classes=3)
@@ -435,7 +435,8 @@ class TestDetect:
         states = adapt(src, tgt, cfg)
         fast = detect(tgt, states, cfg)
         assert len(fast) > 0
-        monkeypatch.setattr(pipeline, "greedy_nms", sequential_nms)
+        # detect passes each class's detections over every image at once.
+        monkeypatch.setattr(pipeline, "greedy_nms", per_image_nms)
         assert detect(tgt, states, cfg) == fast
 
 
