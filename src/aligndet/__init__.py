@@ -17,7 +17,6 @@ from .detection import (
     TrainConfig,
     greedy_nms,
     iou,
-    score_proposals,
     train_detector,
 )
 from .errors import DataError, NumericalError
@@ -45,6 +44,7 @@ from .pipeline import (
     detect,
     mine_source_positives,
     mine_target_positives,
+    raw_scores,
     train_initial_detectors,
 )
 
@@ -82,8 +82,8 @@ __all__ = [
     "project",
     "project_for_testing",
     "project_for_training",
+    "raw_scores",
     "score_histogram",
-    "score_proposals",
     "similarity_matrix",
     "solve_alignment",
     "subspace_similarity",

@@ -18,7 +18,6 @@ import numpy as np
 from . import dataio, evaluation, pipeline
 from .dataio import RunConfig, canonical_json, config_echo, load_config
 from .datasets import Dataset
-from .detection import score_proposals
 from .errors import DataError, NumericalError
 
 log = logging.getLogger("aligndet")
@@ -78,15 +77,6 @@ def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _initial_scores(dataset: Dataset, detectors) -> np.ndarray:
-    scores = [
-        score_proposals(det, img.features, frame="raw")
-        for det in detectors.values()
-        for img in dataset.images
-    ]
-    return np.concatenate(scores) if scores else np.zeros(0)
 
 
 def _write_histogram(out: Path, name: str, scores, cfg: RunConfig, title: str) -> None:
@@ -265,7 +255,12 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
 
     with _timed(timing, "histograms"):
         for name, dataset in (("source", source), ("target", target)):
-            scores = _initial_scores(dataset, detectors)
+            scores = [
+                s
+                for det in detectors.values()
+                for s in pipeline.raw_scores(dataset, det)
+            ]
+            scores = np.concatenate(scores) if scores else np.zeros(0)
             _write_histogram(
                 out, f"histogram_{name}", scores, cfg, f"initial detector scores on {name}"
             )
@@ -326,9 +321,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](args, cfg, _outdir(args))
-    except UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"aligndet: data error: {exc}", file=sys.stderr)
         return 2

@@ -275,7 +275,14 @@ def _load_bundle(path, kind: str, parse):
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
-    """Write manifest plus per-image feature/box/gt files; returns manifest path."""
+    """Write manifest plus per-image feature/box/gt files; returns manifest path.
+
+    File names come from image ids, so an id that is not one path component
+    ('/', '\\' or NUL in it, or '.' or '..') is a DataError before any write.
+    """
+    for img in dataset.images:
+        if img.image_id in (".", "..") or any(c in img.image_id for c in "/\\\0"):
+            raise DataError(f"image id {img.image_id!r} is not a single path component")
     out_dir = Path(out_dir)
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
     (out_dir / "boxes").mkdir(exist_ok=True)

@@ -379,25 +379,6 @@ def train_detector(
     return LinearDetector(class_id=class_id, weights=w, bias=b, frame=frame)
 
 
-def score_proposals(det: LinearDetector, X, frame: str) -> np.ndarray:
-    """Raw margins w . x + b for every row of ``X``.
-
-    ``frame`` must equal the detector's training frame; a mismatch means a
-    projection step was skipped or used the wrong basis.
-    """
-    if frame != det.frame:
-        raise DataError(
-            f"detector for '{det.class_id}' expects frame '{det.frame}', "
-            f"got '{frame}'"
-        )
-    A = ensure_feature_matrix(X)
-    if A.shape[1] != det.weights.shape[0]:
-        raise DataError(
-            f"feature dim {A.shape[1]} != detector dim {det.weights.shape[0]}"
-        )
-    return A @ det.weights + det.bias
-
-
 def rank_key(d: Detection):
     """The order in which NMS and AP matching visit detections: score
     descending, then image id, then box coordinates, so ties never depend

@@ -5,6 +5,7 @@ frame, and adapted detection."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,6 @@ from .detection import (
     TrainConfig,
     greedy_nms,
     iou,
-    score_proposals,
     train_detector,
 )
 from .errors import DataError, NumericalError
@@ -129,13 +129,31 @@ def _class_max_overlaps(img: ImageRecord, class_id: str) -> np.ndarray:
     return out
 
 
-def _stack_selected(dataset: Dataset, select, empty: str) -> np.ndarray:
-    """Feature rows kept by the boolean mask ``select(img)``, in image order.
+def raw_scores(dataset: Dataset, det: LinearDetector) -> Iterator[np.ndarray]:
+    """The raw margins ``features @ w + b`` of each image, in image order.
+
+    The one place a raw-frame detector scores a dataset.  Its frame and
+    width are checked once, when called; the images are then scored lazily,
+    one per step.
+    """
+    if det.frame != "raw":
+        raise DataError(
+            f"detector for '{det.class_id}' expects frame '{det.frame}', got 'raw'"
+        )
+    if det.weights.shape[0] != dataset.feature_dim:
+        raise DataError(
+            f"class '{det.class_id}' scores {det.weights.shape[0]}-dim features, "
+            f"dataset '{dataset.name}' has {dataset.feature_dim}"
+        )
+    return (img.features @ det.weights + det.bias for img in dataset.images)
+
+
+def _stack_selected(dataset: Dataset, masks: Iterable, empty: str) -> np.ndarray:
+    """Feature rows kept by one boolean mask per image, in image order.
 
     Raises DataError with message ``empty`` when no row is kept.
     """
-    masks = [(img, select(img)) for img in dataset.images]
-    rows = [img.features[keep] for img, keep in masks if np.any(keep)]
+    rows = [img.features[m] for img, m in zip(dataset.images, masks) if np.any(m)]
     if not rows:
         raise DataError(empty)
     return np.vstack(rows)
@@ -159,7 +177,7 @@ def mine_source_positives(source: Dataset, class_id: str, gamma: float) -> np.nd
     _require_labeled(source)
     return _stack_selected(
         source,
-        lambda img: _class_max_overlaps(img, class_id) >= gamma,
+        (_class_max_overlaps(img, class_id) >= gamma for img in source.images),
         f"no source positives for class '{class_id}' at gamma={gamma}",
     )
 
@@ -170,7 +188,7 @@ def _mine_source_negatives(
     """Features of proposals whose max same-class overlap stays below lambda."""
     return _stack_selected(
         source,
-        lambda img: _class_max_overlaps(img, class_id) < neg_lambda,
+        (_class_max_overlaps(img, class_id) < neg_lambda for img in source.images),
         f"no source negatives for class '{class_id}' at lambda={neg_lambda}",
     )
 
@@ -185,7 +203,7 @@ def mine_target_positives(
     """
     return _stack_selected(
         target,
-        lambda img: score_proposals(init_detector, img.features, frame="raw") >= sigma,
+        (scores >= sigma for scores in raw_scores(target, init_detector)),
         f"no target positives for class '{init_detector.class_id}' at sigma={sigma}",
     )
 
@@ -347,10 +365,11 @@ def detect(
     """Adapted detection over the target set.
 
     Per class, the test-time projection is folded into the detector once
-    (pass-through classes keep theirs); raw features are scored with it,
-    thresholded at ``cfg.detect_thresh``, and the class's detections over
-    every image go to one ``greedy_nms`` call, which suppresses each image
-    on its own.  Output order is class, then image, then NMS keep order.
+    (pass-through classes keep theirs); ``raw_scores`` scores the raw
+    features with it, each image's scores are thresholded at
+    ``cfg.detect_thresh``, and the class's detections over every image go
+    to one ``greedy_nms`` call, which suppresses each image on its own.
+    Output order is class, then image, then NMS keep order.
     """
     out: list[Detection] = []
     for class_id in target.classes:
@@ -361,14 +380,8 @@ def detect(
         if state.mode != "none":
             v, c = project_for_testing(det.weights, det.bias, state.target_subspace)
             det = LinearDetector(class_id, v, c, "raw")
-        if det.weights.shape[0] != target.feature_dim:
-            raise DataError(
-                f"class '{class_id}' scores {det.weights.shape[0]}-dim features, "
-                f"dataset '{target.name}' has {target.feature_dim}"
-            )
         picked = []
-        for img in target.images:
-            scores = img.features @ det.weights + det.bias
+        for img, scores in zip(target.images, raw_scores(target, det)):
             keep = np.flatnonzero(scores >= cfg.detect_thresh)
             picked += [
                 Detection(img.image_id, img.boxes[k], class_id, score)

@@ -5,8 +5,8 @@ import shutil
 import numpy as np
 import pytest
 
-from aligndet import cli, detection, pipeline
-from aligndet.dataio import load_detectors, load_states
+from aligndet import cli, detection, evaluation, pipeline
+from aligndet.dataio import load_dataset, load_detectors, load_states
 from aligndet.errors import DataError, NumericalError
 
 FAST_CFG = """
@@ -344,6 +344,34 @@ def test_pipeline_produces_full_artifact_set(tmp_path, fast_config):
         assert "ap" in entry and "similarity_diag" in entry
         assert "n_pos_src" in entry and "n_pos_tgt" in entry
     assert "timing" not in report
+
+
+def test_pipeline_initial_score_histograms(tmp_path):
+    # Each histogram counts the initial detectors' raw scores of every
+    # proposal of its dataset, class by class, in the run's layout.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG + "hist_bins = 7\nhist_lo = -2.5\nhist_hi = 1.5\n")
+    out = tmp_path / "run"
+    assert cli.main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    detectors = load_detectors(out / "detectors.json")
+    order = json.loads((out / "detectors.json").read_text())["detectors"]
+    assert list(detectors) == list(order) and len(detectors) == 2
+    for name in ("source", "target"):
+        dataset = load_dataset(out / name / "manifest.json")
+        scores = np.concatenate(
+            [
+                img.features @ det.weights + det.bias
+                for det in detectors.values()
+                for img in dataset.images
+            ]
+        )
+        want = evaluation.score_histogram(scores, 7, (-2.5, 1.5)).to_dict()
+        got = json.loads((out / f"histogram_{name}.json").read_text())
+        assert got == want
+        assert sum(got["counts"]) > 0
+        assert sum(got["counts"]) + got["underflow"] + got["overflow"] == (
+            len(detectors) * dataset.n_proposals
+        )
 
 
 def test_pipeline_trains_initial_detectors_once(tmp_path):

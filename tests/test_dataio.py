@@ -228,6 +228,18 @@ class TestDatasetRoundTrip:
                 tmp_path / "b" / rel
             ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "bad_id", ["a/b", "../../escaped", "..", ".", "a\\b", "a\0b"]
+    )
+    def test_path_like_image_id_is_rejected_before_writing(self, tmp_path, bad_id):
+        good = tiny_dataset().images[0]
+        bad = ImageRecord(bad_id, good.features, good.boxes, good.gt)
+        ds = Dataset("tiny", ["cat"], 4, [good, bad])
+        with pytest.raises(DataError, match=re.escape(repr(bad_id))):
+            save_dataset(ds, tmp_path / "deep" / "out")
+        # Nothing is written at all, so nothing outside the output directory.
+        assert list(tmp_path.rglob("*")) == []
+
     def test_unlabeled_round_trip(self, tmp_path):
         ds = tiny_dataset(labeled=False)
         loaded = load_dataset(save_dataset(ds, tmp_path / "u"))

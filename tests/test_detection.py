@@ -20,12 +20,13 @@ from aligndet.detection import (
     iou,
     pairwise_iou,
     rank_key,
-    score_proposals,
     _first_loud_step,
     _replay,
     train_detector,
 )
+from aligndet.datasets import Dataset, ImageRecord
 from aligndet.errors import DataError
+from aligndet.pipeline import raw_scores
 from oracles import (
     exhaustive_nms,
     per_image_nms,
@@ -251,15 +252,15 @@ class TestTrainDetector:
         pos, neg = make_blobs(0)
         det = train_detector(pos, neg, TrainConfig(), class_id="a")
         tpos, tneg = make_blobs(1)
-        sp = score_proposals(det, tpos, frame="raw")
-        sn = score_proposals(det, tneg, frame="raw")
+        sp = tpos @ det.weights + det.bias
+        sn = tneg @ det.weights + det.bias
         acc = (np.sum(sp > 0) + np.sum(sn < 0)) / (len(sp) + len(sn))
         assert acc >= 0.99
 
     def test_degenerate_identical_point(self):
         point = np.array([[1.0, 2.0]])
         det = train_detector(point, point, TrainConfig())
-        s = score_proposals(det, point, frame="raw")
+        s = point @ det.weights + det.bias
         assert s[0] - s[0] == 0.0
         assert np.all(np.isfinite(det.weights))
 
@@ -271,8 +272,8 @@ class TestTrainDetector:
         )
         tpos, tneg = make_blobs(3)
         test = np.vstack([tpos, tneg])
-        labels_base = score_proposals(base, test, frame="raw") > 0
-        labels_scaled = score_proposals(scaled, test * 10.0, frame="raw") > 0
+        labels_base = test @ base.weights + base.bias > 0
+        labels_scaled = (test * 10.0) @ scaled.weights + scaled.bias > 0
         npt.assert_array_equal(labels_base, labels_scaled)
 
     def test_bitwise_determinism(self):
@@ -555,17 +556,30 @@ class TestSubgradientDescent:
             assert _first_loud_step(umin, scale, t, T) == (loud[0] if loud else T + 1)
 
 
+def one_image(X) -> Dataset:
+    """A dataset ``one`` of a single image whose proposal features are ``X``."""
+    X = np.asarray(X, dtype=float)
+    boxes = [BBox(0, 0, 1, 1)] * X.shape[0]
+    return Dataset("one", ["a"], X.shape[1], [ImageRecord("img0", X, boxes)])
+
+
+def score_one(det, X) -> np.ndarray:
+    """``raw_scores`` of ``det`` over the one-image dataset of ``X``."""
+    (scores,) = raw_scores(one_image(X), det)
+    return scores
+
+
 class TestScoreProposals:
+    """``pipeline.raw_scores``, the one scorer of raw-frame detectors."""
+
     def test_unit_weight_reads_first_column(self):
         det = LinearDetector("a", np.array([1.0, 0.0, 0.0]), 0.0, "raw")
-        s = score_proposals(det, [[3.0, 9.0, 9.0]], frame="raw")
+        s = score_one(det, [[3.0, 9.0, 9.0]])
         assert s[0] == 3.0
 
     def test_bias_only(self):
         det = LinearDetector("a", np.zeros(2), 0.7, "raw")
-        npt.assert_array_equal(
-            score_proposals(det, np.ones((4, 2)), frame="raw"), np.full(4, 0.7)
-        )
+        npt.assert_array_equal(score_one(det, np.ones((4, 2))), np.full(4, 0.7))
 
     def test_double_loop_oracle(self):
         rng = np.random.default_rng(6)
@@ -573,7 +587,7 @@ class TestScoreProposals:
         b = float(rng.normal())
         X = rng.normal(size=(9, 5))
         det = LinearDetector("a", w, b, "raw")
-        got = score_proposals(det, X, frame="raw")
+        got = score_one(det, X)
         want = np.array(
             [sum(w[j] * X[i, j] for j in range(5)) + b for i in range(9)]
         )
@@ -581,13 +595,15 @@ class TestScoreProposals:
 
     def test_frame_mismatch_is_hard_error(self):
         det = LinearDetector("a", np.ones(2), 0.0, "aligned:a")
-        with pytest.raises(DataError, match="frame"):
-            score_proposals(det, np.ones((1, 2)), frame="raw")
+        with pytest.raises(DataError, match="expects frame 'aligned:a', got 'raw'"):
+            raw_scores(one_image(np.ones((1, 2))), det)
 
     def test_dim_mismatch(self):
         det = LinearDetector("a", np.ones(3), 0.0, "raw")
-        with pytest.raises(DataError):
-            score_proposals(det, np.ones((1, 2)), frame="raw")
+        with pytest.raises(
+            DataError, match="class 'a' scores 3-dim features, dataset 'one' has 2"
+        ):
+            raw_scores(one_image(np.ones((1, 2))), det)
 
 
 def det_at(x, score, image_id="img0", class_id="obj"):
