@@ -12,6 +12,7 @@ from .datasets import Dataset, ImageRecord
 from .detection import (
     BBox,
     Detection,
+    Detections,
     GroundTruth,
     LinearDetector,
     TrainConfig,
@@ -57,6 +58,7 @@ __all__ = [
     "DataError",
     "Dataset",
     "Detection",
+    "Detections",
     "GroundTruth",
     "Histogram",
     "ImageRecord",

@@ -18,6 +18,7 @@ import numpy as np
 from . import dataio, evaluation, pipeline
 from .dataio import RunConfig, canonical_json, config_echo, load_config
 from .datasets import Dataset
+from .detection import Detections
 from .errors import DataError, NumericalError
 
 log = logging.getLogger("aligndet")
@@ -95,22 +96,27 @@ def _synth(cfg: RunConfig, out: Path) -> tuple[Path, Path]:
     )
 
 
-def _check_detections(path, dets, dataset: Dataset) -> None:
+def _check_detections(path, dets: Detections, dataset: Dataset) -> None:
     """Reject detections of a class or image the dataset does not have: AP
-    would drop the class or count the image's rows as false positives."""
+    would drop the class or count the image's rows as false positives.  The
+    first such row is reported, its class checked before its image."""
     classes = set(dataset.classes)
     images = {img.image_id for img in dataset.images}
-    for d in dets:
-        if d.class_id not in classes:
-            unknown = f"class '{d.class_id}'"
-        elif d.image_id not in images:
-            unknown = f"image id '{d.image_id}'"
-        else:
-            continue
-        raise DataError(
-            f"detections file '{path}' names {unknown}, "
-            f"which dataset '{dataset.name}' does not have"
-        )
+    bad_class = np.array([c not in classes for c in dets.class_ids], dtype=bool)
+    bad_image = np.array([i not in images for i in dets.image_ids], dtype=bool)
+    bad = bad_class[dets.class_index] | bad_image[dets.image_index]
+    if not bad.any():
+        return
+    row = int(bad.argmax())
+    class_id = dets.class_ids[dets.class_index[row]]
+    if class_id not in classes:
+        unknown = f"class '{class_id}'"
+    else:
+        unknown = f"image id '{dets.image_ids[dets.image_index[row]]}'"
+    raise DataError(
+        f"detections file '{path}' names {unknown}, "
+        f"which dataset '{dataset.name}' does not have"
+    )
 
 
 def _write_similarity(out: Path, states) -> dict[str, float]:
@@ -230,7 +236,7 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
 def cmd_analyze(args, cfg: RunConfig, out: Path) -> int:
     _write_similarity(out, dataio.load_states(args.states))
     if args.detections:
-        scores = [d.score for d in dataio.read_detections_csv(args.detections)]
+        scores = dataio.read_detections_csv(args.detections).scores
         _write_histogram(out, "histogram_detections", scores, cfg, "detection scores")
     return 0
 

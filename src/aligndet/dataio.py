@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import Dataset, ImageRecord, check_id
-from .detection import BBox, Detection, LinearDetector, TrainConfig
+from .detection import BBox, Detections, LinearDetector, TrainConfig
 from .errors import DataError, NumericalError
 from .evaluation import check_histogram_layout
 from .linalg import NormalizationStats, Subspace
@@ -77,22 +77,44 @@ def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
-def _parse_float(token: str, path, lineno: int) -> float:
-    try:
-        v = float(token)
-    except ValueError:
-        raise DataError(f"{path}:{lineno}: '{token}' is not a number") from None
-    if not math.isfinite(v):
-        raise DataError(f"{path}:{lineno}: non-finite value")
-    return v
+def _line_error(path, lines: list[str], n_columns: int) -> DataError:
+    """The error of the first bad row of a box CSV's ``lines``, whose
+    header is valid, checked line by line: its column count, then each
+    number in column order, then the box's order."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != n_columns:
+            return DataError(
+                f"{path}:{lineno}: expected {n_columns} columns, got {len(parts)}"
+            )
+        for token in parts[1:5] + parts[6:]:
+            try:
+                v = float(token)
+            except ValueError:
+                return DataError(f"{path}:{lineno}: '{token}' is not a number")
+            if not math.isfinite(v):
+                return DataError(f"{path}:{lineno}: non-finite value")
+        try:
+            BBox(*map(float, parts[1:5]))
+        except DataError as exc:
+            return DataError(f"{path}:{lineno}: {exc}")
+    raise AssertionError(f"{path} has no bad row")
 
 
-def _read_box_rows(path, kind: str, header: str):
-    """Yield the rows of a box CSV as (cells, numbers).  Its first five
-    columns are ``BOX_HEADER``; ``image_id`` and ``class`` (the sixth) are
-    text and every other column is a finite float, listed in ``numbers``.
-    Rows are yielded, not collected: a list of them would double the live
-    objects, and the garbage collector's work, of a large detections file."""
+def _read_box_table(
+    path, kind: str, header: str
+) -> tuple[list[tuple], np.ndarray]:
+    """The rows of a box CSV as columns: the cells of each column as a
+    tuple of text, and an ``(n, k)`` float array of its numeric columns,
+    the four of ``BOX_HEADER`` then those after ``class`` (the sixth).
+    Blank lines are skipped.
+
+    Every line is split at once and the numbers are parsed with ``float``;
+    finiteness and box order are checked on the array.  Only when a check
+    fails are the lines walked again, to report the first bad one by
+    ``path:lineno`` (``_line_error``)."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{kind} file '{path}' does not exist")
@@ -100,15 +122,24 @@ def _read_box_rows(path, kind: str, header: str):
     if not lines or lines[0] != header:
         raise DataError(f"{kind} file '{path}' must start with '{header}'")
     n_columns = header.count(",") + 1
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != n_columns:
-            raise DataError(
-                f"{path}:{lineno}: expected {n_columns} columns, got {len(parts)}"
+    rows = [line.split(",") for line in lines[1:] if line]
+    if set(map(len, rows)) <= {n_columns}:
+        columns = list(zip(*rows)) or [()] * n_columns
+        try:
+            numbers = np.stack(
+                [
+                    np.fromiter(map(float, columns[k]), np.float64, len(rows))
+                    for k in (1, 2, 3, 4, *range(6, n_columns))
+                ],
+                axis=1,
             )
-        yield parts, [_parse_float(p, path, lineno) for p in parts[1:5] + parts[6:]]
+        except ValueError:  # a cell that is not a number
+            pass
+        else:
+            x0, y0, x1, y1 = numbers[:, :4].T
+            if np.isfinite(numbers).all() and (x1 >= x0).all() and (y1 >= y0).all():
+                return columns, numbers
+    raise _line_error(path, lines, n_columns)
 
 
 def _box_line(image_id: str, b: BBox) -> str:
@@ -127,10 +158,8 @@ def write_boxes_csv(path, image_id: str, boxes: list[BBox]) -> None:
 
 
 def read_boxes_csv(path) -> list[tuple[str, BBox]]:
-    return [
-        (parts[0], BBox(*nums))
-        for parts, nums in _read_box_rows(path, "boxes", BOX_HEADER)
-    ]
+    columns, numbers = _read_box_table(path, "boxes", BOX_HEADER)
+    return [(i, BBox(*b)) for i, b in zip(columns[0], numbers.tolist())]
 
 
 def write_gt_csv(path, image_id: str, gt: list[tuple[str, BBox]]) -> None:
@@ -139,28 +168,31 @@ def write_gt_csv(path, image_id: str, gt: list[tuple[str, BBox]]) -> None:
 
 def read_gt_csv(path) -> list[tuple[str, str, BBox]]:
     """Rows of (image_id, class_id, box)."""
+    columns, numbers = _read_box_table(path, "gt", GT_HEADER)
     return [
-        (parts[0], parts[5], BBox(*nums))
-        for parts, nums in _read_box_rows(path, "gt", GT_HEADER)
+        (i, c, BBox(*b)) for i, c, b in zip(columns[0], columns[5], numbers.tolist())
     ]
 
 
-def write_detections_csv(path, dets: list[Detection]) -> None:
+def write_detections_csv(path, dets: Detections) -> None:
+    """One line per row of ``dets``, each float as its ``repr``.  The
+    numbers become Python floats one row at a time, not all at once."""
+    images = np.array(dets.image_ids, dtype=object)[dets.image_index].tolist()
+    classes = np.array(dets.class_ids, dtype=object)[dets.class_index].tolist()
+    numbers = map(np.ndarray.tolist, np.column_stack((dets.boxes, dets.scores)))
     _write_lines(
         path,
         DETECTION_HEADER,
         (
-            f"{_box_line(d.image_id, d.box)},{d.class_id},{_fmt_float(d.score)}"
-            for d in dets
+            f"{i},{x0!r},{y0!r},{x1!r},{y1!r},{c},{s!r}"
+            for i, (x0, y0, x1, y1, s), c in zip(images, numbers, classes)
         ),
     )
 
 
-def read_detections_csv(path) -> list[Detection]:
-    return [
-        Detection(parts[0], BBox(*nums[:4]), parts[5], nums[4])
-        for parts, nums in _read_box_rows(path, "detections", DETECTION_HEADER)
-    ]
+def read_detections_csv(path) -> Detections:
+    columns, numbers = _read_box_table(path, "detections", DETECTION_HEADER)
+    return Detections.from_labels(numbers[:, :4], numbers[:, 4], columns[0], columns[5])
 
 
 # ---------------------------------------------------------------------------

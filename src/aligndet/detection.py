@@ -3,8 +3,8 @@ classifiers with hard-negative mining, proposal scoring, and greedy NMS."""
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +79,136 @@ class Detection:
     def __post_init__(self):
         if not math.isfinite(self.score):
             raise DataError("detection score must be finite")
+
+
+def _codes(labels, names: tuple[str, ...]) -> np.ndarray:
+    """Index in ``names`` of each of ``labels``; an unknown one is a
+    ``DataError``."""
+    index = {name: k for k, name in enumerate(names)}
+    try:
+        return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+    except KeyError as exc:
+        raise DataError(f"label {exc} is not among {list(names)}") from None
+
+
+@dataclass(eq=False)
+class Detections:
+    """Scored, class-labeled boxes as columns: row i is the box
+    ``boxes[i]`` (``BBox.as_tuple`` order) in image
+    ``image_ids[image_index[i]]``, of class ``class_ids[class_index[i]]``,
+    with score ``scores[i]``.
+
+    The constructor checks each row as ``BBox`` and ``Detection`` do, with
+    their messages, and reports the first bad row; it also checks the
+    shapes, that the codes index their names and that names are unique.
+    Iterating yields the rows as ``Detection`` objects, which serve tests
+    and callers that want one object per row; two ``Detections`` are equal
+    when their rows are.
+    """
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    image_index: np.ndarray
+    class_index: np.ndarray
+    image_ids: tuple[str, ...]
+    class_ids: tuple[str, ...]
+
+    def __post_init__(self):
+        self.boxes = np.asarray(self.boxes, dtype=np.float64)
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        self.image_index = np.asarray(self.image_index, dtype=np.intp)
+        self.class_index = np.asarray(self.class_index, dtype=np.intp)
+        self.image_ids, self.class_ids = tuple(self.image_ids), tuple(self.class_ids)
+        n = self.scores.shape[0] if self.scores.ndim == 1 else -1
+        if self.boxes.shape != (n, 4) or not (
+            self.image_index.shape == self.class_index.shape == (n,)
+        ):
+            raise DataError(
+                "detection columns must be (n, 4) boxes and n scores, image "
+                "and class codes"
+            )
+        for index, names in (
+            (self.image_index, self.image_ids),
+            (self.class_index, self.class_ids),
+        ):
+            if len(set(names)) != len(names):
+                raise DataError(f"duplicate names in {list(names)}")
+            if n and not 0 <= index.min() <= index.max() < len(names):
+                raise DataError(f"codes outside [0, {len(names)})")
+        x0, y0, x1, y1 = self.boxes.T
+        bad_box = ~np.isfinite(self.boxes).all(axis=1)
+        bad_order = (x1 < x0) | (y1 < y0)
+        bad = bad_box | bad_order | ~np.isfinite(self.scores)
+        if bad.any():
+            i = int(bad.argmax())
+            if not bad_box[i] and not bad_order[i]:
+                raise DataError("detection score must be finite")
+            BBox(*self.boxes[i].tolist())  # raises BBox's error for the row
+
+    @classmethod
+    def from_labels(
+        cls, boxes, scores, images, classes, image_ids=None, class_ids=None
+    ) -> Detections:
+        """Columns whose image and class are given as one name per row.
+        The name tables default to the names in order of first appearance."""
+        image_ids = tuple(dict.fromkeys(images)) if image_ids is None else image_ids
+        class_ids = tuple(dict.fromkeys(classes)) if class_ids is None else class_ids
+        return cls(
+            boxes, scores, _codes(images, image_ids), _codes(classes, class_ids),
+            image_ids, class_ids,
+        )
+
+    @classmethod
+    def from_rows(cls, rows, image_ids=None, class_ids=None) -> Detections:
+        """Columns of ``Detection`` rows, in their order (see
+        ``from_labels``)."""
+        rows = list(rows)
+        return cls.from_labels(
+            np.array([d.box.as_tuple() for d in rows], dtype=np.float64).reshape(-1, 4),
+            np.array([d.score for d in rows], dtype=np.float64),
+            [d.image_id for d in rows],
+            [d.class_id for d in rows],
+            image_ids,
+            class_ids,
+        )
+
+    @classmethod
+    def concat(cls, parts, image_ids, class_ids) -> Detections:
+        """The rows of ``parts``, in order; each part must name its images
+        and classes by ``image_ids`` and ``class_ids``."""
+        image_ids, class_ids = tuple(image_ids), tuple(class_ids)
+        if any((p.image_ids, p.class_ids) != (image_ids, class_ids) for p in parts):
+            raise DataError("detections to join use different name tables")
+        return cls(
+            np.concatenate([np.empty((0, 4)), *(p.boxes for p in parts)]),
+            np.concatenate([np.empty(0), *(p.scores for p in parts)]),
+            np.concatenate([np.empty(0, np.intp), *(p.image_index for p in parts)]),
+            np.concatenate([np.empty(0, np.intp), *(p.class_index for p in parts)]),
+            image_ids,
+            class_ids,
+        )
+
+    def take(self, rows) -> Detections:
+        """The detections at ``rows`` (indices or a mask), same names."""
+        return Detections(
+            self.boxes[rows], self.scores[rows], self.image_index[rows],
+            self.class_index[rows], self.image_ids, self.class_ids,
+        )
+
+    def __len__(self) -> int:
+        return self.scores.shape[0]
+
+    def __iter__(self) -> Iterator[Detection]:
+        for box, score, i, c in zip(
+            self.boxes.tolist(), self.scores.tolist(),
+            self.image_index.tolist(), self.class_index.tolist(),
+        ):
+            yield Detection(self.image_ids[i], BBox(*box), self.class_ids[c], score)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Detections):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -379,14 +509,7 @@ def train_detector(
     return LinearDetector(class_id=class_id, weights=w, bias=b, frame=frame)
 
 
-def rank_key(d: Detection):
-    """The order in which NMS and AP matching visit detections: score
-    descending, then image id, then box coordinates, so ties never depend
-    on input order."""
-    return (-d.score, d.image_id, d.box.as_tuple())
-
-
-def greedy_nms(dets: list[Detection], overlap_thresh: float) -> list[Detection]:
+def greedy_nms(dets: Detections, overlap_thresh: float) -> Detections:
     """Greedy non-maximum suppression over the detections of one class,
     each image on its own; input that mixes classes is a ``DataError``.
 
@@ -394,8 +517,8 @@ def greedy_nms(dets: list[Detection], overlap_thresh: float) -> list[Detection]:
     detection and drops every remaining one whose IoU with it exceeds
     ``overlap_thresh``; a detection never suppresses one of another image.
     Images are listed in the order they first appear in ``dets``, and each
-    image's kept detections in ``rank_key`` order (score descending, ties
-    by box), so output order is reproducible.
+    image's kept detections by score descending, ties broken by box, so
+    output order is reproducible.  Returns the kept rows of ``dets``.
 
     One call serves a whole class.  Images, largest first, are packed into
     tiles of ``(images, rows, columns)`` of at most ``NMS_TILE_FLOATS``
@@ -408,20 +531,20 @@ def greedy_nms(dets: list[Detection], overlap_thresh: float) -> list[Detection]:
     """
     if not 0.0 <= overlap_thresh <= 1.0:
         raise DataError("overlap threshold must be in [0, 1]")
-    classes = {d.class_id for d in dets}
+    classes = np.unique(dets.class_index).tolist()
     if len(classes) > 1:
-        raise DataError(f"NMS input mixes classes: {sorted(classes)}")
-    if not dets:
-        return []
-    first: dict[str, int] = {}
-    image = np.array([first.setdefault(d.image_id, len(first)) for d in dets])
-    boxes = np.fromiter(
-        itertools.chain.from_iterable(d.box.as_tuple() for d in dets), float, 4 * len(dets)
-    ).reshape(-1, 4)
-    scores = np.fromiter((d.score for d in dets), float, len(dets))
-    # rank_key order within each image, images in order of appearance.
-    order = np.lexsort((*boxes.T[::-1], -scores, image))
-    boxes = boxes[order]
+        names = sorted(dets.class_ids[k] for k in classes)
+        raise DataError(f"NMS input mixes classes: {names}")
+    if not len(dets):
+        return dets
+    # Images numbered in order of first appearance.
+    _, first, image = np.unique(
+        dets.image_index, return_index=True, return_inverse=True
+    )
+    image = np.argsort(np.argsort(first))[image]
+    # Score descending, then box, within each image; images in that order.
+    order = np.lexsort((*dets.boxes.T[::-1], -dets.scores, image))
+    boxes = dets.boxes[order]
     sizes = np.bincount(image)
     starts = np.cumsum(sizes) - sizes
     keep = np.zeros(len(dets), dtype=bool)
@@ -445,7 +568,7 @@ def greedy_nms(dets: list[Detection], overlap_thresh: float) -> list[Detection]:
         _suppress(pairwise_iou(tile, tile) <= overlap_thresh, alive)
         keep[rows] = alive[valid]
         g += tile_images.size
-    return [dets[i] for i in order[keep].tolist()]
+    return dets.take(order[keep])
 
 
 def _suppress(compatible: np.ndarray, alive: np.ndarray) -> None:

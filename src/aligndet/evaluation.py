@@ -9,46 +9,79 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import Detection, GroundTruth, iou, rank_key
+from .detection import Detections, GroundTruth, pairwise_iou
+# Unused here; bench/traced_cli.py counts calls through evaluation.iou.
+from .detection import iou  # noqa: F401
 from .errors import DataError
 from .linalg import subspace_similarity
 
 
-def _match_detections(
-    dets: list[Detection],
-    gts: list[GroundTruth],
-    class_id: str,
-    iou_thresh: float,
-) -> tuple[np.ndarray, int]:
-    """Greedy TP assignment for one class: 1.0 for each detection that is a
-    true positive, 0.0 for a false one, and the number of ground truths.
+def _true_positives(
+    dets: Detections, gts: list[GroundTruth], class_id: str, iou_thresh: float
+) -> np.ndarray:
+    """Greedy TP assignment for one class: 1.0 for each of its detections
+    that is a true positive, 0.0 for a false one, in rank order.  ``gts``
+    holds the class's ground truths.
 
-    Detections are visited in ``rank_key`` order, the order of NMS; each
-    matches the highest-IoU still-unmatched ground truth of its image when
-    that IoU reaches ``iou_thresh``.
+    Detections are ranked by score descending, then image id, then box
+    (one ``lexsort``), so ties never depend on input order.  In that order,
+    each matches the highest-IoU still-unmatched ground truth of its image,
+    the first listed on a tie, when that IoU is positive and reaches
+    ``iou_thresh``.
+
+    Each detection's IoUs with its image's ground truths are one row of a
+    ``pairwise_iou`` call.  A detection that matches nothing with every
+    ground truth still free never matches later, when fewer are free, so
+    each round matches the first candidate of every image at once and keeps
+    only the other candidates that still match something.
     """
-    gt_c = [g for g in gts if g.class_id == class_id]
-    det_c = sorted((d for d in dets if d.class_id == class_id), key=rank_key)
-    unmatched: dict[str, list[GroundTruth]] = {}
-    for g in gt_c:
-        unmatched.setdefault(g.image_id, []).append(g)
+    if class_id not in dets.class_ids:
+        return np.zeros(0)
+    rows = np.flatnonzero(dets.class_index == dets.class_ids.index(class_id))
+    names = dets.image_ids
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    name_rank = np.empty(len(names), dtype=np.intp)
+    name_rank[by_name] = np.arange(len(names))
+    image, boxes = dets.image_index[rows], dets.boxes[rows]
+    order = np.lexsort((*boxes.T[::-1], name_rank[image], -dets.scores[rows]))
+    image, boxes = image[order], boxes[order]
+    tp = np.zeros(rows.size)
 
-    tp = np.zeros(len(det_c))
-    for i, det in enumerate(det_c):
-        pool = unmatched.get(det.image_id, [])
-        best_iou, best_j = 0.0, -1
-        for j, g in enumerate(pool):
-            ov = iou(det.box, g.box)
-            if ov > best_iou:
-                best_iou, best_j = ov, j
-        if best_j >= 0 and best_iou >= iou_thresh:
-            tp[i] = 1.0
-            pool.pop(best_j)
-    return tp, len(gt_c)
+    # Each image's ground truths, in list order, padded to the longest.
+    code = {name: k for k, name in enumerate(names)}
+    per_image: dict[int, list] = {}
+    for g in gts:
+        if g.image_id in code:
+            per_image.setdefault(code[g.image_id], []).append(g.box.as_tuple())
+    if not per_image:
+        return tp
+    width = max(map(len, per_image.values()))
+    gt_boxes = np.zeros((len(names), width, 4))
+    taken = np.ones((len(names), width), dtype=bool)  # padding is never free
+    for k, gt in per_image.items():
+        gt_boxes[k, : len(gt)] = gt
+        taken[k, : len(gt)] = False
+
+    # A zero or NaN IoU never matches: -1 fails every threshold in [0, 1].
+    ious = pairwise_iou(boxes[:, None, :], gt_boxes[image])[:, 0, :]
+    ious = np.where(ious > 0.0, ious, -1.0)
+    cand = np.flatnonzero(ious.max(axis=1) >= iou_thresh)
+    while cand.size:
+        live = np.where(taken[image[cand]], -1.0, ious[cand])
+        hit = np.flatnonzero(live.max(axis=1) >= iou_thresh)
+        if not hit.size:
+            break
+        # The first candidate of each image, in rank order, matches.
+        _, first = np.unique(image[cand[hit]], return_index=True)
+        won = hit[first]
+        tp[cand[won]] = 1.0
+        taken[image[cand[won]], live[won].argmax(axis=1)] = True
+        cand = np.delete(cand[hit], first)
+    return tp
 
 
 def average_precision(
-    dets: list[Detection],
+    dets: Detections,
     gts: list[GroundTruth],
     class_id: str,
     iou_thresh: float = 0.5,
@@ -57,11 +90,16 @@ def average_precision(
 
     Uses all-points interpolation: the precision envelope is made monotone
     nonincreasing and integrated over recall.  Returns None (undefined, not
-    zero) when the class has no ground-truth boxes.
+    zero) when the class has no ground-truth boxes.  ``iou_thresh`` must be
+    in [0, 1].
     """
-    tp, n_gt = _match_detections(dets, gts, class_id, iou_thresh)
-    if n_gt == 0:
+    if not 0.0 <= iou_thresh <= 1.0:
+        raise DataError("IoU threshold must be in [0, 1]")
+    gt_c = [g for g in gts if g.class_id == class_id]
+    if not gt_c:
         return None
+    tp = _true_positives(dets, gt_c, class_id, iou_thresh)
+    n_gt = len(gt_c)
     if len(tp) == 0:
         return 0.0
     ctp = np.cumsum(tp)

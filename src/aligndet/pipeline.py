@@ -18,7 +18,7 @@ from .alignment import (
 )
 from .datasets import Dataset, ImageRecord
 from .detection import (
-    Detection,
+    Detections,
     LinearDetector,
     TrainConfig,
     greedy_nms,
@@ -361,18 +361,26 @@ def detect(
     target: Dataset,
     states: dict[str, ClassAdaptationState],
     cfg: AdaptationConfig,
-) -> list[Detection]:
+) -> Detections:
     """Adapted detection over the target set.
 
-    Per class, the test-time projection is folded into the detector once
+    Each image's boxes are stacked into one array once per call.  Per
+    class, the test-time projection is folded into the detector once
     (pass-through classes keep theirs); ``raw_scores`` scores the raw
-    features with it, each image's scores are thresholded at
-    ``cfg.detect_thresh``, and the class's detections over every image go
-    to one ``greedy_nms`` call, which suppresses each image on its own.
-    Output order is class, then image, then NMS keep order.
+    features with it, the scores of every image are thresholded at
+    ``cfg.detect_thresh`` together, and the class's detections go to one
+    ``greedy_nms`` call, which suppresses each image on its own.  Output
+    order is class, then image, then NMS keep order; images and classes are
+    named as in ``target``.
     """
-    out: list[Detection] = []
-    for class_id in target.classes:
+    image_ids = tuple(img.image_id for img in target.images)
+    boxes = np.array(
+        [b.as_tuple() for img in target.images for b in img.boxes], dtype=np.float64
+    ).reshape(-1, 4)
+    sizes = [img.n_proposals for img in target.images]
+    image = np.repeat(np.arange(len(image_ids)), sizes)
+    kept = []
+    for k, class_id in enumerate(target.classes):
         state = states.get(class_id)
         if state is None:
             continue
@@ -380,12 +388,11 @@ def detect(
         if state.mode != "none":
             v, c = project_for_testing(det.weights, det.bias, state.target_subspace)
             det = LinearDetector(class_id, v, c, "raw")
-        picked = []
-        for img, scores in zip(target.images, raw_scores(target, det)):
-            keep = np.flatnonzero(scores >= cfg.detect_thresh)
-            picked += [
-                Detection(img.image_id, img.boxes[k], class_id, score)
-                for k, score in zip(keep.tolist(), scores[keep].tolist())
-            ]
-        out.extend(greedy_nms(picked, cfg.nms_thresh))
-    return out
+        scores = np.concatenate([np.empty(0), *raw_scores(target, det)])
+        rows = np.flatnonzero(scores >= cfg.detect_thresh)
+        picked = Detections(
+            boxes[rows], scores[rows], image[rows], np.full(rows.size, k),
+            image_ids, target.classes,
+        )
+        kept.append(greedy_nms(picked, cfg.nms_thresh))
+    return Detections.concat(kept, image_ids, target.classes)

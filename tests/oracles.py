@@ -6,9 +6,20 @@ evaluated from first principles, and the alignment minimizer is found by
 plain gradient descent.
 """
 
+import math
+from pathlib import Path
+
 import numpy as np
 
-from aligndet.detection import HINGE_MARGIN, Detection, iou
+from aligndet.detection import HINGE_MARGIN, BBox, Detection, iou
+from aligndet.errors import DataError
+
+
+def rank_key(d: Detection):
+    """The order in which NMS and AP matching visit detections: score
+    descending, then image id, then box coordinates, so ties never depend
+    on input order."""
+    return (-d.score, d.image_id, d.box.as_tuple())
 
 
 def brute_force_objective(M, Bs, Bt) -> float:
@@ -79,6 +90,35 @@ def per_image_nms(dets, overlap_thresh):
     return [k for group in images.values() for k in sequential_nms(group, overlap_thresh)]
 
 
+def match_detections(dets, gts, class_id, iou_thresh):
+    """The scalar greedy TP assignment for one class: 1.0 for each
+    detection that is a true positive, 0.0 for a false one, and the number
+    of ground truths.
+
+    Detections are visited in ``rank_key`` order; each matches the
+    highest-IoU still-unmatched ground truth of its image when that IoU
+    reaches ``iou_thresh``.
+    """
+    gt_c = [g for g in gts if g.class_id == class_id]
+    det_c = sorted((d for d in dets if d.class_id == class_id), key=rank_key)
+    unmatched = {}
+    for g in gt_c:
+        unmatched.setdefault(g.image_id, []).append(g)
+
+    tp = np.zeros(len(det_c))
+    for i, det in enumerate(det_c):
+        pool = unmatched.get(det.image_id, [])
+        best_iou, best_j = 0.0, -1
+        for j, g in enumerate(pool):
+            ov = iou(det.box, g.box)
+            if ov > best_iou:
+                best_iou, best_j = ov, j
+        if best_j >= 0 and best_iou >= iou_thresh:
+            tp[i] = 1.0
+            pool.pop(best_j)
+    return tp, len(gt_c)
+
+
 def brute_force_ap(dets, gts, class_id, iou_thresh=0.5):
     """First-principles PR-curve evaluation.
 
@@ -124,6 +164,46 @@ def brute_force_ap(dets, gts, class_id, iou_thresh=0.5):
         area += (recall - prev) * max(p for r, p in points if r >= recall)
         prev = recall
     return area
+
+
+def _parse_float(token, path, lineno):
+    try:
+        v = float(token)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: '{token}' is not a number") from None
+    if not math.isfinite(v):
+        raise DataError(f"{path}:{lineno}: non-finite value")
+    return v
+
+
+def per_line_box_rows(path, kind, header):
+    """The line-by-line box CSV reader: a list of (text cells, numbers,
+    box) rows, or the ``DataError`` of the first bad line.  ``numbers`` are
+    the columns after ``image_id`` other than ``class``; a box out of order
+    fails as ``BBox`` does, prefixed with ``path:lineno``."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{kind} file '{path}' does not exist")
+    lines = path.read_text().splitlines()
+    if not lines or lines[0] != header:
+        raise DataError(f"{kind} file '{path}' must start with '{header}'")
+    n_columns = header.count(",") + 1
+    out = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != n_columns:
+            raise DataError(
+                f"{path}:{lineno}: expected {n_columns} columns, got {len(parts)}"
+            )
+        nums = [_parse_float(p, path, lineno) for p in parts[1:5] + parts[6:]]
+        try:
+            box = BBox(*nums[:4])
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        out.append((parts, nums, box))
+    return out
 
 
 def project_target(X, T):

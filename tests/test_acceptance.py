@@ -19,7 +19,7 @@ from aligndet.dataio import (
     load_dataset,
     save_dataset,
 )
-from aligndet.detection import BBox, Detection, GroundTruth, TrainConfig
+from aligndet.detection import BBox, Detection, Detections, GroundTruth, TrainConfig
 from aligndet.errors import DataError
 from aligndet.evaluation import average_precision, similarity_matrix
 from aligndet.linalg import (
@@ -213,7 +213,8 @@ def test_c5_oracle_equivalences():
             dets.append(
                 Detection("img0", BBox(x, y, x + w, y + h), "obj", float(rng.uniform()))
             )
-        assert greedy_nms(dets, 0.3) == exhaustive_nms(dets, 0.3)
+        kept = greedy_nms(Detections.from_rows(dets), 0.3)
+        assert list(kept) == exhaustive_nms(dets, 0.3)
 
     # AP vs brute-force PR evaluation on every enumerated instance
     gt_xs = [0.0, 50.0, 100.0]
@@ -236,7 +237,7 @@ def test_c5_oracle_equivalences():
                             0.9 - 0.1 * rank,
                         )
                     )
-                got = average_precision(dets, gts, "obj")
+                got = average_precision(Detections.from_rows(dets), gts, "obj")
                 want = brute_force_ap(dets, gts, "obj")
                 assert got == pytest.approx(want, abs=1e-12), (n_gt, n_det, code)
                 checked += 1

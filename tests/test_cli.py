@@ -465,6 +465,36 @@ def test_evaluate_rejects_detections_outside_dataset(
     assert f"'{unknown}'" in err
 
 
+def test_evaluate_reports_a_box_out_of_order_by_file_and_line(
+    tmp_path, capsys, fast_config
+):
+    out = tmp_path / "run"
+    assert cli.main(["pipeline", "--config", fast_config, "--out", str(out)]) == 0
+    header, *rows = (out / "detections.csv").read_text().splitlines()
+    image_id, class_id = rows[0].split(",")[0], rows[0].split(",")[5]
+    rows[1] = f"{image_id},2,1,1,2,{class_id},1"
+    detections = tmp_path / "detections.csv"
+    detections.write_text("\n".join([header, *rows]) + "\n")
+    rc = cli.main(
+        [
+            "evaluate",
+            "--config",
+            fast_config,
+            "--detections",
+            str(detections),
+            "--dataset",
+            str(out / "target" / "manifest.json"),
+            "--out",
+            str(tmp_path / "evaluated"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"aligndet: data error: {detections}:3: "
+        "degenerate box ordering: (2.0, 1.0, 1.0, 2.0)"
+    )
+
+
 def test_pipeline_mean_ap_matches_recomputed_mean_on_many_classes(tmp_path):
     cfg = tmp_path / "many.cfg"
     cfg.write_text(

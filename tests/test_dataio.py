@@ -6,9 +6,14 @@ import zlib
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aligndet.datasets import Dataset, ImageRecord
 from aligndet.dataio import (
+    BOX_HEADER,
+    DETECTION_HEADER,
+    GT_HEADER,
     RunConfig,
     SynthShiftSpec,
     bounded_rotation,
@@ -31,8 +36,9 @@ from aligndet.dataio import (
     write_detections_csv,
     write_features,
 )
-from aligndet.detection import BBox, Detection, LinearDetector
+from aligndet.detection import BBox, Detection, Detections, LinearDetector
 from aligndet.errors import DataError
+from oracles import per_line_box_rows
 
 
 def tiny_dataset(labeled=True):
@@ -163,8 +169,8 @@ class TestCsvFiles:
             Detection("img1", BBox(1, 1, 6, 6), "dog", -1.5),
         ]
         p = tmp_path / "d.csv"
-        write_detections_csv(p, dets)
-        assert read_detections_csv(p) == dets
+        write_detections_csv(p, Detections.from_rows(dets))
+        assert list(read_detections_csv(p)) == dets
 
 
 # reader, "<kind> file" prefix of its messages, header, one valid row.
@@ -187,7 +193,7 @@ CSV_KINDS = [
 
 @pytest.mark.parametrize("reader, kind, header, row", CSV_KINDS)
 @pytest.mark.parametrize(
-    "defect", ["missing", "header", "columns", "not_a_number", "non_finite"]
+    "defect", ["missing", "header", "columns", "not_a_number", "non_finite", "order"]
 )
 def test_malformed_csv_names_file_or_line(tmp_path, reader, kind, header, row, defect):
     p = tmp_path / "rows.csv"
@@ -196,6 +202,8 @@ def test_malformed_csv_names_file_or_line(tmp_path, reader, kind, header, row, d
         bad = row + ",9"
     elif defect == "not_a_number":
         bad = ",".join(cells[:1] + ["a"] + cells[2:])
+    elif defect == "order":
+        bad = ",".join(cells[:1] + ["2"] + cells[2:])  # x_min 2 > x_max 1
     else:
         # The last numeric column: the score of a detection, else y_max.
         col = 6 if reader is read_detections_csv else 4
@@ -210,10 +218,146 @@ def test_malformed_csv_names_file_or_line(tmp_path, reader, kind, header, row, d
         "columns": f"{p}:3: expected {len(cells)} columns, got {len(cells) + 1}",
         "not_a_number": f"{p}:3: 'a' is not a number",
         "non_finite": f"{p}:3: non-finite value",
+        "order": f"{p}:3: degenerate box ordering: (2.0, 0.0, 1.0, 1.0)",
     }[defect]
     with pytest.raises(DataError) as info:
         reader(p)
     assert str(info.value) == expected
+
+
+# Floats at the edges of what repr and float round-trip: signed zeros, the
+# smallest subnormal and values near the largest double.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0, 2.5]
+edge_or_any = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+# Ids the CSV files can carry (``check_id``), spaces and non-ASCII included.
+csv_id = st.text(alphabet="ab_-. 0é", min_size=1, max_size=4)
+
+
+@st.composite
+def detection_rows(draw):
+    """``Detection`` rows of a few images and classes: edge floats, tied
+    scores and repeated rows are likely; zero rows give a header-only file."""
+    images = draw(st.lists(csv_id, min_size=1, max_size=3, unique=True))
+    classes = draw(st.lists(csv_id, min_size=1, max_size=3, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        x0, x1 = sorted([draw(edge_or_any), draw(edge_or_any)])
+        y0, y1 = sorted([draw(edge_or_any), draw(edge_or_any)])
+        row = Detection(
+            draw(st.sampled_from(images)),
+            BBox(x0, y0, x1, y1),
+            draw(st.sampled_from(classes)),
+            draw(st.one_of(st.sampled_from([0.5, -0.0, 0.0]), edge_or_any)),
+        )
+        rows += [row] * draw(st.integers(1, 2))
+    return rows
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+codec_settings = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@given(rows=detection_rows())
+@codec_settings
+def test_detections_csv_round_trip_keeps_every_bit(tmp_path, rows):
+    dets = Detections.from_rows(rows)
+    p, p2 = tmp_path / "d.csv", tmp_path / "d2.csv"
+    write_detections_csv(p, dets)
+    back = read_detections_csv(p)
+    assert bits(back.boxes) == bits(dets.boxes)
+    assert bits(back.scores) == bits(dets.scores)
+    assert [(d.image_id, d.class_id) for d in back] == [
+        (d.image_id, d.class_id) for d in rows
+    ]
+    write_detections_csv(p2, back)
+    assert p2.read_bytes() == p.read_bytes()
+    if not rows:
+        assert p.read_text() == DETECTION_HEADER + "\n"
+
+
+# reader -> kind and header of its files.
+READERS = {
+    read_boxes_csv: ("boxes", BOX_HEADER),
+    read_gt_csv: ("gt", GT_HEADER),
+    read_detections_csv: ("detections", DETECTION_HEADER),
+}
+# A text replacing one numeric cell: accepted by ``float`` or not.
+CELL_MUTATIONS = ["inf", "-inf", "nan", "1_5", " 1.5", "1.5 ", "a", "", "1e999", "-0"]
+LINE_MUTATIONS = ["cell", "more_columns", "fewer_columns", "blank", "swap"]
+
+
+def _oracle_result(reader, path) -> str:
+    """The per-line oracle's rows for ``reader``'s kind, shaped as the
+    reader returns them, or its error message."""
+    kind, header = READERS[reader]
+    try:
+        rows = per_line_box_rows(path, kind, header)
+    except DataError as exc:
+        return str(exc)
+    if reader is read_boxes_csv:
+        return repr([(parts[0], box) for parts, _, box in rows])
+    if reader is read_gt_csv:
+        return repr([(parts[0], parts[5], box) for parts, _, box in rows])
+    return repr(
+        [Detection(parts[0], box, parts[5], nums[4]) for parts, nums, box in rows]
+    )
+
+
+def _reader_result(reader, path) -> str:
+    try:
+        return repr(list(reader(path)))
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+@given(rows=detection_rows(), data=st.data())
+@codec_settings
+def test_mutated_lines_read_as_the_per_line_reader_does(tmp_path, reader, rows, data):
+    kind, header = READERS[reader]
+    n_columns = header.count(",") + 1
+    numeric = [k for k in (1, 2, 3, 4, 6) if k < n_columns]
+    lines = [
+        ",".join([d.image_id, *map(repr, d.box.as_tuple()), d.class_id, repr(d.score)][
+            :n_columns
+        ])
+        for d in rows
+    ]
+    for _ in range(data.draw(st.integers(0, 3))):
+        mutation = data.draw(st.sampled_from(LINE_MUTATIONS))
+        if mutation == "blank":
+            lines.insert(data.draw(st.integers(0, len(lines))), "")
+            continue
+        filled = [k for k, line in enumerate(lines) if line]
+        if not filled:
+            continue
+        k = data.draw(st.sampled_from(filled))
+        cells = lines[k].split(",")
+        if mutation == "cell":
+            present = [c for c in numeric if c < len(cells)]
+            cells[data.draw(st.sampled_from(present))] = data.draw(
+                st.sampled_from(CELL_MUTATIONS)
+            )
+        elif mutation == "more_columns":
+            cells.append("9")
+        elif mutation == "fewer_columns":
+            cells.pop()
+        elif len(cells) > 3:  # x_min and x_max swapped: out of order unless equal
+            cells[1], cells[3] = cells[3], cells[1]
+        lines[k] = ",".join(cells)
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    p = tmp_path / "rows.csv"
+    p.write_bytes(newline.join([header, *lines, ""]).encode())
+    assert _reader_result(reader, p) == _oracle_result(reader, p)
 
 
 class TestDatasetRoundTrip:
@@ -259,6 +403,19 @@ class TestDatasetRoundTrip:
         boxes_file.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(DataError, match="2 rows.*3 rows"):
             load_dataset(m)
+
+    def test_box_out_of_order_cites_boxes_file_and_line(self, tmp_path):
+        m = save_dataset(tiny_dataset(), tmp_path / "o")
+        boxes_file = tmp_path / "o" / "boxes" / "img1.csv"
+        lines = boxes_file.read_text().splitlines()
+        lines[2] = "img1,2.0,1.0,1.0,2.0"
+        boxes_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(m)
+        assert str(info.value) == (
+            f"manifest '{m}' is malformed: {boxes_file}:3: "
+            "degenerate box ordering: (2.0, 1.0, 1.0, 2.0)"
+        )
 
     def test_nan_feature_cites_row(self, tmp_path):
         m = save_dataset(tiny_dataset(), tmp_path / "z")

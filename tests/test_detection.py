@@ -13,13 +13,13 @@ from aligndet.detection import (
     NMS_TILE_FLOATS,
     BBox,
     Detection,
+    Detections,
     LinearDetector,
     TrainConfig,
     greedy_nms,
     hinge_objective,
     iou,
     pairwise_iou,
-    rank_key,
     _first_loud_step,
     _replay,
     train_detector,
@@ -31,6 +31,7 @@ from oracles import (
     exhaustive_nms,
     per_image_nms,
     random_detections,
+    rank_key,
     sequential_nms,
     subgradient_loop,
 )
@@ -610,19 +611,88 @@ def det_at(x, score, image_id="img0", class_id="obj"):
     return Detection(image_id, BBox(x, 0, x + 10, 10), class_id, score)
 
 
+def nms(dets, overlap_thresh):
+    """``greedy_nms`` on a list of ``Detection`` rows, as a list."""
+    return list(greedy_nms(Detections.from_rows(dets), overlap_thresh))
+
+
+class TestDetections:
+    def rows(self):
+        return [det_at(0, 0.5), det_at(20, -1.0, image_id="img1", class_id="b")]
+
+    def test_rows_round_trip(self):
+        rows = self.rows()
+        dets = Detections.from_rows(rows)
+        assert len(dets) == 2 and list(dets) == rows
+        assert dets.image_ids == ("img0", "img1") and dets.class_ids == ("obj", "b")
+        assert dets == Detections.from_rows(rows, ("img1", "img0"), ("b", "obj"))
+        assert list(Detections.from_rows([])) == []
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0.0, math.nan, 1.0, 1.0, 0.5], "box coordinates must be finite"),
+            ([0.0, 0.0, math.inf, 1.0, 0.5], "box coordinates must be finite"),
+            (
+                [2.0, 1.0, 1.0, 2.0, 0.5],
+                "degenerate box ordering: (2.0, 1.0, 1.0, 2.0)",
+            ),
+            ([0.0, 0.0, 1.0, 1.0, math.nan], "detection score must be finite"),
+        ],
+    )
+    def test_row_checks_give_the_row_types_messages(self, row, message):
+        with pytest.raises(DataError) as scalar:
+            Detection("img0", BBox(*row[:4]), "obj", row[4])
+        assert str(scalar.value) == message
+        good = [0.0, 0.0, 1.0, 1.0, 0.5]
+        table = np.array([good, row, [3.0, 0.0, 1.0, 1.0, math.inf]])
+        with pytest.raises(DataError) as columns:
+            Detections(table[:, :4], table[:, 4], [0] * 3, [0] * 3, ["img0"], ["obj"])
+        assert str(columns.value) == message  # the first bad row's
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"boxes": np.zeros((2, 3))}, "columns must be"),
+            ({"scores": np.zeros(3)}, "columns must be"),
+            ({"image_index": [0, 2]}, r"codes outside \[0, 2\)"),
+            ({"class_index": [0, -1]}, r"codes outside \[0, 2\)"),
+            ({"image_ids": ["img0", "img0"]}, "duplicate names"),
+        ],
+    )
+    def test_shapes_codes_and_names_checked(self, change, match):
+        dets = Detections.from_rows(self.rows())
+        fields = {f.name: getattr(dets, f.name) for f in dataclasses.fields(dets)}
+        with pytest.raises(DataError, match=match):
+            Detections(**{**fields, **change})
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(DataError, match="'img9' is not among"):
+            Detections.from_rows([det_at(0, 0.5, image_id="img9")], ["img0"])
+
+    def test_concat_keeps_order_and_checks_names(self):
+        rows = self.rows()
+        names = (("img0", "img1"), ("obj", "b"))
+        parts = [Detections.from_rows(part, *names) for part in (rows[1:], rows[:1])]
+        assert list(Detections.concat(parts, *names)) == rows[::-1]
+        assert len(Detections.concat([], *names)) == 0
+        with pytest.raises(DataError, match="different name tables"):
+            Detections.concat([Detections.from_rows(rows)], names[0][::-1], names[1])
+
+
 class TestGreedyNms:
     def test_identical_boxes_keep_best(self):
         a, b = det_at(0, 0.9), det_at(0, 0.8)
-        assert greedy_nms([b, a], 0.5) == [a]
+        assert nms([b, a], 0.5) == [a]
 
     def test_disjoint_boxes_both_kept(self):
         a, b = det_at(0, 0.9), det_at(100, 0.8)
-        assert greedy_nms([a, b], 0.5) == [a, b]
+        assert nms([a, b], 0.5) == [a, b]
 
     def test_matches_exhaustive_reference(self):
         for seed in range(50):
             dets = random_detections(np.random.default_rng(seed), 10)
-            assert greedy_nms(dets, 0.3) == exhaustive_nms(dets, 0.3)
+            assert nms(dets, 0.3) == exhaustive_nms(dets, 0.3)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -632,25 +702,25 @@ class TestGreedyNms:
     @settings(max_examples=60, deadline=None)
     def test_matches_sequential_loop_on_large_degenerate_inputs(self, seed, n, thresh):
         dets = degenerate_detections(np.random.default_rng(seed), n)
-        assert greedy_nms(dets, thresh) == sequential_nms(dets, thresh)
+        assert nms(dets, thresh) == sequential_nms(dets, thresh)
 
     @pytest.mark.parametrize("thresh", [0.0, 0.3, 1.0])
     def test_matches_sequential_loop_across_row_blocks(self, thresh):
         # Too many for one tile: row blocks of the one image.
         n = 2 * math.isqrt(NMS_TILE_FLOATS) + 50
         dets = degenerate_detections(np.random.default_rng(7), n)
-        assert greedy_nms(dets, thresh) == sequential_nms(dets, thresh)
+        assert nms(dets, thresh) == sequential_nms(dets, thresh)
 
     def test_idempotent(self):
         for seed in range(10):
             dets = random_detections(np.random.default_rng(seed), 12)
-            once = greedy_nms(dets, 0.4)
-            assert greedy_nms(once, 0.4) == once
+            once = nms(dets, 0.4)
+            assert nms(once, 0.4) == once
 
     def test_output_structure(self):
         for seed in range(10):
             dets = random_detections(np.random.default_rng(100 + seed), 15)
-            kept = greedy_nms(dets, 0.3)
+            kept = nms(dets, 0.3)
             scores = [d.score for d in kept]
             assert scores == sorted(scores, reverse=True)
             for i, a in enumerate(kept):
@@ -662,11 +732,11 @@ class TestGreedyNms:
 
     def test_mixed_classes_rejected(self):
         with pytest.raises(DataError, match="mixes classes"):
-            greedy_nms([det_at(0, 1.0, class_id="a"), det_at(0, 0.5, class_id="b")], 0.5)
+            nms([det_at(0, 1.0, class_id="a"), det_at(0, 0.5, class_id="b")], 0.5)
 
     def test_threshold_validated(self):
         with pytest.raises(DataError):
-            greedy_nms([det_at(0, 1.0)], 1.5)
+            nms([det_at(0, 1.0)], 1.5)
 
     def test_tie_broken_by_image_then_box(self):
         # NMS sees one image, so its ties break by box; rank_key, the order
@@ -674,7 +744,7 @@ class TestGreedyNms:
         a = det_at(100, 0.5, image_id="img1")
         b = det_at(0, 0.5, image_id="img0")
         c = Detection("img0", BBox(0, 5, 10, 15), "obj", 0.5)
-        assert greedy_nms([c, b], 0.9) == [b, c]
+        assert nms([c, b], 0.9) == [b, c]
         assert sorted([a, c, b], key=rank_key) == [b, c, a]
 
     def test_mixed_image_ids_suppressed_per_image(self):
@@ -682,9 +752,9 @@ class TestGreedyNms:
         # come out in the order they first appear.
         a, b = det_at(0, 0.9, image_id="img0"), det_at(0, 0.8, image_id="img1")
         c = det_at(1, 0.7, image_id="img0")
-        assert greedy_nms([b, a, c], 0.3) == [b, a]
+        assert nms([b, a, c], 0.3) == [b, a]
         with pytest.raises(DataError, match="mixes classes"):
-            greedy_nms([a, det_at(0, 0.8, image_id="img1", class_id="other")], 0.3)
+            nms([a, det_at(0, 0.8, image_id="img1", class_id="other")], 0.3)
 
     @pytest.mark.parametrize("budget", [1, 7, 50, NMS_TILE_FLOATS])
     @given(dets=multi_image_detections(), thresh=st.sampled_from([0.0, 0.3, 1.0]))
@@ -693,7 +763,7 @@ class TestGreedyNms:
         # Budget 1 gives one-row blocks, 7 and 50 tiles of several small
         # images with padding and row blocks of the larger ones.
         with mock.patch.object(detection, "NMS_TILE_FLOATS", budget):
-            assert greedy_nms(dets, thresh) == per_image_nms(dets, thresh)
+            assert nms(dets, thresh) == per_image_nms(dets, thresh)
 
     @pytest.mark.parametrize("thresh", [0.0, 0.3, 1.0])
     def test_large_interleaved_images_match_per_image_sequential_loop(self, thresh):
@@ -705,7 +775,7 @@ class TestGreedyNms:
                 rng.choice(4, size=700, p=[0.6, 0.2, 0.15, 0.05]).tolist(),
             )
         ]
-        assert greedy_nms(dets, thresh) == per_image_nms(dets, thresh)
+        assert nms(dets, thresh) == per_image_nms(dets, thresh)
 
     def test_tiles_pad_small_images_and_block_large_ones(self):
         # With a budget of 50 IoUs, an image of 9 detections gets blocks of
@@ -728,7 +798,7 @@ class TestGreedyNms:
         with mock.patch.object(detection, "NMS_TILE_FLOATS", 50), mock.patch.object(
             detection, "_suppress", spy
         ):
-            assert greedy_nms(dets, 0.3) == per_image_nms(dets, 0.3)
+            assert nms(dets, 0.3) == per_image_nms(dets, 0.3)
         assert shapes[0] == (1, 5, 9)
         assert all(k == 1 and r * c <= 50 for k, r, c in shapes[:-1])
         assert shapes[-1] == (2, 3, 3)

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aligndet.detection import BBox, Detection, GroundTruth
+from aligndet.detection import BBox, Detection, Detections, GroundTruth
 from aligndet.errors import DataError
 from aligndet.evaluation import (
+    _true_positives,
     average_precision,
     mean_ap,
     render_histogram_svg,
@@ -15,7 +18,7 @@ from aligndet.evaluation import (
     similarity_matrix,
 )
 from aligndet.linalg import Subspace, identity_stats, subspace_similarity
-from oracles import brute_force_ap, random_orthonormal
+from oracles import brute_force_ap, match_detections, random_orthonormal
 
 
 def gt_at(x, image_id="img0", class_id="obj"):
@@ -26,25 +29,72 @@ def det_at(x, score, image_id="img0", class_id="obj"):
     return Detection(image_id, BBox(x, 0, x + 10, 10), class_id, score)
 
 
+def ap_of(dets, gts, class_id="obj", iou_thresh=0.5):
+    """``average_precision`` of a list of ``Detection`` rows."""
+    return average_precision(Detections.from_rows(dets), gts, class_id, iou_thresh)
+
+
+grid = st.integers(0, 4).map(lambda v: 5.0 * v)
+
+
+@st.composite
+def grid_box(draw):
+    """Boxes on a coarse grid: duplicates, nested, touching and zero-area
+    boxes are likely."""
+    x0, y0 = draw(grid), draw(grid)
+    return BBox(x0, y0, x0 + draw(grid), y0 + draw(grid))
+
+
+@st.composite
+def ap_cases(draw):
+    """(detections, ground truths) over up to four images: classes 'a' and
+    'b' have detections, 'c' only ground truths; scores tie often, some
+    detections are repeated and some ground truths copy a detection."""
+    images = [f"img{k}" for k in range(draw(st.integers(1, 4)))]
+    score = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-5, 5))
+    dets = draw(
+        st.lists(
+            st.builds(
+                Detection, st.sampled_from(images), grid_box(),
+                st.sampled_from(["a", "b"]), score,
+            ),
+            max_size=30,
+        )
+    )
+    copied = draw(st.lists(st.sampled_from(dets), max_size=6)) if dets else []
+    gts = [GroundTruth(d.image_id, d.class_id, d.box) for d in copied]
+    gts += draw(
+        st.lists(
+            st.builds(
+                GroundTruth, st.sampled_from(images), st.sampled_from(["a", "b", "c"]),
+                grid_box(),
+            ),
+            max_size=8,
+        )
+    )
+    dets += draw(st.lists(st.sampled_from(dets), max_size=3)) if dets else []
+    return dets, draw(st.permutations(gts))
+
+
 class TestAveragePrecision:
     def test_single_exact_match(self):
-        assert average_precision([det_at(0, 0.9)], [gt_at(0)], "obj") == 1.0
+        assert ap_of([det_at(0, 0.9)], [gt_at(0)]) == 1.0
 
     def test_false_positive_above_true_positive(self):
         dets = [det_at(100, 0.9), det_at(0, 0.8)]
-        assert average_precision(dets, [gt_at(0)], "obj") == pytest.approx(0.5)
+        assert ap_of(dets, [gt_at(0)]) == pytest.approx(0.5)
 
     def test_no_detections(self):
-        assert average_precision([], [gt_at(0)], "obj") == 0.0
+        assert ap_of([], [gt_at(0)]) == 0.0
 
     def test_no_ground_truth_is_undefined(self):
-        assert average_precision([det_at(0, 0.9)], [], "obj") is None
-        assert average_precision([det_at(0, 0.9)], [gt_at(0, class_id="x")], "obj") is None
+        assert ap_of([det_at(0, 0.9)], []) is None
+        assert ap_of([det_at(0, 0.9)], [gt_at(0, class_id="x")]) is None
 
     def test_duplicate_detection_is_false_positive(self):
         dets = [det_at(0, 0.9), det_at(0, 0.8)]
         # second hit on the same GT counts against precision
-        ap = average_precision(dets, [gt_at(0)], "obj")
+        ap = ap_of(dets, [gt_at(0)])
         assert ap == 1.0  # TP first, duplicate after full recall
 
     def test_monotone_score_transform_invariance(self):
@@ -59,28 +109,28 @@ class TestAveragePrecision:
                     image_id=f"i{(k % 6) // 3}",
                 )
             )
-        base = average_precision(dets, gts, "obj")
+        base = ap_of(dets, gts)
         warped = [
             Detection(d.image_id, d.box, d.class_id, math.exp(d.score) * 2 + 5)
             for d in dets
         ]
-        assert average_precision(warped, gts, "obj") == pytest.approx(base, abs=1e-12)
+        assert ap_of(warped, gts) == pytest.approx(base, abs=1e-12)
 
     def test_low_fp_never_raises_ap(self):
         rng = np.random.default_rng(1)
         for seed in range(10):
             gts = [gt_at(0), gt_at(40)]
             dets = [det_at(0, 0.9), det_at(200, 0.5)]
-            base = average_precision(dets, gts, "obj")
+            base = ap_of(dets, gts)
             worse = dets + [det_at(300, 0.01)]
-            assert average_precision(worse, gts, "obj") <= base + 1e-12
+            assert ap_of(worse, gts) <= base + 1e-12
 
     def test_top_tp_never_lowers_ap(self):
         gts = [gt_at(0), gt_at(40)]
         dets = [det_at(200, 0.5), det_at(0, 0.4)]
-        base = average_precision(dets, gts, "obj")
+        base = ap_of(dets, gts)
         better = dets + [det_at(40, 0.99)]
-        assert average_precision(better, gts, "obj") >= base - 1e-12
+        assert ap_of(better, gts) >= base - 1e-12
 
     def test_matches_brute_force_on_spot_cases(self):
         rng = np.random.default_rng(2)
@@ -92,7 +142,7 @@ class TestAveragePrecision:
                 target = int(r.integers(0, len(gts) + 1))
                 x = 50 * target if target < len(gts) else 999
                 dets.append(det_at(x + r.uniform(-2, 2), float(r.uniform(0, 1))))
-            got = average_precision(dets, gts, "obj")
+            got = ap_of(dets, gts)
             want = brute_force_ap(dets, gts, "obj")
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -105,8 +155,30 @@ class TestAveragePrecision:
                 det_at(float(r.uniform(0, 200)), float(r.uniform(0, 1)))
                 for _ in range(8)
             ]
-            ap = average_precision(dets, gts, "obj")
+            ap = ap_of(dets, gts)
             assert 0.0 <= ap <= 1.0
+
+    @pytest.mark.parametrize("thresh", [math.nan, math.inf, -0.1, 1.5])
+    def test_iou_threshold_outside_unit_interval_rejected(self, thresh):
+        with pytest.raises(DataError, match=r"IoU threshold must be in \[0, 1\]"):
+            ap_of([det_at(0, 0.9)], [gt_at(0)], iou_thresh=thresh)
+
+    @pytest.mark.parametrize("thresh", [0.0, 0.5, 1.0])
+    @given(case=ap_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_both_oracles(self, thresh, case):
+        dets, gts = case
+        columns = Detections.from_rows(dets)
+        for class_id in ("a", "b", "c"):
+            got = average_precision(columns, gts, class_id, thresh)
+            want = brute_force_ap(dets, gts, class_id, thresh)
+            assert got == pytest.approx(want, abs=1e-12)
+            if want is not None:
+                tp, _ = match_detections(dets, gts, class_id, thresh)
+                gt_c = [g for g in gts if g.class_id == class_id]
+                npt.assert_array_equal(
+                    _true_positives(columns, gt_c, class_id, thresh), tp
+                )
 
 
 class TestMeanAp:

@@ -6,7 +6,14 @@ from aligndet import pipeline
 from aligndet.alignment import solve_alignment
 from aligndet.dataio import SynthShiftSpec, generate_synthetic, load_states, save_states
 from aligndet.datasets import Dataset, ImageRecord
-from aligndet.detection import BBox, LinearDetector, TrainConfig, greedy_nms, iou
+from aligndet.detection import (
+    BBox,
+    Detections,
+    LinearDetector,
+    TrainConfig,
+    greedy_nms,
+    iou,
+)
 from aligndet.errors import DataError
 from aligndet.evaluation import average_precision
 from aligndet.linalg import subspace_similarity
@@ -365,8 +372,8 @@ class TestDetect:
                     Detection(img.image_id, img.boxes[k], c, float(scores[k]))
                     for k in np.flatnonzero(scores >= cfg.detect_thresh)
                 ]
-                manual.extend(greedy_nms(picked, cfg.nms_thresh))
-        assert via_adapt == manual
+                manual.extend(greedy_nms(Detections.from_rows(picked), cfg.nms_thresh))
+        assert list(via_adapt) == manual
 
     def test_single_surviving_proposal_bypasses_nms(self):
         ds = grid_image([0.0, 30.0, 60.0])
@@ -376,7 +383,7 @@ class TestDetect:
         # features are row index constants: rows 2 has value 2 >= 1.5
         out = detect(ds, states, cfg)
         assert len(out) == 1
-        assert out[0].box == ds.images[0].boxes[2]
+        assert list(out)[0].box == ds.images[0].boxes[2]
 
     def test_detect_deterministic(self, small_pair):
         src, tgt = small_pair
@@ -436,7 +443,13 @@ class TestDetect:
         fast = detect(tgt, states, cfg)
         assert len(fast) > 0
         # detect passes each class's detections over every image at once.
-        monkeypatch.setattr(pipeline, "greedy_nms", per_image_nms)
+        monkeypatch.setattr(
+            pipeline,
+            "greedy_nms",
+            lambda dets, thresh: Detections.from_rows(
+                per_image_nms(list(dets), thresh), dets.image_ids, dets.class_ids
+            ),
+        )
         assert detect(tgt, states, cfg) == fast
 
 
