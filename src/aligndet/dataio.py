@@ -6,11 +6,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate, chain, repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -47,6 +50,8 @@ def write_features(path, X) -> None:
 
 
 def read_features(path) -> np.ndarray:
+    """One feature file's matrix, every fault a DataError naming the file
+    (``_feature_blocks`` reads many at once and leaves faults to this)."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"feature file '{path}' does not exist")
@@ -69,6 +74,36 @@ def read_features(path) -> np.ndarray:
     return X
 
 
+def _feature_blocks(paths) -> list[np.ndarray] | None:
+    """The feature matrices of the files at ``paths``, as blocks of one
+    float64 array that every payload fills, with one finiteness check
+    over all of it; None when a file cannot be read or fails a check of
+    ``read_features``, which reports it."""
+    payloads, shapes = [], []
+    for path in paths:
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError:
+            return None
+        if len(raw) < 16 or raw[:4] != FEATURE_MAGIC:
+            return None
+        version, n, D = struct.unpack_from("<III", raw, 4)
+        if version != FEATURE_VERSION or len(raw) != 16 + 4 * n * D:
+            return None
+        payloads.append(raw)
+        shapes.append((n, D))
+    ends = list(accumulate(n * D for n, D in shapes))
+    flat = np.empty(ends[-1] if ends else 0)
+    blocks = []
+    for k, ((n, D), end) in enumerate(zip(shapes, ends)):
+        block = flat[end - n * D : end]
+        block[:] = np.frombuffer(payloads[k], "<f4", offset=16)
+        payloads[k] = None  # freed once copied
+        blocks.append(block.reshape(n, D))
+    return blocks if np.isfinite(flat).all() else None
+
+
 # ---------------------------------------------------------------------------
 # CSV box files (fixed header; floats serialized with repr round-tripping)
 # ---------------------------------------------------------------------------
@@ -77,10 +112,17 @@ def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
-def _line_error(path, lines: list[str], n_columns: int) -> DataError:
-    """The error of the first bad row of a box CSV's ``lines``, whose
-    header is valid, checked line by line: its column count, then each
-    number in column order, then the box's order."""
+def _file_error(path, kind: str, header: str) -> DataError:
+    """The first fault of the box CSV at ``path``, checked line by line:
+    the file's existence and header, then for each row its column count,
+    each number in column order and the box's order."""
+    path = Path(path)
+    if not path.is_file():
+        return DataError(f"{kind} file '{path}' does not exist")
+    lines = path.read_text().splitlines()
+    if not lines or lines[0] != header:
+        return DataError(f"{kind} file '{path}' must start with '{header}'")
+    n_columns = header.count(",") + 1
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -103,49 +145,66 @@ def _line_error(path, lines: list[str], n_columns: int) -> DataError:
     raise AssertionError(f"{path} has no bad row")
 
 
-def _read_box_table(
-    path, kind: str, header: str
-) -> tuple[list[tuple], np.ndarray]:
-    """The rows of a box CSV as columns: the cells of each column as a
-    tuple of text, and an ``(n, k)`` float array of its numeric columns,
-    the four of ``BOX_HEADER`` then those after ``class`` (the sixth).
-    Blank lines are skipped.
+def _box_tables(
+    paths, header: str
+) -> tuple[list[tuple], np.ndarray, list[int]] | None:
+    """The rows of the box CSVs at ``paths`` as one table: the cells of
+    each column as a tuple of text, an ``(n, k)`` float array of the
+    numeric columns (the four of ``BOX_HEADER``, then those after
+    ``class``, the sixth) and each file's row count.  Blank lines are
+    skipped.  None when a file cannot be read or fails a check, which
+    ``_file_error`` then reports.
 
-    Every line is split at once and the numbers are parsed with ``float``;
-    finiteness and box order are checked on the array.  Only when a check
-    fails are the lines walked again, to report the first bad one by
-    ``path:lineno`` (``_line_error``)."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"{kind} file '{path}' does not exist")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != header:
-        raise DataError(f"{kind} file '{path}' must start with '{header}'")
+    Each file's header is checked on its own; then every line of every
+    file is split at once, all numbers are parsed in one ``float`` pass
+    and finiteness and box order are checked on the one array."""
     n_columns = header.count(",") + 1
-    rows = [line.split(",") for line in lines[1:] if line]
-    if set(map(len, rows)) <= {n_columns}:
-        columns = list(zip(*rows)) or [()] * n_columns
+    rows: list[list[str]] = []
+    sizes = []
+    for path in paths:
         try:
-            numbers = np.stack(
-                [
-                    np.fromiter(map(float, columns[k]), np.float64, len(rows))
-                    for k in (1, 2, 3, 4, *range(6, n_columns))
-                ],
-                axis=1,
-            )
-        except ValueError:  # a cell that is not a number
-            pass
-        else:
-            x0, y0, x1, y1 = numbers[:, :4].T
-            if np.isfinite(numbers).all() and (x1 >= x0).all() and (y1 >= y0).all():
-                return columns, numbers
-    raise _line_error(path, lines, n_columns)
+            with open(path) as fh:  # as ``Path.read_text`` opens it
+                lines = fh.read().splitlines()
+        except (OSError, ValueError):
+            return None
+        if not lines or lines[0] != header:
+            return None
+        body = [line.split(",") for line in lines[1:] if line]
+        rows += body
+        sizes.append(len(body))
+    if not set(map(len, rows)) <= {n_columns}:
+        return None
+    columns = list(zip(*rows)) or [()] * n_columns
+    try:
+        numbers = np.stack(
+            [
+                np.fromiter(map(float, columns[k]), np.float64, len(rows))
+                for k in (1, 2, 3, 4, *range(6, n_columns))
+            ],
+            axis=1,
+        )
+    except ValueError:  # a cell that is not a number
+        return None
+    x0, y0, x1, y1 = numbers[:, :4].T
+    if not (np.isfinite(numbers).all() and (x1 >= x0).all() and (y1 >= y0).all()):
+        return None
+    return columns, numbers, sizes
 
 
-def _box_line(image_id: str, b: BBox) -> str:
+def _read_box_table(path, kind: str, header: str) -> tuple[list[tuple], np.ndarray]:
+    """The columns and numbers (see ``_box_tables``) of one box CSV; its
+    first fault is a DataError by ``path:lineno`` or naming the file."""
+    table = _box_tables([path], header)
+    if table is None:
+        raise _file_error(path, kind, header)
+    return table[0], table[1]
+
+
+def _box_line(image_id: str, box) -> str:
+    x0, y0, x1, y1 = box
     return (
-        f"{image_id},{_fmt_float(b.x_min)},{_fmt_float(b.y_min)},"
-        f"{_fmt_float(b.x_max)},{_fmt_float(b.y_max)}"
+        f"{image_id},{_fmt_float(x0)},{_fmt_float(y0)},"
+        f"{_fmt_float(x1)},{_fmt_float(y1)}"
     )
 
 
@@ -153,17 +212,22 @@ def _write_lines(path, header: str, lines) -> None:
     Path(path).write_text("\n".join([header, *lines]) + "\n")
 
 
-def write_boxes_csv(path, image_id: str, boxes: list[BBox]) -> None:
-    _write_lines(path, BOX_HEADER, (_box_line(image_id, b) for b in boxes))
+def write_boxes_csv(path, image_id: str, boxes) -> None:
+    """One line per row of the ``(n, 4)`` box array ``boxes``."""
+    rows = np.asarray(boxes, dtype=np.float64).tolist()
+    _write_lines(path, BOX_HEADER, (_box_line(image_id, b) for b in rows))
 
 
-def read_boxes_csv(path) -> list[tuple[str, BBox]]:
+def read_boxes_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """The image id of each row and the ``(n, 4)`` box array."""
     columns, numbers = _read_box_table(path, "boxes", BOX_HEADER)
-    return [(i, BBox(*b)) for i, b in zip(columns[0], numbers.tolist())]
+    return columns[0], numbers
 
 
 def write_gt_csv(path, image_id: str, gt: list[tuple[str, BBox]]) -> None:
-    _write_lines(path, GT_HEADER, (f"{_box_line(image_id, b)},{c}" for c, b in gt))
+    _write_lines(
+        path, GT_HEADER, (f"{_box_line(image_id, b.as_tuple())},{c}" for c, b in gt)
+    )
 
 
 def read_gt_csv(path) -> list[tuple[str, str, BBox]]:
@@ -363,24 +427,91 @@ def _dataset_from_manifest(manifest: dict, base: Path) -> Dataset:
     # parse, and its error would blame the CSV instead of the id.
     for class_id in classes:
         check_id("class id", class_id)
-    images = []
+    images = _read_images(entries, base, classes)
+    if images is None:
+        _raise_first_fault(entries, base, classes)
+    return Dataset(name=name, classes=classes, feature_dim=feature_dim, images=images)
+
+
+def _read_images(entries, base: Path, classes: list[str]) -> list[ImageRecord] | None:
+    """The images of a manifest's ``entries``, read in bulk: the feature
+    files fill one array (``_feature_blocks``), the boxes files form one
+    table and the GT files another (``_box_tables``), and each image holds
+    row views of them.  Ids and row counts are checked per file, on the
+    tables.  None when any check fails; ``_raise_first_fault`` then finds
+    and reports the first fault."""
+    # Joined as text: a ``Path`` per file costs more than reading it.
+    base = str(base)
+    try:
+        ids = [entry.get("image_id") for entry in entries]
+        for image_id in ids:
+            check_id("image id", image_id)
+        feature_paths = [os.path.join(base, entry["feature_file"]) for entry in entries]
+        box_paths = [os.path.join(base, entry["boxes_file"]) for entry in entries]
+        labeled = [k for k, entry in enumerate(entries) if entry.get("gt_file")]
+        gt_paths = [os.path.join(base, entries[k]["gt_file"]) for k in labeled]
+    except (KeyError, TypeError, AttributeError, DataError):
+        return None
+    features = _feature_blocks(feature_paths)
+    boxes = _box_tables(box_paths, BOX_HEADER)
+    gts = _box_tables(gt_paths, GT_HEADER)
+    if features is None or boxes is None or gts is None:
+        return None
+    box_columns, box_rows, box_sizes = boxes
+    gt_columns, gt_rows, gt_sizes = gts
+    if (
+        box_columns[0] != _repeat(ids, box_sizes)
+        or box_sizes != [f.shape[0] for f in features]
+        or gt_columns[0] != _repeat([ids[k] for k in labeled], gt_sizes)
+        or not set(gt_columns[5]).issubset(classes)
+    ):
+        return None
+    gt_pairs = [(c, BBox(*b)) for c, b in zip(gt_columns[5], gt_rows.tolist())]
+    gt = [None] * len(ids)
+    for k, rows in zip(labeled, _blocks(gt_pairs, gt_sizes)):
+        gt[k] = rows
+    return [
+        ImageRecord(*record)
+        for record in zip(ids, features, _blocks(box_rows, box_sizes), gt)
+    ]
+
+
+def _repeat(ids: list[str], sizes: list[int]) -> tuple[str, ...]:
+    """Each of ``ids`` repeated as many times as its entry in ``sizes``."""
+    return tuple(chain.from_iterable(map(repeat, ids, sizes)))
+
+
+def _blocks(rows, sizes: list[int]) -> list:
+    """``rows`` cut into consecutive blocks of ``sizes`` rows."""
+    return [rows[end - n : end] for n, end in zip(sizes, accumulate(sizes))]
+
+
+def _raise_first_fault(entries, base: Path, classes: list[str]) -> NoReturn:
+    """Raise the first fault of the images of a manifest that failed the
+    bulk read (``_read_images``).  The images are walked in manifest order
+    with the per-file readers and their messages: the image id, the
+    feature file, the boxes file, its image ids, the row count, the GT
+    file, then the ``ImageRecord`` checks."""
     for entry in entries:
         image_id = entry.get("image_id")
         check_id("image id", image_id)
         feat_path = base / entry["feature_file"]
         boxes_path = base / entry["boxes_file"]
         features = read_features(feat_path)
-        rows = read_boxes_csv(boxes_path)
-        for lineno, (row_id, _) in enumerate(rows, start=2):
-            if row_id != image_id:
+        row_ids, boxes = read_boxes_csv(boxes_path)
+        # Line numbers count the blank lines that the reader skips.
+        lines = boxes_path.read_text().splitlines()
+        for lineno, line in enumerate(lines[1:], start=2):
+            row_id = line.split(",", 1)[0]
+            if line and row_id != image_id:
                 raise DataError(
                     f"{boxes_path}:{lineno}: image id '{row_id}' does not "
                     f"match manifest entry '{image_id}'"
                 )
-        if len(rows) != features.shape[0]:
+        if len(row_ids) != features.shape[0]:
             raise DataError(
                 f"row-count mismatch for image '{image_id}': boxes file "
-                f"'{boxes_path}' has {len(rows)} rows but feature file "
+                f"'{boxes_path}' has {len(row_ids)} rows but feature file "
                 f"'{feat_path}' has {features.shape[0]} rows"
             )
         gt = None
@@ -398,15 +529,8 @@ def _dataset_from_manifest(manifest: dict, base: Path) -> Dataset:
                         f"gt file '{gt_path}': unknown class '{class_id}'"
                     )
                 gt.append((class_id, box))
-        images.append(
-            ImageRecord(
-                image_id=image_id,
-                features=features,
-                boxes=[b for _, b in rows],
-                gt=gt,
-            )
-        )
-    return Dataset(name=name, classes=classes, feature_dim=feature_dim, images=images)
+        ImageRecord(image_id, features, boxes, gt)
+    raise AssertionError("the bulk read failed on images that pass every check")
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +680,7 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
                 for _ in range(k):
                     dx, dy = rng.uniform(-jitter, jitter, size=2)
                     boxes.append(
-                        BBox(
+                        (
                             _GT_BOX.x_min + dx,
                             _GT_BOX.y_min + dy,
                             _GT_BOX.x_max + dx,
@@ -583,7 +707,7 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
 
                 for m in range(spec.neg_per_image):
                     x0 = 400.0 + 140.0 * m
-                    boxes.append(BBox(x0, 400.0, x0 + _GT_SIDE, 500.0))
+                    boxes.append((x0, 400.0, x0 + _GT_SIDE, 500.0))
                 bg = rng.normal(scale=_BACKGROUND_SCALE, size=(spec.neg_per_image, D))
                 if is_target:
                     bg = bg @ rotation.T + rng.normal(

@@ -7,18 +7,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import BBox, GroundTruth
+from .detection import BBox, GroundTruth, box_faults
 from .errors import DataError
 from .linalg import ensure_feature_matrix
+
+# ',' and every character ``str.splitlines`` breaks a line at.
+_NOT_IN_IDS = frozenset(",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def check_id(kind: str, value) -> None:
     """Reject an id that the CSV files cannot carry.  Image and class ids
     are written bare into the comma-separated box, ground-truth and
-    detection files, one record per line, so each must be a non-empty
-    string without ',', '\\n' or '\\r'.  ``kind`` names the id in the
-    ``DataError``."""
-    if not isinstance(value, str) or not value or any(c in value for c in ",\n\r"):
+    detection files, one record per line, and the readers split lines with
+    ``str.splitlines``, so each must be a non-empty string holding neither
+    ',' nor any character that ends a line there (``_NOT_IN_IDS``: also
+    '\\x0b', '\\x0c', '\\x1c'-'\\x1e', '\\x85', '\\u2028' and '\\u2029').
+    ``kind`` names the id in the ``DataError``."""
+    if not isinstance(value, str) or not value or not _NOT_IN_IDS.isdisjoint(value):
         raise DataError(
             f"{kind} {value!r} cannot be written to the CSV files: ids must be "
             "non-empty strings without ',' or line breaks"
@@ -27,15 +32,18 @@ def check_id(kind: str, value) -> None:
 
 @dataclass(eq=False)
 class ImageRecord:
-    """One image's proposals: row i of ``features`` belongs to ``boxes[i]``.
+    """One image's proposals: row i of ``features`` belongs to box row
+    ``boxes[i]``, an ``(n, 4)`` float64 array in ``BBox.as_tuple`` order.
 
-    ``gt`` is a list of (class_id, box) pairs, or None for unlabeled
-    (target-style) data.
+    Each box row is checked as ``BBox`` checks a box, with its messages;
+    arrays are kept as given when already float64, so a loaded dataset's
+    images hold row views of its tables.  ``gt`` is a list of (class_id,
+    box) pairs, or None for unlabeled (target-style) data.
     """
 
     image_id: str
     features: np.ndarray
-    boxes: list[BBox]
+    boxes: np.ndarray
     gt: list[tuple[str, BBox]] | None = None
 
     def __post_init__(self):
@@ -43,9 +51,17 @@ class ImageRecord:
         self.features = ensure_feature_matrix(
             self.features, f"features[{self.image_id}]"
         )
-        if self.features.shape[0] != len(self.boxes):
+        b = self.boxes = np.asarray(self.boxes, dtype=np.float64)
+        if b.ndim != 2 or b.shape[1] != 4:
             raise DataError(
-                f"image '{self.image_id}': {len(self.boxes)} boxes but "
+                f"image '{self.image_id}': boxes must be an (n, 4) array, got "
+                f"shape {b.shape}"
+            )
+        if not (np.isfinite(b).all() and (b[:, 2:] >= b[:, :2]).all()):
+            BBox(*b[box_faults(b).argmax()].tolist())  # raises BBox's error
+        if self.features.shape[0] != b.shape[0]:
+            raise DataError(
+                f"image '{self.image_id}': {b.shape[0]} boxes but "
                 f"{self.features.shape[0]} feature rows"
             )
 

@@ -81,6 +81,13 @@ class Detection:
             raise DataError("detection score must be finite")
 
 
+def box_faults(boxes: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``(n, 4)`` ``boxes`` (``BBox.as_tuple`` order)
+    that ``BBox`` rejects: a non-finite coordinate or a max corner below
+    its min.  ``BBox(*boxes[i].tolist())`` raises the error of row i."""
+    return ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2:] < boxes[:, :2]).any(axis=1)
+
+
 def _codes(labels, names: tuple[str, ...]) -> np.ndarray:
     """Index in ``names`` of each of ``labels``; an unknown one is a
     ``DataError``."""
@@ -135,13 +142,11 @@ class Detections:
                 raise DataError(f"duplicate names in {list(names)}")
             if n and not 0 <= index.min() <= index.max() < len(names):
                 raise DataError(f"codes outside [0, {len(names)})")
-        x0, y0, x1, y1 = self.boxes.T
-        bad_box = ~np.isfinite(self.boxes).all(axis=1)
-        bad_order = (x1 < x0) | (y1 < y0)
-        bad = bad_box | bad_order | ~np.isfinite(self.scores)
+        bad_box = box_faults(self.boxes)
+        bad = bad_box | ~np.isfinite(self.scores)
         if bad.any():
             i = int(bad.argmax())
-            if not bad_box[i] and not bad_order[i]:
+            if not bad_box[i]:
                 raise DataError("detection score must be finite")
             BBox(*self.boxes[i].tolist())  # raises BBox's error for the row
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -16,15 +17,17 @@ from .alignment import (
     project_for_training,
     solve_alignment,
 )
-from .datasets import Dataset, ImageRecord
+from .datasets import Dataset
 from .detection import (
     Detections,
     LinearDetector,
     TrainConfig,
     greedy_nms,
-    iou,
+    pairwise_iou,
     train_detector,
 )
+# Unused here; bench/traced_cli.py counts calls through pipeline.iou.
+from .detection import iou  # noqa: F401
 from .errors import DataError, NumericalError
 from .linalg import Subspace, normalize, pca
 
@@ -117,16 +120,29 @@ class ClassAdaptationState:
             )
 
 
-def _class_max_overlaps(img: ImageRecord, class_id: str) -> np.ndarray:
-    """Per-proposal max IoU against this image's same-class GT boxes."""
-    gt_boxes = [box for cid, box in (img.gt or []) if cid == class_id]
-    out = np.zeros(img.n_proposals)
-    for i, box in enumerate(img.boxes):
-        for g in gt_boxes:
-            ov = iou(box, g)
-            if ov > out[i]:
-                out[i] = ov
-    return out
+def _class_max_overlaps(dataset: Dataset, class_id: str) -> list[np.ndarray]:
+    """Per image, each proposal's largest IoU with a same-class GT box of
+    its image, 0 without one, from one ``pairwise_iou`` call over all
+    images: each proposal meets its image's same-class GT boxes, padded to
+    the most any image has with (0, 0, 0, 0) boxes.  A padding box overlaps
+    nothing: its IoU is 0, or NaN for an overflowing area, and the maximum
+    skips NaN (``fmax``) as the scalar loop it replaces did."""
+    images = dataset.images
+    gt, owner, slot = [], [], []
+    for k, img in enumerate(images):
+        rows = [box.as_tuple() for cid, box in img.gt or () if cid == class_id]
+        gt += rows
+        owner += [k] * len(rows)
+        slot += range(len(rows))
+    padded = np.zeros((len(images), max(slot, default=-1) + 1, 4))
+    padded[owner, slot] = np.reshape(gt, (-1, 4))
+    sizes = [img.n_proposals for img in images]
+    boxes = np.concatenate([np.empty((0, 4)), *(img.boxes for img in images)])
+    their_gt = padded[np.repeat(np.arange(len(images)), sizes)]
+    best = np.fmax.reduce(
+        pairwise_iou(boxes[:, None, :], their_gt)[:, 0, :], axis=1, initial=0.0
+    )
+    return [best[end - n : end] for n, end in zip(sizes, accumulate(sizes))]
 
 
 def raw_scores(dataset: Dataset, det: LinearDetector) -> Iterator[np.ndarray]:
@@ -164,31 +180,40 @@ def _require_labeled(dataset: Dataset) -> None:
         raise DataError(f"dataset '{dataset.name}' has images without ground truth")
 
 
-def mine_source_positives(source: Dataset, class_id: str, gamma: float) -> np.ndarray:
+def mine_source_positives(
+    source: Dataset,
+    class_id: str,
+    gamma: float,
+    overlaps: list[np.ndarray] | None = None,
+) -> np.ndarray:
     """Features of all source proposals overlapping a same-class GT box.
 
     Ground-truth boxes enter only through proposals that overlap them with
-    IoU >= gamma; they are never injected directly.
+    IoU >= gamma; they are never injected directly.  ``overlaps`` are the
+    class's ``_class_max_overlaps`` when the caller has them already.
     """
     if not (0.0 < gamma <= 1.0):
         raise DataError(f"gamma must be in (0, 1], got {gamma}")
     if class_id not in source.classes:
         raise DataError(f"unknown class '{class_id}'")
     _require_labeled(source)
+    if overlaps is None:
+        overlaps = _class_max_overlaps(source, class_id)
     return _stack_selected(
         source,
-        (_class_max_overlaps(img, class_id) >= gamma for img in source.images),
+        (ov >= gamma for ov in overlaps),
         f"no source positives for class '{class_id}' at gamma={gamma}",
     )
 
 
 def _mine_source_negatives(
-    source: Dataset, class_id: str, neg_lambda: float
+    source: Dataset, class_id: str, neg_lambda: float, overlaps: list[np.ndarray]
 ) -> np.ndarray:
-    """Features of proposals whose max same-class overlap stays below lambda."""
+    """Features of proposals whose max same-class overlap (``overlaps``,
+    from ``_class_max_overlaps``) stays below lambda."""
     return _stack_selected(
         source,
-        (_class_max_overlaps(img, class_id) < neg_lambda for img in source.images),
+        (ov < neg_lambda for ov in overlaps),
         f"no source negatives for class '{class_id}' at lambda={neg_lambda}",
     )
 
@@ -223,9 +248,10 @@ def train_initial_detectors(
     _require_labeled(source)
     detectors: dict[str, LinearDetector] = {}
     for class_id in source.classes:
+        overlaps = _class_max_overlaps(source, class_id)
         try:
-            pos = mine_source_positives(source, class_id, cfg.gamma)
-            neg = _mine_source_negatives(source, class_id, cfg.neg_lambda)
+            pos = mine_source_positives(source, class_id, cfg.gamma, overlaps)
+            neg = _mine_source_negatives(source, class_id, cfg.neg_lambda, overlaps)
         except DataError as exc:
             if warnings is not None:
                 warnings.append(f"initial-training: {exc}; class skipped")
@@ -271,8 +297,9 @@ def _adapt_class(
     whose mining or fitting fails is downgraded to its initial detector.
     """
     n_src = n_tgt = 0
+    overlaps = _class_max_overlaps(source, class_id)
     try:
-        pos_src = mine_source_positives(source, class_id, cfg.gamma)
+        pos_src = mine_source_positives(source, class_id, cfg.gamma, overlaps)
         n_src = pos_src.shape[0]
         if shared is None:
             pos_tgt = mine_target_positives(target, det, cfg.sigma)
@@ -280,7 +307,7 @@ def _adapt_class(
             S, T = _fit_pair(pos_src, pos_tgt, cfg.d, class_id)
         else:
             S, T = shared
-        neg_src = _mine_source_negatives(source, class_id, cfg.neg_lambda)
+        neg_src = _mine_source_negatives(source, class_id, cfg.neg_lambda, overlaps)
     except (DataError, NumericalError) as exc:
         warnings.append(f"adapt: class '{class_id}': {exc}; downgraded")
         return ClassAdaptationState(
@@ -364,7 +391,7 @@ def detect(
 ) -> Detections:
     """Adapted detection over the target set.
 
-    Each image's boxes are stacked into one array once per call.  Per
+    The images' box arrays are joined into one once per call.  Per
     class, the test-time projection is folded into the detector once
     (pass-through classes keep theirs); ``raw_scores`` scores the raw
     features with it, the scores of every image are thresholded at
@@ -374,9 +401,7 @@ def detect(
     named as in ``target``.
     """
     image_ids = tuple(img.image_id for img in target.images)
-    boxes = np.array(
-        [b.as_tuple() for img in target.images for b in img.boxes], dtype=np.float64
-    ).reshape(-1, 4)
+    boxes = np.concatenate([np.empty((0, 4)), *(img.boxes for img in target.images)])
     sizes = [img.n_proposals for img in target.images]
     image = np.repeat(np.arange(len(image_ids)), sizes)
     kept = []

@@ -6,11 +6,14 @@ evaluated from first principles, and the alignment minimizer is found by
 plain gradient descent.
 """
 
+import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 
+from aligndet.datasets import Dataset, ImageRecord, check_id
 from aligndet.detection import HINGE_MARGIN, BBox, Detection, iou
 from aligndet.errors import DataError
 
@@ -178,9 +181,10 @@ def _parse_float(token, path, lineno):
 
 def per_line_box_rows(path, kind, header):
     """The line-by-line box CSV reader: a list of (text cells, numbers,
-    box) rows, or the ``DataError`` of the first bad line.  ``numbers`` are
-    the columns after ``image_id`` other than ``class``; a box out of order
-    fails as ``BBox`` does, prefixed with ``path:lineno``."""
+    box, line number) rows, or the ``DataError`` of the first bad line.
+    ``numbers`` are the columns after ``image_id`` other than ``class``; a
+    box out of order fails as ``BBox`` does, prefixed with
+    ``path:lineno``."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{kind} file '{path}' does not exist")
@@ -202,7 +206,107 @@ def per_line_box_rows(path, kind, header):
             box = BBox(*nums[:4])
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-        out.append((parts, nums, box))
+        out.append((parts, nums, box, lineno))
+    return out
+
+
+def read_fmx(path):
+    """One feature file read on its own, its payload unpacked float by
+    float with ``struct``: a float64 ``(n, D)`` matrix, or the
+    ``DataError`` that names the file and, for a non-finite value, its
+    first such row."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"feature file '{path}' does not exist")
+    raw = path.read_bytes()
+    if len(raw) < 16 or raw[:4] != b"FMX1":
+        raise DataError(f"feature file '{path}' has a bad header")
+    version, n, D = struct.unpack("<III", raw[4:16])
+    if version != 1:
+        raise DataError(f"feature file '{path}' has unsupported version {version}")
+    if len(raw) != 16 + 4 * n * D:
+        raise DataError(
+            f"feature file '{path}' truncated: {len(raw)} bytes, expected "
+            f"{16 + 4 * n * D}"
+        )
+    values = struct.unpack(f"<{n * D}f", raw[16:])
+    for row in range(n):
+        if not all(math.isfinite(v) for v in values[row * D : (row + 1) * D]):
+            raise DataError(
+                f"feature file '{path}' has a non-finite value at row {row}"
+            )
+    return np.array(values, dtype=np.float64).reshape(n, D)
+
+
+def sequential_load_dataset(manifest_path):
+    """The per-image dataset loader: each image's feature file, boxes file
+    (its rows' image ids, then its row count) and GT file are read in
+    manifest order with ``read_fmx`` and ``per_line_box_rows``, and the
+    first fault raises ``load_dataset``'s message for it."""
+    manifest_path = Path(manifest_path)
+    manifest = json.loads(manifest_path.read_text())
+    base = manifest_path.parent
+    box_header = "image_id,x_min,y_min,x_max,y_max"
+    try:
+        classes = list(manifest["classes"])
+        for class_id in classes:
+            check_id("class id", class_id)
+        images = []
+        for entry in manifest["images"]:
+            image_id = entry.get("image_id")
+            check_id("image id", image_id)
+            feat_path = base / entry["feature_file"]
+            boxes_path = base / entry["boxes_file"]
+            features = read_fmx(feat_path)
+            rows = per_line_box_rows(boxes_path, "boxes", box_header)
+            for parts, _, _, lineno in rows:
+                if parts[0] != image_id:
+                    raise DataError(
+                        f"{boxes_path}:{lineno}: image id '{parts[0]}' does not "
+                        f"match manifest entry '{image_id}'"
+                    )
+            if len(rows) != features.shape[0]:
+                raise DataError(
+                    f"row-count mismatch for image '{image_id}': boxes file "
+                    f"'{boxes_path}' has {len(rows)} rows but feature file "
+                    f"'{feat_path}' has {features.shape[0]} rows"
+                )
+            gt = None
+            if entry.get("gt_file"):
+                gt_path = base / entry["gt_file"]
+                gt = []
+                gt_header = box_header + ",class"
+                for parts, _, box, _ in per_line_box_rows(gt_path, "gt", gt_header):
+                    if parts[0] != image_id:
+                        raise DataError(
+                            f"gt file '{gt_path}': image id '{parts[0]}' does not "
+                            f"match manifest entry '{image_id}'"
+                        )
+                    if parts[5] not in classes:
+                        raise DataError(
+                            f"gt file '{gt_path}': unknown class '{parts[5]}'"
+                        )
+                    gt.append((parts[5], box))
+            boxes = [box.as_tuple() for _, _, box, _ in rows]
+            images.append(
+                ImageRecord(image_id, features, np.reshape(boxes, (-1, 4)), gt)
+            )
+        return Dataset(manifest["name"], classes, int(manifest["feature_dim"]), images)
+    except DataError as exc:
+        raise DataError(f"manifest '{manifest_path}' is malformed: {exc}") from None
+
+
+def scalar_max_overlaps(img, class_id):
+    """Per proposal of ``img``, its largest scalar ``iou`` with a GT box
+    of class ``class_id``, 0 without one: the double loop."""
+    gt_boxes = [box for cid, box in (img.gt or []) if cid == class_id]
+    out = np.zeros(img.n_proposals)
+    for i, row in enumerate(img.boxes.tolist()):
+        box = BBox(*row)
+        for g in gt_boxes:
+            ov = iou(box, g)
+            if ov > out[i]:
+                out[i] = ov
     return out
 
 
@@ -227,7 +331,9 @@ def unfolded_detect(target, states, cfg):
                 feats = project_target(feats, state.target_subspace)
             scores = feats @ det.weights + det.bias
             picked = [
-                Detection(img.image_id, img.boxes[k], c, float(scores[k]))
+                Detection(
+                    img.image_id, BBox(*img.boxes[k].tolist()), c, float(scores[k])
+                )
                 for k in np.flatnonzero(scores >= cfg.detect_thresh)
             ]
             out.extend(sequential_nms(picked, cfg.nms_thresh))

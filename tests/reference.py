@@ -30,10 +30,10 @@ def _iou(a, b) -> float:
 def _overlaps(img, class_id) -> list[float]:
     gt_boxes = [box.as_tuple() for cid, box in (img.gt or []) if cid == class_id]
     out = []
-    for box in img.boxes:
+    for box in img.boxes.tolist():
         best = 0.0
         for g in gt_boxes:
-            best = max(best, _iou(box.as_tuple(), g))
+            best = max(best, _iou(box, g))
         out.append(best)
     return out
 
@@ -153,7 +153,7 @@ def _detect_and_score(target, detectors, projector, cfg) -> dict[str, float | No
             feats = projector(class_id, img.features)
             scores = feats @ w + b
             pool = [
-                (float(scores[k]), img.image_id, img.boxes[k].as_tuple())
+                (float(scores[k]), img.image_id, tuple(img.boxes[k].tolist()))
                 for k in range(len(scores))
                 if scores[k] >= cfg.detect_thresh
             ]

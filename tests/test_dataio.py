@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import struct
+import tempfile
 import zlib
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aligndet.datasets import Dataset, ImageRecord
+from aligndet.datasets import Dataset, ImageRecord, check_id
 from aligndet.dataio import (
     BOX_HEADER,
     DETECTION_HEADER,
@@ -38,7 +40,14 @@ from aligndet.dataio import (
 )
 from aligndet.detection import BBox, Detection, Detections, LinearDetector
 from aligndet.errors import DataError
-from oracles import per_line_box_rows
+from oracles import per_line_box_rows, sequential_load_dataset
+
+# Every character ``str.splitlines`` ends a line at.  The readers would
+# split an id holding one, so ``ImageRecord`` and ``Dataset`` reject such
+# ids when built, before any file is written.
+LINE_BREAKS = [
+    "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
 
 
 def tiny_dataset(labeled=True):
@@ -49,7 +58,7 @@ def tiny_dataset(labeled=True):
             ImageRecord(
                 image_id=f"img{k}",
                 features=rng.normal(size=(3, 4)),
-                boxes=[BBox(10.0 * i, 0.0, 10.0 * i + 8.0, 8.0) for i in range(3)],
+                boxes=[(10.0 * i, 0.0, 10.0 * i + 8.0, 8.0) for i in range(3)],
                 gt=[("cat", BBox(0.0, 0.0, 8.0, 8.0))] if labeled else None,
             )
         )
@@ -59,11 +68,40 @@ def tiny_dataset(labeled=True):
 class TestContainers:
     def test_row_count_mismatch(self):
         with pytest.raises(DataError, match="boxes"):
-            ImageRecord("a", np.ones((2, 3)), [BBox(0, 0, 1, 1)])
+            ImageRecord("a", np.ones((2, 3)), [(0, 0, 1, 1)])
+
+    def test_box_rows_must_match_feature_rows(self):
+        with pytest.raises(DataError) as info:
+            ImageRecord("a", np.ones((2, 3)), np.zeros((3, 4)))
+        assert str(info.value) == "image 'a': 3 boxes but 2 feature rows"
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 4, 1), (8,)])
+    def test_boxes_must_be_n_by_4(self, shape):
+        with pytest.raises(DataError, match=re.escape(f"got shape {shape}")):
+            ImageRecord("a", np.ones((2, 3)), np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            (0.0, math.nan, 1.0, 1.0),
+            (0.0, 0.0, math.inf, 1.0),
+            (-math.inf, 0.0, 1.0, 1.0),
+            (2.0, 0.0, 1.0, 1.0),
+            (0.0, 1.5, 1.0, 1.0),
+        ],
+    )
+    def test_bad_box_row_gets_the_bbox_message(self, bad_row):
+        with pytest.raises(DataError) as expected:
+            BBox(*bad_row)
+        # The first bad row is reported; the last row is bad in another way.
+        boxes = [(0, 0, 1, 1), bad_row, (3, 0, 1, 1)]
+        with pytest.raises(DataError) as info:
+            ImageRecord("a", np.ones((3, 2)), boxes)
+        assert str(info.value) == str(expected.value)
 
     def test_duplicate_image_ids(self):
-        img = ImageRecord("a", np.ones((1, 2)), [BBox(0, 0, 1, 1)])
-        img2 = ImageRecord("a", np.ones((1, 2)), [BBox(0, 0, 1, 1)])
+        img = ImageRecord("a", np.ones((1, 2)), [(0, 0, 1, 1)])
+        img2 = ImageRecord("a", np.ones((1, 2)), [(0, 0, 1, 1)])
         with pytest.raises(DataError, match="duplicate"):
             Dataset("d", [], 2, [img, img2])
 
@@ -71,25 +109,29 @@ class TestContainers:
         with pytest.raises(DataError, match="duplicate class id 'cat'"):
             Dataset("d", ["cat", "dog", "cat"], 2)
 
-    @pytest.mark.parametrize("bad", ["im,0", "im\n0", "im\r0", ""])
+    @pytest.mark.parametrize(
+        "bad", ["im,0", "im\n0", "im\r0", ""] + [f"im{c}0" for c in LINE_BREAKS[2:]]
+    )
     def test_image_id_that_breaks_the_csv_files(self, bad):
         with pytest.raises(DataError, match=f"image id {re.escape(repr(bad))}"):
-            ImageRecord(bad, np.ones((1, 2)), [BBox(0, 0, 1, 1)])
+            ImageRecord(bad, np.ones((1, 2)), [(0, 0, 1, 1)])
 
-    @pytest.mark.parametrize("bad", ["cls,a", "cls\na", "cls\ra", ""])
+    @pytest.mark.parametrize(
+        "bad", ["cls,a", "cls\na", "cls\ra", ""] + [f"cls{c}a" for c in LINE_BREAKS[2:]]
+    )
     def test_class_id_that_breaks_the_csv_files(self, bad):
         with pytest.raises(DataError, match=f"class id {re.escape(repr(bad))}"):
             Dataset("d", ["cat", bad], 2)
 
     def test_unknown_gt_class(self):
         img = ImageRecord(
-            "a", np.ones((1, 2)), [BBox(0, 0, 1, 1)], gt=[("dog", BBox(0, 0, 1, 1))]
+            "a", np.ones((1, 2)), [(0, 0, 1, 1)], gt=[("dog", BBox(0, 0, 1, 1))]
         )
         with pytest.raises(DataError, match="unknown"):
             Dataset("d", ["cat"], 2, [img])
 
     def test_feature_dim_mismatch(self):
-        img = ImageRecord("a", np.ones((1, 3)), [BBox(0, 0, 1, 1)])
+        img = ImageRecord("a", np.ones((1, 3)), [(0, 0, 1, 1)])
         with pytest.raises(DataError, match="feature dim"):
             Dataset("d", [], 2, [img])
 
@@ -142,13 +184,14 @@ class TestFeatureFiles:
 
 class TestCsvFiles:
     def test_boxes_round_trip(self, tmp_path):
-        boxes = [BBox(0.5, 1.25, 10.125, 20.0625)]
+        boxes = np.array([[0.5, 1.25, 10.125, 20.0625]])
         p = tmp_path / "b.csv"
         write_boxes_csv(p, "img0", boxes)
-        rows = read_boxes_csv(p)
-        assert rows == [("img0", boxes[0])]
+        ids, back = read_boxes_csv(p)
+        assert ids == ("img0",)
+        assert bits(back) == bits(boxes)
         p2 = tmp_path / "b2.csv"
-        write_boxes_csv(p2, "img0", [b for _, b in rows])
+        write_boxes_csv(p2, "img0", back)
         assert p.read_bytes() == p2.read_bytes()
 
     def test_header_enforced(self, tmp_path):
@@ -231,8 +274,21 @@ EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0, 2.5]
 edge_or_any = st.one_of(
     st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
 )
-# Ids the CSV files can carry (``check_id``), spaces and non-ASCII included.
-csv_id = st.text(alphabet="ab_-. 0é", min_size=1, max_size=4)
+def _accepted(value: str) -> bool:
+    try:
+        check_id("id", value)
+    except DataError:
+        return False
+    return True
+
+
+# Ids the CSV files can carry: drawn from an alphabet that holds ',' and
+# every line break too, kept when ``check_id`` accepts them.
+csv_id = st.text(
+    alphabet=st.sampled_from(list("ab_-. 0é") * 3 + [","] + LINE_BREAKS),
+    min_size=1,
+    max_size=4,
+).filter(_accepted)
 
 
 @st.composite
@@ -304,16 +360,19 @@ def _oracle_result(reader, path) -> str:
     except DataError as exc:
         return str(exc)
     if reader is read_boxes_csv:
-        return repr([(parts[0], box) for parts, _, box in rows])
+        return repr([(parts[0], box) for parts, _, box, _ in rows])
     if reader is read_gt_csv:
-        return repr([(parts[0], parts[5], box) for parts, _, box in rows])
+        return repr([(parts[0], parts[5], box) for parts, _, box, _ in rows])
     return repr(
-        [Detection(parts[0], box, parts[5], nums[4]) for parts, nums, box in rows]
+        [Detection(parts[0], box, parts[5], nums[4]) for parts, nums, box, _ in rows]
     )
 
 
 def _reader_result(reader, path) -> str:
     try:
+        if reader is read_boxes_csv:  # ids and a box array: one BBox per row
+            ids, boxes = reader(path)
+            return repr([(i, BBox(*b)) for i, b in zip(ids, boxes.tolist())])
         return repr(list(reader(path)))
     except DataError as exc:
         return str(exc)
@@ -417,6 +476,20 @@ class TestDatasetRoundTrip:
             "degenerate box ordering: (2.0, 1.0, 1.0, 2.0)"
         )
 
+    def test_foreign_image_id_cites_its_line_after_blank_lines(self, tmp_path):
+        m = save_dataset(tiny_dataset(), tmp_path / "f")
+        boxes_file = tmp_path / "f" / "boxes" / "img0.csv"
+        lines = boxes_file.read_text().splitlines()
+        lines.insert(1, "")  # line 2 is blank, the first row moves to line 3
+        lines[3] = lines[3].replace("img0", "imgX")
+        boxes_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(m)
+        assert str(info.value) == (
+            f"manifest '{m}' is malformed: {boxes_file}:4: image id 'imgX' "
+            "does not match manifest entry 'img0'"
+        )
+
     def test_nan_feature_cites_row(self, tmp_path):
         m = save_dataset(tiny_dataset(), tmp_path / "z")
         feat = tmp_path / "z" / "features" / "img1.fmx"
@@ -486,8 +559,11 @@ class TestSynthGenerator:
             (class_id, gt_box), = img.gt
             object_boxes = img.boxes[: -spec.neg_per_image]
             background = img.boxes[-spec.neg_per_image :]
-            assert all(iou(b, gt_box) >= spec.min_object_iou for b in object_boxes)
-            assert all(iou(b, gt_box) == 0.0 for b in background)
+            assert all(
+                iou(BBox(*b), gt_box) >= spec.min_object_iou
+                for b in object_boxes.tolist()
+            )
+            assert all(iou(BBox(*b), gt_box) == 0.0 for b in background.tolist())
 
     def test_oracle_rotation_reproduces_plane_angles(self):
         spec = SynthShiftSpec(samples_per_class=20, n_classes=3)
@@ -870,3 +946,151 @@ class TestBundles:
         with pytest.raises(DataError, match=match) as info:
             load_detectors(p)
         assert str(p) in str(info.value)
+
+
+# Faults a saved dataset's files can get; each is applied to one file of
+# the kind it concerns.
+TEXT_MUTATIONS = ["header", "cell", "columns", "swap", "blank", "foreign_id"]
+FEATURE_MUTATIONS = ["magic", "version", "truncated", "non_finite", "dim"]
+LOADER_MUTATIONS = (
+    TEXT_MUTATIONS + FEATURE_MUTATIONS + ["unknown_class", "missing", "row_count"]
+)
+
+
+@st.composite
+def small_datasets(draw):
+    """1-4 images of 1-3 proposals on a small grid, 1-3 feature columns;
+    each image labeled with 0-2 GT boxes (three times in four), or
+    unlabeled."""
+    dim = draw(st.integers(1, 3))
+    images = []
+    for k in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 3))
+        values = draw(
+            st.lists(st.floats(-4, 4, width=32), min_size=n * dim, max_size=n * dim)
+        )
+        boxes = []
+        for _ in range(n):
+            x0, y0 = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+            w, h = draw(st.integers(0, 3)), draw(st.floats(0, 3))
+            boxes.append((x0, y0, x0 + w, y0 + h))
+        gt = None
+        if draw(st.integers(0, 3)):
+            gt = [
+                (draw(st.sampled_from(["cat", "dog"])), BBox(0.0, 0.0, 2.0, 2.5))
+                for _ in range(draw(st.integers(0, 2)))
+            ]
+        images.append(
+            ImageRecord(f"img{k}", np.reshape(values, (n, dim)), boxes, gt)
+        )
+    return Dataset("h", ["cat", "dog"], dim, images)
+
+
+def _mutate(data, root, mutation) -> None:
+    """Apply ``mutation`` to one file under ``root`` that it concerns."""
+    kinds = {
+        "unknown_class": ["gt"],
+        "missing": ["features", "boxes", "gt"],
+        "row_count": ["boxes"],
+        **{m: ["features"] for m in FEATURE_MUTATIONS},
+        **{m: ["boxes", "gt"] for m in TEXT_MUTATIONS},
+    }[mutation]
+    files = sorted((root / data.draw(st.sampled_from(kinds))).glob("*"))
+    if mutation in ("cell", "columns", "swap", "foreign_id", "unknown_class"):
+        files = [p for p in files if len(p.read_text().splitlines()) > 1]  # has rows
+    if not files:
+        return
+    path = data.draw(st.sampled_from(files))
+    if mutation == "missing":
+        path.unlink()
+    elif path.suffix == ".fmx":
+        raw = bytearray(path.read_bytes())
+        n, D = struct.unpack("<II", raw[8:16]) if len(raw) >= 16 else (0, 0)
+        if mutation == "magic":
+            raw[:4] = b"FMX2"
+        elif mutation == "version":
+            raw[4:8] = struct.pack("<I", 2)
+        elif mutation == "truncated":
+            del raw[len(raw) - data.draw(st.integers(1, min(len(raw), 20))) :]
+        elif mutation == "non_finite" and n * D:
+            k = 16 + 4 * data.draw(st.integers(0, n * D - 1))
+            value = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+            raw[k : k + 4] = np.float32(value).tobytes()
+        elif mutation == "dim":
+            write_features(path, np.ones((n, D + 1)))
+            return
+        path.write_bytes(bytes(raw))
+    else:
+        lines = path.read_text().splitlines()
+        rows = [k for k in range(1, len(lines)) if lines[k]]
+        if mutation == "header":
+            lines[0] = lines[0].replace("x_min", "xmin")
+        elif mutation == "blank":
+            lines.insert(data.draw(st.integers(1, len(lines))), "")
+        elif mutation == "row_count":
+            if rows and data.draw(st.booleans()):
+                del lines[data.draw(st.sampled_from(rows))]
+            else:
+                lines.append(lines[-1] if rows else "img0,0,0,1,1")
+        elif rows:
+            k = data.draw(st.sampled_from(rows))
+            cells = lines[k].split(",")
+            if mutation == "cell":
+                present = [c for c in (1, 2, 3, 4) if c < len(cells)]
+                if present:
+                    cells[data.draw(st.sampled_from(present))] = data.draw(
+                        st.sampled_from(["a", "inf", "nan", "1_5", ""])
+                    )
+            elif mutation == "columns":
+                if data.draw(st.booleans()):
+                    cells.append("9")
+                else:
+                    cells.pop()
+            elif mutation == "swap" and len(cells) > 3:
+                cells[1], cells[3] = cells[3], cells[1]
+            elif mutation == "foreign_id":
+                cells[0] = "zz"
+            elif mutation == "unknown_class" and len(cells) > 5:
+                cells[5] = "emu"
+            lines[k] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+
+def _load_outcome(load, manifest):
+    """What ``load`` makes of ``manifest``: its error message, or the
+    dataset's ids, features, boxes and GT."""
+    try:
+        ds = load(manifest)
+    except DataError as exc:
+        return str(exc)
+    return (
+        ds.name,
+        ds.classes,
+        ds.feature_dim,
+        [
+            (img.image_id, img.features.shape, bits(img.features), bits(img.boxes))
+            + (img.gt,)
+            for img in ds.images
+        ],
+    )
+
+
+@pytest.mark.parametrize("first", [None, *LOADER_MUTATIONS])
+@given(ds=small_datasets(), data=st.data())
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_load_dataset_reads_as_the_sequential_loader(tmp_path, first, ds, data):
+    """0-2 faults: ``first``, when given, then drawn ones."""
+    count = data.draw(st.integers(0, 1 if first else 2))
+    mutations = [first] * bool(first) + data.draw(
+        st.lists(st.sampled_from(LOADER_MUTATIONS), min_size=count, max_size=count)
+    )
+    with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+        manifest = save_dataset(ds, out)
+        for mutation in mutations:
+            _mutate(data, manifest.parent, mutation)
+        expected = _load_outcome(sequential_load_dataset, manifest)
+        assert _load_outcome(load_dataset, manifest) == expected

@@ -560,7 +560,7 @@ class TestSubgradientDescent:
 def one_image(X) -> Dataset:
     """A dataset ``one`` of a single image whose proposal features are ``X``."""
     X = np.asarray(X, dtype=float)
-    boxes = [BBox(0, 0, 1, 1)] * X.shape[0]
+    boxes = [(0, 0, 1, 1)] * X.shape[0]
     return Dataset("one", ["a"], X.shape[1], [ImageRecord("img0", X, boxes)])
 
 

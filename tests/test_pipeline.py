@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aligndet import pipeline
 from aligndet.alignment import solve_alignment
@@ -28,7 +30,7 @@ from aligndet.pipeline import (
     train_initial_detectors,
 )
 
-from oracles import per_image_nms, unfolded_detect
+from oracles import per_image_nms, scalar_max_overlaps, unfolded_detect
 
 FAST_TRAIN = TrainConfig(reg_lambda=0.001, iterations=800)
 SMALL_SPEC = SynthShiftSpec(samples_per_class=40, n_classes=3)
@@ -69,7 +71,7 @@ class TestAdaptationConfig:
 def grid_image(offsets, side=100.0):
     """One image, one GT box, one proposal per offset with analytic IoU."""
     gt = BBox(0.0, 0.0, side, side)
-    boxes = [BBox(dx, 0.0, dx + side, side) for dx in offsets]
+    boxes = [(dx, 0.0, dx + side, side) for dx in offsets]
     feats = np.arange(len(boxes), dtype=float).reshape(-1, 1) @ np.ones((1, 3))
     return Dataset(
         name="grid",
@@ -114,10 +116,70 @@ class TestMineSourcePositives:
             mine_source_positives(ds, "obj", 0.0)
 
     def test_unlabeled_dataset_rejected(self):
-        img = ImageRecord("a", np.ones((1, 3)), [BBox(0, 0, 1, 1)])
+        img = ImageRecord("a", np.ones((1, 3)), [(0, 0, 1, 1)])
         ds = Dataset("u", ["obj"], 3, [img])
         with pytest.raises(DataError, match="ground truth"):
             mine_source_positives(ds, "obj", 0.7)
+
+
+grid = st.integers(-2, 4).map(float)
+
+
+@st.composite
+def grid_box(draw):
+    """A box on a unit grid: identical, nested, touching and zero-area
+    boxes are all likely."""
+    x0, y0 = draw(grid), draw(grid)
+    return (x0, y0, x0 + draw(st.integers(0, 3)), y0 + draw(st.integers(0, 3)))
+
+
+@st.composite
+def overlap_datasets(draw):
+    """Images of grid proposals, each with 0-3 GT boxes of classes 'a' and
+    'b' (so some have no same-class GT), or unlabeled."""
+    images = []
+    for k in range(draw(st.integers(1, 4))):
+        boxes = draw(st.lists(grid_box(), min_size=1, max_size=6))
+        gt = None
+        if draw(st.integers(0, 3)):
+            gt = [
+                (draw(st.sampled_from("ab")), BBox(*draw(grid_box())))
+                for _ in range(draw(st.integers(0, 3)))
+            ]
+        images.append(ImageRecord(f"i{k}", np.zeros((len(boxes), 1)), boxes, gt))
+    return Dataset("g", ["a", "b"], 1, images)
+
+
+class TestClassMaxOverlaps:
+    @given(ds=overlap_datasets())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_the_scalar_double_loop(self, ds):
+        for c in ds.classes:
+            got = pipeline._class_max_overlaps(ds, c)
+            assert len(got) == len(ds.images)
+            for img, ov in zip(ds.images, got):
+                assert ov.tobytes() == scalar_max_overlaps(img, c).tobytes()
+
+    def test_touching_and_zero_area_boxes_overlap_zero(self):
+        gt = [("a", BBox(0.0, 0.0, 2.0, 2.0)), ("b", BBox(0.0, 0.0, 1.0, 1.0))]
+        boxes = [(2.0, 0.0, 3.0, 2.0), (1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 2.0, 1.0)]
+        ds = Dataset("t", ["a", "b"], 1, [ImageRecord("i", np.zeros((3, 1)), boxes, gt)])
+        (ov,) = pipeline._class_max_overlaps(ds, "a")
+        npt.assert_array_equal(ov, [0.0, 0.0, 0.5])
+
+    def test_overflowing_area_counts_as_no_overlap(self):
+        # Width inf times height 0 is a NaN area, so every IoU of the first
+        # box is NaN; the second image pads its missing GT box.
+        gt = [("a", BBox(0.0, 0.0, 2.0, 2.0)), ("a", BBox(0.0, 0.0, 1.0, 1.0))]
+        boxes = [(-1e308, 0.0, 1e308, 0.0), (0.0, 0.0, 1.0, 1.0)]
+        ds = Dataset("o", ["a"], 1, [
+            ImageRecord("i", np.zeros((2, 1)), boxes, gt),
+            ImageRecord("j", np.zeros((2, 1)), boxes, gt[:1]),
+        ])
+        got = pipeline._class_max_overlaps(ds, "a")
+        for img, ov in zip(ds.images, got):
+            assert ov.tobytes() == scalar_max_overlaps(img, "a").tobytes()
+        npt.assert_array_equal(got[0], [0.0, 1.0])
 
 
 class TestMineTargetPositives:
@@ -182,7 +244,7 @@ class TestTrainInitialDetectors:
         # One-axis shifts of a 100-wide box: every proposal overlaps the
         # 'obj' box with IoU >= 0.33 (no negatives at lambda 0.3), while
         # 'far' (shifted by 50) has one positive and one negative.
-        boxes = [BBox(dx, 0.0, dx + 100.0, 100.0) for dx in (-40.0, 0.0, 50.0)]
+        boxes = [(dx, 0.0, dx + 100.0, 100.0) for dx in (-40.0, 0.0, 50.0)]
         gt = [
             ("obj", BBox(0.0, 0.0, 100.0, 100.0)),
             ("far", BBox(50.0, 0.0, 150.0, 100.0)),
@@ -369,7 +431,9 @@ class TestDetect:
                 from aligndet.detection import Detection
 
                 picked = [
-                    Detection(img.image_id, img.boxes[k], c, float(scores[k]))
+                    Detection(
+                        img.image_id, BBox(*img.boxes[k].tolist()), c, float(scores[k])
+                    )
                     for k in np.flatnonzero(scores >= cfg.detect_thresh)
                 ]
                 manual.extend(greedy_nms(Detections.from_rows(picked), cfg.nms_thresh))
@@ -383,7 +447,7 @@ class TestDetect:
         # features are row index constants: rows 2 has value 2 >= 1.5
         out = detect(ds, states, cfg)
         assert len(out) == 1
-        assert list(out)[0].box == ds.images[0].boxes[2]
+        assert list(out)[0].box == BBox(*ds.images[0].boxes[2].tolist())
 
     def test_detect_deterministic(self, small_pair):
         src, tgt = small_pair
