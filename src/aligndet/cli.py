@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, evaluation, pipeline
-from .dataio import RunConfig, canonical_json, config_echo, load_config
+from .dataio import Annotations, RunConfig, canonical_json, config_echo, load_config
 from .datasets import Dataset
 from .detection import Detections
 from .errors import DataError, NumericalError
@@ -96,12 +96,12 @@ def _synth(cfg: RunConfig, out: Path) -> tuple[Path, Path]:
     )
 
 
-def _check_detections(path, dets: Detections, dataset: Dataset) -> None:
+def _check_detections(path, dets: Detections, dataset: Annotations) -> None:
     """Reject detections of a class or image the dataset does not have: AP
     would drop the class or count the image's rows as false positives.  The
     first such row is reported, its class checked before its image."""
     classes = set(dataset.classes)
-    images = {img.image_id for img in dataset.images}
+    images = set(dataset.image_ids)
     bad_class = np.array([c not in classes for c in dets.class_ids], dtype=bool)
     bad_image = np.array([i not in images for i in dets.image_ids], dtype=bool)
     bad = bad_class[dets.class_index] | bad_image[dets.image_index]
@@ -178,14 +178,13 @@ def _detect(dataset: Dataset, states, cfg: RunConfig, out: Path):
     return dets
 
 
-def _report(dets, dataset: Dataset, cfg: RunConfig) -> dict:
-    """Per-class AP and their mean, which is None when no class has GT (or
-    the dataset is not fully labeled), with the AP convention and the
-    config echo."""
-    gts = dataset.ground_truths() if dataset.labeled else None
+def _report(dets, classes: list[str], gts, cfg: RunConfig) -> dict:
+    """Per-class AP against the ground truth ``gts`` and their mean, which
+    is None when no class has GT (or ``gts`` is None: the dataset is not
+    fully labeled), with the AP convention and the config echo."""
     per_class = {
         c: None if gts is None else evaluation.average_precision(dets, gts, c)
-        for c in dataset.classes
+        for c in classes
     }
     defined = any(ap is not None for ap in per_class.values())
     return {
@@ -224,12 +223,15 @@ def cmd_adapt(args, cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
-    dataset = dataio.load_dataset(args.dataset)
-    if not dataset.labeled:
+    """Score a detections file against a manifest's ground truth; the
+    dataset's feature and boxes files are not read."""
+    dataset = dataio.load_annotations(args.dataset)
+    if dataset.ground_truths is None:
         raise DataError(f"dataset '{dataset.name}' has no ground truth to score")
     dets = dataio.read_detections_csv(args.detections)
     _check_detections(args.detections, dets, dataset)
-    (out / "report.json").write_text(canonical_json(_report(dets, dataset, cfg)))
+    report = _report(dets, dataset.classes, dataset.ground_truths, cfg)
+    (out / "report.json").write_text(canonical_json(report))
     return 0
 
 
@@ -261,12 +263,10 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
 
     with _timed(timing, "histograms"):
         for name, dataset in (("source", source), ("target", target)):
-            scores = [
-                s
-                for det in detectors.values()
-                for s in pipeline.raw_scores(dataset, det)
-            ]
-            scores = np.concatenate(scores) if scores else np.zeros(0)
+            scores = np.concatenate(
+                [np.zeros(0)]
+                + [pipeline.raw_scores(dataset, det) for det in detectors.values()]
+            )
             _write_histogram(
                 out, f"histogram_{name}", scores, cfg, f"initial detector scores on {name}"
             )
@@ -278,7 +278,8 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
         dets = _detect(target, states, cfg, out)
 
     with _timed(timing, "evaluate"):
-        report = _report(dets, target, cfg)
+        gts = target.ground_truths() if target.labeled else None
+        report = _report(dets, target.classes, gts, cfg)
         diag = _write_similarity(out, states)
         weak = _weak_classes(diag, cfg.weak_ratio)
         for c, entry in report["per_class"].items():

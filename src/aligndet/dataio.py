@@ -17,8 +17,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .datasets import Dataset, ImageRecord, check_id
-from .detection import BBox, Detections, LinearDetector, TrainConfig
+from .datasets import Dataset, ImageRecord, check_id, check_ids
+from .detection import BBox, Detections, GroundTruth, LinearDetector, TrainConfig
 from .errors import DataError, NumericalError
 from .evaluation import check_histogram_layout
 from .linalg import NormalizationStats, Subspace
@@ -51,7 +51,7 @@ def write_features(path, X) -> None:
 
 def read_features(path) -> np.ndarray:
     """One feature file's matrix, every fault a DataError naming the file
-    (``_feature_blocks`` reads many at once and leaves faults to this)."""
+    (``_feature_array`` reads many at once and leaves faults to this)."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"feature file '{path}' does not exist")
@@ -74,12 +74,13 @@ def read_features(path) -> np.ndarray:
     return X
 
 
-def _feature_blocks(paths) -> list[np.ndarray] | None:
-    """The feature matrices of the files at ``paths``, as blocks of one
-    float64 array that every payload fills, with one finiteness check
-    over all of it; None when a file cannot be read or fails a check of
-    ``read_features``, which reports it."""
-    payloads, shapes = [], []
+def _feature_array(paths, dim: int) -> tuple[np.ndarray, list[int]] | None:
+    """The feature matrices of the files at ``paths`` stacked in one
+    ``(N, dim)`` float64 array that every payload fills, with one
+    finiteness check over all of it, and each file's row count; None when
+    a file cannot be read, fails a check of ``read_features`` (which
+    reports it) or is not ``dim`` wide."""
+    payloads, sizes = [], []
     for path in paths:
         try:
             with open(path, "rb") as fh:
@@ -89,19 +90,18 @@ def _feature_blocks(paths) -> list[np.ndarray] | None:
         if len(raw) < 16 or raw[:4] != FEATURE_MAGIC:
             return None
         version, n, D = struct.unpack_from("<III", raw, 4)
-        if version != FEATURE_VERSION or len(raw) != 16 + 4 * n * D:
+        if version != FEATURE_VERSION or len(raw) != 16 + 4 * n * D or D != dim:
             return None
         payloads.append(raw)
-        shapes.append((n, D))
-    ends = list(accumulate(n * D for n, D in shapes))
-    flat = np.empty(ends[-1] if ends else 0)
-    blocks = []
-    for k, ((n, D), end) in enumerate(zip(shapes, ends)):
-        block = flat[end - n * D : end]
-        block[:] = np.frombuffer(payloads[k], "<f4", offset=16)
+        sizes.append(n)
+    features = np.empty((sum(sizes), dim))
+    for k, (n, end) in enumerate(zip(sizes, accumulate(sizes))):
+        # No name holds the payload's view, so the payload is freed here.
+        features[end - n : end] = np.frombuffer(
+            payloads[k], "<f4", offset=16
+        ).reshape(n, dim)
         payloads[k] = None  # freed once copied
-        blocks.append(block.reshape(n, D))
-    return blocks if np.isfinite(flat).all() else None
+    return (features, sizes) if np.isfinite(features).all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -427,53 +427,78 @@ def _dataset_from_manifest(manifest: dict, base: Path) -> Dataset:
     # parse, and its error would blame the CSV instead of the id.
     for class_id in classes:
         check_id("class id", class_id)
-    images = _read_images(entries, base, classes)
-    if images is None:
-        _raise_first_fault(entries, base, classes)
-    return Dataset(name=name, classes=classes, feature_dim=feature_dim, images=images)
+    read = _read_images(entries, base, classes, feature_dim)
+    if read is None:
+        _raise_first_fault(entries, base, name, classes, feature_dim)
+    images, features = read
+    return Dataset(name, classes, feature_dim, images, features)
 
 
-def _read_images(entries, base: Path, classes: list[str]) -> list[ImageRecord] | None:
-    """The images of a manifest's ``entries``, read in bulk: the feature
-    files fill one array (``_feature_blocks``), the boxes files form one
-    table and the GT files another (``_box_tables``), and each image holds
-    row views of them.  Ids and row counts are checked per file, on the
-    tables.  None when any check fails; ``_raise_first_fault`` then finds
-    and reports the first fault."""
+def _read_images(
+    entries, base: Path, classes: list[str], feature_dim: int
+) -> tuple[list[ImageRecord], np.ndarray] | None:
+    """The images of a manifest's ``entries`` and their one feature array,
+    read in bulk: the feature files fill that array (``_feature_array``),
+    the boxes files form one table and the GT files another
+    (``_box_tables``), and each image holds row views of them.  Ids and row
+    counts are checked per file, on the tables.  None when any check fails;
+    ``_raise_first_fault`` then finds and reports the first fault."""
     # Joined as text: a ``Path`` per file costs more than reading it.
     base = str(base)
     try:
-        ids = [entry.get("image_id") for entry in entries]
-        for image_id in ids:
-            check_id("image id", image_id)
+        ids = _entry_ids(entries)
         feature_paths = [os.path.join(base, entry["feature_file"]) for entry in entries]
         box_paths = [os.path.join(base, entry["boxes_file"]) for entry in entries]
-        labeled = [k for k, entry in enumerate(entries) if entry.get("gt_file")]
-        gt_paths = [os.path.join(base, entries[k]["gt_file"]) for k in labeled]
     except (KeyError, TypeError, AttributeError, DataError):
         return None
-    features = _feature_blocks(feature_paths)
+    features = _feature_array(feature_paths, feature_dim)
     boxes = _box_tables(box_paths, BOX_HEADER)
-    gts = _box_tables(gt_paths, GT_HEADER)
-    if features is None or boxes is None or gts is None:
+    gt = _read_gt(entries, base, ids, classes)
+    if features is None or boxes is None or gt is None:
         return None
+    features, sizes = features
     box_columns, box_rows, box_sizes = boxes
-    gt_columns, gt_rows, gt_sizes = gts
-    if (
-        box_columns[0] != _repeat(ids, box_sizes)
-        or box_sizes != [f.shape[0] for f in features]
-        or gt_columns[0] != _repeat([ids[k] for k in labeled], gt_sizes)
-        or not set(gt_columns[5]).issubset(classes)
-    ):
+    if box_columns[0] != _repeat(ids, box_sizes) or box_sizes != sizes:
         return None
-    gt_pairs = [(c, BBox(*b)) for c, b in zip(gt_columns[5], gt_rows.tolist())]
-    gt = [None] * len(ids)
-    for k, rows in zip(labeled, _blocks(gt_pairs, gt_sizes)):
-        gt[k] = rows
-    return [
+    images = [
         ImageRecord(*record)
-        for record in zip(ids, features, _blocks(box_rows, box_sizes), gt)
+        for record in zip(ids, _blocks(features, sizes), _blocks(box_rows, sizes), gt)
     ]
+    return images, features
+
+
+def _entry_ids(entries) -> list[str]:
+    """The image id of each manifest entry, each checked by ``check_id``."""
+    ids = [entry.get("image_id") for entry in entries]
+    for image_id in ids:
+        check_id("image id", image_id)
+    return ids
+
+
+def _read_gt(entries, base: str, ids: list[str], classes: list[str]) -> list | None:
+    """Each entry's ground truth as a list of ``(class_id, BBox)``, or None
+    for an entry without a GT file, from one table of all the GT files
+    (``_box_tables``), their image ids and classes checked on it.  None in
+    place of the whole list when any check fails; ``_checked_gt`` then
+    reports the first fault, file by file."""
+    try:
+        labeled = [k for k, entry in enumerate(entries) if entry.get("gt_file")]
+        gt_paths = [os.path.join(base, entries[k]["gt_file"]) for k in labeled]
+    except (KeyError, TypeError, AttributeError):
+        return None
+    table = _box_tables(gt_paths, GT_HEADER)
+    if table is None:
+        return None
+    columns, rows, sizes = table
+    if columns[0] != _repeat([ids[k] for k in labeled], sizes):
+        return None
+    if not set(columns[5]).issubset(classes):
+        return None
+    pairs = [(c, BBox(*b)) for c, b in zip(columns[5], rows.tolist())]
+    gt = [None] * len(ids)
+    for k, block in zip(labeled, _blocks(pairs, sizes)):
+        gt[k] = block
+    return gt
 
 
 def _repeat(ids: list[str], sizes: list[int]) -> tuple[str, ...]:
@@ -486,12 +511,36 @@ def _blocks(rows, sizes: list[int]) -> list:
     return [rows[end - n : end] for n, end in zip(sizes, accumulate(sizes))]
 
 
-def _raise_first_fault(entries, base: Path, classes: list[str]) -> NoReturn:
+def _checked_gt(entry, base: Path, classes: list[str]) -> list | None:
+    """One manifest entry's ground truth read with the per-file reader and
+    its messages (``path:lineno``), then its image ids and classes checked;
+    None without a GT file."""
+    if not entry.get("gt_file"):
+        return None
+    image_id, gt_path = entry["image_id"], base / entry["gt_file"]
+    gt = []
+    for row_id, class_id, box in read_gt_csv(gt_path):
+        if row_id != image_id:
+            raise DataError(
+                f"gt file '{gt_path}': image id '{row_id}' does not "
+                f"match manifest entry '{image_id}'"
+            )
+        if class_id not in classes:
+            raise DataError(f"gt file '{gt_path}': unknown class '{class_id}'")
+        gt.append((class_id, box))
+    return gt
+
+
+def _raise_first_fault(
+    entries, base: Path, name: str, classes: list[str], feature_dim: int
+) -> NoReturn:
     """Raise the first fault of the images of a manifest that failed the
     bulk read (``_read_images``).  The images are walked in manifest order
     with the per-file readers and their messages: the image id, the
     feature file, the boxes file, its image ids, the row count, the GT
-    file, then the ``ImageRecord`` checks."""
+    file, then the ``ImageRecord`` checks; then the ``Dataset`` checks run
+    on all of them (a feature file of another width fails only those)."""
+    images = []
     for entry in entries:
         image_id = entry.get("image_id")
         check_id("image id", image_id)
@@ -514,23 +563,51 @@ def _raise_first_fault(entries, base: Path, classes: list[str]) -> NoReturn:
                 f"'{boxes_path}' has {len(row_ids)} rows but feature file "
                 f"'{feat_path}' has {features.shape[0]} rows"
             )
-        gt = None
-        if entry.get("gt_file"):
-            gt_path = base / entry["gt_file"]
-            gt = []
-            for row_id, class_id, box in read_gt_csv(gt_path):
-                if row_id != image_id:
-                    raise DataError(
-                        f"gt file '{gt_path}': image id '{row_id}' does not "
-                        f"match manifest entry '{image_id}'"
-                    )
-                if class_id not in classes:
-                    raise DataError(
-                        f"gt file '{gt_path}': unknown class '{class_id}'"
-                    )
-                gt.append((class_id, box))
-        ImageRecord(image_id, features, boxes, gt)
+        gt = _checked_gt(entry, base, classes)
+        images.append(ImageRecord(image_id, features, boxes, gt))
+    Dataset(name, classes, feature_dim, images)
     raise AssertionError("the bulk read failed on images that pass every check")
+
+
+@dataclass(frozen=True)
+class Annotations:
+    """What scoring detections needs of a dataset: its name, class ids and
+    image ids, and its ground truth in image order, or None when some
+    image has no GT file."""
+
+    name: str
+    classes: list[str]
+    image_ids: tuple[str, ...]
+    ground_truths: list[GroundTruth] | None
+
+
+def load_annotations(manifest_path) -> Annotations:
+    """The ``Annotations`` of a manifest, read without opening its feature
+    or boxes files.  Ids and GT files are checked as ``load_dataset``
+    checks them, with its messages: a faulty GT file is named by
+    ``path:lineno``."""
+    base = Path(manifest_path).parent
+
+    def parse(manifest: dict) -> Annotations:
+        name, classes = manifest["name"], list(manifest["classes"])
+        entries = manifest["images"]
+        ids = _entry_ids(entries)
+        check_ids(classes, ids)
+        gt = _read_gt(entries, str(base), ids, classes)
+        if gt is None:
+            for entry in entries:
+                _checked_gt(entry, base, classes)
+            raise AssertionError("the bulk GT read failed on files that pass every check")
+        truths = None
+        if all(g is not None for g in gt):
+            truths = [
+                GroundTruth(image_id, class_id, box)
+                for image_id, rows in zip(ids, gt)
+                for class_id, box in rows
+            ]
+        return Annotations(name, classes, tuple(ids), truths)
+
+    return _load_bundle(manifest_path, "manifest", parse)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +742,16 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
         eps = rng.normal(scale=_SOURCE_RESIDUAL, size=(count, D))
         return means[c] + (z * (spread * scales)) @ dirs[c].T + eps
 
+    images_per_class = -(-spec.samples_per_class // spec.pos_per_image)
+    n_rows = spec.n_classes * (
+        spec.samples_per_class + images_per_class * spec.neg_per_image
+    )
+
     def build_domain(prefix: str, is_target: bool) -> Dataset:
+        # Every image's rows are written into one array, which the dataset
+        # adopts.
+        features = np.empty((n_rows, D))
+        end = 0
         images = []
         for c in range(spec.n_classes):
             remaining = spec.samples_per_class
@@ -714,10 +800,13 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
                         scale=spec.noise_scale, size=bg.shape
                     )
 
+                rows = features[end : end + k + spec.neg_per_image]
+                end += rows.shape[0]
+                rows[:k], rows[k:] = obj, bg
                 images.append(
                     ImageRecord(
                         image_id=image_id,
-                        features=np.vstack([obj, bg]),
+                        features=rows,
                         boxes=boxes,
                         gt=[(classes[c], _GT_BOX)],
                     )
@@ -727,6 +816,7 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
             classes=classes,
             feature_dim=D,
             images=images,
+            features=features,
         )
 
     source = build_domain("src", is_target=False)

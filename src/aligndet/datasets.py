@@ -30,6 +30,20 @@ def check_id(kind: str, value) -> None:
         )
 
 
+def check_ids(classes: list[str], image_ids: list[str]) -> None:
+    """Check each class id (``check_id``), then that no class id and no
+    image id occurs twice."""
+    for class_id in classes:
+        check_id("class id", class_id)
+        if classes.count(class_id) > 1:
+            raise DataError(f"duplicate class id '{class_id}'")
+    seen: set[str] = set()
+    for image_id in image_ids:
+        if image_id in seen:
+            raise DataError(f"duplicate image id '{image_id}'")
+        seen.add(image_id)
+
+
 @dataclass(eq=False)
 class ImageRecord:
     """One image's proposals: row i of ``features`` belongs to box row
@@ -72,23 +86,29 @@ class ImageRecord:
 
 @dataclass(eq=False)
 class Dataset:
-    """A named collection of images sharing one feature dimensionality."""
+    """A named collection of images sharing one feature dimensionality.
+
+    ``features`` is the one ``(N, D)`` C-contiguous float64 array of every
+    proposal's features, images in order, and each image's ``features``
+    is a view of its consecutive rows, so mining and scoring work on the
+    one array by row index.  A loader or generator that already holds the
+    images as row views of one array passes it and it is adopted as is;
+    otherwise the images' rows are stacked once.  Either way each image is
+    rebound to its view (an image shared with another dataset follows the
+    one built last).
+    """
 
     name: str
     classes: list[str]
     feature_dim: int
     images: list[ImageRecord] = field(default_factory=list)
+    features: np.ndarray | None = None
 
     def __post_init__(self):
-        for class_id in self.classes:
-            check_id("class id", class_id)
-            if self.classes.count(class_id) > 1:
-                raise DataError(f"duplicate class id '{class_id}'")
-        seen: set[str] = set()
+        check_ids(self.classes, [img.image_id for img in self.images])
+        if self.feature_dim < 1:
+            raise DataError(f"feature_dim must be >= 1, got {self.feature_dim}")
         for img in self.images:
-            if img.image_id in seen:
-                raise DataError(f"duplicate image id '{img.image_id}'")
-            seen.add(img.image_id)
             if img.features.shape[1] != self.feature_dim:
                 raise DataError(
                     f"image '{img.image_id}' has feature dim "
@@ -101,6 +121,37 @@ class Dataset:
                             f"image '{img.image_id}' references unknown "
                             f"class '{class_id}'"
                         )
+        self._bind_features()
+
+    def _bind_features(self) -> None:
+        """Adopt or stack ``features`` and make each image a view of its rows."""
+        shape = (sum(img.n_proposals for img in self.images), self.feature_dim)
+        given = self.features is not None
+        if not given:
+            self.features = np.concatenate(
+                [np.empty((0, shape[1])), *(img.features for img in self.images)]
+            )
+        F = self.features
+        if not (
+            isinstance(F, np.ndarray)
+            and F.dtype == np.float64
+            and F.flags.c_contiguous
+            and F.shape == shape
+        ):
+            raise DataError(
+                f"dataset '{self.name}': features must be a C-contiguous float64 "
+                f"{shape} array"
+            )
+        end = 0
+        for img in self.images:
+            rows = F[end : end + img.n_proposals]
+            if given and not _same_view(img.features, rows):
+                raise DataError(
+                    f"image '{img.image_id}': features are not rows "
+                    f"{end}-{end + rows.shape[0]} of the dataset's feature array"
+                )
+            end += rows.shape[0]
+            img.features = rows
 
     @property
     def labeled(self) -> bool:
@@ -108,11 +159,7 @@ class Dataset:
 
     @property
     def n_proposals(self) -> int:
-        return sum(img.n_proposals for img in self.images)
-
-    def all_features(self) -> np.ndarray:
-        """All proposal features stacked in image order."""
-        return np.vstack([img.features for img in self.images])
+        return self.features.shape[0]
 
     def ground_truths(self) -> list[GroundTruth]:
         """Flatten ground truth across images; empty for unlabeled data."""
@@ -121,3 +168,8 @@ class Dataset:
             for class_id, box in img.gt or []:
                 out.append(GroundTruth(img.image_id, class_id, box))
         return out
+
+
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` view the same memory the same way."""
+    return (a.ctypes.data, a.shape, a.strides) == (b.ctypes.data, b.shape, b.strides)

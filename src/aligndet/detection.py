@@ -25,6 +25,11 @@ INITIAL_NEG_CACHE = 1024
 # about 2x slower there) and a smaller one pays more block overhead
 # (2**13 is 1.6x slower on 2,000 sparse boxes).
 NMS_TILE_FLOATS = 1 << 15
+# train_detector gathers its negative cache rows into the trainer's matrix
+# in blocks of at most this many floats (512 KiB), so no temporary the size
+# of the cache is made; ``np.take`` into the matrix's feature columns would
+# buffer the whole gather, since they are not contiguous.
+GATHER_FLOATS = 1 << 16
 # The hinge trainer's Gram cache (_GramCache) holds columns of n floats each
 # up to this many floats in all (16 MiB); past it, a step recomputes its
 # margins instead.
@@ -161,20 +166,6 @@ class Detections:
         return cls(
             boxes, scores, _codes(images, image_ids), _codes(classes, class_ids),
             image_ids, class_ids,
-        )
-
-    @classmethod
-    def from_rows(cls, rows, image_ids=None, class_ids=None) -> Detections:
-        """Columns of ``Detection`` rows, in their order (see
-        ``from_labels``)."""
-        rows = list(rows)
-        return cls.from_labels(
-            np.array([d.box.as_tuple() for d in rows], dtype=np.float64).reshape(-1, 4),
-            np.array([d.score for d in rows], dtype=np.float64),
-            [d.image_id for d in rows],
-            [d.class_id for d in rows],
-            image_ids,
-            class_ids,
         )
 
     @classmethod
@@ -449,8 +440,17 @@ def train_detector(
     class_id: str = "",
     frame: str = "raw",
     record: list | None = None,
+    rows=None,
 ) -> LinearDetector:
     """Train a linear detector with hard-negative mining.
+
+    The negative pool is the rows ``rows`` of ``neg`` (every row when
+    None), in that order, so a caller holding one feature array passes it
+    with the pool's row indices and no pool is copied: each round gathers
+    its cache rows into the trainer's matrix in blocks of at most
+    ``GATHER_FLOATS``, and scores the pool as ``(neg @ w + b)[rows]``.
+    Cache indices are positions in the pool.  Training on
+    ``(pos, F, rows=r)`` gives the bits of ``(pos, F[r])``.
 
     Each round trains on the positives plus the current negative cache,
     scores the full negative pool, and appends the margin violators (score
@@ -480,23 +480,31 @@ def train_detector(
         raise DataError(
             f"positive dim {P.shape[1]} != negative dim {N.shape[1]}"
         )
+    pool = np.arange(N.shape[0]) if rows is None else np.asarray(rows)
+    if pool.ndim != 1 or pool.dtype.kind not in "iu" or not pool.size:
+        raise DataError("rows must be a non-empty 1-d array of row indices")
+    if not 0 <= pool.min() <= pool.max() < N.shape[0]:
+        raise DataError(f"rows must index the {N.shape[0]} rows of neg")
 
     p, dim = P.shape
     gram = _GramCache()
-    cache = np.arange(min(N.shape[0], INITIAL_NEG_CACHE))
+    cache = np.arange(min(pool.size, INITIAL_NEG_CACHE))
     w, b = np.zeros(dim), 0.0
     for _ in range(cfg.max_hard_rounds):
-        # Z = y * [X, 1] of the round, built in place: negation and the
+        # Z = y * [X, 1] of the round, built in place: the cache rows are
+        # gathered and negated into Z in blocks, and negation and the
         # constant column are exact, so these are the product's bits.
         Z = np.empty((p + cache.size, dim + 1))
         Z[:p, :dim] = P
-        np.negative(N[cache], out=Z[p:, :dim])
+        negs, step = Z[p:, :dim], max(1, GATHER_FLOATS // dim)
+        for a in range(0, cache.size, step):
+            np.negative(N[pool[cache[a : a + step]]], out=negs[a : a + step])
         Z[:p, dim] = 1.0
         Z[p:, dim] = -1.0
         gram.extend(Z)
         w, b, counts = _replay(Z, gram, cfg)
-        del Z  # freed before the next round builds its rows
-        violators = np.flatnonzero(N @ w + b > -HINGE_MARGIN)
+        del Z, negs  # freed before the next round builds its rows
+        violators = np.flatnonzero((N @ w + b)[pool] > -HINGE_MARGIN)
         new = np.setdiff1d(violators, cache)  # ascending
         if record is not None:
             record.append(

@@ -99,7 +99,9 @@ def normalize(
         raise DataError(
             f"stats dimension {stats.dim} does not match data dimension {D}"
         )
-    return (A - stats.mean) / stats.scale, stats
+    Z = A - stats.mean
+    Z /= stats.scale  # in place: one temporary, the same float operations
+    return Z, stats
 
 
 @dataclass(eq=False)

@@ -5,9 +5,7 @@ frame, and adapted detection."""
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -120,13 +118,14 @@ class ClassAdaptationState:
             )
 
 
-def _class_max_overlaps(dataset: Dataset, class_id: str) -> list[np.ndarray]:
-    """Per image, each proposal's largest IoU with a same-class GT box of
-    its image, 0 without one, from one ``pairwise_iou`` call over all
-    images: each proposal meets its image's same-class GT boxes, padded to
-    the most any image has with (0, 0, 0, 0) boxes.  A padding box overlaps
-    nothing: its IoU is 0, or NaN for an overflowing area, and the maximum
-    skips NaN (``fmax``) as the scalar loop it replaces did."""
+def _class_max_overlaps(dataset: Dataset, class_id: str) -> np.ndarray:
+    """Each proposal's largest IoU with a same-class GT box of its image,
+    0 without one, in the dataset's row order, from one ``pairwise_iou``
+    call over all images: each proposal meets its image's same-class GT
+    boxes, padded to the most any image has with (0, 0, 0, 0) boxes.  A
+    padding box overlaps nothing: its IoU is 0, or NaN for an overflowing
+    area, and the maximum skips NaN (``fmax``) as the scalar loop it
+    replaces did."""
     images = dataset.images
     gt, owner, slot = [], [], []
     for k, img in enumerate(images):
@@ -139,18 +138,17 @@ def _class_max_overlaps(dataset: Dataset, class_id: str) -> list[np.ndarray]:
     sizes = [img.n_proposals for img in images]
     boxes = np.concatenate([np.empty((0, 4)), *(img.boxes for img in images)])
     their_gt = padded[np.repeat(np.arange(len(images)), sizes)]
-    best = np.fmax.reduce(
+    return np.fmax.reduce(
         pairwise_iou(boxes[:, None, :], their_gt)[:, 0, :], axis=1, initial=0.0
     )
-    return [best[end - n : end] for n, end in zip(sizes, accumulate(sizes))]
 
 
-def raw_scores(dataset: Dataset, det: LinearDetector) -> Iterator[np.ndarray]:
-    """The raw margins ``features @ w + b`` of each image, in image order.
+def raw_scores(dataset: Dataset, det: LinearDetector) -> np.ndarray:
+    """The raw margins ``features @ w + b`` of every proposal of the
+    dataset, in its row order, from one product over its feature array.
 
-    The one place a raw-frame detector scores a dataset.  Its frame and
-    width are checked once, when called; the images are then scored lazily,
-    one per step.
+    The one place a raw-frame detector scores a dataset; its frame and
+    width are checked first.
     """
     if det.frame != "raw":
         raise DataError(
@@ -161,18 +159,7 @@ def raw_scores(dataset: Dataset, det: LinearDetector) -> Iterator[np.ndarray]:
             f"class '{det.class_id}' scores {det.weights.shape[0]}-dim features, "
             f"dataset '{dataset.name}' has {dataset.feature_dim}"
         )
-    return (img.features @ det.weights + det.bias for img in dataset.images)
-
-
-def _stack_selected(dataset: Dataset, masks: Iterable, empty: str) -> np.ndarray:
-    """Feature rows kept by one boolean mask per image, in image order.
-
-    Raises DataError with message ``empty`` when no row is kept.
-    """
-    rows = [img.features[m] for img, m in zip(dataset.images, masks) if np.any(m)]
-    if not rows:
-        raise DataError(empty)
-    return np.vstack(rows)
+    return dataset.features @ det.weights + det.bias
 
 
 def _require_labeled(dataset: Dataset) -> None:
@@ -180,11 +167,18 @@ def _require_labeled(dataset: Dataset) -> None:
         raise DataError(f"dataset '{dataset.name}' has images without ground truth")
 
 
+def _nonempty(rows: np.ndarray, message: str) -> np.ndarray:
+    """``rows``, or a DataError with ``message`` when it has none."""
+    if not rows.shape[0]:
+        raise DataError(message)
+    return rows
+
+
 def mine_source_positives(
     source: Dataset,
     class_id: str,
     gamma: float,
-    overlaps: list[np.ndarray] | None = None,
+    overlaps: np.ndarray | None = None,
 ) -> np.ndarray:
     """Features of all source proposals overlapping a same-class GT box.
 
@@ -199,21 +193,20 @@ def mine_source_positives(
     _require_labeled(source)
     if overlaps is None:
         overlaps = _class_max_overlaps(source, class_id)
-    return _stack_selected(
-        source,
-        (ov >= gamma for ov in overlaps),
+    return _nonempty(
+        source.features[overlaps >= gamma],
         f"no source positives for class '{class_id}' at gamma={gamma}",
     )
 
 
 def _mine_source_negatives(
-    source: Dataset, class_id: str, neg_lambda: float, overlaps: list[np.ndarray]
+    class_id: str, neg_lambda: float, overlaps: np.ndarray
 ) -> np.ndarray:
-    """Features of proposals whose max same-class overlap (``overlaps``,
-    from ``_class_max_overlaps``) stays below lambda."""
-    return _stack_selected(
-        source,
-        (ov < neg_lambda for ov in overlaps),
+    """Row indices, ascending, of the source proposals whose max same-class
+    overlap (``overlaps``, from ``_class_max_overlaps``) stays below
+    lambda."""
+    return _nonempty(
+        np.flatnonzero(overlaps < neg_lambda),
         f"no source negatives for class '{class_id}' at lambda={neg_lambda}",
     )
 
@@ -226,9 +219,8 @@ def mine_target_positives(
     NMS is deliberately not applied here so the sample count feeding the
     target subspace stays consistent.
     """
-    return _stack_selected(
-        target,
-        (scores >= sigma for scores in raw_scores(target, init_detector)),
+    return _nonempty(
+        target.features[raw_scores(target, init_detector) >= sigma],
         f"no target positives for class '{init_detector.class_id}' at sigma={sigma}",
     )
 
@@ -242,8 +234,9 @@ def train_initial_detectors(
 
     Positives are proposals with IoU >= gamma to a same-class GT box,
     negatives proposals with max IoU < neg_lambda; proposals in between are
-    excluded.  Classes without positives or without negatives are skipped
-    with a warning record.
+    excluded.  The negative pool stays rows of the source feature array.
+    Classes without positives or without negatives are skipped with a
+    warning record.
     """
     _require_labeled(source)
     detectors: dict[str, LinearDetector] = {}
@@ -251,13 +244,13 @@ def train_initial_detectors(
         overlaps = _class_max_overlaps(source, class_id)
         try:
             pos = mine_source_positives(source, class_id, cfg.gamma, overlaps)
-            neg = _mine_source_negatives(source, class_id, cfg.neg_lambda, overlaps)
+            neg = _mine_source_negatives(class_id, cfg.neg_lambda, overlaps)
         except DataError as exc:
             if warnings is not None:
                 warnings.append(f"initial-training: {exc}; class skipped")
             continue
         detectors[class_id] = train_detector(
-            pos, neg, cfg.train, class_id=class_id, frame="raw"
+            pos, source.features, cfg.train, class_id=class_id, frame="raw", rows=neg
         )
     return detectors
 
@@ -307,7 +300,7 @@ def _adapt_class(
             S, T = _fit_pair(pos_src, pos_tgt, cfg.d, class_id)
         else:
             S, T = shared
-        neg_src = _mine_source_negatives(source, class_id, cfg.neg_lambda, overlaps)
+        neg = _mine_source_negatives(class_id, cfg.neg_lambda, overlaps)
     except (DataError, NumericalError) as exc:
         warnings.append(f"adapt: class '{class_id}': {exc}; downgraded")
         return ClassAdaptationState(
@@ -315,12 +308,14 @@ def _adapt_class(
             downgraded=True, note=str(exc),
         )
 
+    # The whole source array is normalized and projected once; positives
+    # are gathered from the projection and negatives stay its rows.
     Xa = aligned_source_basis(S, solve_alignment(S, T))
-    pos_proj = project_for_training(normalize(pos_src, S.stats)[0], Xa)
-    neg_proj = project_for_training(normalize(neg_src, S.stats)[0], Xa)
+    proj = project_for_training(normalize(source.features, S.stats)[0], Xa)
     frame = "aligned:" + S.label.removeprefix("src:")
     adapted = train_detector(
-        pos_proj, neg_proj, cfg.train, class_id=class_id, frame=frame
+        proj[overlaps >= cfg.gamma], proj, cfg.train, class_id=class_id,
+        frame=frame, rows=neg,
     )
     return ClassAdaptationState(
         class_id, cfg.mode, adapted, S, T, n_pos_src=n_src, n_pos_tgt=n_tgt
@@ -369,9 +364,7 @@ def adapt(
     shared = None
     if cfg.mode == "full-image":
         try:
-            shared = _fit_pair(
-                source.all_features(), target.all_features(), cfg.d, "__full__"
-            )
+            shared = _fit_pair(source.features, target.features, cfg.d, "__full__")
         except (DataError, NumericalError) as exc:
             warnings.append(f"adapt: full-image pool: {exc}; all classes downgraded")
             return {
@@ -393,9 +386,10 @@ def detect(
 
     The images' box arrays are joined into one once per call.  Per
     class, the test-time projection is folded into the detector once
-    (pass-through classes keep theirs); ``raw_scores`` scores the raw
-    features with it, the scores of every image are thresholded at
-    ``cfg.detect_thresh`` together, and the class's detections go to one
+    (pass-through classes keep theirs); ``raw_scores`` scores the
+    dataset's feature array with it in one product, the scores are
+    thresholded at ``cfg.detect_thresh`` together, and the class's
+    detections go to one
     ``greedy_nms`` call, which suppresses each image on its own.  Output
     order is class, then image, then NMS keep order; images and classes are
     named as in ``target``.
@@ -413,7 +407,7 @@ def detect(
         if state.mode != "none":
             v, c = project_for_testing(det.weights, det.bias, state.target_subspace)
             det = LinearDetector(class_id, v, c, "raw")
-        scores = np.concatenate([np.empty(0), *raw_scores(target, det)])
+        scores = raw_scores(target, det)
         rows = np.flatnonzero(scores >= cfg.detect_thresh)
         picked = Detections(
             boxes[rows], scores[rows], image[rows], np.full(rows.size, k),

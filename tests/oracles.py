@@ -14,8 +14,22 @@ from pathlib import Path
 import numpy as np
 
 from aligndet.datasets import Dataset, ImageRecord, check_id
-from aligndet.detection import HINGE_MARGIN, BBox, Detection, iou
+from aligndet.detection import HINGE_MARGIN, BBox, Detection, Detections, iou
 from aligndet.errors import DataError
+
+
+def detections_from_rows(rows, image_ids=None, class_ids=None) -> Detections:
+    """Columns of ``Detection`` rows, in their order (see
+    ``Detections.from_labels``)."""
+    rows = list(rows)
+    return Detections.from_labels(
+        np.array([d.box.as_tuple() for d in rows], dtype=np.float64).reshape(-1, 4),
+        np.array([d.score for d in rows], dtype=np.float64),
+        [d.image_id for d in rows],
+        [d.class_id for d in rows],
+        image_ids,
+        class_ids,
+    )
 
 
 def rank_key(d: Detection):

@@ -19,7 +19,7 @@ from aligndet.dataio import (
     load_dataset,
     save_dataset,
 )
-from aligndet.detection import BBox, Detection, Detections, GroundTruth, TrainConfig
+from aligndet.detection import BBox, Detection, GroundTruth, TrainConfig
 from aligndet.errors import DataError
 from aligndet.evaluation import average_precision, similarity_matrix
 from aligndet.linalg import (
@@ -38,7 +38,13 @@ from aligndet.pipeline import (
     passthrough_states,
     train_initial_detectors,
 )
-from oracles import brute_force_ap, exhaustive_nms, gd_align, random_orthonormal
+from oracles import (
+    brute_force_ap,
+    detections_from_rows,
+    exhaustive_nms,
+    gd_align,
+    random_orthonormal,
+)
 from reference import reference_run
 
 # Margin of the class-specific route over no adaptation on the default
@@ -213,7 +219,7 @@ def test_c5_oracle_equivalences():
             dets.append(
                 Detection("img0", BBox(x, y, x + w, y + h), "obj", float(rng.uniform()))
             )
-        kept = greedy_nms(Detections.from_rows(dets), 0.3)
+        kept = greedy_nms(detections_from_rows(dets), 0.3)
         assert list(kept) == exhaustive_nms(dets, 0.3)
 
     # AP vs brute-force PR evaluation on every enumerated instance
@@ -237,7 +243,7 @@ def test_c5_oracle_equivalences():
                             0.9 - 0.1 * rank,
                         )
                     )
-                got = average_precision(Detections.from_rows(dets), gts, "obj")
+                got = average_precision(detections_from_rows(dets), gts, "obj")
                 want = brute_force_ap(dets, gts, "obj")
                 assert got == pytest.approx(want, abs=1e-12), (n_gt, n_det, code)
                 checked += 1

@@ -465,6 +465,43 @@ def test_evaluate_rejects_detections_outside_dataset(
     assert f"'{unknown}'" in err
 
 
+def test_evaluate_reads_no_feature_or_boxes_files(tmp_path, fast_config):
+    out = tmp_path / "run"
+    assert cli.main(["pipeline", "--config", fast_config, "--out", str(out)]) == 0
+    for kind in ("features", "boxes"):
+        shutil.rmtree(out / "target" / kind)
+    evaluated = tmp_path / "evaluated"
+    rc = cli.main(
+        [
+            "evaluate", "--config", fast_config,
+            "--detections", str(out / "detections.csv"),
+            "--dataset", str(out / "target" / "manifest.json"),
+            "--out", str(evaluated),
+        ]
+    )
+    assert rc == 0
+    report = json.loads((evaluated / "report.json").read_text())
+    assert report["mean_ap"] == json.loads((out / "report.json").read_text())["mean_ap"]
+
+
+def test_evaluate_reports_a_gt_fault_by_file_and_line(tmp_path, capsys, fast_config):
+    out = tmp_path / "run"
+    assert cli.main(["pipeline", "--config", fast_config, "--out", str(out)]) == 0
+    gt = sorted((out / "target" / "gt").glob("*.csv"))[1]
+    header, row, *rest = gt.read_text().splitlines()
+    gt.write_text("\n".join([header, row.replace(",", ",x", 1), *rest]) + "\n")
+    rc = cli.main(
+        [
+            "evaluate", "--config", fast_config,
+            "--detections", str(out / "detections.csv"),
+            "--dataset", str(out / "target" / "manifest.json"),
+            "--out", str(tmp_path / "evaluated"),
+        ]
+    )
+    assert rc == 2
+    assert f"{gt}:2: " in capsys.readouterr().err
+
+
 def test_evaluate_reports_a_box_out_of_order_by_file_and_line(
     tmp_path, capsys, fast_config
 ):

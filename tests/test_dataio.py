@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shutil
 import struct
 import tempfile
 import zlib
@@ -23,6 +24,7 @@ from aligndet.dataio import (
     config_echo,
     generate_synthetic,
     load_config,
+    load_annotations,
     load_dataset,
     load_detectors,
     load_states,
@@ -38,9 +40,9 @@ from aligndet.dataio import (
     write_detections_csv,
     write_features,
 )
-from aligndet.detection import BBox, Detection, Detections, LinearDetector
+from aligndet.detection import BBox, Detection, LinearDetector
 from aligndet.errors import DataError
-from oracles import per_line_box_rows, sequential_load_dataset
+from oracles import detections_from_rows, per_line_box_rows, sequential_load_dataset
 
 # Every character ``str.splitlines`` ends a line at.  The readers would
 # split an id holding one, so ``ImageRecord`` and ``Dataset`` reject such
@@ -138,8 +140,8 @@ class TestContainers:
     def test_iteration_helpers(self):
         ds = tiny_dataset()
         assert ds.n_proposals == 6
-        assert ds.all_features().shape == (6, 4)
-        npt.assert_array_equal(ds.all_features()[3:], ds.images[1].features)
+        assert ds.features.shape == (6, 4)
+        npt.assert_array_equal(ds.features[3:], ds.images[1].features)
         assert len(ds.ground_truths()) == 2
         assert ds.labeled
 
@@ -212,7 +214,7 @@ class TestCsvFiles:
             Detection("img1", BBox(1, 1, 6, 6), "dog", -1.5),
         ]
         p = tmp_path / "d.csv"
-        write_detections_csv(p, Detections.from_rows(dets))
+        write_detections_csv(p, detections_from_rows(dets))
         assert list(read_detections_csv(p)) == dets
 
 
@@ -325,7 +327,7 @@ codec_settings = settings(
 @given(rows=detection_rows())
 @codec_settings
 def test_detections_csv_round_trip_keeps_every_bit(tmp_path, rows):
-    dets = Detections.from_rows(rows)
+    dets = detections_from_rows(rows)
     p, p2 = tmp_path / "d.csv", tmp_path / "d2.csv"
     write_detections_csv(p, dets)
     back = read_detections_csv(p)
@@ -986,15 +988,21 @@ def small_datasets(draw):
     return Dataset("h", ["cat", "dog"], dim, images)
 
 
-def _mutate(data, root, mutation) -> None:
-    """Apply ``mutation`` to one file under ``root`` that it concerns."""
-    kinds = {
-        "unknown_class": ["gt"],
-        "missing": ["features", "boxes", "gt"],
-        "row_count": ["boxes"],
-        **{m: ["features"] for m in FEATURE_MUTATIONS},
-        **{m: ["boxes", "gt"] for m in TEXT_MUTATIONS},
-    }[mutation]
+def _mutate(data, root, mutation, kinds=None) -> None:
+    """Apply ``mutation`` to one file under ``root`` that it concerns, and
+    whose kind (``features``, ``boxes`` or ``gt``) is among ``kinds`` when
+    given."""
+    kinds = [
+        kind
+        for kind in {
+            "unknown_class": ["gt"],
+            "missing": ["features", "boxes", "gt"],
+            "row_count": ["boxes"],
+            **{m: ["features"] for m in FEATURE_MUTATIONS},
+            **{m: ["boxes", "gt"] for m in TEXT_MUTATIONS},
+        }[mutation]
+        if kinds is None or kind in kinds
+    ]
     files = sorted((root / data.draw(st.sampled_from(kinds))).glob("*"))
     if mutation in ("cell", "columns", "swap", "foreign_id", "unknown_class"):
         files = [p for p in files if len(p.read_text().splitlines()) > 1]  # has rows
@@ -1094,3 +1102,80 @@ def test_load_dataset_reads_as_the_sequential_loader(tmp_path, first, ds, data):
             _mutate(data, manifest.parent, mutation)
         expected = _load_outcome(sequential_load_dataset, manifest)
         assert _load_outcome(load_dataset, manifest) == expected
+
+
+def _annotations_outcome(load, manifest):
+    """What ``load`` makes of ``manifest``'s annotations: its error
+    message, or the name, classes, image ids and ground truth."""
+    try:
+        ds = load(manifest)
+    except DataError as exc:
+        return str(exc)
+    if isinstance(ds, Dataset):
+        truths = ds.ground_truths() if ds.labeled else None
+        return ds.name, ds.classes, tuple(img.image_id for img in ds.images), truths
+    return ds.name, ds.classes, ds.image_ids, ds.ground_truths
+
+
+@pytest.mark.parametrize("first", [None, *TEXT_MUTATIONS, "unknown_class", "missing"])
+@given(ds=small_datasets(), data=st.data())
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_load_annotations_reads_the_ground_truth_of_load_dataset(
+    tmp_path, first, ds, data
+):
+    """A GT fault, when ``first`` is given, is reported with the message of
+    ``load_dataset``; the feature and boxes files are never opened, so
+    removing them changes nothing."""
+    with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+        manifest = save_dataset(ds, out)
+        if first:
+            _mutate(data, manifest.parent, first, kinds=["gt"])
+        expected = _annotations_outcome(load_dataset, manifest)
+        for kind in ("features", "boxes"):
+            shutil.rmtree(manifest.parent / kind)
+        assert _annotations_outcome(load_annotations, manifest) == expected
+
+
+class TestFeatureArray:
+    """A dataset holds one feature array and its images view its rows."""
+
+    @staticmethod
+    def assert_views(ds):
+        F = ds.features
+        assert F.flags.c_contiguous and F.dtype == np.float64
+        assert F.shape == (ds.n_proposals, ds.feature_dim)
+        end = 0
+        for img in ds.images:
+            assert np.shares_memory(img.features, F)
+            assert img.features.base is not None
+            npt.assert_array_equal(img.features, F[end : end + img.n_proposals])
+            end += img.n_proposals
+        assert end == F.shape[0]
+
+    def test_hand_built_rows_are_stacked_once(self):
+        ds = tiny_dataset()
+        self.assert_views(ds)
+        ds.images[1].features[0, 0] = 7.0
+        assert ds.features[3, 0] == 7.0
+
+    def test_generated_dataset_adopts_its_array(self):
+        for ds in generate_synthetic(SynthShiftSpec(samples_per_class=15, n_classes=2))[:2]:
+            self.assert_views(ds)
+
+    def test_loaded_dataset_adopts_its_array(self, tmp_path):
+        ds = load_dataset(save_dataset(tiny_dataset(), tmp_path))
+        self.assert_views(ds)
+
+    def test_given_array_must_hold_the_images_rows(self):
+        a, b = tiny_dataset().images
+        F = np.vstack([a.features, b.features])
+        with pytest.raises(DataError, match="image 'img0': features are not rows 0-3"):
+            Dataset("d", ["cat"], 4, [a, b], F)
+        with pytest.raises(DataError, match=r"C-contiguous float64 \(6, 4\) array"):
+            Dataset("d", ["cat"], 4, [a, b], np.asfortranarray(F))
+        ds = Dataset("d", ["cat"], 4, [a, b], None)
+        assert Dataset("e", ["cat"], 4, [a, b], ds.features).features is ds.features

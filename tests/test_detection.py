@@ -28,6 +28,7 @@ from aligndet.datasets import Dataset, ImageRecord
 from aligndet.errors import DataError
 from aligndet.pipeline import raw_scores
 from oracles import (
+    detections_from_rows,
     exhaustive_nms,
     per_image_nms,
     random_detections,
@@ -380,6 +381,50 @@ class TestTrainDetector:
         assert record[-1]["new"] == 0 or len(record) == cfg.max_hard_rounds
         npt.assert_array_equal(det.weights, record[-1]["weights"])
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        problem=mining_problems(),
+        extra=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+        gather_rows=st.sampled_from([None, 1, 3]),
+    )
+    def test_pool_as_rows_of_one_array_is_the_copied_pool(
+        self, problem, extra, seed, gather_rows
+    ):
+        # The pool's rows scattered, out of order, among other rows of one
+        # array (some of them would violate if they were in the pool); small
+        # gather blocks split each round's cache into several.
+        pos, neg, first = problem
+        rng = np.random.default_rng(seed)
+        others = rng.normal(size=(extra, pos.shape[1])) + pos.mean(axis=0)
+        F = np.vstack([neg, others])
+        order = rng.permutation(len(F))
+        F = F[order]
+        rows = np.argsort(order)[rng.permutation(len(neg))]
+        cfg = TrainConfig(reg_lambda=0.1, iterations=50)
+        records = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detection, "INITIAL_NEG_CACHE", first)
+            if gather_rows is not None:
+                mp.setattr(detection, "GATHER_FLOATS", gather_rows * pos.shape[1])
+            a = train_detector(pos, F, cfg, record=records[0], rows=rows)
+            b = train_detector(pos, F[rows], cfg, record=records[1])
+        assert a.weights.tobytes() == b.weights.tobytes() and a.bias == b.bias
+        assert len(records[0]) == len(records[1])
+        for ra, rb in zip(*records):
+            assert ra["weights"].tobytes() == rb["weights"].tobytes()
+            assert ra["bias"] == rb["bias"] and ra["new"] == rb["new"]
+            npt.assert_array_equal(ra["cache"], rb["cache"])
+            npt.assert_array_equal(ra["counts"], rb["counts"])
+
+    @pytest.mark.parametrize(
+        "rows", [[], [[0, 1]], [0.0, 1.0], [0, 3], [-1, 0]],
+        ids=["empty", "2-d", "float", "past-end", "negative"],
+    )
+    def test_bad_pool_rows_rejected(self, rows):
+        with pytest.raises(DataError, match="rows"):
+            train_detector(np.ones((2, 2)), np.ones((3, 2)), TrainConfig(), rows=rows)
+
     def test_record_new_counts_violators_left_outside_the_cache(self):
         # The mining data of test_hard_negative_rounds_reduce_objective.
         rng = np.random.default_rng(5)
@@ -566,8 +611,7 @@ def one_image(X) -> Dataset:
 
 def score_one(det, X) -> np.ndarray:
     """``raw_scores`` of ``det`` over the one-image dataset of ``X``."""
-    (scores,) = raw_scores(one_image(X), det)
-    return scores
+    return raw_scores(one_image(X), det)
 
 
 class TestScoreProposals:
@@ -613,7 +657,7 @@ def det_at(x, score, image_id="img0", class_id="obj"):
 
 def nms(dets, overlap_thresh):
     """``greedy_nms`` on a list of ``Detection`` rows, as a list."""
-    return list(greedy_nms(Detections.from_rows(dets), overlap_thresh))
+    return list(greedy_nms(detections_from_rows(dets), overlap_thresh))
 
 
 class TestDetections:
@@ -622,11 +666,11 @@ class TestDetections:
 
     def test_rows_round_trip(self):
         rows = self.rows()
-        dets = Detections.from_rows(rows)
+        dets = detections_from_rows(rows)
         assert len(dets) == 2 and list(dets) == rows
         assert dets.image_ids == ("img0", "img1") and dets.class_ids == ("obj", "b")
-        assert dets == Detections.from_rows(rows, ("img1", "img0"), ("b", "obj"))
-        assert list(Detections.from_rows([])) == []
+        assert dets == detections_from_rows(rows, ("img1", "img0"), ("b", "obj"))
+        assert list(detections_from_rows([])) == []
 
     @pytest.mark.parametrize(
         "row, message",
@@ -661,23 +705,23 @@ class TestDetections:
         ],
     )
     def test_shapes_codes_and_names_checked(self, change, match):
-        dets = Detections.from_rows(self.rows())
+        dets = detections_from_rows(self.rows())
         fields = {f.name: getattr(dets, f.name) for f in dataclasses.fields(dets)}
         with pytest.raises(DataError, match=match):
             Detections(**{**fields, **change})
 
     def test_unknown_label_rejected(self):
         with pytest.raises(DataError, match="'img9' is not among"):
-            Detections.from_rows([det_at(0, 0.5, image_id="img9")], ["img0"])
+            detections_from_rows([det_at(0, 0.5, image_id="img9")], ["img0"])
 
     def test_concat_keeps_order_and_checks_names(self):
         rows = self.rows()
         names = (("img0", "img1"), ("obj", "b"))
-        parts = [Detections.from_rows(part, *names) for part in (rows[1:], rows[:1])]
+        parts = [detections_from_rows(part, *names) for part in (rows[1:], rows[:1])]
         assert list(Detections.concat(parts, *names)) == rows[::-1]
         assert len(Detections.concat([], *names)) == 0
         with pytest.raises(DataError, match="different name tables"):
-            Detections.concat([Detections.from_rows(rows)], names[0][::-1], names[1])
+            Detections.concat([detections_from_rows(rows)], names[0][::-1], names[1])
 
 
 class TestGreedyNms:

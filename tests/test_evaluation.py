@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aligndet.detection import BBox, Detection, Detections, GroundTruth
+from aligndet.detection import BBox, Detection, GroundTruth
 from aligndet.errors import DataError
 from aligndet.evaluation import (
     _true_positives,
@@ -18,7 +18,12 @@ from aligndet.evaluation import (
     similarity_matrix,
 )
 from aligndet.linalg import Subspace, identity_stats, subspace_similarity
-from oracles import brute_force_ap, match_detections, random_orthonormal
+from oracles import (
+    brute_force_ap,
+    detections_from_rows,
+    match_detections,
+    random_orthonormal,
+)
 
 
 def gt_at(x, image_id="img0", class_id="obj"):
@@ -31,7 +36,7 @@ def det_at(x, score, image_id="img0", class_id="obj"):
 
 def ap_of(dets, gts, class_id="obj", iou_thresh=0.5):
     """``average_precision`` of a list of ``Detection`` rows."""
-    return average_precision(Detections.from_rows(dets), gts, class_id, iou_thresh)
+    return average_precision(detections_from_rows(dets), gts, class_id, iou_thresh)
 
 
 grid = st.integers(0, 4).map(lambda v: 5.0 * v)
@@ -168,7 +173,7 @@ class TestAveragePrecision:
     @settings(max_examples=200, deadline=None)
     def test_matches_both_oracles(self, thresh, case):
         dets, gts = case
-        columns = Detections.from_rows(dets)
+        columns = detections_from_rows(dets)
         for class_id in ("a", "b", "c"):
             got = average_precision(columns, gts, class_id, thresh)
             want = brute_force_ap(dets, gts, class_id, thresh)

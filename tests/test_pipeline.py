@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,7 +12,6 @@ from aligndet.dataio import SynthShiftSpec, generate_synthetic, load_states, sav
 from aligndet.datasets import Dataset, ImageRecord
 from aligndet.detection import (
     BBox,
-    Detections,
     LinearDetector,
     TrainConfig,
     greedy_nms,
@@ -30,7 +31,12 @@ from aligndet.pipeline import (
     train_initial_detectors,
 )
 
-from oracles import per_image_nms, scalar_max_overlaps, unfolded_detect
+from oracles import (
+    detections_from_rows,
+    per_image_nms,
+    scalar_max_overlaps,
+    unfolded_detect,
+)
 
 FAST_TRAIN = TrainConfig(reg_lambda=0.001, iterations=800)
 SMALL_SPEC = SynthShiftSpec(samples_per_class=40, n_classes=3)
@@ -156,15 +162,14 @@ class TestClassMaxOverlaps:
     def test_equal_the_scalar_double_loop(self, ds):
         for c in ds.classes:
             got = pipeline._class_max_overlaps(ds, c)
-            assert len(got) == len(ds.images)
-            for img, ov in zip(ds.images, got):
-                assert ov.tobytes() == scalar_max_overlaps(img, c).tobytes()
+            want = np.concatenate([scalar_max_overlaps(img, c) for img in ds.images])
+            assert got.tobytes() == want.tobytes()
 
     def test_touching_and_zero_area_boxes_overlap_zero(self):
         gt = [("a", BBox(0.0, 0.0, 2.0, 2.0)), ("b", BBox(0.0, 0.0, 1.0, 1.0))]
         boxes = [(2.0, 0.0, 3.0, 2.0), (1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 2.0, 1.0)]
         ds = Dataset("t", ["a", "b"], 1, [ImageRecord("i", np.zeros((3, 1)), boxes, gt)])
-        (ov,) = pipeline._class_max_overlaps(ds, "a")
+        ov = pipeline._class_max_overlaps(ds, "a")
         npt.assert_array_equal(ov, [0.0, 0.0, 0.5])
 
     def test_overflowing_area_counts_as_no_overlap(self):
@@ -177,9 +182,9 @@ class TestClassMaxOverlaps:
             ImageRecord("j", np.zeros((2, 1)), boxes, gt[:1]),
         ])
         got = pipeline._class_max_overlaps(ds, "a")
-        for img, ov in zip(ds.images, got):
-            assert ov.tobytes() == scalar_max_overlaps(img, "a").tobytes()
-        npt.assert_array_equal(got[0], [0.0, 1.0])
+        want = np.concatenate([scalar_max_overlaps(img, "a") for img in ds.images])
+        assert got.tobytes() == want.tobytes()
+        npt.assert_array_equal(got[:2], [0.0, 1.0])
 
 
 class TestMineTargetPositives:
@@ -232,6 +237,30 @@ class TestTrainInitialDetectors:
                     correct += (s > 0) == want_positive
                     total += 1
         assert correct / total >= 0.95
+
+    def test_no_negative_pool_is_copied(self):
+        # 1024-dim proposals, 2,000 background boxes per image: each class's
+        # pool is about 4,000 rows (31 MiB), far above the trainer's own
+        # arrays (a 1,024-row cache and its Gram columns, about 15 MiB), so
+        # a traced peak under half a pool means no pool-sized copy was made.
+        spec = SynthShiftSpec(
+            n_classes=2, feature_dim=1024, latent_dim=8, samples_per_class=10,
+            neg_per_image=2000,
+        )
+        src, _, _ = generate_synthetic(spec)
+        cfg = small_cfg(train=TrainConfig(reg_lambda=0.001, iterations=50))
+        pool = min(
+            int((pipeline._class_max_overlaps(src, c) < cfg.neg_lambda).sum())
+            for c in src.classes
+        )
+        tracemalloc.start()
+        try:
+            detectors = train_initial_detectors(src, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(detectors) == 2
+        assert peak < pool * spec.feature_dim * 8 / 2
 
     def test_class_without_positives_skipped_with_warning(self):
         ds = grid_image([80.0, 90.0])
@@ -436,7 +465,7 @@ class TestDetect:
                     )
                     for k in np.flatnonzero(scores >= cfg.detect_thresh)
                 ]
-                manual.extend(greedy_nms(Detections.from_rows(picked), cfg.nms_thresh))
+                manual.extend(greedy_nms(detections_from_rows(picked), cfg.nms_thresh))
         assert list(via_adapt) == manual
 
     def test_single_surviving_proposal_bypasses_nms(self):
@@ -510,7 +539,7 @@ class TestDetect:
         monkeypatch.setattr(
             pipeline,
             "greedy_nms",
-            lambda dets, thresh: Detections.from_rows(
+            lambda dets, thresh: detections_from_rows(
                 per_image_nms(list(dets), thresh), dets.image_ids, dets.class_ids
             ),
         )
