@@ -76,32 +76,33 @@ def read_features(path) -> np.ndarray:
 
 def _feature_array(paths, dim: int) -> tuple[np.ndarray, list[int]] | None:
     """The feature matrices of the files at ``paths`` stacked in one
-    ``(N, dim)`` float64 array that every payload fills, with one
-    finiteness check over all of it, and each file's row count; None when
+    ``(N, dim)`` float32 array, each payload read straight into its rows
+    and checked for finiteness there, and each file's row count; None when
     a file cannot be read, fails a check of ``read_features`` (which
-    reports it) or is not ``dim`` wide."""
-    payloads, sizes = [], []
+    reports it) or is not ``dim`` wide.  Each file's row count is first
+    taken from its size, to size the array; its header must then agree."""
+    sizes = []
     for path in paths:
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+            n, extra = divmod(os.stat(path).st_size - 16, 4 * dim)
         except OSError:
             return None
-        if len(raw) < 16 or raw[:4] != FEATURE_MAGIC:
+        if n < 0 or extra:
             return None
-        version, n, D = struct.unpack_from("<III", raw, 4)
-        if version != FEATURE_VERSION or len(raw) != 16 + 4 * n * D or D != dim:
-            return None
-        payloads.append(raw)
         sizes.append(n)
-    features = np.empty((sum(sizes), dim))
-    for k, (n, end) in enumerate(zip(sizes, accumulate(sizes))):
-        # No name holds the payload's view, so the payload is freed here.
-        features[end - n : end] = np.frombuffer(
-            payloads[k], "<f4", offset=16
-        ).reshape(n, dim)
-        payloads[k] = None  # freed once copied
-    return (features, sizes) if np.isfinite(features).all() else None
+    features = np.empty((sum(sizes), dim), "<f4")
+    for path, rows in zip(paths, _blocks(features, sizes)):
+        header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, len(rows), dim)
+        try:
+            with open(path, "rb") as fh:
+                if fh.read(16) != header or fh.readinto(rows) != rows.nbytes:
+                    return None
+        except OSError:
+            return None
+        if not np.isfinite(rows).all():
+            return None
+    # In native byte order: a no-op on a little-endian machine.
+    return features.astype(np.float32, copy=False), sizes
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +376,19 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
 
     File names come from image ids, so an id that is not one path component
     ('/', '\\' or NUL in it, or '.' or '..') is a DataError before any write.
+    So is a feature too large for float32, the type of feature files: it
+    would be written as inf, which ``load_dataset`` rejects.
     """
     for img in dataset.images:
         if img.image_id in (".", "..") or any(c in img.image_id for c in "/\\\0"):
             raise DataError(f"image id {img.image_id!r} is not a single path component")
+        with np.errstate(over="ignore"):
+            big = np.isinf(img.features.astype("<f4", copy=False)).any(axis=1)
+        if big.any():
+            raise DataError(
+                f"image '{img.image_id}': feature row {int(big.argmax())} is "
+                "too large for float32, the type of feature files"
+            )
     out_dir = Path(out_dir)
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
     (out_dir / "boxes").mkdir(exist_ok=True)

@@ -50,9 +50,10 @@ class ImageRecord:
     ``boxes[i]``, an ``(n, 4)`` float64 array in ``BBox.as_tuple`` order.
 
     Each box row is checked as ``BBox`` checks a box, with its messages;
-    arrays are kept as given when already float64, so a loaded dataset's
-    images hold row views of its tables.  ``gt`` is a list of (class_id,
-    box) pairs, or None for unlabeled (target-style) data.
+    arrays are kept as given when already float64 (or, for features,
+    float32), so a loaded dataset's images hold row views of its tables.
+    ``gt`` is a list of (class_id, box) pairs, or None for unlabeled
+    (target-style) data.
     """
 
     image_id: str
@@ -88,14 +89,18 @@ class ImageRecord:
 class Dataset:
     """A named collection of images sharing one feature dimensionality.
 
-    ``features`` is the one ``(N, D)`` C-contiguous float64 array of every
+    ``features`` is the one ``(N, D)`` C-contiguous array of every
     proposal's features, images in order, and each image's ``features``
     is a view of its consecutive rows, so mining and scoring work on the
     one array by row index.  A loader or generator that already holds the
-    images as row views of one array passes it and it is adopted as is;
-    otherwise the images' rows are stacked once.  Either way each image is
-    rebound to its view (an image shared with another dataset follows the
-    one built last).
+    images as row views of one array passes it and it is adopted as is:
+    float32 as read from feature files, float64 as generated.  Otherwise
+    the images' rows are stacked once into a float64 array.  Either way
+    each image is rebound to its view (an image shared with another
+    dataset follows the one built last).  Every float operation upcasts
+    float32 values exactly (``linalg.matvec`` in row blocks, ``normalize``
+    as it subtracts the float64 mean), so both dtypes give the bits of the
+    float64 array holding the same values.
     """
 
     name: str
@@ -134,13 +139,13 @@ class Dataset:
         F = self.features
         if not (
             isinstance(F, np.ndarray)
-            and F.dtype == np.float64
+            and F.dtype in (np.float64, np.float32)
             and F.flags.c_contiguous
             and F.shape == shape
         ):
             raise DataError(
                 f"dataset '{self.name}': features must be a C-contiguous float64 "
-                f"{shape} array"
+                f"{shape} array, or float32"
             )
         end = 0
         for img in self.images:

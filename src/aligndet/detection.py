@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .linalg import ensure_feature_matrix
+from .linalg import GATHER_FLOATS, as_feature_matrix, ensure_feature_matrix, matvec
 
 # Negatives scoring above -HINGE_MARGIN violate the margin and get mined.
 HINGE_MARGIN = 1.0
@@ -25,11 +25,6 @@ INITIAL_NEG_CACHE = 1024
 # about 2x slower there) and a smaller one pays more block overhead
 # (2**13 is 1.6x slower on 2,000 sparse boxes).
 NMS_TILE_FLOATS = 1 << 15
-# train_detector gathers its negative cache rows into the trainer's matrix
-# in blocks of at most this many floats (512 KiB), so no temporary the size
-# of the cache is made; ``np.take`` into the matrix's feature columns would
-# buffer the whole gather, since they are not contiguous.
-GATHER_FLOATS = 1 << 16
 # The hinge trainer's Gram cache (_GramCache) holds columns of n floats each
 # up to this many floats in all (16 MiB); past it, a step recomputes its
 # margins instead.
@@ -247,10 +242,12 @@ def pairwise_iou(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         inter *= out
         union = np.add((ax1 - ax0) * (ay1 - ay0), (bx1 - bx0) * (by1 - by0), out=tmp)
         union -= inter
-        where = np.less_equal(union, 0.0)
-        np.logical_not(where, out=where)
-        out.fill(0.0)
-        return np.divide(inter, union, out=out, where=where)
+        # Divided everywhere, then 0 where the union is not positive: a
+        # masked division costs more than a full one and a masked store.
+        empty = np.less_equal(union, 0.0)
+        np.divide(inter, union, out=out)
+        out[empty] = 0.0
+        return out
 
 
 @dataclass
@@ -447,10 +444,16 @@ def train_detector(
     The negative pool is the rows ``rows`` of ``neg`` (every row when
     None), in that order, so a caller holding one feature array passes it
     with the pool's row indices and no pool is copied: each round gathers
-    its cache rows into the trainer's matrix in blocks of at most
-    ``GATHER_FLOATS``, and scores the pool as ``(neg @ w + b)[rows]``.
-    Cache indices are positions in the pool.  Training on
-    ``(pos, F, rows=r)`` gives the bits of ``(pos, F[r])``.
+    and negates its cache rows into the trainer's float64 matrix in blocks
+    of at most ``GATHER_FLOATS`` (``np.take`` into the matrix's feature
+    columns would buffer the whole gather, since they are not contiguous),
+    and scores the pool as ``(neg @ w + b)[rows]`` with ``matvec``.  Cache
+    indices are positions in the pool.  Training on ``(pos, F, rows=r)``
+    gives the bits of ``(pos, F[r])``.  ``pos`` and ``neg`` may be float32
+    (``as_feature_matrix``); both enter every product upcast exactly, so
+    they train as the float64 arrays holding their values do.  ``neg`` is
+    not scanned for non-finite entries up front: ``matvec`` names the first
+    one when it scores the pool.
 
     Each round trains on the positives plus the current negative cache,
     scores the full negative pool, and appends the margin violators (score
@@ -475,7 +478,7 @@ def train_detector(
     ``hinge_objective``.
     """
     P = ensure_feature_matrix(pos, "pos")
-    N = ensure_feature_matrix(neg, "neg")
+    N = as_feature_matrix(neg, "neg")
     if P.shape[1] != N.shape[1]:
         raise DataError(
             f"positive dim {P.shape[1]} != negative dim {N.shape[1]}"
@@ -504,7 +507,7 @@ def train_detector(
         gram.extend(Z)
         w, b, counts = _replay(Z, gram, cfg)
         del Z, negs  # freed before the next round builds its rows
-        violators = np.flatnonzero((N @ w + b)[pool] > -HINGE_MARGIN)
+        violators = np.flatnonzero((matvec(N, w, "neg") + b)[pool] > -HINGE_MARGIN)
         new = np.setdiff1d(violators, cache)  # ascending
         if record is not None:
             record.append(

@@ -1,4 +1,5 @@
-"""Dense numerical substrate: feature-matrix validation, z-score
+"""Dense numerical substrate: feature-matrix validation, blocked
+matrix-vector products over float32 or float64 features, z-score
 normalization, PCA subspace extraction, projections, and principal angles
 between subspaces."""
 
@@ -13,23 +14,75 @@ from .errors import DataError, NumericalError
 # Eigenvalues of a sample covariance may dip slightly negative; anything
 # below this is a real anomaly, anything above is clamped to zero.
 EIGENVALUE_FLOOR = -1e-10
+# ``matvec`` upcasts, and the trainer gathers, feature rows in blocks of at
+# most this many floats (512 KiB of float64), so neither makes a temporary
+# the size of the whole feature array.
+GATHER_FLOATS = 1 << 16
 
 
-def ensure_feature_matrix(X, name: str = "X") -> np.ndarray:
-    """Coerce ``X`` to a validated float64 matrix of shape (n, D).
-
-    Requires n >= 1, D >= 1 and every entry finite.
-    """
-    A = np.asarray(X, dtype=np.float64)
+def as_feature_matrix(X, name: str = "X") -> np.ndarray:
+    """``X`` as an (n, D) matrix with n >= 1 and D >= 1, its entries not
+    checked: a float32 array as it is (the dtype feature files hold; see
+    ``matvec``), anything else coerced to float64."""
+    if isinstance(X, np.ndarray) and X.dtype == np.float32:
+        A = X
+    else:
+        A = np.asarray(X, dtype=np.float64)
     if A.ndim != 2:
         raise DataError(f"{name} must be 2-dimensional, got shape {A.shape}")
     n, D = A.shape
     if n < 1 or D < 1:
         raise DataError(f"{name} must be at least 1x1, got {n}x{D}")
-    if not np.all(np.isfinite(A)):
-        r, c = np.argwhere(~np.isfinite(A))[0]
-        raise DataError(f"{name} has a non-finite entry at row {r}, column {c}")
     return A
+
+
+def ensure_feature_matrix(X, name: str = "X") -> np.ndarray:
+    """``as_feature_matrix`` with every entry finite."""
+    A = as_feature_matrix(X, name)
+    if not np.all(np.isfinite(A)):
+        _raise_non_finite(A, name)
+    return A
+
+
+def _raise_non_finite(A: np.ndarray, name: str, first_row: int = 0) -> None:
+    """Name the first non-finite entry of ``A``, whose rows are those of
+    ``name`` from ``first_row`` on; return when every entry is finite."""
+    bad = np.argwhere(~np.isfinite(A))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(
+            f"{name} has a non-finite entry at row {first_row + r}, column {c}"
+        )
+
+
+def matvec(X: np.ndarray, w: np.ndarray, name: str = "X") -> np.ndarray:
+    """``X @ w`` in float64 for a float32 or float64 matrix ``X`` (see
+    ``as_feature_matrix``), one product per block of at most
+    ``GATHER_FLOATS`` entries (one row when a row holds more).
+
+    A float32 block is upcast into one reused float64 buffer first.  The
+    upcast is exact and both dtypes are cut into the same blocks, so a
+    float32 array scores bit for bit like the float64 array holding its
+    values, and no float64 copy of it is made; a float64 block is a view.
+    A non-finite entry of ``X`` is a DataError that names it (``name``
+    has a non-finite entry at row r, column c).  With ``w`` finite it
+    makes its row's product non-finite, so ``X`` is searched only when a
+    product is.
+    """
+    n, D = X.shape
+    step = max(1, GATHER_FLOATS // D)
+    out = np.empty(n)
+    buf = None if X.dtype == np.float64 else np.empty((min(step, n), D))
+    for a in range(0, n, step):
+        block = X[a : a + step]
+        if buf is not None:
+            np.copyto(buf[: len(block)], block)
+            block = buf[: len(block)]
+        np.matmul(block, w, out=out[a : a + step])
+    if not np.isfinite(out).all():
+        for r in np.flatnonzero(~np.isfinite(out)).tolist():
+            _raise_non_finite(X[r : r + 1], name, r)
+    return out
 
 
 @dataclass(eq=False)
@@ -75,7 +128,8 @@ def normalize(
     sample standard deviation (divisor n-1); zero-variance columns and n=1
     inputs fall back to scale 1 so the transform stays defined.  Supplied
     stats are applied unchanged, so each domain can be normalized with its
-    own statistics.
+    own statistics.  A float32 ``X`` is read as it is, without an upcast
+    copy; the statistics and the result are float64 either way.
 
     Returns
     -------
@@ -85,9 +139,11 @@ def normalize(
     A = ensure_feature_matrix(X)
     n, D = A.shape
     if stats is None:
-        mean = A.mean(axis=0)
+        # float64 statistics of a float32 ``A`` without an upcast copy; they
+        # equal those of the copy bit for bit.
+        mean = A.mean(axis=0, dtype=np.float64)
         if n > 1:
-            scale = A.std(axis=0, ddof=1)
+            scale = A.std(axis=0, ddof=1, dtype=np.float64)
             # Bit-noise variance on a constant column must not explode the
             # transform; treat it as zero variance.
             floor = 1e-12 * np.maximum(1.0, np.abs(mean))
@@ -99,7 +155,7 @@ def normalize(
         raise DataError(
             f"stats dimension {stats.dim} does not match data dimension {D}"
         )
-    Z = A - stats.mean
+    Z = A - stats.mean  # float64 whatever the dtype of A
     Z /= stats.scale  # in place: one temporary, the same float operations
     return Z, stats
 
@@ -208,7 +264,7 @@ def pca(
     elif stats.dim != D:
         raise DataError("stats dimension does not match data dimension")
 
-    Xc = A - A.mean(axis=0)
+    Xc = A - A.mean(axis=0, dtype=np.float64)
     denom = n - 1
 
     cov = D <= n

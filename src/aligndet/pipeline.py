@@ -27,7 +27,7 @@ from .detection import (
 # Unused here; bench/traced_cli.py counts calls through pipeline.iou.
 from .detection import iou  # noqa: F401
 from .errors import DataError, NumericalError
-from .linalg import Subspace, normalize, pca
+from .linalg import Subspace, matvec, normalize, pca
 
 MODES = ("class-specific", "full-image", "none")
 
@@ -145,7 +145,8 @@ def _class_max_overlaps(dataset: Dataset, class_id: str) -> np.ndarray:
 
 def raw_scores(dataset: Dataset, det: LinearDetector) -> np.ndarray:
     """The raw margins ``features @ w + b`` of every proposal of the
-    dataset, in its row order, from one product over its feature array.
+    dataset, in its row order, over its one feature array (``matvec``:
+    float32 features of a loaded dataset are upcast in blocks).
 
     The one place a raw-frame detector scores a dataset; its frame and
     width are checked first.
@@ -159,7 +160,7 @@ def raw_scores(dataset: Dataset, det: LinearDetector) -> np.ndarray:
             f"class '{det.class_id}' scores {det.weights.shape[0]}-dim features, "
             f"dataset '{dataset.name}' has {dataset.feature_dim}"
         )
-    return dataset.features @ det.weights + det.bias
+    return matvec(dataset.features, det.weights, "features") + det.bias
 
 
 def _require_labeled(dataset: Dataset) -> None:
@@ -180,7 +181,8 @@ def mine_source_positives(
     gamma: float,
     overlaps: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Features of all source proposals overlapping a same-class GT box.
+    """Features of all source proposals overlapping a same-class GT box,
+    a row copy in the dtype of the dataset's array.
 
     Ground-truth boxes enter only through proposals that overlap them with
     IoU >= gamma; they are never injected directly.  ``overlaps`` are the
@@ -214,7 +216,8 @@ def _mine_source_negatives(
 def mine_target_positives(
     target: Dataset, init_detector: LinearDetector, sigma: float
 ) -> np.ndarray:
-    """Features of all target proposals the initial detector scores >= sigma.
+    """Features of all target proposals the initial detector scores >= sigma,
+    a row copy in the dtype of the dataset's array.
 
     NMS is deliberately not applied here so the sample count feeding the
     target subspace stays consistent.

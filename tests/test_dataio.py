@@ -4,6 +4,7 @@ import re
 import shutil
 import struct
 import tempfile
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -182,6 +183,32 @@ class TestFeatureFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="does not exist"):
             read_features(tmp_path / "absent.fmx")
+
+    def test_float32_overflow_is_written_as_inf(self, tmp_path):
+        # What save_dataset guards against: the cast makes the value inf.
+        p = tmp_path / "big.fmx"
+        with pytest.warns(RuntimeWarning):
+            write_features(p, [[1.0, 1e39], [2.0, 3.0]])
+        with pytest.raises(DataError, match="non-finite value at row 0"):
+            read_features(p)
+
+    def test_save_rejects_features_beyond_float32_before_writing(self, tmp_path):
+        ds = tiny_dataset()
+        ds.images[1].features[2, 3] = -1e39
+        with pytest.raises(
+            DataError,
+            match=r"^image 'img1': feature row 2 is too large for float32, "
+            "the type of feature files$",
+        ):
+            save_dataset(ds, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_float32_extremes_round_trip(self, tmp_path):
+        ds = tiny_dataset()
+        top = float(np.finfo(np.float32).max)
+        ds.images[0].features[0] = [top, -top, np.finfo(np.float32).tiny, 0.0]
+        loaded = load_dataset(save_dataset(ds, tmp_path))
+        npt.assert_array_equal(loaded.images[0].features[0], ds.images[0].features[0])
 
 
 class TestCsvFiles:
@@ -1144,9 +1171,9 @@ class TestFeatureArray:
     """A dataset holds one feature array and its images view its rows."""
 
     @staticmethod
-    def assert_views(ds):
+    def assert_views(ds, dtype=np.float64):
         F = ds.features
-        assert F.flags.c_contiguous and F.dtype == np.float64
+        assert F.flags.c_contiguous and F.dtype == dtype
         assert F.shape == (ds.n_proposals, ds.feature_dim)
         end = 0
         for img in ds.images:
@@ -1167,8 +1194,30 @@ class TestFeatureArray:
             self.assert_views(ds)
 
     def test_loaded_dataset_adopts_its_array(self, tmp_path):
+        # The .fmx payload is the array: float32, as stored.
         ds = load_dataset(save_dataset(tiny_dataset(), tmp_path))
-        self.assert_views(ds)
+        self.assert_views(ds, np.float32)
+
+    def test_load_peaks_under_its_float32_array(self, tmp_path):
+        # 1024-dim features: each payload is read into its rows of the one
+        # float32 array, with no float64 copy and no per-file bytes.
+        rng = np.random.default_rng(4)
+        images = [
+            ImageRecord(
+                f"img{k}", rng.normal(size=(150, 1024)),
+                [(0.0, 0.0, 8.0, 8.0)] * 150, [("cat", BBox(0.0, 0.0, 8.0, 8.0))],
+            )
+            for k in range(6)
+        ]
+        manifest = save_dataset(Dataset("wide", ["cat"], 1024, images), tmp_path)
+        tracemalloc.start()
+        try:
+            ds = load_dataset(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.dtype == np.float32
+        assert peak < 1.25 * ds.features.nbytes
 
     def test_given_array_must_hold_the_images_rows(self):
         a, b = tiny_dataset().images

@@ -417,6 +417,30 @@ class TestTrainDetector:
             npt.assert_array_equal(ra["cache"], rb["cache"])
             npt.assert_array_equal(ra["counts"], rb["counts"])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "where", [(2, 1), (40, 0), (45, 2)], ids=["in-cache", "pool", "outside-pool"]
+    )
+    def test_non_finite_negative_named_by_row_and_column(self, dtype, where):
+        # Row 2 is in the initial cache (4 rows), row 40 only in the pool
+        # that mining scores, row 45 outside the pool; rows are those of
+        # ``neg``, whichever of them the pool holds.
+        rng = np.random.default_rng(9)
+        pos = rng.normal(size=(10, 3)) + 3.0
+        neg = (rng.normal(size=(50, 3)) - 3.0).astype(dtype)
+        neg[where] = np.nan
+        neg[48, 0] = np.inf
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detection, "INITIAL_NEG_CACHE", 4)
+            with pytest.raises(
+                DataError,
+                match=rf"^neg has a non-finite entry at row {where[0]}, "
+                rf"column {where[1]}$",
+            ):
+                train_detector(
+                    pos, neg, TrainConfig(iterations=20), rows=np.arange(45)
+                )
+
     @pytest.mark.parametrize(
         "rows", [[], [[0, 1]], [0.0, 1.0], [0, 3], [-1, 0]],
         ids=["empty", "2-d", "float", "past-end", "negative"],

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aligndet import linalg
 from aligndet.errors import DataError, NumericalError
 from aligndet.linalg import (
     NormalizationStats,
     Subspace,
     identity_stats,
+    matvec,
     normalize,
     pca,
     principal_angle_cosines,
@@ -80,6 +82,89 @@ class TestNormalize:
         Xn, _ = normalize(X)
         npt.assert_allclose(Xn.mean(axis=0), 0.0, atol=1e-10)
         npt.assert_allclose(Xn.std(axis=0, ddof=1), 1.0, atol=1e-10)
+
+
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(1, 8),
+        seed=st.integers(0, 10_000),
+        loc=st.sampled_from([0.0, 1e3, -7.5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float32_input_gives_the_bits_of_its_upcast(self, n, d, seed, loc):
+        X = (np.random.default_rng(seed).normal(size=(n, d)) * 3.0 + loc).astype(
+            np.float32
+        )
+        Z32, s32 = normalize(X)
+        Z64, s64 = normalize(X.astype(np.float64))
+        assert Z32.dtype == np.float64
+        assert Z32.tobytes() == Z64.tobytes()
+        assert s32.mean.tobytes() == s64.mean.tobytes()
+        assert s32.scale.tobytes() == s64.scale.tobytes()
+        assert normalize(X, s64)[0].tobytes() == Z64.tobytes()
+
+
+class TestMatvec:
+    """``X @ w`` in row blocks, float32 blocks upcast into a buffer."""
+
+    @given(
+        n=st.integers(1, 50),
+        d=st.integers(1, 12),
+        block_rows=st.sampled_from([None, 1, 3, 8, 1000]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_float32_scores_as_its_upcast(self, n, d, block_rows, seed):
+        # Blocks of one row (a row holding at least GATHER_FLOATS entries),
+        # of a few rows (n not a multiple of them) and larger than n.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)).astype(np.float32)
+        w = rng.normal(size=d)
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                mp.setattr(linalg, "GATHER_FLOATS", block_rows * d)
+            got = matvec(X, w)
+            want = matvec(X.astype(np.float64), w)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        npt.assert_allclose(got, X.astype(np.float64) @ w, rtol=1e-12, atol=1e-12)
+
+    def test_one_block_is_the_whole_product(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, 30))
+        w = rng.normal(size=30)
+        assert matvec(X, w).tobytes() == (X @ w).tobytes()
+        assert matvec(X.astype(np.float32), w).tobytes() == (
+            X.astype(np.float32).astype(np.float64) @ w
+        ).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    def test_non_finite_entry_named(self, dtype, bad):
+        X = np.ones((9, 4), dtype=dtype)
+        X[1, :] = 1e30  # finite, but its product overflows to inf
+        X[6, 2] = bad
+        X[8, 0] = bad
+        w = np.full(4, 1e300)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "GATHER_FLOATS", 8)  # blocks of two rows
+            with pytest.raises(
+                DataError, match="^F has a non-finite entry at row 6, column 2$"
+            ):
+                matvec(X, w, "F")
+
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    def test_zero_weight_still_finds_the_entry(self):
+        X = np.ones((3, 2), dtype=np.float32)
+        X[2, 1] = np.inf
+        with pytest.raises(DataError, match="row 2, column 1"):
+            matvec(X, np.zeros(2))
+
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    def test_overflow_alone_is_not_an_error(self):
+        got = matvec(np.full((2, 2), 1e200), np.full(2, 1e200))
+        assert np.isinf(got).all()
 
 
 class TestPca:
@@ -174,6 +259,14 @@ class TestPca:
             top *= np.where(top[np.argmax(np.abs(top), axis=0), range(d)] < 0, -1, 1)
             npt.assert_allclose(sub.basis, top, atol=1e-8)
             npt.assert_allclose(sub.eigenvalues, w[order], atol=1e-8)
+
+    def test_float32_input_gives_the_bits_of_its_upcast(self):
+        rng = np.random.default_rng(11)
+        for n, D in ((30, 5), (6, 20)):  # covariance and Gram paths
+            X = rng.normal(size=(n, D)).astype(np.float32)
+            a, b = pca(X, 3), pca(X.astype(np.float64), 3)
+            assert a.basis.tobytes() == b.basis.tobytes()
+            assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
 
     def test_deterministic(self):
         X = np.random.default_rng(9).normal(size=(30, 6))

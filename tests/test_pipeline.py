@@ -1,3 +1,4 @@
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -6,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aligndet import pipeline
+from aligndet import detection, linalg, pipeline
 from aligndet.alignment import solve_alignment
-from aligndet.dataio import SynthShiftSpec, generate_synthetic, load_states, save_states
+from aligndet.dataio import (
+    SynthShiftSpec,
+    generate_synthetic,
+    load_dataset,
+    load_states,
+    save_dataset,
+    save_states,
+)
 from aligndet.datasets import Dataset, ImageRecord
 from aligndet.detection import (
     BBox,
@@ -640,3 +648,73 @@ class TestEndToEndQuality:
             [average_precision(adapted, gts, c) for c in tgt.classes]
         )
         assert map_adapted > map_plain
+
+
+def float64_twin(ds: Dataset) -> Dataset:
+    """A hand-built dataset holding the values of ``ds`` as float64."""
+    images = [
+        ImageRecord(img.image_id, img.features.astype(np.float64), img.boxes, img.gt)
+        for img in ds.images
+    ]
+    return Dataset(ds.name, ds.classes, ds.feature_dim, images)
+
+
+def state_bits(state):
+    det = state.adapted_detector
+    parts = [det.weights.tobytes(), det.bias, det.frame, state.mode, state.downgraded]
+    for sub in (state.source_subspace, state.target_subspace):
+        if sub is not None:
+            parts += [
+                sub.basis.tobytes(), sub.eigenvalues.tobytes(),
+                sub.stats.mean.tobytes(), sub.stats.scale.tobytes(),
+            ]
+    return parts + [state.n_pos_src, state.n_pos_tgt]
+
+
+class TestFloat32AtRest:
+    """A loaded dataset holds its feature files' float32 values; every
+    stage gives the bits of the float64 dataset holding the same values."""
+
+    SPEC = SynthShiftSpec(samples_per_class=40, n_classes=3, feature_dim=12)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        block_rows=st.sampled_from([None, 1, 7]),
+        mode=st.sampled_from(["class-specific", "full-image"]),
+    )
+    def test_loaded_float32_runs_as_its_float64_twin(self, seed, block_rows, mode):
+        # Blocks of 7 rows (240 rows are not a multiple of 7), of one row
+        # (a row holding at least GATHER_FLOATS entries) and, by default,
+        # one block larger than the whole array.
+        spec = SynthShiftSpec(**{**vars(self.SPEC), "seed": seed})
+        with tempfile.TemporaryDirectory() as tmp:
+            src, tgt = (
+                load_dataset(save_dataset(ds, f"{tmp}/{ds.name}"))
+                for ds in generate_synthetic(spec)[:2]
+            )
+        assert src.features.dtype == tgt.features.dtype == np.float32
+        assert src.n_proposals == 240
+        train = TrainConfig(reg_lambda=0.001, iterations=200)
+        cfg = small_cfg(d=4, mode=mode, train=train)
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                for module in (linalg, detection):
+                    mp.setattr(module, "GATHER_FLOATS", block_rows * spec.feature_dim)
+            for s, t in ((src, tgt), (float64_twin(src), float64_twin(tgt))):
+                init = train_initial_detectors(s, cfg)
+                states = adapt(s, t, cfg, init_detectors=init)
+                runs.append((init, states, detect(t, states, cfg)))
+        (init32, states32, dets32), (init64, states64, dets64) = runs
+        assert init32.keys() == init64.keys() and init32
+        for c in init32:
+            assert init32[c].weights.tobytes() == init64[c].weights.tobytes()
+            assert init32[c].bias == init64[c].bias
+        assert states32.keys() == states64.keys()
+        assert any(not state.downgraded for state in states32.values())
+        for c in states32:
+            assert state_bits(states32[c]) == state_bits(states64[c])
+        for name in ("boxes", "scores", "image_index", "class_index"):
+            assert getattr(dets32, name).tobytes() == getattr(dets64, name).tobytes()
+        assert len(dets32) > 0
