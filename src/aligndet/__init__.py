@@ -45,6 +45,7 @@ from .pipeline import (
     detect,
     mine_source_positives,
     mine_target_positives,
+    raw_score_rows,
     raw_scores,
     train_initial_detectors,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "project",
     "project_for_testing",
     "project_for_training",
+    "raw_score_rows",
     "raw_scores",
     "score_histogram",
     "similarity_matrix",

@@ -263,10 +263,7 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
 
     with _timed(timing, "histograms"):
         for name, dataset in (("source", source), ("target", target)):
-            scores = np.concatenate(
-                [np.zeros(0)]
-                + [pipeline.raw_scores(dataset, det) for det in detectors.values()]
-            )
+            scores = pipeline.raw_score_rows(dataset, detectors.values()).ravel()
             _write_histogram(
                 out, f"histogram_{name}", scores, cfg, f"initial detector scores on {name}"
             )

@@ -30,6 +30,8 @@ FEATURE_VERSION = 1
 BOX_HEADER = "image_id,x_min,y_min,x_max,y_max"
 GT_HEADER = BOX_HEADER + ",class"
 DETECTION_HEADER = BOX_HEADER + ",class,score"
+# write_detections_csv formats and writes at most this many lines at a time.
+CSV_CHUNK_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +242,27 @@ def read_gt_csv(path) -> list[tuple[str, str, BBox]]:
 
 
 def write_detections_csv(path, dets: Detections) -> None:
-    """One line per row of ``dets``, each float as its ``repr``.  The
-    numbers become Python floats one row at a time, not all at once."""
-    images = np.array(dets.image_ids, dtype=object)[dets.image_index].tolist()
-    classes = np.array(dets.class_ids, dtype=object)[dets.class_index].tolist()
-    numbers = map(np.ndarray.tolist, np.column_stack((dets.boxes, dets.scores)))
-    _write_lines(
-        path,
-        DETECTION_HEADER,
-        (
-            f"{i},{x0!r},{y0!r},{x1!r},{y1!r},{c},{s!r}"
-            for i, (x0, y0, x1, y1, s), c in zip(images, numbers, classes)
-        ),
-    )
+    """One line per row of ``dets``, each float as its ``repr``.  Each
+    distinct box coordinate (by bit pattern, so ``-0.0`` and ``0.0``
+    stay apart) is formatted once, and the lines are written in chunks of
+    at most ``CSV_CHUNK_ROWS``, so the file's text is never held whole."""
+    bits = np.ascontiguousarray(dets.boxes).view(np.uint64)
+    distinct = np.unique(bits)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    images = np.array(dets.image_ids, dtype=object)
+    classes = np.array(dets.class_ids, dtype=object)
+    with open(path, "w") as fh:  # as ``Path.write_text`` opens it
+        fh.write(DETECTION_HEADER + "\n")
+        for a in range(0, len(dets), CSV_CHUNK_ROWS):
+            rows = slice(a, a + CSV_CHUNK_ROWS)
+            coords = texts[np.searchsorted(distinct, bits[rows])].T.tolist()
+            columns = (
+                images[dets.image_index[rows]].tolist(),
+                *coords,
+                classes[dets.class_index[rows]].tolist(),
+                map(repr, dets.scores[rows].tolist()),
+            )
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def read_detections_csv(path) -> Detections:

@@ -16,14 +16,17 @@ from .linalg import GATHER_FLOATS, as_feature_matrix, ensure_feature_matrix, mat
 HINGE_MARGIN = 1.0
 # Size of the initial negative cache before any mining round.
 INITIAL_NEG_CACHE = 1024
-# greedy_nms suppresses in tiles of (images, ranked rows, columns) holding at
-# most this many IoUs (256 KiB of float64 per tile array).  Small images of
-# a class share one tile; an image too large for it alone gets row blocks.
-# Measured on the benchmark workloads' NMS inputs and on one image of 2,000
-# boxes: 2**13 to 2**16 are within noise of each other on many small images,
-# while a larger budget computes more wasted IoUs on large images (2**17 is
-# about 2x slower there) and a smaller one pays more block overhead
-# (2**13 is 1.6x slower on 2,000 sparse boxes).
+# greedy_nms's work unit.  An image of m distinct boxes with m * m at most
+# this is eager: its boolean conflicts go into tiles of (images, m, m)
+# holding at most this many (32 KiB), computed a quarter tile per
+# pairwise_iou call so that each float64 temporary stays at 64 KiB.  A
+# larger image is lazy: its groups compute IoUs in blocks of at most this
+# many.  Measured with one-call-per-detect NMS on dense's NMS input (10
+# images of 200 boxes, 5 classes; lazy at this value) and on one image of
+# 2,000 boxes with 1 and 20 classes: 2**14 and 2**15 are within noise of
+# each other; 2**13 is 1.5x slower on dense, 2**16 is 1.5x slower on dense
+# (its images turn eager, one per tile) and 2**17 is 2x slower with one
+# class.
 NMS_TILE_FLOATS = 1 << 15
 # The hinge trainer's Gram cache (_GramCache) holds columns of n floats each
 # up to this many floats in all (16 MiB); past it, a step recomputes its
@@ -161,22 +164,6 @@ class Detections:
         return cls(
             boxes, scores, _codes(images, image_ids), _codes(classes, class_ids),
             image_ids, class_ids,
-        )
-
-    @classmethod
-    def concat(cls, parts, image_ids, class_ids) -> Detections:
-        """The rows of ``parts``, in order; each part must name its images
-        and classes by ``image_ids`` and ``class_ids``."""
-        image_ids, class_ids = tuple(image_ids), tuple(class_ids)
-        if any((p.image_ids, p.class_ids) != (image_ids, class_ids) for p in parts):
-            raise DataError("detections to join use different name tables")
-        return cls(
-            np.concatenate([np.empty((0, 4)), *(p.boxes for p in parts)]),
-            np.concatenate([np.empty(0), *(p.scores for p in parts)]),
-            np.concatenate([np.empty(0, np.intp), *(p.image_index for p in parts)]),
-            np.concatenate([np.empty(0, np.intp), *(p.class_index for p in parts)]),
-            image_ids,
-            class_ids,
         )
 
     def take(self, rows) -> Detections:
@@ -526,98 +513,299 @@ def train_detector(
 
 
 def greedy_nms(dets: Detections, overlap_thresh: float) -> Detections:
-    """Greedy non-maximum suppression over the detections of one class,
-    each image on its own; input that mixes classes is a ``DataError``.
+    """Greedy non-maximum suppression over each (class, image) group of
+    ``dets`` on its own.
 
-    Within an image, repeatedly keeps the highest-scoring remaining
-    detection and drops every remaining one whose IoU with it exceeds
-    ``overlap_thresh``; a detection never suppresses one of another image.
-    Images are listed in the order they first appear in ``dets``, and each
-    image's kept detections by score descending, ties broken by box, so
-    output order is reproducible.  Returns the kept rows of ``dets``.
+    Within a group, repeatedly keeps the highest-scoring remaining
+    detection and drops every remaining one that conflicts with it; a
+    conflict is ``not iou <= overlap_thresh``, so an IoU above the
+    threshold, or NaN from an overflowing area, suppresses.  A detection
+    never suppresses one of another class or image.  Output order:
+    classes in the order they first appear in ``dets``, within a class
+    its images in the order they first appear among its rows, and within
+    a group the kept detections by score descending, ties broken by box.
+    Returns the kept rows of ``dets``.
 
-    One call serves a whole class.  Images, largest first, are packed into
-    tiles of ``(images, rows, columns)`` of at most ``NMS_TILE_FLOATS``
-    IoUs, padded to the tile's largest image, and the greedy pass runs
-    over every image of a tile at once (``_suppress``).  An image too
-    large for a tile of its own gets row blocks of its next alive ranked
-    detections against the alive ones that follow, so rows suppressed by
-    earlier blocks get no IoUs.  Beyond its ``(n, 4)`` box arrays, a call
-    holds a few arrays of at most ``NMS_TILE_FLOATS`` entries at a time.
+    Conflicts depend on the boxes alone, so a call computes each image's
+    once, over its distinct boxes (equal bit patterns), and every class
+    shares them.  An image of m distinct boxes takes one of two regimes:
+
+    - ``m * m <= NMS_TILE_FLOATS``: the images, largest first, are packed
+      into padded tiles of at most ``NMS_TILE_FLOATS`` conflicts, computed
+      eagerly, and the greedy pass walks every group of a tile's images at
+      once, one rank at a time (``_walk_tiles``).
+    - otherwise each of its groups is walked on its own and conflict rows
+      are computed lazily, in blocks, only for rows still alive
+      (``_walk_lazily``); a row computed against every distinct box of the
+      image serves its later groups too.
+
+    An eager image's conflicts cover all its distinct boxes, whichever of
+    them each group holds, so when its classes hold disjoint subsets a call
+    computes more IoUs than one call per class would (20 classes of 9
+    boxes each: 32,400 against 1,620), though it takes less time there.
+
+    Beyond index arrays as long as ``dets``, a call holds one tile of at
+    most ``NMS_TILE_FLOATS`` conflicts or one block of at most as many
+    IoUs at a time, and the conflict rows (m bits each) of the one large
+    image being walked.
     """
     if not 0.0 <= overlap_thresh <= 1.0:
         raise DataError("overlap threshold must be in [0, 1]")
-    classes = np.unique(dets.class_index).tolist()
-    if len(classes) > 1:
-        names = sorted(dets.class_ids[k] for k in classes)
-        raise DataError(f"NMS input mixes classes: {names}")
     if not len(dets):
         return dets
-    # Images numbered in order of first appearance.
-    _, first, image = np.unique(
-        dets.image_index, return_index=True, return_inverse=True
-    )
-    image = np.argsort(np.argsort(first))[image]
-    # Score descending, then box, within each image; images in that order.
-    order = np.lexsort((*dets.boxes.T[::-1], -dets.scores, image))
-    boxes = dets.boxes[order]
-    sizes = np.bincount(image)
-    starts = np.cumsum(sizes) - sizes
+    group, group_image = _groups(dets)
+    order = _rank_order(dets, group)
+    ranked = _Ranked(group[order], *_distinct_boxes(dets, order))
+    large = ranked.counts[group_image] ** 2 > NMS_TILE_FLOATS
     keep = np.zeros(len(dets), dtype=bool)
-    # Largest images first, so that the images of a tile differ little in
-    # size and its padding stays small.
-    by_size = np.argsort(-sizes, kind="stable")
-    g = 0
-    while g < by_size.size:
-        m = int(sizes[by_size[g]])
-        if m * m > NMS_TILE_FLOATS:
-            rows = slice(starts[by_size[g]], starts[by_size[g]] + m)
-            keep[rows] = _suppress_blocks(boxes[rows], overlap_thresh)
-            g += 1
-            continue
-        tile_images = by_size[g : g + NMS_TILE_FLOATS // (m * m)]
-        valid = np.arange(m) < sizes[tile_images][:, None]
-        rows = (starts[tile_images][:, None] + np.arange(m))[valid]
-        tile = np.zeros((tile_images.size, m, 4))
-        tile[valid] = boxes[rows]
-        alive = valid.copy()
-        _suppress(pairwise_iou(tile, tile) <= overlap_thresh, alive)
-        keep[rows] = alive[valid]
-        g += tile_images.size
+    _walk_tiles(ranked, group_image, np.flatnonzero(~large), keep, overlap_thresh)
+    lazy = np.flatnonzero(large)
+    lazy = lazy[np.argsort(group_image[lazy], kind="stable")]
+    for groups in np.split(lazy, np.flatnonzero(np.diff(group_image[lazy])) + 1):
+        if groups.size:
+            spans = [ranked.span(g) for g in groups.tolist()]
+            boxes = ranked.image_boxes(group_image[groups[0]])
+            rankings = [ranked.box[s] for s in spans]
+            for s, kept in zip(spans, _walk_lazily(boxes, rankings, overlap_thresh)):
+                keep[s] = kept
     return dets.take(order[keep])
 
 
-def _suppress(compatible: np.ndarray, alive: np.ndarray) -> None:
-    """The greedy pass over a tile, for all its images at once: ranked row
-    j of image i, while ``alive[i, j]``, clears ``alive[i, k]`` for every
-    later column k it is not ``compatible`` with.  ``compatible`` is
-    (images, rows, columns) and row j is column j; padding starts dead, so
-    it suppresses nothing."""
-    if alive.shape[0] == 1:  # one image: skip its dead rows instead of masking
-        live, rows = alive[0], compatible[0]
-        for j in range(rows.shape[0]):
-            if live[j]:
-                live[j + 1 :] &= rows[j, j + 1 :]
+def _groups(dets: Detections) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's (class, image) group, numbered in output order (classes
+    in order of first appearance, then each class's images in order of
+    first appearance among its rows), and each group's image code."""
+    n_images = len(dets.image_ids)
+    key = dets.class_index * n_images + dets.image_index
+    keys, first, group = np.unique(key, return_index=True, return_inverse=True)
+    # Keys sort class-major, so each class's groups are one run; a class
+    # first appears at the first row of its earliest group.
+    classes = keys // n_images
+    runs = np.flatnonzero(np.diff(classes, prepend=-1))
+    class_first = np.minimum.reduceat(first, runs)
+    output = np.lexsort((first, np.repeat(class_first, np.diff(runs, append=keys.size))))
+    rank = np.empty_like(output)
+    rank[output] = np.arange(output.size)
+    return rank[group], (keys % n_images)[output]
+
+
+def _rank_order(dets: Detections, group: np.ndarray) -> np.ndarray:
+    """The rows by group, then score descending, then box, then row:
+    ``np.lexsort((*dets.boxes.T[::-1], -dets.scores, group))``.  The
+    scores are sorted with an unstable sort and the groups with a stable
+    (radix) one; then the rows of each run that ties on group and score,
+    none unless scores tie, are sorted by box and row."""
+    by_score = np.argsort(-dets.scores)
+    small = group.astype(np.min_scalar_type(group.max()))
+    order = by_score[np.argsort(small[by_score], kind="stable")]
+    score, group_of = dets.scores[order], group[order]
+    same = (score[1:] == score[:-1]) & (group_of[1:] == group_of[:-1])
+    tied = np.zeros(order.size, dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    run = np.cumsum(np.r_[True, ~same])[tied]
+    rows = order[tied]
+    order[tied] = rows[np.lexsort((rows, *dets.boxes[rows].T[::-1], run))]
+    return order
+
+
+# Multiplier of the hash ``_distinct_boxes`` sorts rows by.
+BOX_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _distinct_boxes(dets: Detections, order: np.ndarray):
+    """The distinct boxes (equal bit patterns) of each image as one table,
+    the image's first entry and count in it, and the number of the box of
+    each row of ``order`` among its image's table entries.
+
+    One sort of the rows by a hash of their image and box bits puts equal
+    rows next to each other, and a row opens a new entry where it differs
+    from the row before.  Two different rows that share a hash may split
+    a run of equal rows, so that a box takes two entries of its image's
+    table; two entries of one box conflict exactly as two rows of that box
+    do, so that changes the work, not the output."""
+    bits = np.ascontiguousarray(dets.boxes).view(np.uint64)
+    key = dets.image_index.astype(np.uint64)
+    for k in range(4):
+        key *= BOX_HASH
+        key ^= bits[:, k]
+    by_box = np.argsort(key)
+    image = dets.image_index[by_box]
+    new = np.empty(by_box.size, dtype=bool)
+    new[0] = True
+    np.not_equal(image[1:], image[:-1], out=new[1:])
+    for k in range(4):  # a column at a time: no (n, 4) copy
+        column = bits[by_box, k]
+        new[1:] |= column[1:] != column[:-1]
+    # Entries renumbered so that each image's are one run.
+    owner = image[new]
+    by_image = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=len(dets.image_ids))
+    first = np.cumsum(counts) - counts
+    number = np.empty(by_image.size, dtype=np.intp)
+    number[by_image] = np.arange(by_image.size)
+    box = np.empty(by_box.size, dtype=np.intp)
+    box[by_box] = number[np.cumsum(new) - 1] - first[image]
+    return dets.boxes[by_box[new][by_image]], first, counts, box[order]
+
+
+@dataclass
+class _Ranked:
+    """The rows of a ``greedy_nms`` call in rank order: each row's group
+    and its box's number among its image's distinct boxes, which
+    ``table[first[i] : first[i] + counts[i]]`` lists for image i."""
+
+    group: np.ndarray
+    table: np.ndarray
+    first: np.ndarray
+    counts: np.ndarray
+    box: np.ndarray
+
+    def __post_init__(self):
+        self.sizes = np.bincount(self.group)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+
+    def span(self, g: int) -> slice:
+        return slice(self.starts[g], self.starts[g] + self.sizes[g])
+
+    def image_boxes(self, image: int) -> np.ndarray:
+        return self.table[self.first[image] : self.first[image] + self.counts[image]]
+
+
+def _walk_tiles(ranked, group_image, groups, keep, overlap_thresh) -> None:
+    """The greedy pass of ``groups``, whose images are small enough for a
+    tile, into ``keep``.  The images, largest first, are packed into
+    tiles of (images, m, m) conflicts of at most ``NMS_TILE_FLOATS``
+    entries, padded to the tile's largest image; then every group of a
+    tile's images steps through its ranked rows at once: the rows of rank
+    j are kept where their box is not yet suppressed in their group, and
+    each kept row's conflicts are added to its group's suppressed set."""
+    if not groups.size:
         return
-    for j in range(compatible.shape[1]):
-        alive[:, j + 1 :] &= compatible[:, j, j + 1 :] | ~alive[:, j, None]
+    images = np.unique(group_image[groups])
+    images = images[np.argsort(-ranked.counts[images], kind="stable")]
+    tile_of = np.full(ranked.counts.size, -1)
+    slot = np.zeros(ranked.counts.size, dtype=np.intp)
+    tiles = []
+    done = 0
+    while done < images.size:
+        m = int(ranked.counts[images[done]])
+        members = images[done : done + NMS_TILE_FLOATS // (m * m)]
+        tile_of[members] = len(tiles)
+        slot[members] = np.arange(members.size)
+        tiles.append((members, m))
+        done += members.size
+    # The groups' ranked rows sorted by tile, then by rank within group.
+    in_tile = np.zeros(ranked.sizes.size, dtype=bool)
+    in_tile[groups] = True
+    rows = np.flatnonzero(in_tile[ranked.group])
+    rank = rows - ranked.starts[ranked.group[rows]]
+    row_tile = tile_of[group_image[ranked.group[rows]]]
+    by_tile = np.lexsort((rank, row_tile))
+    rows, rank, row_tile = rows[by_tile], rank[by_tile], row_tile[by_tile]
+    ends = np.searchsorted(row_tile, np.arange(len(tiles) + 1))
+    for t, (members, m) in enumerate(tiles):
+        seg = slice(ends[t], ends[t + 1])
+        valid = np.arange(m) < ranked.counts[members][:, None]
+        boxes = np.zeros((members.size, m, 4))
+        boxes[valid] = ranked.table[(ranked.first[members][:, None] + np.arange(m))[valid]]
+        # A quarter of the tile's images at a time, so that the float
+        # temporaries of pairwise_iou stay small beside the conflicts.
+        conflict = np.empty((members.size, m, m), dtype=bool)
+        per_call = max(1, NMS_TILE_FLOATS // (4 * m * m))
+        for a in range(0, members.size, per_call):
+            part = boxes[a : a + per_call]
+            np.less_equal(pairwise_iou(part, part), overlap_thresh, out=conflict[a : a + per_call])
+        np.logical_not(conflict, out=conflict)
+        conflict = conflict.reshape(-1, m)  # row slot * m + box
+        tile_rows, box = rows[seg], ranked.box[rows[seg]]
+        local = np.unique(ranked.group[tile_rows], return_inverse=True)[1]
+        suppressed = np.zeros((local.max() + 1, m), dtype=bool)
+        flat = suppressed.reshape(-1)
+        at = local * m + box
+        row_of = slot[group_image[ranked.group[tile_rows]]] * m + box
+        steps = np.flatnonzero(np.diff(rank[seg])) + 1
+        for a, b in zip([0, *steps.tolist()], [*steps.tolist(), tile_rows.size]):
+            alive = ~flat[at[a:b]]
+            keep[tile_rows[a:b]] = alive
+            suppressed[local[a:b][alive]] |= conflict[row_of[a:b][alive]]
 
 
-def _suppress_blocks(boxes: np.ndarray, overlap_thresh: float) -> np.ndarray:
-    """Keep mask of one image's ranked ``boxes``, too many for one tile:
-    each block takes the next alive rows, as many as the tile budget
-    allows against every alive column from the first of them on."""
-    n = boxes.shape[0]
-    alive = np.ones(n, dtype=bool)
-    start = 0
-    while start < n:
-        cols = start + np.flatnonzero(alive[start:])
-        if cols.size == 0:
-            break
-        r = min(max(1, NMS_TILE_FLOATS // cols.size), cols.size)
-        sub = boxes[cols]
-        live = np.ones((1, cols.size), dtype=bool)
-        _suppress((pairwise_iou(sub[:r], sub) <= overlap_thresh)[None], live)
-        alive[cols] = live[0]
-        start = cols[r - 1] + 1
-    return alive
+def _walk_lazily(boxes: np.ndarray, rankings: list, overlap_thresh: float) -> list:
+    """Keep masks of the groups of one image whose m distinct ``boxes``
+    are too many for a tile, given each group's ranked rows as box
+    numbers (``rankings``).
+
+    Each group takes blocks of its next alive rows, as many as the tile
+    budget allows against the alive rows from the first of them on, so
+    rows suppressed by earlier blocks get no IoUs.  A conflict row is
+    computed against the block's alive rows (its bit j: the block's j-th
+    one), or against every box of the image (its bit v: box v), which
+    serves the image's later groups too.  A group's blocks do not depend
+    on that reuse, and a block takes the second kind only when the IoUs
+    that reuse saved so far pay for it, so a call never computes more
+    IoUs than its blocks' rows against their alive rows: the count of
+    walking each group alone without reuse.  The greedy pass keeps a row
+    that neither kind of bits suppresses and ors in its conflict row; both
+    kinds are ints.
+    """
+    m = boxes.shape[0]
+    shared: dict[int, int] = {}  # box -> conflicts with every box
+    saved = 0
+    masks = []
+    for ids in rankings:
+        dead = np.zeros(ids.size, dtype=bool)
+        kept = []
+        by_box = p = 0  # by_box: the group's suppressed boxes
+        while p < ids.size:
+            cols = p + np.flatnonzero(~(dead[p:] | _bit_array(by_box, m)[ids[p:]]))
+            if not cols.size:
+                break
+            r = min(max(1, NMS_TILE_FLOATS // cols.size), cols.size)
+            block = ids[cols[:r]].tolist()
+            need = sorted({u for u in block if u not in shared})
+            saved += r * cols.size
+            local = {}
+            if need and len(need) * m <= saved:
+                saved -= len(need) * m
+                shared.update(_conflict_rows(boxes[need], boxes, need, overlap_thresh))
+            elif need:
+                saved -= len(need) * cols.size
+                local = _conflict_rows(boxes[need], boxes[ids[cols]], need, overlap_thresh)
+            by_col = 0  # the block's suppressed rows
+            for j, (q, u) in enumerate(zip(cols[:r].tolist(), block)):
+                if not (by_box >> u & 1 or by_col >> j & 1):
+                    kept.append(q)
+                    if u in local:
+                        by_col |= local[u]
+                    else:
+                        by_box |= shared[u]
+            if by_col:
+                dead[cols[_bit_array(by_col, cols.size)]] = True
+            p = cols[r - 1] + 1
+        mask = np.zeros(ids.size, dtype=bool)
+        mask[kept] = True
+        masks.append(mask)
+    return masks
+
+
+def _bit_array(bits: int, m: int) -> np.ndarray:
+    """The low ``m`` bits of ``bits`` as a boolean array."""
+    packed = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=m, bitorder="little").view(bool)
+
+
+def _conflict_rows(rows: np.ndarray, cols: np.ndarray, keys: list, overlap_thresh: float) -> dict:
+    """The conflicts of each box of ``rows`` with the boxes ``cols`` as
+    the bits of an int (bit j: ``cols[j]``), by the box's key in ``keys``,
+    from blocks of at most ``NMS_TILE_FLOATS`` IoUs."""
+    out = {}
+    step = max(1, NMS_TILE_FLOATS // len(cols))
+    for a in range(0, len(keys), step):
+        conflict = pairwise_iou(rows[a : a + step], cols) <= overlap_thresh
+        np.logical_not(conflict, out=conflict)
+        packed = np.packbits(conflict, axis=1, bitorder="little")
+        width, raw = packed.shape[1], packed.tobytes()
+        for k, key in enumerate(keys[a : a + step]):
+            out[key] = int.from_bytes(raw[k * width : (k + 1) * width], "little")
+    return out

@@ -55,34 +55,41 @@ def _raise_non_finite(A: np.ndarray, name: str, first_row: int = 0) -> None:
         )
 
 
-def matvec(X: np.ndarray, w: np.ndarray, name: str = "X") -> np.ndarray:
+def matvec(X: np.ndarray, w, name: str = "X") -> np.ndarray:
     """``X @ w`` in float64 for a float32 or float64 matrix ``X`` (see
     ``as_feature_matrix``), one product per block of at most
-    ``GATHER_FLOATS`` entries (one row when a row holds more).
+    ``GATHER_FLOATS`` entries (one row when a row holds more).  ``w`` is
+    one vector, giving n products, or a sequence of k vectors, giving a
+    (k, n) array whose row c is ``matvec(X, w[c])``.
 
-    A float32 block is upcast into one reused float64 buffer first.  The
-    upcast is exact and both dtypes are cut into the same blocks, so a
-    float32 array scores bit for bit like the float64 array holding its
-    values, and no float64 copy of it is made; a float64 block is a view.
-    A non-finite entry of ``X`` is a DataError that names it (``name``
-    has a non-finite entry at row r, column c).  With ``w`` finite it
-    makes its row's product non-finite, so ``X`` is searched only when a
-    product is.
+    A float32 block is upcast into one reused float64 buffer first, once
+    for all the vectors.  The upcast is exact and both dtypes are cut
+    into the same blocks, so a float32 array scores bit for bit like the
+    float64 array holding its values, and no float64 copy of it is made;
+    a float64 block is a view.  Each vector's product with a block is the
+    same ``np.matmul`` whether it comes alone or in a sequence.  A
+    non-finite entry of ``X`` is a DataError that names it (``name`` has a
+    non-finite entry at row r, column c).  With ``w`` finite it makes its
+    row's products non-finite, so ``X`` is searched only when a product
+    is.
     """
+    single = isinstance(w, np.ndarray) and w.ndim == 1
+    ws = [w] if single else list(w)
     n, D = X.shape
     step = max(1, GATHER_FLOATS // D)
-    out = np.empty(n)
+    out = np.empty((len(ws), n))
     buf = None if X.dtype == np.float64 else np.empty((min(step, n), D))
     for a in range(0, n, step):
         block = X[a : a + step]
         if buf is not None:
             np.copyto(buf[: len(block)], block)
             block = buf[: len(block)]
-        np.matmul(block, w, out=out[a : a + step])
+        for wk, row in zip(ws, out):
+            np.matmul(block, wk, out=row[a : a + step])
     if not np.isfinite(out).all():
-        for r in np.flatnonzero(~np.isfinite(out)).tolist():
+        for r in np.flatnonzero(~np.isfinite(out).all(axis=0)).tolist():
             _raise_non_finite(X[r : r + 1], name, r)
-    return out
+    return out[0] if single else out
 
 
 @dataclass(eq=False)

@@ -145,22 +145,34 @@ def _class_max_overlaps(dataset: Dataset, class_id: str) -> np.ndarray:
 
 def raw_scores(dataset: Dataset, det: LinearDetector) -> np.ndarray:
     """The raw margins ``features @ w + b`` of every proposal of the
-    dataset, in its row order, over its one feature array (``matvec``:
-    float32 features of a loaded dataset are upcast in blocks).
+    dataset, in its row order; ``raw_score_rows`` of the one detector."""
+    return raw_score_rows(dataset, [det])[0]
 
-    The one place a raw-frame detector scores a dataset; its frame and
-    width are checked first.
+
+def raw_score_rows(dataset: Dataset, detectors) -> np.ndarray:
+    """A (k, n) array whose row c holds the raw margins of detector c of
+    the sequence ``detectors`` for every proposal of the dataset, in its
+    row order, from one pass over its one feature array (``matvec``: a
+    float32 block of a loaded dataset is upcast once for all detectors,
+    and each detector's margins have the bits of its own product).
+
+    The one place a raw-frame detector scores a dataset; each detector's
+    frame and width are checked first.
     """
-    if det.frame != "raw":
-        raise DataError(
-            f"detector for '{det.class_id}' expects frame '{det.frame}', got 'raw'"
-        )
-    if det.weights.shape[0] != dataset.feature_dim:
-        raise DataError(
-            f"class '{det.class_id}' scores {det.weights.shape[0]}-dim features, "
-            f"dataset '{dataset.name}' has {dataset.feature_dim}"
-        )
-    return matvec(dataset.features, det.weights, "features") + det.bias
+    detectors = list(detectors)
+    for det in detectors:
+        if det.frame != "raw":
+            raise DataError(
+                f"detector for '{det.class_id}' expects frame '{det.frame}', got 'raw'"
+            )
+        if det.weights.shape[0] != dataset.feature_dim:
+            raise DataError(
+                f"class '{det.class_id}' scores {det.weights.shape[0]}-dim features, "
+                f"dataset '{dataset.name}' has {dataset.feature_dim}"
+            )
+    scores = matvec(dataset.features, [det.weights for det in detectors], "features")
+    scores += np.array([det.bias for det in detectors])[:, None]
+    return scores
 
 
 def _require_labeled(dataset: Dataset) -> None:
@@ -387,21 +399,28 @@ def detect(
 ) -> Detections:
     """Adapted detection over the target set.
 
-    The images' box arrays are joined into one once per call.  Per
-    class, the test-time projection is folded into the detector once
-    (pass-through classes keep theirs); ``raw_scores`` scores the
-    dataset's feature array with it in one product, the scores are
-    thresholded at ``cfg.detect_thresh`` together, and the class's
-    detections go to one
-    ``greedy_nms`` call, which suppresses each image on its own.  Output
-    order is class, then image, then NMS keep order; images and classes are
-    named as in ``target``.
+    Per class, the test-time projection is folded into the detector once
+    (pass-through classes keep theirs), and ``raw_score_rows`` scores the
+    dataset's feature array with every class's detector in one pass.  The
+    scores are thresholded at ``cfg.detect_thresh`` together and all
+    classes' detections go to one ``greedy_nms`` call, which suppresses
+    each (class, image) group on its own and computes each image's box
+    conflicts once for all classes.  Output order is class (as in
+    ``target``), then image (dataset order), then NMS keep order; images
+    and classes are named as in ``target``.
+
+    Every class is held at once: the (k, n) float64 scores, the rows that
+    pass the threshold as one ``Detections`` and ``greedy_nms``'s index
+    arrays over them.  So transient memory grows linearly in the number of
+    classes k, where one NMS call per class held one class's rows at a
+    time: k times as many rows when every proposal passes, as with a
+    threshold of -1000.
     """
     image_ids = tuple(img.image_id for img in target.images)
     boxes = np.concatenate([np.empty((0, 4)), *(img.boxes for img in target.images)])
     sizes = [img.n_proposals for img in target.images]
     image = np.repeat(np.arange(len(image_ids)), sizes)
-    kept = []
+    codes, detectors = [], []
     for k, class_id in enumerate(target.classes):
         state = states.get(class_id)
         if state is None:
@@ -410,11 +429,13 @@ def detect(
         if state.mode != "none":
             v, c = project_for_testing(det.weights, det.bias, state.target_subspace)
             det = LinearDetector(class_id, v, c, "raw")
-        scores = raw_scores(target, det)
-        rows = np.flatnonzero(scores >= cfg.detect_thresh)
-        picked = Detections(
-            boxes[rows], scores[rows], image[rows], np.full(rows.size, k),
-            image_ids, target.classes,
-        )
-        kept.append(greedy_nms(picked, cfg.nms_thresh))
-    return Detections.concat(kept, image_ids, target.classes)
+        codes.append(k)
+        detectors.append(det)
+    scores = raw_score_rows(target, detectors)
+    which, rows = np.nonzero(scores >= cfg.detect_thresh)  # class-major
+    picked = Detections(
+        boxes[rows], scores[which, rows], image[rows],
+        np.array(codes, dtype=np.intp)[which], image_ids, target.classes,
+    )
+    del boxes, image, scores, which, rows  # freed before NMS runs
+    return greedy_nms(picked, cfg.nms_thresh)

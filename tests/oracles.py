@@ -107,6 +107,35 @@ def per_image_nms(dets, overlap_thresh):
     return [k for group in images.values() for k in sequential_nms(group, overlap_thresh)]
 
 
+def grouped_nms(dets, overlap_thresh):
+    """``sequential_nms`` on each (class, image) group alone: the classes
+    in the order they first appear in ``dets``, each class's images in the
+    order they first appear among its rows."""
+    classes = {}
+    for d in dets:
+        classes.setdefault(d.class_id, {}).setdefault(d.image_id, []).append(d)
+    return [
+        k
+        for images in classes.values()
+        for group in images.values()
+        for k in sequential_nms(group, overlap_thresh)
+    ]
+
+
+def rowwise_write_detections_csv(path, dets: Detections) -> None:
+    """The detections CSV built row by row, every float formatted with its
+    ``repr`` and the whole text joined before it is written."""
+    images = np.array(dets.image_ids, dtype=object)[dets.image_index].tolist()
+    classes = np.array(dets.class_ids, dtype=object)[dets.class_index].tolist()
+    numbers = map(np.ndarray.tolist, np.column_stack((dets.boxes, dets.scores)))
+    lines = (
+        f"{i},{x0!r},{y0!r},{x1!r},{y1!r},{c},{s!r}"
+        for i, (x0, y0, x1, y1, s), c in zip(images, numbers, classes)
+    )
+    header = "image_id,x_min,y_min,x_max,y_max,class,score"
+    Path(path).write_text("\n".join([header, *lines]) + "\n")
+
+
 def match_detections(dets, gts, class_id, iou_thresh):
     """The scalar greedy TP assignment for one class: 1.0 for each
     detection that is a true positive, 0.0 for a false one, and the number

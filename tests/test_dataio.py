@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from aligndet import dataio
 from aligndet.datasets import Dataset, ImageRecord, check_id
 from aligndet.dataio import (
     BOX_HEADER,
@@ -43,7 +44,12 @@ from aligndet.dataio import (
 )
 from aligndet.detection import BBox, Detection, LinearDetector
 from aligndet.errors import DataError
-from oracles import detections_from_rows, per_line_box_rows, sequential_load_dataset
+from oracles import (
+    detections_from_rows,
+    per_line_box_rows,
+    rowwise_write_detections_csv,
+    sequential_load_dataset,
+)
 
 # Every character ``str.splitlines`` ends a line at.  The readers would
 # split an id holding one, so ``ImageRecord`` and ``Dataset`` reject such
@@ -367,6 +373,29 @@ def test_detections_csv_round_trip_keeps_every_bit(tmp_path, rows):
     assert p2.read_bytes() == p.read_bytes()
     if not rows:
         assert p.read_text() == DETECTION_HEADER + "\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, dataio.CSV_CHUNK_ROWS])
+@given(rows=detection_rows())
+@codec_settings
+def test_detections_csv_is_the_row_by_row_text(tmp_path, rows, chunk):
+    # Chunks of one to three rows put chunk boundaries inside the file;
+    # the default chunk holds every row drawn here.
+    dets = detections_from_rows(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "CSV_CHUNK_ROWS", chunk)
+        write_detections_csv(tmp_path / "d.csv", dets)
+    rowwise_write_detections_csv(tmp_path / "o.csv", dets)
+    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
+
+
+def test_detections_csv_keeps_zero_signs_apart(tmp_path):
+    # Coordinates are formatted once per bit pattern, not per value.
+    rows = [Detection("img0", BBox(0.0, -0.0, -0.0, 0.0), "c", -0.0)]
+    write_detections_csv(tmp_path / "d.csv", detections_from_rows(rows))
+    assert (tmp_path / "d.csv").read_text().splitlines()[1] == (
+        "img0,0.0,-0.0,-0.0,0.0,c,-0.0"
+    )
 
 
 # reader -> kind and header of its files.

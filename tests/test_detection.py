@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,6 +32,7 @@ from aligndet.pipeline import raw_scores
 from oracles import (
     detections_from_rows,
     exhaustive_nms,
+    grouped_nms,
     per_image_nms,
     random_detections,
     rank_key,
@@ -79,6 +82,67 @@ def multi_image_detections(draw):
             st.builds(Detection, st.sampled_from(images), box, st.just("obj"), score),
             max_size=40,
         )
+    )
+
+
+@st.composite
+def mixed_class_detections(draw):
+    """Detections of up to three classes over up to three images, whose
+    boxes come from a small pool, so the same box recurs in several
+    classes and twice in one class: grid boxes (nested, touching and
+    zero-area ones), boxes with -0.0 and 0.0 corners, boxes whose area
+    overflows to inf, and arbitrary ones; scores tie often, -0.0 with
+    0.0 too."""
+    corner = st.sampled_from([-0.0, 0.0, 1.0, 3.0])
+    signed_zero_box = st.tuples(corner, corner, corner, corner).map(
+        lambda c: BBox(min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3]))
+    )
+    huge_box = st.sampled_from(
+        [
+            BBox(-1e308, -1e308, 1e308, 1e308),
+            BBox(0.0, 0.0, 1e308, 1e308),
+            BBox(-1e308, 0.0, 1e308, 1.0),
+        ]
+    )
+    pool = draw(
+        st.lists(
+            st.one_of(grid_boxes(), signed_zero_box, huge_box, boxes()),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    images = [f"img{k}" for k in range(draw(st.integers(1, 3)))]
+    classes = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    score = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0]), st.floats(-10, 10))
+    row = st.builds(
+        Detection, st.sampled_from(images), st.sampled_from(pool),
+        st.sampled_from(classes), score,
+    )
+    return draw(st.lists(row, max_size=60))
+
+
+def row_bits(rows):
+    """Each row's image, class, and the bit patterns of its box and score,
+    so that -0.0 and 0.0 differ."""
+    return [
+        (d.image_id, d.class_id, struct.pack("<4d", *d.box.as_tuple()),
+         struct.pack("<d", d.score))
+        for d in rows
+    ]
+
+
+def paper_shape_detections(n_classes, seed=0):
+    """One image of 2,000 heavily overlapping boxes (min corners uniform in
+    500 x 500, sides 20 to 200), each box in every one of ``n_classes``
+    classes with its own Gaussian score: R-CNN's proposals per image."""
+    rng = np.random.default_rng(seed)
+    corner = rng.uniform(0, 500, size=(2000, 2))
+    boxes = np.hstack([corner, corner + rng.uniform(20, 200, size=(2000, 2))])
+    n = 2000 * n_classes
+    return Detections(
+        np.tile(boxes, (n_classes, 1)), rng.normal(size=n), np.zeros(n, dtype=np.intp),
+        np.repeat(np.arange(n_classes), 2000), ("img",),
+        tuple(f"c{k}" for k in range(n_classes)),
     )
 
 
@@ -738,15 +802,6 @@ class TestDetections:
         with pytest.raises(DataError, match="'img9' is not among"):
             detections_from_rows([det_at(0, 0.5, image_id="img9")], ["img0"])
 
-    def test_concat_keeps_order_and_checks_names(self):
-        rows = self.rows()
-        names = (("img0", "img1"), ("obj", "b"))
-        parts = [detections_from_rows(part, *names) for part in (rows[1:], rows[:1])]
-        assert list(Detections.concat(parts, *names)) == rows[::-1]
-        assert len(Detections.concat([], *names)) == 0
-        with pytest.raises(DataError, match="different name tables"):
-            Detections.concat([detections_from_rows(rows)], names[0][::-1], names[1])
-
 
 class TestGreedyNms:
     def test_identical_boxes_keep_best(self):
@@ -798,9 +853,12 @@ class TestGreedyNms:
                 if d not in kept:
                     assert any(iou(d.box, k.box) > 0.3 for k in kept)
 
-    def test_mixed_classes_rejected(self):
-        with pytest.raises(DataError, match="mixes classes"):
-            nms([det_at(0, 1.0, class_id="a"), det_at(0, 0.5, class_id="b")], 0.5)
+    def test_classes_suppressed_apart_in_order_of_first_appearance(self):
+        # The same box in two classes: neither suppresses the other.  The
+        # classes come out in the order they first appear.
+        a, b = det_at(0, 1.0, class_id="a"), det_at(0, 0.5, class_id="b")
+        c = det_at(1, 0.7, class_id="a")
+        assert nms([b, a, c], 0.5) == [b, a]
 
     def test_threshold_validated(self):
         with pytest.raises(DataError):
@@ -821,8 +879,10 @@ class TestGreedyNms:
         a, b = det_at(0, 0.9, image_id="img0"), det_at(0, 0.8, image_id="img1")
         c = det_at(1, 0.7, image_id="img0")
         assert nms([b, a, c], 0.3) == [b, a]
-        with pytest.raises(DataError, match="mixes classes"):
-            nms([a, det_at(0, 0.8, image_id="img1", class_id="other")], 0.3)
+        # A class's images come out in the order they first appear among
+        # its rows, after the classes that appear before it.
+        d = det_at(0, 0.8, image_id="img1", class_id="other")
+        assert nms([d, a, b, c], 0.3) == [d, a, b]
 
     @pytest.mark.parametrize("budget", [1, 7, 50, NMS_TILE_FLOATS])
     @given(dets=multi_image_detections(), thresh=st.sampled_from([0.0, 0.3, 1.0]))
@@ -846,27 +906,109 @@ class TestGreedyNms:
         assert nms(dets, thresh) == per_image_nms(dets, thresh)
 
     def test_tiles_pad_small_images_and_block_large_ones(self):
-        # With a budget of 50 IoUs, an image of 9 detections gets blocks of
-        # its alive rows against the alive columns from the first of them
-        # on; images of 3 and 2 then share one padded 2 x 3 x 3 tile.
+        # With a budget of 50 IoUs, images of 3 and 2 distinct boxes share
+        # one tile padded to 3 x 3, whose conflicts are computed once for
+        # all three classes (a quarter of the tile, here one image, per
+        # pairwise_iou call); the image of 9 distinct boxes (81 IoUs) gets
+        # blocks of conflict rows of at most 50 IoUs.
         rng = np.random.default_rng(3)
         sizes = {"a": 3, "b": 2, "c": 9}
-        dets = [
-            dataclasses.replace(d, image_id=image)
+        rows = [
+            det_at(5 * k, 0.0, image_id=image)
             for image, n in sizes.items()
-            for d in degenerate_detections(rng, n)
+            for k in range(n)
+        ]
+        dets = [
+            dataclasses.replace(d, class_id=c, score=float(rng.integers(5)) / 4)
+            for c in "xyz"
+            for d in rows
         ]
         shapes = []
-        suppress = detection._suppress
+        pairwise = detection.pairwise_iou
 
-        def spy(compatible, alive):
-            shapes.append(compatible.shape)
-            suppress(compatible, alive)
+        def spy(A, B):
+            out = pairwise(A, B)
+            shapes.append(out.shape)
+            return out
 
         with mock.patch.object(detection, "NMS_TILE_FLOATS", 50), mock.patch.object(
-            detection, "_suppress", spy
+            detection, "pairwise_iou", spy
         ):
-            assert nms(dets, 0.3) == per_image_nms(dets, 0.3)
-        assert shapes[0] == (1, 5, 9)
-        assert all(k == 1 and r * c <= 50 for k, r, c in shapes[:-1])
-        assert shapes[-1] == (2, 3, 3)
+            assert row_bits(nms(dets, 0.3)) == row_bits(grouped_nms(dets, 0.3))
+        assert [s for s in shapes if len(s) == 3] == [(1, 3, 3), (1, 3, 3)]
+        blocks = [s for s in shapes if len(s) == 2]
+        assert blocks and all(c <= 9 and r * c <= 50 for r, c in blocks)
+
+    def test_rows_against_a_blocks_alive_boxes_serve_no_later_class(self):
+        # With a budget of 7 IoUs an image of three boxes in a chain (a
+        # overlaps b, b overlaps c) is walked lazily.  Class x keeps a and
+        # c: its first block computes the rows of a and b against every
+        # box, and its second c's row against c alone, the one box still
+        # alive.  Class y ranks c first, so c's row must be computed again
+        # against every box, or c would not suppress b.
+        a, b, c = (BBox(x, 0, x + 10, 10) for x in (0, 4, 8))
+        rows = [
+            Detection("img0", box, cls, score)
+            for cls, scores in (("x", (3.0, 2.0, 1.0)), ("y", (1.0, 2.0, 3.0)))
+            for box, score in zip((a, b, c), scores)
+        ]
+        with mock.patch.object(detection, "NMS_TILE_FLOATS", 7):
+            got = nms(rows, 0.3)
+        assert got == grouped_nms(rows, 0.3) == [rows[0], rows[2], rows[5], rows[3]]
+
+    @pytest.mark.parametrize("budget", [1, 7, 50, NMS_TILE_FLOATS])
+    @given(dets=mixed_class_detections(), thresh=st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_classes_match_per_group_sequential_loop(self, budget, dets, thresh):
+        # Budget 1 walks every image of two or more distinct boxes lazily,
+        # one conflict row at a time; 7 and 50 mix padded tiles with lazy
+        # blocks; the default takes every image here in tiles.
+        with mock.patch.object(detection, "NMS_TILE_FLOATS", budget):
+            got = nms(dets, thresh)
+        assert row_bits(got) == row_bits(grouped_nms(dets, thresh))
+
+    @given(dets=mixed_class_detections(), thresh=st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_sharing_a_hash_only_add_table_entries(self, dets, thresh):
+        # With a zero multiplier the hash is the bits of y_max alone, so
+        # different boxes collide, runs of equal rows split and a box can
+        # take several entries of its image's table.
+        with mock.patch.object(detection, "BOX_HASH", np.uint64(0)):
+            got = nms(dets, thresh)
+        assert row_bits(got) == row_bits(grouped_nms(dets, thresh))
+
+    @pytest.mark.parametrize("n_classes", [1, 3, 20])
+    def test_paper_shape_computes_no_more_ious_than_one_call_per_class(
+        self, n_classes
+    ):
+        dets = paper_shape_detections(n_classes)
+        counted = [0]
+        pairwise = detection.pairwise_iou
+
+        def counting(A, B):
+            out = pairwise(A, B)
+            counted[0] += out.size
+            return out
+
+        with mock.patch.object(detection, "pairwise_iou", counting):
+            together = greedy_nms(dets, 0.3)
+            one_call = counted[0]
+            apart = [
+                greedy_nms(dets.take(dets.class_index == k), 0.3)
+                for k in range(n_classes)
+            ]
+        assert one_call <= counted[0] - one_call
+        assert list(together) == [d for part in apart for d in part]
+
+    def test_paper_shape_peak_memory_stays_below_twice_the_input(self):
+        dets = paper_shape_detections(20)
+        columns = sum(
+            a.nbytes for a in (dets.boxes, dets.scores, dets.image_index, dets.class_index)
+        )
+        tracemalloc.start()
+        try:
+            greedy_nms(dets, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * columns

@@ -129,6 +129,39 @@ class TestMatvec:
         assert got.tobytes() == want.tobytes()
         npt.assert_allclose(got, X.astype(np.float64) @ w, rtol=1e-12, atol=1e-12)
 
+    @given(
+        n=st.integers(1, 50),
+        d=st.integers(1, 12),
+        k=st.integers(0, 4),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        block_rows=st.sampled_from([None, 1, 3, 8, 1000]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stack_gives_each_vectors_bits(self, n, d, k, dtype, block_rows, seed):
+        # Row c of a stacked product is matvec of vector c alone, for
+        # blocks of one row (a row of at least GATHER_FLOATS entries), of a
+        # few rows (n not a multiple of them) and larger than n.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)).astype(dtype)
+        ws = [rng.normal(size=d) for _ in range(k)]
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                mp.setattr(linalg, "GATHER_FLOATS", block_rows * d)
+            stacked = matvec(X, ws)
+            alone = [matvec(X, w) for w in ws]
+        assert stacked.shape == (k, n) and stacked.dtype == np.float64
+        for row, want in zip(stacked, alone):
+            assert row.tobytes() == want.tobytes()
+
+    def test_stack_of_rows_wider_than_a_block(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(5, linalg.GATHER_FLOATS + 3)).astype(np.float32)
+        W = rng.normal(size=(3, X.shape[1]))
+        stacked = matvec(X, W)
+        for row, w in zip(stacked, W):
+            assert row.tobytes() == matvec(X, w).tobytes()
+
     def test_one_block_is_the_whole_product(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 30))
@@ -153,6 +186,13 @@ class TestMatvec:
                 DataError, match="^F has a non-finite entry at row 6, column 2$"
             ):
                 matvec(X, w, "F")
+
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    def test_non_finite_entry_named_in_a_stack(self):
+        X = np.ones((5, 3), dtype=np.float32)
+        X[3, 1] = np.nan
+        with pytest.raises(DataError, match="^F has a non-finite entry at row 3, column 1$"):
+            matvec(X, [np.ones(3), np.zeros(3)], "F")
 
     @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
     def test_zero_weight_still_finds_the_entry(self):

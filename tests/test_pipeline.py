@@ -36,12 +36,14 @@ from aligndet.pipeline import (
     mine_source_positives,
     mine_target_positives,
     passthrough_states,
+    raw_score_rows,
+    raw_scores,
     train_initial_detectors,
 )
 
 from oracles import (
     detections_from_rows,
-    per_image_nms,
+    grouped_nms,
     scalar_max_overlaps,
     unfolded_detect,
 )
@@ -543,15 +545,43 @@ class TestDetect:
         states = adapt(src, tgt, cfg)
         fast = detect(tgt, states, cfg)
         assert len(fast) > 0
-        # detect passes each class's detections over every image at once.
-        monkeypatch.setattr(
-            pipeline,
-            "greedy_nms",
-            lambda dets, thresh: detections_from_rows(
-                per_image_nms(list(dets), thresh), dets.image_ids, dets.class_ids
-            ),
-        )
+        # detect passes every class's detections over every image to one
+        # call, which suppresses each (class, image) group on its own.
+        calls = []
+
+        def oracle(dets, thresh):
+            calls.append(len(dets))
+            return detections_from_rows(
+                grouped_nms(list(dets), thresh), dets.image_ids, dets.class_ids
+            )
+
+        monkeypatch.setattr(pipeline, "greedy_nms", oracle)
         assert detect(tgt, states, cfg) == fast
+        assert calls == [tgt.n_proposals * len(tgt.classes)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_scores_have_each_detectors_bits(self, small_pair, dtype, monkeypatch):
+        # One pass over the features for every detector gives each
+        # detector's own raw_scores bits, float32 blocks upcast once; blocks
+        # of 7 rows do not divide the dataset's rows.
+        _, tgt = small_pair
+        ds = tgt
+        if dtype == np.float32:
+            with tempfile.TemporaryDirectory() as tmp:
+                ds = load_dataset(save_dataset(tgt, tmp))
+        assert ds.features.dtype == dtype
+        rng = np.random.default_rng(5)
+        dets = [
+            LinearDetector(c, rng.normal(size=tgt.feature_dim), float(rng.normal()), "raw")
+            for c in tgt.classes
+        ]
+        monkeypatch.setattr(linalg, "GATHER_FLOATS", 7 * tgt.feature_dim)
+        assert ds.n_proposals % 7
+        stacked = raw_score_rows(ds, dets)
+        assert stacked.shape == (len(dets), ds.n_proposals)
+        for row, det in zip(stacked, dets):
+            assert row.tobytes() == raw_scores(ds, det).tobytes()
+        assert raw_score_rows(ds, []).shape == (0, ds.n_proposals)
 
 
 class TestMiningMonotonicity:
