@@ -11,9 +11,8 @@ import struct
 import zlib
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -51,60 +50,63 @@ def write_features(path, X) -> None:
         fh.write(payload)
 
 
-def read_features(path) -> np.ndarray:
-    """One feature file's matrix, every fault a DataError naming the file
-    (``_feature_array`` reads many at once and leaves faults to this)."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"feature file '{path}' does not exist")
-    raw = path.read_bytes()
-    if len(raw) < 16 or raw[:4] != FEATURE_MAGIC:
-        raise DataError(f"feature file '{path}' has a bad header")
-    version, n, D = struct.unpack("<III", raw[4:16])
-    if version != FEATURE_VERSION:
-        raise DataError(f"feature file '{path}' has unsupported version {version}")
-    expected = 16 + 4 * n * D
-    if len(raw) != expected:
-        raise DataError(
-            f"feature file '{path}' truncated: {len(raw)} bytes, expected {expected}"
-        )
-    X = np.frombuffer(raw, dtype="<f4", offset=16).reshape(n, D).astype(np.float64)
-    bad = ~np.isfinite(X)
-    if np.any(bad):
-        row = int(np.argwhere(bad)[0][0])
-        raise DataError(f"feature file '{path}' has a non-finite value at row {row}")
-    return X
-
-
-def _feature_array(paths, dim: int) -> tuple[np.ndarray, list[int]] | None:
-    """The feature matrices of the files at ``paths`` stacked in one
-    ``(N, dim)`` float32 array, each payload read straight into its rows
-    and checked for finiteness there, and each file's row count; None when
-    a file cannot be read, fails a check of ``read_features`` (which
-    reports it) or is not ``dim`` wide.  Each file's row count is first
-    taken from its size, to size the array; its header must then agree."""
-    sizes = []
+def _feature_array(paths, dim: int) -> tuple[list, np.ndarray | None, DataError | None]:
+    """The matrices of the feature files at ``paths`` in order up to the
+    first faulty one, their one ``(N, dim)`` float32 array (sized from the
+    file sizes, each payload read into its rows and checked there), and
+    that file's DataError or None.  A sound file of another width gets an
+    array of its own and the one array is None: ``Dataset`` rejects the
+    width, as any ``dim`` below 1, after every per-image check."""
+    dim, sizes = max(dim, 1), []
     for path in paths:
         try:
             n, extra = divmod(os.stat(path).st_size - 16, 4 * dim)
-        except OSError:
-            return None
-        if n < 0 or extra:
-            return None
-        sizes.append(n)
+        except (OSError, ValueError):
+            n, extra = 0, 0
+        sizes.append(0 if n < 0 or extra else n)
     features = np.empty((sum(sizes), dim), "<f4")
+    matrices, fault = [], None
     for path, rows in zip(paths, _blocks(features, sizes)):
         header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, len(rows), dim)
         try:
             with open(path, "rb") as fh:
-                if fh.read(16) != header or fh.readinto(rows) != rows.nbytes:
-                    return None
-        except OSError:
-            return None
-        if not np.isfinite(rows).all():
-            return None
-    # In native byte order: a no-op on a little-endian machine.
-    return features.astype(np.float32, copy=False), sizes
+                head = fh.read(16)
+                if head != header:
+                    rows, features = _own_rows(fh, head, Path(path)), None
+                fh.readinto(rows)
+        except DataError as exc:
+            fault = exc
+        except (OSError, ValueError):
+            fault = DataError(f"feature file '{Path(path)}' does not exist")
+        else:
+            if not np.isfinite(rows).all():
+                row = int(np.isfinite(rows).all(axis=1).argmin())
+                fault = DataError(
+                    f"feature file '{Path(path)}' has a non-finite value at row {row}"
+                )
+        if fault:
+            break
+        matrices.append(rows)
+    if features is not None and features.dtype != np.float32:  # big-endian
+        features = features.astype(np.float32)
+        matrices = _blocks(features, sizes[: len(matrices)])
+    return matrices, features, fault
+
+
+def _own_rows(fh, head: bytes, path) -> np.ndarray:
+    """An array of the shape in ``head``, the sound header of the feature
+    file open as ``fh``; a bad header, version or length is a DataError."""
+    if len(head) < 16 or head[:4] != FEATURE_MAGIC:
+        raise DataError(f"feature file '{path}' has a bad header")
+    version, n, D = struct.unpack("<III", head[4:])
+    if version != FEATURE_VERSION:
+        raise DataError(f"feature file '{path}' has unsupported version {version}")
+    size, expected = os.fstat(fh.fileno()).st_size, 16 + 4 * n * D
+    if size != expected:
+        raise DataError(
+            f"feature file '{path}' truncated: {size} bytes, expected {expected}"
+        )
+    return np.empty((n, D), "<f4")
 
 
 # ---------------------------------------------------------------------------
@@ -115,66 +117,49 @@ def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
-def _file_error(path, kind: str, header: str) -> DataError:
-    """The first fault of the box CSV at ``path``, checked line by line:
-    the file's existence and header, then for each row its column count,
-    each number in column order and the box's order."""
-    path = Path(path)
-    if not path.is_file():
-        return DataError(f"{kind} file '{path}' does not exist")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != header:
-        return DataError(f"{kind} file '{path}' must start with '{header}'")
-    n_columns = header.count(",") + 1
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != n_columns:
-            return DataError(
-                f"{path}:{lineno}: expected {n_columns} columns, got {len(parts)}"
-            )
-        for token in parts[1:5] + parts[6:]:
-            try:
-                v = float(token)
-            except ValueError:
-                return DataError(f"{path}:{lineno}: '{token}' is not a number")
-            if not math.isfinite(v):
-                return DataError(f"{path}:{lineno}: non-finite value")
-        try:
-            BBox(*map(float, parts[1:5]))
-        except DataError as exc:
-            return DataError(f"{path}:{lineno}: {exc}")
-    raise AssertionError(f"{path} has no bad row")
-
-
 def _box_tables(
-    paths, header: str
-) -> tuple[list[tuple], np.ndarray, list[int]] | None:
-    """The rows of the box CSVs at ``paths`` as one table: the cells of
-    each column as a tuple of text, an ``(n, k)`` float array of the
-    numeric columns (the four of ``BOX_HEADER``, then those after
-    ``class``, the sixth) and each file's row count.  Blank lines are
-    skipped.  None when a file cannot be read or fails a check, which
-    ``_file_error`` then reports.
-
-    Each file's header is checked on its own; then every line of every
-    file is split at once, all numbers are parsed in one ``float`` pass
-    and finiteness and box order are checked on the one array."""
+    paths, kind: str, header: str
+) -> tuple[list[tuple], np.ndarray, list[int], DataError | None]:
+    """The rows of the box CSVs at ``paths`` as one table, read in order up
+    to the first faulty file: the cells of each column as a tuple of text,
+    an ``(n, k)`` float array of the numeric columns (the four of
+    ``BOX_HEADER``, then those after ``class``, the sixth), each file's row
+    count, and that file's DataError or None.  Blank lines are skipped.
+    Only when the one parse fails (``_parse_rows``) are the rows walked to
+    the first bad one, whose file alone is read again to number its line."""
     n_columns = header.count(",") + 1
-    rows: list[list[str]] = []
-    sizes = []
+    rows, sizes, fault = [], [], None
     for path in paths:
         try:
-            with open(path) as fh:  # as ``Path.read_text`` opens it
-                lines = fh.read().splitlines()
+            with open(path, "rb") as fh:
+                lines = fh.read().decode("utf-8").splitlines()
+            if not lines or lines[0] != header:
+                fault = f"must start with '{header}'"
+        except UnicodeDecodeError:
+            fault = "is not UTF-8 text"
         except (OSError, ValueError):
-            return None
-        if not lines or lines[0] != header:
-            return None
+            fault = "does not exist"
+        if fault:
+            fault = DataError(f"{kind} file '{Path(path)}' {fault}")
+            break
         body = [line.split(",") for line in lines[1:] if line]
         rows += body
         sizes.append(len(body))
+    table = _parse_rows(rows, n_columns)
+    if table is None:
+        bad, problem = next(
+            (k, p) for k, p in enumerate(_row_fault(r, n_columns) for r in rows) if p
+        )
+        j = sum(end <= bad for end in accumulate(sizes))  # the row's file
+        first = sum(sizes[:j])
+        fault = _line_error(paths[j], bad - first, problem)
+        sizes, table = sizes[:j], _parse_rows(rows[:first], n_columns)
+    return *table, sizes, fault
+
+
+def _parse_rows(rows: list[list[str]], n_columns: int) -> tuple | None:
+    """The columns and numbers of split CSV rows (see ``_box_tables``),
+    parsed in one pass and checked on one array; None if a row is bad."""
     if not set(map(len, rows)) <= {n_columns}:
         return None
     columns = list(zip(*rows)) or [()] * n_columns
@@ -191,16 +176,42 @@ def _box_tables(
     x0, y0, x1, y1 = numbers[:, :4].T
     if not (np.isfinite(numbers).all() and (x1 >= x0).all() and (y1 >= y0).all()):
         return None
-    return columns, numbers, sizes
+    return columns, numbers
+
+
+def _row_fault(parts: list[str], n_columns: int) -> str | None:
+    """The first fault of one split CSV row: its column count, then each
+    number in column order, then the box's order; None for a sound row."""
+    if len(parts) != n_columns:
+        return f"expected {n_columns} columns, got {len(parts)}"
+    for token in parts[1:5] + parts[6:]:
+        try:
+            if not math.isfinite(float(token)):
+                return "non-finite value"
+        except ValueError:
+            return f"'{token}' is not a number"
+    try:
+        BBox(*map(float, parts[1:5]))
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+def _line_error(path, row: int, problem: str) -> DataError:
+    """``problem`` of row ``row`` of the box CSV at ``path``, named by
+    ``path:lineno`` (blank lines counted)."""
+    with open(path, "rb") as fh:
+        lines = fh.read().decode("utf-8").splitlines()
+    lineno = [n for n, line in enumerate(lines, 1) if line][row + 1]
+    return DataError(f"{Path(path)}:{lineno}: {problem}")
 
 
 def _read_box_table(path, kind: str, header: str) -> tuple[list[tuple], np.ndarray]:
-    """The columns and numbers (see ``_box_tables``) of one box CSV; its
-    first fault is a DataError by ``path:lineno`` or naming the file."""
-    table = _box_tables([path], header)
-    if table is None:
-        raise _file_error(path, kind, header)
-    return table[0], table[1]
+    """The columns and numbers of one box CSV (see ``_box_tables``)."""
+    columns, numbers, _, fault = _box_tables([path], kind, header)
+    if fault:
+        raise fault
+    return columns, numbers
 
 
 def _box_line(image_id: str, box) -> str:
@@ -212,7 +223,7 @@ def _box_line(image_id: str, box) -> str:
 
 
 def _write_lines(path, header: str, lines) -> None:
-    Path(path).write_text("\n".join([header, *lines]) + "\n")
+    Path(path).write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
 
 def write_boxes_csv(path, image_id: str, boxes) -> None:
@@ -251,7 +262,7 @@ def write_detections_csv(path, dets: Detections) -> None:
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     images = np.array(dets.image_ids, dtype=object)
     classes = np.array(dets.class_ids, dtype=object)
-    with open(path, "w") as fh:  # as ``Path.write_text`` opens it
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(DETECTION_HEADER + "\n")
         for a in range(0, len(dets), CSV_CHUNK_ROWS):
             rows = slice(a, a + CSV_CHUNK_ROWS)
@@ -434,159 +445,128 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
 
 def load_dataset(manifest_path) -> Dataset:
     """Load and eagerly validate a dataset; every violation names its file."""
-    base = Path(manifest_path).parent
-    return _load_bundle(
-        manifest_path, "manifest", lambda m: _dataset_from_manifest(m, base)
-    )
+    base = str(Path(manifest_path).parent)
 
+    def parse(manifest: dict) -> Dataset:
+        name, classes = manifest["name"], list(manifest["classes"])
+        feature_dim, entries = manifest["feature_dim"], manifest["images"]
+        if type(feature_dim) is not int:
+            raise DataError(f"feature_dim must be an integer, got {feature_dim!r}")
+        # Checked before any file is read: a file holding a bad id fails to
+        # parse, and its error would blame the CSV instead of the id.
+        for class_id in classes:
+            check_id("class id", class_id)
+        images, features = _read_images(entries, base, classes, feature_dim)
+        return Dataset(name, classes, feature_dim, images, features)
 
-def _dataset_from_manifest(manifest: dict, base: Path) -> Dataset:
-    name, classes = manifest["name"], list(manifest["classes"])
-    feature_dim, entries = int(manifest["feature_dim"]), manifest["images"]
-    # Checked before any file is read: a file holding a bad id fails to
-    # parse, and its error would blame the CSV instead of the id.
-    for class_id in classes:
-        check_id("class id", class_id)
-    read = _read_images(entries, base, classes, feature_dim)
-    if read is None:
-        _raise_first_fault(entries, base, name, classes, feature_dim)
-    images, features = read
-    return Dataset(name, classes, feature_dim, images, features)
+    return _load_bundle(manifest_path, "manifest", parse)
 
 
 def _read_images(
-    entries, base: Path, classes: list[str], feature_dim: int
-) -> tuple[list[ImageRecord], np.ndarray] | None:
-    """The images of a manifest's ``entries`` and their one feature array,
-    read in bulk: the feature files fill that array (``_feature_array``),
-    the boxes files form one table and the GT files another
-    (``_box_tables``), and each image holds row views of them.  Ids and row
-    counts are checked per file, on the tables.  None when any check fails;
-    ``_raise_first_fault`` then finds and reports the first fault."""
-    # Joined as text: a ``Path`` per file costs more than reading it.
-    base = str(base)
-    try:
-        ids = _entry_ids(entries)
-        feature_paths = [os.path.join(base, entry["feature_file"]) for entry in entries]
-        box_paths = [os.path.join(base, entry["boxes_file"]) for entry in entries]
-    except (KeyError, TypeError, AttributeError, DataError):
-        return None
-    features = _feature_array(feature_paths, feature_dim)
-    boxes = _box_tables(box_paths, BOX_HEADER)
-    gt = _read_gt(entries, base, ids, classes)
-    if features is None or boxes is None or gt is None:
-        return None
-    features, sizes = features
-    box_columns, box_rows, box_sizes = boxes
-    if box_columns[0] != _repeat(ids, box_sizes) or box_sizes != sizes:
-        return None
-    images = [
-        ImageRecord(*record)
-        for record in zip(ids, _blocks(features, sizes), _blocks(box_rows, sizes), gt)
-    ]
+    entries, base: str, classes: list[str], feature_dim: int
+) -> tuple[list[ImageRecord], np.ndarray | None]:
+    """The images of a manifest's ``entries``, row views of the one feature
+    array (``_feature_array``) and of the boxes and GT tables, and that
+    array.  Each reader stops at its first faulty file; the images are
+    then checked in manifest order and the first fault raises: the entry,
+    its feature file, its boxes file, their ids, the row count, its GT
+    file, then the ``ImageRecord`` checks."""
+    fields = ("feature_file", "boxes_file")
+    ids, (feature_paths, box_paths), fault = _entries(entries, base, fields)
+    matrices, features, feature_fault = _feature_array(feature_paths, feature_dim)
+    columns, numbers, sizes, box_fault = _box_tables(box_paths, "boxes", BOX_HEADER)
+    gt, gt_fault = _read_gt(entries, base, ids, classes)
+    row_ids, boxes = _blocks(columns[0], sizes), _blocks(numbers, sizes)
+    images = []
+    for k, image_id in enumerate(ids):
+        if k == len(matrices):
+            raise feature_fault
+        if k == len(sizes):
+            raise box_fault
+        if row_ids[k].count(image_id) != sizes[k]:
+            row = next(r for r, i in enumerate(row_ids[k]) if i != image_id)
+            raise _line_error(box_paths[k], row, (
+                f"image id '{row_ids[k][row]}' does not match manifest entry "
+                f"'{image_id}'"
+            ))
+        if sizes[k] != len(matrices[k]):
+            raise DataError(
+                f"row-count mismatch for image '{image_id}': boxes file "
+                f"'{Path(box_paths[k])}' has {sizes[k]} rows but feature file "
+                f"'{Path(feature_paths[k])}' has {len(matrices[k])} rows"
+            )
+        if k == len(gt):
+            raise gt_fault
+        images.append(ImageRecord(image_id, matrices[k], boxes[k], gt[k]))
+    if fault:
+        raise fault
     return images, features
 
 
-def _entry_ids(entries) -> list[str]:
-    """The image id of each manifest entry, each checked by ``check_id``."""
-    ids = [entry.get("image_id") for entry in entries]
-    for image_id in ids:
-        check_id("image id", image_id)
-    return ids
+def _entries(entries, base: str, fields=()) -> tuple[list, list[list], Exception | None]:
+    """The image id of each manifest entry (``check_id``) and the path
+    under ``base`` of each of its ``fields``, one list per field, in order
+    up to the first entry that fails; and that entry's error or None."""
+    ids, paths = [], [[] for _ in fields]
+    for entry in entries:
+        try:
+            image_id = entry.get("image_id")
+            check_id("image id", image_id)
+            for column, name in zip(paths, fields):
+                column.append(os.path.join(base, entry[name]))
+        except (KeyError, TypeError, AttributeError, DataError) as exc:
+            return ids, [column[: len(ids)] for column in paths], exc
+        ids.append(image_id)
+    return ids, paths, None
 
 
-def _read_gt(entries, base: str, ids: list[str], classes: list[str]) -> list | None:
-    """Each entry's ground truth as a list of ``(class_id, BBox)``, or None
-    for an entry without a GT file, from one table of all the GT files
-    (``_box_tables``), their image ids and classes checked on it.  None in
-    place of the whole list when any check fails; ``_checked_gt`` then
-    reports the first fault, file by file."""
-    try:
-        labeled = [k for k, entry in enumerate(entries) if entry.get("gt_file")]
-        gt_paths = [os.path.join(base, entries[k]["gt_file"]) for k in labeled]
-    except (KeyError, TypeError, AttributeError):
-        return None
-    table = _box_tables(gt_paths, GT_HEADER)
-    if table is None:
-        return None
-    columns, rows, sizes = table
-    if columns[0] != _repeat([ids[k] for k in labeled], sizes):
-        return None
-    if not set(columns[5]).issubset(classes):
-        return None
-    pairs = [(c, BBox(*b)) for c, b in zip(columns[5], rows.tolist())]
+def _read_gt(
+    entries, base: str, ids: list[str], classes: list[str]
+) -> tuple[list, Exception | None]:
+    """The ground truth of the manifest ``entries`` whose checked image
+    ids are ``ids``, from one table of their GT files, in entry order up to
+    the first faulty entry: a list of ``(class_id, BBox)`` each, or None
+    without a GT file; and that entry's error or None: its ``gt_file``, its
+    file, or a row of another image id or of an unknown class."""
+    labeled, paths, fault = [], [], None
+    for k, entry in zip(range(len(ids)), entries):
+        try:
+            if entry.get("gt_file"):
+                paths.append(os.path.join(base, entry["gt_file"]))
+                labeled.append(k)
+        except TypeError as exc:
+            fault, ids = exc, ids[:k]
+            break
+    columns, numbers, sizes, file_fault = _box_tables(paths, "gt", GT_HEADER)
+    if file_fault:
+        fault, ids = file_fault, ids[: labeled[len(sizes)]]
+    known = set(columns[5]).issubset(classes)
+    for i, (k, row_ids, row_classes) in enumerate(
+        zip(labeled, _blocks(columns[0], sizes), _blocks(columns[5], sizes))
+    ):
+        if known and row_ids.count(ids[k]) == len(row_ids):
+            continue
+        problems = [
+            f"image id '{r}' does not match manifest entry '{ids[k]}'"
+            if r != ids[k]
+            else f"unknown class '{c}'"
+            for r, c in zip(row_ids, row_classes)
+            if r != ids[k] or c not in classes
+        ]
+        if problems:
+            fault = DataError(f"gt file '{Path(paths[i])}': {problems[0]}")
+            ids, sizes = ids[:k], sizes[:i]
+            break
+    pairs = [(c, BBox(*b)) for c, b in zip(columns[5], numbers.tolist())]
     gt = [None] * len(ids)
     for k, block in zip(labeled, _blocks(pairs, sizes)):
         gt[k] = block
-    return gt
-
-
-def _repeat(ids: list[str], sizes: list[int]) -> tuple[str, ...]:
-    """Each of ``ids`` repeated as many times as its entry in ``sizes``."""
-    return tuple(chain.from_iterable(map(repeat, ids, sizes)))
+    return gt, fault
 
 
 def _blocks(rows, sizes: list[int]) -> list:
     """``rows`` cut into consecutive blocks of ``sizes`` rows."""
     return [rows[end - n : end] for n, end in zip(sizes, accumulate(sizes))]
-
-
-def _checked_gt(entry, base: Path, classes: list[str]) -> list | None:
-    """One manifest entry's ground truth read with the per-file reader and
-    its messages (``path:lineno``), then its image ids and classes checked;
-    None without a GT file."""
-    if not entry.get("gt_file"):
-        return None
-    image_id, gt_path = entry["image_id"], base / entry["gt_file"]
-    gt = []
-    for row_id, class_id, box in read_gt_csv(gt_path):
-        if row_id != image_id:
-            raise DataError(
-                f"gt file '{gt_path}': image id '{row_id}' does not "
-                f"match manifest entry '{image_id}'"
-            )
-        if class_id not in classes:
-            raise DataError(f"gt file '{gt_path}': unknown class '{class_id}'")
-        gt.append((class_id, box))
-    return gt
-
-
-def _raise_first_fault(
-    entries, base: Path, name: str, classes: list[str], feature_dim: int
-) -> NoReturn:
-    """Raise the first fault of the images of a manifest that failed the
-    bulk read (``_read_images``).  The images are walked in manifest order
-    with the per-file readers and their messages: the image id, the
-    feature file, the boxes file, its image ids, the row count, the GT
-    file, then the ``ImageRecord`` checks; then the ``Dataset`` checks run
-    on all of them (a feature file of another width fails only those)."""
-    images = []
-    for entry in entries:
-        image_id = entry.get("image_id")
-        check_id("image id", image_id)
-        feat_path = base / entry["feature_file"]
-        boxes_path = base / entry["boxes_file"]
-        features = read_features(feat_path)
-        row_ids, boxes = read_boxes_csv(boxes_path)
-        # Line numbers count the blank lines that the reader skips.
-        lines = boxes_path.read_text().splitlines()
-        for lineno, line in enumerate(lines[1:], start=2):
-            row_id = line.split(",", 1)[0]
-            if line and row_id != image_id:
-                raise DataError(
-                    f"{boxes_path}:{lineno}: image id '{row_id}' does not "
-                    f"match manifest entry '{image_id}'"
-                )
-        if len(row_ids) != features.shape[0]:
-            raise DataError(
-                f"row-count mismatch for image '{image_id}': boxes file "
-                f"'{boxes_path}' has {len(row_ids)} rows but feature file "
-                f"'{feat_path}' has {features.shape[0]} rows"
-            )
-        gt = _checked_gt(entry, base, classes)
-        images.append(ImageRecord(image_id, features, boxes, gt))
-    Dataset(name, classes, feature_dim, images)
-    raise AssertionError("the bulk read failed on images that pass every check")
 
 
 @dataclass(frozen=True)
@@ -604,20 +584,19 @@ class Annotations:
 def load_annotations(manifest_path) -> Annotations:
     """The ``Annotations`` of a manifest, read without opening its feature
     or boxes files.  Ids and GT files are checked as ``load_dataset``
-    checks them, with its messages: a faulty GT file is named by
-    ``path:lineno``."""
-    base = Path(manifest_path).parent
+    checks them, in its order and with its messages: class ids, then each
+    entry's image id and GT file, then duplicate ids."""
+    base = str(Path(manifest_path).parent)
 
     def parse(manifest: dict) -> Annotations:
         name, classes = manifest["name"], list(manifest["classes"])
-        entries = manifest["images"]
-        ids = _entry_ids(entries)
+        for class_id in classes:
+            check_id("class id", class_id)
+        ids, _, fault = _entries(manifest["images"], base)
+        gt, gt_fault = _read_gt(manifest["images"], base, ids, classes)
+        if gt_fault or fault:
+            raise gt_fault or fault
         check_ids(classes, ids)
-        gt = _read_gt(entries, str(base), ids, classes)
-        if gt is None:
-            for entry in entries:
-                _checked_gt(entry, base, classes)
-            raise AssertionError("the bulk GT read failed on files that pass every check")
         truths = None
         if all(g is not None for g in gt):
             truths = [

@@ -594,7 +594,9 @@ def _rank_order(dets: Detections, group: np.ndarray) -> np.ndarray:
     ``np.lexsort((*dets.boxes.T[::-1], -dets.scores, group))``.  The
     scores are sorted with an unstable sort and the groups with a stable
     (radix) one; then the rows of each run that ties on group and score,
-    none unless scores tie, are sorted by box and row."""
+    none unless scores tie, are sorted by box and row.  The plain
+    ``lexsort`` made a warm ``detect`` 1.26x slower on the benchmark's
+    ``accept`` workload and 1.22x on ``wide`` (outputs identical)."""
     by_score = np.argsort(-dets.scores)
     small = group.astype(np.min_scalar_type(group.max()))
     order = by_score[np.argsort(small[by_score], kind="stable")]
@@ -623,7 +625,10 @@ def _distinct_boxes(dets: Detections, order: np.ndarray):
     from the row before.  Two different rows that share a hash may split
     a run of equal rows, so that a box takes two entries of its image's
     table; two entries of one box conflict exactly as two rows of that box
-    do, so that changes the work, not the output."""
+    do, so that changes the work, not the output.  One ``lexsort`` of the
+    rows by image and box bits made a warm ``detect`` 1.13x slower on the
+    benchmark's ``accept`` workload and 1.11x on ``wide`` (outputs
+    identical)."""
     bits = np.ascontiguousarray(dets.boxes).view(np.uint64)
     key = dets.image_index.astype(np.uint64)
     for k in range(4):

@@ -224,14 +224,18 @@ def _parse_float(token, path, lineno):
 
 def per_line_box_rows(path, kind, header):
     """The line-by-line box CSV reader: a list of (text cells, numbers,
-    box, line number) rows, or the ``DataError`` of the first bad line.
+    box, line number) rows, or the ``DataError`` of the file (missing, not
+    UTF-8, bad header) or of its first bad line.
     ``numbers`` are the columns after ``image_id`` other than ``class``; a
     box out of order fails as ``BBox`` does, prefixed with
     ``path:lineno``."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{kind} file '{path}' does not exist")
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise DataError(f"{kind} file '{path}' is not UTF-8 text") from None
     if not lines or lines[0] != header:
         raise DataError(f"{kind} file '{path}' must start with '{header}'")
     n_columns = header.count(",") + 1

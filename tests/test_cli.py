@@ -532,6 +532,56 @@ def test_evaluate_reports_a_box_out_of_order_by_file_and_line(
     )
 
 
+def test_evaluate_rejects_detections_that_are_not_utf8(tmp_path, capsys, fast_config):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", fast_config, "--out", str(data)]) == 0
+    detections = tmp_path / "detections.csv"
+    detections.write_bytes(b"image_id,x_min,y_min,x_max,y_max,class,score\n\xff\n")
+    rc = cli.main(
+        [
+            "evaluate", "--config", fast_config,
+            "--detections", str(detections),
+            "--dataset", str(data / "target" / "manifest.json"),
+            "--out", str(tmp_path / "evaluated"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"aligndet: data error: detections file '{detections}' is not UTF-8 text"
+    )
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (0, "feature_dim must be >= 1, got 0"),
+        (-3, "feature_dim must be >= 1, got -3"),
+        (2.5, "feature_dim must be an integer, got 2.5"),
+        (True, "feature_dim must be an integer, got True"),
+    ],
+)
+def test_detect_rejects_a_feature_dim_below_one_or_not_an_integer(
+    tmp_path, capsys, fast_config, value, message
+):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", fast_config, "--out", str(data)]) == 0
+    manifest = data / "target" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["feature_dim"] = value
+    manifest.write_text(json.dumps(doc))
+    rc = cli.main(
+        [
+            "detect", "--dataset", str(manifest),
+            "--states", str(tmp_path / "states.json"),
+            "--out", str(tmp_path / "detected"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"aligndet: data error: manifest '{manifest}' is malformed: {message}"
+    )
+
+
 def test_pipeline_mean_ap_matches_recomputed_mean_on_many_classes(tmp_path):
     cfg = tmp_path / "many.cfg"
     cfg.write_text(

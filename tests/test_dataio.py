@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -32,7 +33,6 @@ from aligndet.dataio import (
     load_states,
     read_boxes_csv,
     read_detections_csv,
-    read_features,
     read_gt_csv,
     save_dataset,
     save_detectors,
@@ -153,50 +153,60 @@ class TestContainers:
         assert ds.labeled
 
 
+def one_image_dataset(tmp_path, n, D):
+    """A saved dataset of one image with ``n`` proposals of ``D`` features:
+    its manifest and its image's feature file."""
+    image = ImageRecord("img0", np.zeros((n, D)), [(0.0, 0.0, 1.0, 1.0)] * n)
+    manifest = save_dataset(Dataset("one", ["cat"], D, [image]), tmp_path)
+    return manifest, tmp_path / "features" / "img0.fmx"
+
+
 class TestFeatureFiles:
     def test_round_trip_bytes(self, tmp_path):
         X = np.random.default_rng(1).normal(size=(5, 3))
-        p = tmp_path / "x.fmx"
+        m, p = one_image_dataset(tmp_path, 5, 3)
         write_features(p, X)
-        loaded = read_features(p)
+        loaded = load_dataset(m).images[0].features
         p2 = tmp_path / "y.fmx"
         write_features(p2, loaded)
         assert p.read_bytes() == p2.read_bytes()
         npt.assert_allclose(loaded, X, atol=1e-6)  # float32 storage
 
     def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.fmx"
+        m, p = one_image_dataset(tmp_path, 1, 1)
         p.write_bytes(b"NOPE" + b"\x00" * 12)
         with pytest.raises(DataError, match="header"):
-            read_features(p)
+            load_dataset(m)
 
     def test_truncated(self, tmp_path):
         X = np.ones((4, 4))
-        p = tmp_path / "t.fmx"
+        m, p = one_image_dataset(tmp_path, 4, 4)
         write_features(p, X)
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(DataError, match="truncated"):
-            read_features(p)
+            load_dataset(m)
 
     def test_non_finite_cites_row(self, tmp_path):
         X = np.ones((4, 2))
         X[2, 1] = np.inf
-        p = tmp_path / "nan.fmx"
+        m, p = one_image_dataset(tmp_path, 4, 2)
         write_features(p, X)
         with pytest.raises(DataError, match="row 2"):
-            read_features(p)
+            load_dataset(m)
 
     def test_missing_file(self, tmp_path):
+        m, p = one_image_dataset(tmp_path, 1, 1)
+        p.unlink()
         with pytest.raises(DataError, match="does not exist"):
-            read_features(tmp_path / "absent.fmx")
+            load_dataset(m)
 
     def test_float32_overflow_is_written_as_inf(self, tmp_path):
         # What save_dataset guards against: the cast makes the value inf.
-        p = tmp_path / "big.fmx"
+        m, p = one_image_dataset(tmp_path, 2, 2)
         with pytest.warns(RuntimeWarning):
             write_features(p, [[1.0, 1e39], [2.0, 3.0]])
         with pytest.raises(DataError, match="non-finite value at row 0"):
-            read_features(p)
+            load_dataset(m)
 
     def test_save_rejects_features_beyond_float32_before_writing(self, tmp_path):
         ds = tiny_dataset()
@@ -271,7 +281,11 @@ CSV_KINDS = [
 
 @pytest.mark.parametrize("reader, kind, header, row", CSV_KINDS)
 @pytest.mark.parametrize(
-    "defect", ["missing", "header", "columns", "not_a_number", "non_finite", "order"]
+    "defect",
+    [
+        "missing", "header", "columns", "not_a_number", "non_finite", "order",
+        "non_utf8", "nul_in_path",
+    ],
 )
 def test_malformed_csv_names_file_or_line(tmp_path, reader, kind, header, row, defect):
     p = tmp_path / "rows.csv"
@@ -288,10 +302,16 @@ def test_malformed_csv_names_file_or_line(tmp_path, reader, kind, header, row, d
         bad = ",".join(cells[:col] + ["inf"] + cells[col + 1 :])
     if defect == "header":
         p.write_text(header.replace("x_min", "xmin") + "\n" + row + "\n")
+    elif defect == "non_utf8":
+        p.write_bytes(f"{header}\n{row}\n".encode() + b"\xff\n")
+    elif defect == "nul_in_path":
+        p = tmp_path / "ro\0ws.csv"
     elif defect != "missing":
         p.write_text(f"{header}\n{row}\n{bad}\n")
     expected = {
         "missing": f"{kind} '{p}' does not exist",
+        "nul_in_path": f"{kind} '{p}' does not exist",
+        "non_utf8": f"{kind} '{p}' is not UTF-8 text",
         "header": f"{kind} '{p}' must start with '{header}'",
         "columns": f"{p}:3: expected {len(cells)} columns, got {len(cells) + 1}",
         "not_a_number": f"{p}:3: 'a' is not a number",
@@ -406,7 +426,10 @@ READERS = {
 }
 # A text replacing one numeric cell: accepted by ``float`` or not.
 CELL_MUTATIONS = ["inf", "-inf", "nan", "1_5", " 1.5", "1.5 ", "a", "", "1e999", "-0"]
-LINE_MUTATIONS = ["cell", "more_columns", "fewer_columns", "blank", "swap"]
+LINE_MUTATIONS = ["cell", "more_columns", "fewer_columns", "blank", "swap", "non_utf8"]
+# A lone surrogate in text that is encoded with ``surrogateescape`` becomes
+# the byte 0xFF, which is not UTF-8.
+NOT_UTF8 = "\udcff"
 
 
 def _oracle_result(reader, path) -> str:
@@ -468,12 +491,14 @@ def test_mutated_lines_read_as_the_per_line_reader_does(tmp_path, reader, rows, 
             cells.append("9")
         elif mutation == "fewer_columns":
             cells.pop()
+        elif mutation == "non_utf8":
+            cells[0] += NOT_UTF8
         elif len(cells) > 3:  # x_min and x_max swapped: out of order unless equal
             cells[1], cells[3] = cells[3], cells[1]
         lines[k] = ",".join(cells)
     newline = data.draw(st.sampled_from(["\n", "\r\n"]))
     p = tmp_path / "rows.csv"
-    p.write_bytes(newline.join([header, *lines, ""]).encode())
+    p.write_bytes(newline.join([header, *lines, ""]).encode(errors="surrogateescape"))
     assert _reader_result(reader, p) == _oracle_result(reader, p)
 
 
@@ -563,6 +588,47 @@ class TestDatasetRoundTrip:
         gt.write_text(gt.read_text().replace("cat", "dog"))
         with pytest.raises(DataError, match="unknown class 'dog'"):
             load_dataset(m)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (0, "feature_dim must be >= 1, got 0"),
+            (-3, "feature_dim must be >= 1, got -3"),
+            (2.5, "feature_dim must be an integer, got 2.5"),
+            (True, "feature_dim must be an integer, got True"),
+        ],
+    )
+    def test_feature_dim_must_be_an_integer_of_at_least_one(self, tmp_path, value, message):
+        m = save_dataset(tiny_dataset(), tmp_path)
+        data = json.loads(m.read_text())
+        data["feature_dim"] = value
+        m.write_text(canonical_json(data))
+        with pytest.raises(DataError) as info:
+            load_dataset(m)
+        assert str(info.value) == f"manifest '{m}' is malformed: {message}"
+        # A value below 1 is rejected after every per-image fault, as the
+        # dataset's other checks are; a value of another type first.
+        (tmp_path / "features" / "img1.fmx").unlink()
+        with pytest.raises(DataError) as info:
+            load_dataset(m)
+        first = "does not exist" if type(value) is int else message
+        assert str(info.value).endswith(first)
+
+    @pytest.mark.parametrize("field", ["image_id", "feature_file", "boxes_file", "gt_file"])
+    def test_malformed_entry_keeps_its_place_in_the_fault_order(self, tmp_path, field):
+        m = save_dataset(tiny_dataset(), tmp_path)
+        data = json.loads(m.read_text())
+        data["images"][1][field] = 5
+        m.write_text(canonical_json(data))
+        loaders = [load_dataset] + [load_annotations] * (field in ("image_id", "gt_file"))
+        for load in loaders:
+            with pytest.raises(DataError, match=r"image id 5|join\(\) argument"):
+                load(m)
+        gt = tmp_path / "gt" / "img0.csv"
+        gt.write_text(gt.read_text().replace("cat", "dog"))
+        for load in loaders:
+            with pytest.raises(DataError, match="unknown class 'dog'"):
+                load(m)
 
     def test_manifest_missing_key(self, tmp_path):
         m = save_dataset(tiny_dataset(), tmp_path / "k")
@@ -1008,7 +1074,7 @@ class TestBundles:
 
 # Faults a saved dataset's files can get; each is applied to one file of
 # the kind it concerns.
-TEXT_MUTATIONS = ["header", "cell", "columns", "swap", "blank", "foreign_id"]
+TEXT_MUTATIONS = ["header", "cell", "columns", "swap", "blank", "foreign_id", "non_utf8"]
 FEATURE_MUTATIONS = ["magic", "version", "truncated", "non_finite", "dim"]
 LOADER_MUTATIONS = (
     TEXT_MUTATIONS + FEATURE_MUTATIONS + ["unknown_class", "missing", "row_count"]
@@ -1061,7 +1127,7 @@ def _mutate(data, root, mutation, kinds=None) -> None:
     ]
     files = sorted((root / data.draw(st.sampled_from(kinds))).glob("*"))
     if mutation in ("cell", "columns", "swap", "foreign_id", "unknown_class"):
-        files = [p for p in files if len(p.read_text().splitlines()) > 1]  # has rows
+        files = [p for p in files if len(_text(p).splitlines()) > 1]  # has rows
     if not files:
         return
     path = data.draw(st.sampled_from(files))
@@ -1085,12 +1151,16 @@ def _mutate(data, root, mutation, kinds=None) -> None:
             return
         path.write_bytes(bytes(raw))
     else:
-        lines = path.read_text().splitlines()
+        lines = _text(path).splitlines()
         rows = [k for k in range(1, len(lines)) if lines[k]]
         if mutation == "header":
             lines[0] = lines[0].replace("x_min", "xmin")
         elif mutation == "blank":
             lines.insert(data.draw(st.integers(1, len(lines))), "")
+        elif mutation == "non_utf8":
+            k = data.draw(st.integers(0, len(lines) - 1))
+            at = data.draw(st.integers(0, len(lines[k])))
+            lines[k] = lines[k][:at] + NOT_UTF8 + lines[k][at:]
         elif mutation == "row_count":
             if rows and data.draw(st.booleans()):
                 del lines[data.draw(st.sampled_from(rows))]
@@ -1117,7 +1187,25 @@ def _mutate(data, root, mutation, kinds=None) -> None:
             elif mutation == "unknown_class" and len(cells) > 5:
                 cells[5] = "emu"
             lines[k] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(("\n".join(lines) + "\n").encode(errors="surrogateescape"))
+
+
+def _text(path) -> str:
+    """The text of ``path``, a byte that is not UTF-8 kept as a surrogate."""
+    return path.read_bytes().decode(errors="surrogateescape")
+
+
+def _mutate_manifest(data, manifest, mutation) -> None:
+    """Repeat one entry of ``manifest`` at a drawn place (``duplicate_id``),
+    or give one an image id that ``check_id`` rejects (``bad_id``)."""
+    doc = json.loads(manifest.read_text())
+    entries = doc["images"]
+    k = data.draw(st.integers(0, len(entries) - 1))
+    if mutation == "duplicate_id":
+        entries.insert(data.draw(st.integers(0, len(entries))), dict(entries[k]))
+    else:
+        entries[k]["image_id"] = data.draw(st.sampled_from(["", "a,b", 7, None]))
+    manifest.write_text(canonical_json(doc))
 
 
 def _load_outcome(load, manifest):
@@ -1173,7 +1261,10 @@ def _annotations_outcome(load, manifest):
     return ds.name, ds.classes, ds.image_ids, ds.ground_truths
 
 
-@pytest.mark.parametrize("first", [None, *TEXT_MUTATIONS, "unknown_class", "missing"])
+GT_MUTATIONS = [*TEXT_MUTATIONS, "unknown_class", "missing"]
+
+
+@pytest.mark.parametrize("first", [None, *GT_MUTATIONS, "duplicate_id", "bad_id"])
 @given(ds=small_datasets(), data=st.data())
 @settings(
     max_examples=25,
@@ -1185,15 +1276,78 @@ def test_load_annotations_reads_the_ground_truth_of_load_dataset(
 ):
     """A GT fault, when ``first`` is given, is reported with the message of
     ``load_dataset``; the feature and boxes files are never opened, so
-    removing them changes nothing."""
+    removing them changes nothing.  A repeated entry or a bad image id in
+    the manifest comes with a drawn GT fault or none, so the two loaders
+    must agree on which comes first."""
     with tempfile.TemporaryDirectory(dir=tmp_path) as out:
         manifest = save_dataset(ds, out)
+        if first in ("duplicate_id", "bad_id"):
+            _mutate_manifest(data, manifest, first)
+            first = data.draw(st.sampled_from([None, *GT_MUTATIONS]))
         if first:
             _mutate(data, manifest.parent, first, kinds=["gt"])
         expected = _annotations_outcome(load_dataset, manifest)
         for kind in ("features", "boxes"):
             shutil.rmtree(manifest.parent / kind)
         assert _annotations_outcome(load_annotations, manifest) == expected
+
+
+# Faults of each kind that ``load_dataset`` checks, made in one image's files
+# (3 proposals of 2 features and one GT box): rows 0, 1 and 2 are lines
+# 2, 3 and 4 of the boxes file.
+ORDER_FAULTS = [
+    "feature_header", "non_finite", "width", "box_header", "cell", "foreign_id",
+    "row_count", "unknown_class",
+]
+
+
+def _make_fault(root, kind: str, k: int) -> None:
+    if kind in ("feature_header", "non_finite", "width"):
+        path = root / "features" / f"img{k}.fmx"
+        raw = bytearray(path.read_bytes())
+        if kind == "feature_header":
+            raw[:4] = b"FMX2"
+        elif kind == "non_finite":
+            raw[16 + 4 * 3 : 16 + 4 * 4] = np.float32("nan").tobytes()  # row 1
+        else:
+            write_features(path, np.ones((3, 3)))
+            return
+        path.write_bytes(bytes(raw))
+        return
+    path = root / ("gt" if kind == "unknown_class" else "boxes") / f"img{k}.csv"
+    lines = path.read_text().splitlines()
+    if kind == "box_header":
+        lines[0] = lines[0].replace("x_min", "xmin")
+    elif kind == "cell":
+        lines[2] = lines[2].replace(",", ",a", 1)  # row 1
+    elif kind == "foreign_id":
+        lines[1] = "zz" + lines[1][lines[1].index(",") :]  # row 0
+    elif kind == "row_count":
+        del lines[-1]
+    else:
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",emu"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("a, b", list(itertools.product(ORDER_FAULTS, repeat=2)))
+def test_first_fault_across_kinds_and_images_is_the_sequential_loaders(tmp_path, a, b):
+    """Fault ``a`` in image 0 and ``b`` in image 1, then both in image 0:
+    ``load_dataset`` reports what the per-image loader reports first."""
+    images = [
+        ImageRecord(
+            f"img{k}", np.arange(6.0).reshape(3, 2), [(0.0, 0.0, 1.0, 1.0)] * 3,
+            [("cat", BBox(0.0, 0.0, 1.0, 1.0))],
+        )
+        for k in range(2)
+    ]
+    for where in ((0, 1), (0, 0)):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+            manifest = save_dataset(Dataset("pair", ["cat"], 2, images), out)
+            for kind, k in zip((a, b), where):
+                _make_fault(manifest.parent, kind, k)
+            expected = _load_outcome(sequential_load_dataset, manifest)
+            assert isinstance(expected, str)
+            assert _load_outcome(load_dataset, manifest) == expected
 
 
 class TestFeatureArray:
