@@ -39,7 +39,7 @@ def main() -> int:
 
     print(f"generating synthetic pair (seed={cfg.synth.seed}) ...")
     source, target, _ = generate_synthetic(cfg.synth)
-    gts = target.ground_truths()
+    gts = target.ground_truths
 
     t0 = time.perf_counter()
     init = train_initial_detectors(source, acfg)

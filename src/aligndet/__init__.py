@@ -11,9 +11,8 @@ from .alignment import (
 from .datasets import Dataset, ImageRecord
 from .detection import (
     BBox,
-    Detection,
     Detections,
-    GroundTruth,
+    GroundTruths,
     LinearDetector,
     TrainConfig,
     greedy_nms,
@@ -58,9 +57,8 @@ __all__ = [
     "ClassAdaptationState",
     "DataError",
     "Dataset",
-    "Detection",
     "Detections",
-    "GroundTruth",
+    "GroundTruths",
     "Histogram",
     "ImageRecord",
     "LinearDetector",

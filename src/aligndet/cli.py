@@ -100,16 +100,12 @@ def _check_detections(path, dets: Detections, dataset: Annotations) -> None:
     """Reject detections of a class or image the dataset does not have: AP
     would drop the class or count the image's rows as false positives.  The
     first such row is reported, its class checked before its image."""
-    classes = set(dataset.classes)
-    images = set(dataset.image_ids)
-    bad_class = np.array([c not in classes for c in dets.class_ids], dtype=bool)
-    bad_image = np.array([i not in images for i in dets.image_ids], dtype=bool)
-    bad = bad_class[dets.class_index] | bad_image[dets.image_index]
+    bad = dets.outside(dataset.classes, dataset.image_ids)
     if not bad.any():
         return
     row = int(bad.argmax())
     class_id = dets.class_ids[dets.class_index[row]]
-    if class_id not in classes:
+    if class_id not in dataset.classes:
         unknown = f"class '{class_id}'"
     else:
         unknown = f"image id '{dets.image_ids[dets.image_index[row]]}'"
@@ -275,7 +271,7 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
         dets = _detect(target, states, cfg, out)
 
     with _timed(timing, "evaluate"):
-        gts = target.ground_truths() if target.labeled else None
+        gts = target.ground_truths if target.labeled else None
         report = _report(dets, target.classes, gts, cfg)
         diag = _write_similarity(out, states)
         weak = _weak_classes(diag, cfg.weak_ratio)

@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import Dataset, ImageRecord, check_id, check_ids
-from .detection import BBox, Detections, GroundTruth, LinearDetector, TrainConfig
+from .detection import (
+    BBox, Detections, GroundTruths, LinearDetector, TrainConfig, label_codes,
+)
 from .errors import DataError, NumericalError
 from .evaluation import check_histogram_layout
 from .linalg import NormalizationStats, Subspace
@@ -238,10 +240,10 @@ def read_boxes_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     return columns[0], numbers
 
 
-def write_gt_csv(path, image_id: str, gt: list[tuple[str, BBox]]) -> None:
-    _write_lines(
-        path, GT_HEADER, (f"{_box_line(image_id, b.as_tuple())},{c}" for c, b in gt)
-    )
+def write_gt_csv(path, image_id: str, boxes, class_ids) -> None:
+    """``write_boxes_csv`` with each row's class from ``class_ids``."""
+    rows = zip(np.asarray(boxes, dtype=np.float64).tolist(), class_ids)
+    _write_lines(path, GT_HEADER, (f"{_box_line(image_id, b)},{c}" for b, c in rows))
 
 
 def read_gt_csv(path) -> list[tuple[str, str, BBox]]:
@@ -277,8 +279,10 @@ def write_detections_csv(path, dets: Detections) -> None:
 
 
 def read_detections_csv(path) -> Detections:
+    """Images and classes are named in order of first appearance."""
     columns, numbers = _read_box_table(path, "detections", DETECTION_HEADER)
-    return Detections.from_labels(numbers[:, :4], numbers[:, 4], columns[0], columns[5])
+    (images, image_ids), (classes, class_ids) = map(label_codes, (columns[0], columns[5]))
+    return Detections(numbers[:, :4], numbers[:, 4], images, classes, image_ids, class_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +381,18 @@ def _stored_array(v) -> np.ndarray:
 
 def _load_bundle(path, kind: str, parse):
     """``parse`` applied to the JSON in ``path``, its array references
-    resolved; invalid JSON, a bad array file, a missing key, a wrong type
-    or a rejected value is a DataError naming the file."""
+    resolved; text that is not UTF-8, invalid JSON, a bad array file, a
+    missing key, a wrong type or a rejected value is a DataError naming
+    the file."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{kind} '{path}' does not exist")
     try:
-        return parse(_resolve_arrays(json.loads(path.read_text()), path))
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{kind} '{path}' is not UTF-8 text") from None
+    try:
+        return parse(_resolve_arrays(json.loads(text), path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{kind} '{path}' is not valid JSON: {exc}") from None
     except KeyError as exc:
@@ -414,8 +423,9 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
     (out_dir / "boxes").mkdir(exist_ok=True)
     entries = []
-    any_gt = any(img.gt is not None for img in dataset.images)
-    if any_gt:
+    gt = dataset.ground_truths
+    listed = {image_id: k for k, image_id in enumerate(gt.image_ids)}
+    if listed:
         (out_dir / "gt").mkdir(exist_ok=True)
     for img in dataset.images:
         feat_rel = f"features/{img.image_id}.fmx"
@@ -427,9 +437,11 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
             "feature_file": feat_rel,
             "boxes_file": boxes_rel,
         }
-        if img.gt is not None:
+        if img.image_id in listed:
+            rows = gt.image_index == listed[img.image_id]
             gt_rel = f"gt/{img.image_id}.csv"
-            write_gt_csv(out_dir / gt_rel, img.image_id, img.gt)
+            classes = [gt.class_ids[c] for c in gt.class_index[rows].tolist()]
+            write_gt_csv(out_dir / gt_rel, img.image_id, gt.boxes[rows], classes)
             entry["gt_file"] = gt_rel
         entries.append(entry)
     manifest = {
@@ -456,26 +468,28 @@ def load_dataset(manifest_path) -> Dataset:
         # parse, and its error would blame the CSV instead of the id.
         for class_id in classes:
             check_id("class id", class_id)
-        images, features = _read_images(entries, base, classes, feature_dim)
-        return Dataset(name, classes, feature_dim, images, features)
+        images, features, gt = _read_images(entries, base, classes, feature_dim)
+        # Duplicate ids are the dataset's first check, before the table's.
+        check_ids(classes, [img.image_id for img in images])
+        return Dataset(name, classes, feature_dim, images, features, GroundTruths(*gt))
 
     return _load_bundle(manifest_path, "manifest", parse)
 
 
 def _read_images(
     entries, base: str, classes: list[str], feature_dim: int
-) -> tuple[list[ImageRecord], np.ndarray | None]:
+) -> tuple[list[ImageRecord], np.ndarray | None, tuple]:
     """The images of a manifest's ``entries``, row views of the one feature
-    array (``_feature_array``) and of the boxes and GT tables, and that
-    array.  Each reader stops at its first faulty file; the images are
-    then checked in manifest order and the first fault raises: the entry,
-    its feature file, its boxes file, their ids, the row count, its GT
-    file, then the ``ImageRecord`` checks."""
+    array (``_feature_array``) and of the boxes table, that array, and the
+    GT table's columns (``_read_gt``).  Each reader stops at its first
+    faulty file; the images are then checked in manifest order and the
+    first fault raises: the entry, its feature file, its boxes file, their
+    ids, the row count, its GT file, then the ``ImageRecord`` checks."""
     fields = ("feature_file", "boxes_file")
     ids, (feature_paths, box_paths), fault = _entries(entries, base, fields)
     matrices, features, feature_fault = _feature_array(feature_paths, feature_dim)
     columns, numbers, sizes, box_fault = _box_tables(box_paths, "boxes", BOX_HEADER)
-    gt, gt_fault = _read_gt(entries, base, ids, classes)
+    gt, n_gt, gt_fault = _read_gt(entries, base, ids, classes)
     row_ids, boxes = _blocks(columns[0], sizes), _blocks(numbers, sizes)
     images = []
     for k, image_id in enumerate(ids):
@@ -495,12 +509,12 @@ def _read_images(
                 f"'{Path(box_paths[k])}' has {sizes[k]} rows but feature file "
                 f"'{Path(feature_paths[k])}' has {len(matrices[k])} rows"
             )
-        if k == len(gt):
+        if k == n_gt:
             raise gt_fault
-        images.append(ImageRecord(image_id, matrices[k], boxes[k], gt[k]))
+        images.append(ImageRecord(image_id, matrices[k], boxes[k]))
     if fault:
         raise fault
-    return images, features
+    return images, features, gt
 
 
 def _entries(entries, base: str, fields=()) -> tuple[list, list[list], Exception | None]:
@@ -522,12 +536,13 @@ def _entries(entries, base: str, fields=()) -> tuple[list, list[list], Exception
 
 def _read_gt(
     entries, base: str, ids: list[str], classes: list[str]
-) -> tuple[list, Exception | None]:
+) -> tuple[tuple, int, Exception | None]:
     """The ground truth of the manifest ``entries`` whose checked image
     ids are ``ids``, from one table of their GT files, in entry order up to
-    the first faulty entry: a list of ``(class_id, BBox)`` each, or None
-    without a GT file; and that entry's error or None: its ``gt_file``, its
-    file, or a row of another image id or of an unknown class."""
+    the first faulty entry: the ``GroundTruths`` columns of the entries
+    before it (those with a GT file listed), their number, and that entry's
+    error or None: its ``gt_file``, its file, or a row of another image id
+    or of an unknown class.  Callers check ids for duplicates first."""
     labeled, paths, fault = [], [], None
     for k, entry in zip(range(len(ids)), entries):
         try:
@@ -557,11 +572,13 @@ def _read_gt(
             fault = DataError(f"gt file '{Path(paths[i])}': {problems[0]}")
             ids, sizes = ids[:k], sizes[:i]
             break
-    pairs = [(c, BBox(*b)) for c, b in zip(columns[5], numbers.tolist())]
-    gt = [None] * len(ids)
-    for k, block in zip(labeled, _blocks(pairs, sizes)):
-        gt[k] = block
-    return gt, fault
+    n = sum(sizes)
+    gt = (
+        numbers[:n], np.repeat(np.arange(len(sizes)), sizes),
+        label_codes(columns[5][:n], classes)[0],
+        [ids[k] for k in labeled[: len(sizes)]], classes,
+    )
+    return gt, len(ids), fault
 
 
 def _blocks(rows, sizes: list[int]) -> list:
@@ -572,13 +589,13 @@ def _blocks(rows, sizes: list[int]) -> list:
 @dataclass(frozen=True)
 class Annotations:
     """What scoring detections needs of a dataset: its name, class ids and
-    image ids, and its ground truth in image order, or None when some
-    image has no GT file."""
+    image ids, and its ground-truth table, or None when some image has no
+    GT file."""
 
     name: str
     classes: list[str]
     image_ids: tuple[str, ...]
-    ground_truths: list[GroundTruth] | None
+    ground_truths: GroundTruths | None
 
 
 def load_annotations(manifest_path) -> Annotations:
@@ -593,18 +610,13 @@ def load_annotations(manifest_path) -> Annotations:
         for class_id in classes:
             check_id("class id", class_id)
         ids, _, fault = _entries(manifest["images"], base)
-        gt, gt_fault = _read_gt(manifest["images"], base, ids, classes)
+        gt, _, gt_fault = _read_gt(manifest["images"], base, ids, classes)
         if gt_fault or fault:
             raise gt_fault or fault
         check_ids(classes, ids)
-        truths = None
-        if all(g is not None for g in gt):
-            truths = [
-                GroundTruth(image_id, class_id, box)
-                for image_id, rows in zip(ids, gt)
-                for class_id, box in rows
-            ]
-        return Annotations(name, classes, tuple(ids), truths)
+        truths = GroundTruths(*gt)
+        labeled = len(truths.image_ids) == len(ids)
+        return Annotations(name, classes, tuple(ids), truths if labeled else None)
 
     return _load_bundle(manifest_path, "manifest", parse)
 
@@ -677,7 +689,7 @@ class SynthShiftSpec:
 
 
 _GT_SIDE = 100.0
-_GT_BOX = BBox(100.0, 100.0, 100.0 + _GT_SIDE, 200.0)
+_GT_BOX = (100.0, 100.0, 100.0 + _GT_SIDE, 200.0)
 _LATENT_DECAY = 0.9
 _SOURCE_RESIDUAL = 0.05
 _BACKGROUND_SCALE = 1.0
@@ -764,14 +776,8 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
                 boxes = []
                 for _ in range(k):
                     dx, dy = rng.uniform(-jitter, jitter, size=2)
-                    boxes.append(
-                        (
-                            _GT_BOX.x_min + dx,
-                            _GT_BOX.y_min + dy,
-                            _GT_BOX.x_max + dx,
-                            _GT_BOX.y_max + dy,
-                        )
-                    )
+                    x0, y0, x1, y1 = _GT_BOX
+                    boxes.append((x0 + dx, y0 + dy, x1 + dx, y1 + dy))
                 if is_target and c in spec.corrupt_classes:
                     # Pure noise: class location survives, structure does not.
                     obj = (
@@ -802,21 +808,15 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
                 rows = features[end : end + k + spec.neg_per_image]
                 end += rows.shape[0]
                 rows[:k], rows[k:] = obj, bg
-                images.append(
-                    ImageRecord(
-                        image_id=image_id,
-                        features=rows,
-                        boxes=boxes,
-                        gt=[(classes[c], _GT_BOX)],
-                    )
-                )
-        return Dataset(
-            name=f"synth-{'target' if is_target else 'source'}",
-            classes=classes,
-            feature_dim=D,
-            images=images,
-            features=features,
+                images.append(ImageRecord(image_id, rows, boxes))
+        n = len(images)  # one GT box each, of the class it was drawn for
+        gt = GroundTruths(
+            np.tile(_GT_BOX, (n, 1)), np.arange(n),
+            np.repeat(np.arange(spec.n_classes), images_per_class),
+            [img.image_id for img in images], classes,
         )
+        name = f"synth-{'target' if is_target else 'source'}"
+        return Dataset(name, classes, D, images, features, gt)
 
     source = build_domain("src", is_target=False)
     target = build_domain("tgt", is_target=True)
@@ -913,9 +913,9 @@ _CONFIG_KEYS = {
 def load_config(path=None) -> RunConfig:
     """Parse a flat key=value config file; ``None`` yields all defaults.
 
-    Lines starting with '#' and blank lines are ignored; unknown keys, and
-    keys set twice, are rejected so typos cannot silently fall back to
-    defaults or be overridden.
+    The file is UTF-8 text.  Lines starting with '#' and blank lines are
+    ignored; unknown keys, and keys set twice, are rejected so typos cannot
+    silently fall back to defaults or be overridden.
     """
     sections: dict[str, dict] = defaultdict(dict)
     set_on: dict[str, int] = {}  # key -> line that set it
@@ -923,7 +923,11 @@ def load_config(path=None) -> RunConfig:
         path = Path(path)
         if not path.is_file():
             raise DataError(f"config file '{path}' does not exist")
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError:
+            raise DataError(f"config file '{path}' is not UTF-8 text") from None
+        for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -1,5 +1,5 @@
 """In-memory dataset containers binding proposal boxes, per-proposal
-features, and optional ground truth."""
+features, and the ground-truth table."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import BBox, GroundTruth, box_faults
+from .detection import BBox, GroundTruths, box_faults
 from .errors import DataError
 from .linalg import ensure_feature_matrix
 
@@ -52,14 +52,11 @@ class ImageRecord:
     Each box row is checked as ``BBox`` checks a box, with its messages;
     arrays are kept as given when already float64 (or, for features,
     float32), so a loaded dataset's images hold row views of its tables.
-    ``gt`` is a list of (class_id, box) pairs, or None for unlabeled
-    (target-style) data.
     """
 
     image_id: str
     features: np.ndarray
     boxes: np.ndarray
-    gt: list[tuple[str, BBox]] | None = None
 
     def __post_init__(self):
         check_id("image id", self.image_id)
@@ -101,6 +98,11 @@ class Dataset:
     float32 values exactly (``linalg.matvec`` in row blocks, ``normalize``
     as it subtracts the float64 mean), so both dtypes give the bits of the
     float64 array holding the same values.
+
+    ``ground_truths`` is the one table of the images' annotated boxes,
+    whose images must be the dataset's and whose rows' classes must be in
+    ``classes``; an image it does not list is unlabeled (target-style), and
+    None lists none.
     """
 
     name: str
@@ -108,9 +110,11 @@ class Dataset:
     feature_dim: int
     images: list[ImageRecord] = field(default_factory=list)
     features: np.ndarray | None = None
+    ground_truths: GroundTruths | None = None
 
     def __post_init__(self):
-        check_ids(self.classes, [img.image_id for img in self.images])
+        ids = [img.image_id for img in self.images]
+        check_ids(self.classes, ids)
         if self.feature_dim < 1:
             raise DataError(f"feature_dim must be >= 1, got {self.feature_dim}")
         for img in self.images:
@@ -119,13 +123,20 @@ class Dataset:
                     f"image '{img.image_id}' has feature dim "
                     f"{img.features.shape[1]}, dataset declares {self.feature_dim}"
                 )
-            if img.gt is not None:
-                for class_id, _ in img.gt:
-                    if class_id not in self.classes:
-                        raise DataError(
-                            f"image '{img.image_id}' references unknown "
-                            f"class '{class_id}'"
-                        )
+        if self.ground_truths is None:
+            self.ground_truths = GroundTruths(np.empty((0, 4)), [], [], (), self.classes)
+        gt = self.ground_truths
+        if not set(gt.image_ids).issubset(ids):
+            raise DataError(
+                f"dataset '{self.name}': ground truth names an unknown image"
+            )
+        bad = gt.outside(self.classes)
+        if bad.any():
+            row = int(bad.argmax())
+            raise DataError(
+                f"image '{gt.image_ids[gt.image_index[row]]}' references unknown "
+                f"class '{gt.class_ids[gt.class_index[row]]}'"
+            )
         self._bind_features()
 
     def _bind_features(self) -> None:
@@ -160,19 +171,12 @@ class Dataset:
 
     @property
     def labeled(self) -> bool:
-        return all(img.gt is not None for img in self.images)
+        """Whether the ground truth lists every image."""
+        return len(self.ground_truths.image_ids) == len(self.images)
 
     @property
     def n_proposals(self) -> int:
         return self.features.shape[0]
-
-    def ground_truths(self) -> list[GroundTruth]:
-        """Flatten ground truth across images; empty for unlabeled data."""
-        out: list[GroundTruth] = []
-        for img in self.images:
-            for class_id, box in img.gt or []:
-                out.append(GroundTruth(img.image_id, class_id, box))
-        return out
 
 
 def _same_view(a: np.ndarray, b: np.ndarray) -> bool:

@@ -3,8 +3,8 @@ classifiers with hard-negative mining, proposal scoring, and greedy NMS."""
 
 from __future__ import annotations
 
+import copy
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,29 +61,6 @@ class BBox:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Annotated object box."""
-
-    image_id: str
-    class_id: str
-    box: BBox
-
-
-@dataclass(frozen=True)
-class Detection:
-    """Scored, class-labeled box emitted by a detector."""
-
-    image_id: str
-    box: BBox
-    class_id: str
-    score: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise DataError("detection score must be finite")
-
-
 def box_faults(boxes: np.ndarray) -> np.ndarray:
     """Mask of the rows of ``(n, 4)`` ``boxes`` (``BBox.as_tuple`` order)
     that ``BBox`` rejects: a non-finite coordinate or a max corner below
@@ -91,30 +68,72 @@ def box_faults(boxes: np.ndarray) -> np.ndarray:
     return ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2:] < boxes[:, :2]).any(axis=1)
 
 
-def _codes(labels, names: tuple[str, ...]) -> np.ndarray:
-    """Index in ``names`` of each of ``labels``; an unknown one is a
-    ``DataError``."""
+def label_codes(labels, names=None) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The index in ``names`` of each of ``labels``, and ``names``, which
+    default to the labels in order of first appearance; an unknown label is
+    a DataError."""
+    names = tuple(dict.fromkeys(labels) if names is None else names)
     index = {name: k for k, name in enumerate(names)}
     try:
-        return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+        return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels)), names
     except KeyError as exc:
         raise DataError(f"label {exc} is not among {list(names)}") from None
 
 
-@dataclass(eq=False)
-class Detections:
-    """Scored, class-labeled boxes as columns: row i is the box
-    ``boxes[i]`` (``BBox.as_tuple`` order) in image
-    ``image_ids[image_index[i]]``, of class ``class_ids[class_index[i]]``,
-    with score ``scores[i]``.
+class _BoxColumns:
+    """The columns ``Detections`` and ``GroundTruths`` share: row i is the
+    box ``boxes[i]`` (``BBox.as_tuple`` order) in image
+    ``image_ids[image_index[i]]``, of class ``class_ids[class_index[i]]``."""
 
-    The constructor checks each row as ``BBox`` and ``Detection`` do, with
-    their messages, and reports the first bad row; it also checks the
-    shapes, that the codes index their names and that names are unique.
-    Iterating yields the rows as ``Detection`` objects, which serve tests
-    and callers that want one object per row; two ``Detections`` are equal
-    when their rows are.
-    """
+    def _check_columns(self, rows_of: str, shape_error: str) -> np.ndarray:
+        """Coerce the shared columns; check that they hold as many rows as
+        the 1-d column ``rows_of``, that the codes index their names and
+        that names are unique.  Returns ``box_faults`` of the boxes."""
+        self.boxes = np.asarray(self.boxes, dtype=np.float64)
+        self.image_index = np.asarray(self.image_index, dtype=np.intp)
+        self.class_index = np.asarray(self.class_index, dtype=np.intp)
+        self.image_ids, self.class_ids = tuple(self.image_ids), tuple(self.class_ids)
+        column = getattr(self, rows_of)
+        n = column.shape[0] if column.ndim == 1 else -1
+        if self.boxes.shape != (n, 4) or not (
+            self.image_index.shape == self.class_index.shape == (n,)
+        ):
+            raise DataError(shape_error)
+        for index, names in (
+            (self.image_index, self.image_ids),
+            (self.class_index, self.class_ids),
+        ):
+            if len(set(names)) != len(names):
+                raise DataError(f"duplicate names in {list(names)}")
+            if n and not 0 <= index.min() <= index.max() < len(names):
+                raise DataError(f"codes outside [0, {len(names)})")
+        return box_faults(self.boxes)
+
+    def __len__(self) -> int:
+        return self.boxes.shape[0]
+
+    def class_rows(self, class_id: str) -> np.ndarray:
+        """The rows of class ``class_id``, ascending; none for a class not named."""
+        if class_id not in self.class_ids:
+            return np.zeros(0, dtype=np.intp)
+        return np.flatnonzero(self.class_index == self.class_ids.index(class_id))
+
+    def outside(self, classes, image_ids=None) -> np.ndarray:
+        """Mask of the rows whose class is not among ``classes``, or whose
+        image is not among ``image_ids`` when given."""
+        classes = set(classes)
+        images = set(self.image_ids if image_ids is None else image_ids)
+        bad_class = np.array([c not in classes for c in self.class_ids], dtype=bool)
+        bad_image = np.array([i not in images for i in self.image_ids], dtype=bool)
+        return bad_class[self.class_index] | bad_image[self.image_index]
+
+
+@dataclass(eq=False)
+class Detections(_BoxColumns):
+    """Scored, class-labeled boxes as columns (``_BoxColumns``), row i with
+    score ``scores[i]``.  The constructor checks the columns, then each row
+    as ``BBox`` checks a box and that its score is finite, with their
+    messages, and reports the first bad row."""
 
     boxes: np.ndarray
     scores: np.ndarray
@@ -124,28 +143,11 @@ class Detections:
     class_ids: tuple[str, ...]
 
     def __post_init__(self):
-        self.boxes = np.asarray(self.boxes, dtype=np.float64)
         self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.image_index = np.asarray(self.image_index, dtype=np.intp)
-        self.class_index = np.asarray(self.class_index, dtype=np.intp)
-        self.image_ids, self.class_ids = tuple(self.image_ids), tuple(self.class_ids)
-        n = self.scores.shape[0] if self.scores.ndim == 1 else -1
-        if self.boxes.shape != (n, 4) or not (
-            self.image_index.shape == self.class_index.shape == (n,)
-        ):
-            raise DataError(
-                "detection columns must be (n, 4) boxes and n scores, image "
-                "and class codes"
-            )
-        for index, names in (
-            (self.image_index, self.image_ids),
-            (self.class_index, self.class_ids),
-        ):
-            if len(set(names)) != len(names):
-                raise DataError(f"duplicate names in {list(names)}")
-            if n and not 0 <= index.min() <= index.max() < len(names):
-                raise DataError(f"codes outside [0, {len(names)})")
-        bad_box = box_faults(self.boxes)
+        bad_box = self._check_columns(
+            "scores", "detection columns must be (n, 4) boxes and n scores, image "
+            "and class codes",
+        )
         bad = bad_box | ~np.isfinite(self.scores)
         if bad.any():
             i = int(bad.argmax())
@@ -153,40 +155,53 @@ class Detections:
                 raise DataError("detection score must be finite")
             BBox(*self.boxes[i].tolist())  # raises BBox's error for the row
 
-    @classmethod
-    def from_labels(
-        cls, boxes, scores, images, classes, image_ids=None, class_ids=None
-    ) -> Detections:
-        """Columns whose image and class are given as one name per row.
-        The name tables default to the names in order of first appearance."""
-        image_ids = tuple(dict.fromkeys(images)) if image_ids is None else image_ids
-        class_ids = tuple(dict.fromkeys(classes)) if class_ids is None else class_ids
-        return cls(
-            boxes, scores, _codes(images, image_ids), _codes(classes, class_ids),
-            image_ids, class_ids,
-        )
-
     def take(self, rows) -> Detections:
-        """The detections at ``rows`` (indices or a mask), same names."""
-        return Detections(
-            self.boxes[rows], self.scores[rows], self.image_index[rows],
-            self.class_index[rows], self.image_ids, self.class_ids,
+        """The detections at ``rows`` (indices or a mask), same names; rows
+        of checked columns are not checked again."""
+        out = copy.copy(self)
+        for name in ("boxes", "scores", "image_index", "class_index"):
+            setattr(out, name, getattr(self, name)[rows])
+        return out
+
+
+@dataclass(eq=False)
+class GroundTruths(_BoxColumns):
+    """Annotated boxes as columns (``_BoxColumns``), checked as
+    ``Detections`` are, without scores.  ``image_ids`` lists the labeled
+    images, one without boxes too; an image it does not list is
+    unlabeled."""
+
+    boxes: np.ndarray
+    image_index: np.ndarray
+    class_index: np.ndarray
+    image_ids: tuple[str, ...]
+    class_ids: tuple[str, ...]
+
+    def __post_init__(self):
+        bad = self._check_columns(
+            "image_index", "ground-truth columns must be (m, 4) boxes and m image "
+            "and class codes",
         )
+        if bad.any():
+            BBox(*self.boxes[bad.argmax()].tolist())  # raises BBox's error
 
-    def __len__(self) -> int:
-        return self.scores.shape[0]
-
-    def __iter__(self) -> Iterator[Detection]:
-        for box, score, i, c in zip(
-            self.boxes.tolist(), self.scores.tolist(),
-            self.image_index.tolist(), self.class_index.tolist(),
-        ):
-            yield Detection(self.image_ids[i], BBox(*box), self.class_ids[c], score)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Detections):
-            return NotImplemented
-        return list(self) == list(other)
+    def per_image(self, class_id: str, image_ids) -> np.ndarray:
+        """The boxes of class ``class_id`` of each image named in
+        ``image_ids``, in row order, as a ``(len(image_ids), w, 4)`` array
+        padded with (0, 0, 0, 0) boxes to the most any image has (an image
+        the table does not list has none).  A padding box meets every box
+        with an IoU of 0, or NaN for an overflowing area."""
+        at = {name: k for k, name in enumerate(image_ids)}
+        rows = self.class_rows(class_id)
+        names = map(self.image_ids.__getitem__, self.image_index[rows].tolist())
+        owner = np.fromiter((at.get(name, -1) for name in names), np.intp, rows.size)
+        order = np.argsort(owner, kind="stable")[np.count_nonzero(owner < 0) :]
+        rows, owner = rows[order], owner[order]
+        counts = np.bincount(owner, minlength=len(at))
+        slot = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+        boxes = np.zeros((len(at), counts.max(initial=0), 4))
+        boxes[owner, slot] = self.boxes[rows]
+        return boxes
 
 
 def iou(a: BBox, b: BBox) -> float:

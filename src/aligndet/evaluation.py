@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import Detections, GroundTruth, pairwise_iou
+from .detection import Detections, GroundTruths, pairwise_iou
 # Unused here; bench/traced_cli.py counts calls through evaluation.iou.
 from .detection import iou  # noqa: F401
 from .errors import DataError
@@ -17,16 +17,16 @@ from .linalg import subspace_similarity
 
 
 def _true_positives(
-    dets: Detections, gts: list[GroundTruth], class_id: str, iou_thresh: float
+    dets: Detections, gts: GroundTruths, class_id: str, iou_thresh: float
 ) -> np.ndarray:
     """Greedy TP assignment for one class: 1.0 for each of its detections
-    that is a true positive, 0.0 for a false one, in rank order.  ``gts``
-    holds the class's ground truths.
+    that is a true positive, 0.0 for a false one, in rank order, against
+    the class's ground truths in ``gts``.
 
     Detections are ranked by score descending, then image id, then box
     (one ``lexsort``), so ties never depend on input order.  In that order,
     each matches the highest-IoU still-unmatched ground truth of its image,
-    the first listed on a tie, when that IoU is positive and reaches
+    the first in row order on a tie, when that IoU is positive and reaches
     ``iou_thresh``.
 
     Each detection's IoUs with its image's ground truths are one row of a
@@ -35,9 +35,7 @@ def _true_positives(
     each round matches the first candidate of every image at once and keeps
     only the other candidates that still match something.
     """
-    if class_id not in dets.class_ids:
-        return np.zeros(0)
-    rows = np.flatnonzero(dets.class_index == dets.class_ids.index(class_id))
+    rows = dets.class_rows(class_id)
     names = dets.image_ids
     by_name = sorted(range(len(names)), key=names.__getitem__)
     name_rank = np.empty(len(names), dtype=np.intp)
@@ -46,23 +44,13 @@ def _true_positives(
     order = np.lexsort((*boxes.T[::-1], name_rank[image], -dets.scores[rows]))
     image, boxes = image[order], boxes[order]
     tp = np.zeros(rows.size)
-
-    # Each image's ground truths, in list order, padded to the longest.
-    code = {name: k for k, name in enumerate(names)}
-    per_image: dict[int, list] = {}
-    for g in gts:
-        if g.image_id in code:
-            per_image.setdefault(code[g.image_id], []).append(g.box.as_tuple())
-    if not per_image:
+    gt_boxes = gts.per_image(class_id, names)
+    if not gt_boxes.shape[1]:
         return tp
-    width = max(map(len, per_image.values()))
-    gt_boxes = np.zeros((len(names), width, 4))
-    taken = np.ones((len(names), width), dtype=bool)  # padding is never free
-    for k, gt in per_image.items():
-        gt_boxes[k, : len(gt)] = gt
-        taken[k, : len(gt)] = False
+    taken = np.zeros(gt_boxes.shape[:2], dtype=bool)
 
-    # A zero or NaN IoU never matches: -1 fails every threshold in [0, 1].
+    # A zero or NaN IoU, a padding box's among them, never matches: -1
+    # fails every threshold in [0, 1].
     ious = pairwise_iou(boxes[:, None, :], gt_boxes[image])[:, 0, :]
     ious = np.where(ious > 0.0, ious, -1.0)
     cand = np.flatnonzero(ious.max(axis=1) >= iou_thresh)
@@ -82,7 +70,7 @@ def _true_positives(
 
 def average_precision(
     dets: Detections,
-    gts: list[GroundTruth],
+    gts: GroundTruths,
     class_id: str,
     iou_thresh: float = 0.5,
 ) -> float | None:
@@ -95,11 +83,10 @@ def average_precision(
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise DataError("IoU threshold must be in [0, 1]")
-    gt_c = [g for g in gts if g.class_id == class_id]
-    if not gt_c:
+    n_gt = gts.class_rows(class_id).size
+    if not n_gt:
         return None
-    tp = _true_positives(dets, gt_c, class_id, iou_thresh)
-    n_gt = len(gt_c)
+    tp = _true_positives(dets, gts, class_id, iou_thresh)
     if len(tp) == 0:
         return 0.0
     ctp = np.cumsum(tp)

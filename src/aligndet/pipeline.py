@@ -122,19 +122,12 @@ def _class_max_overlaps(dataset: Dataset, class_id: str) -> np.ndarray:
     """Each proposal's largest IoU with a same-class GT box of its image,
     0 without one, in the dataset's row order, from one ``pairwise_iou``
     call over all images: each proposal meets its image's same-class GT
-    boxes, padded to the most any image has with (0, 0, 0, 0) boxes.  A
-    padding box overlaps nothing: its IoU is 0, or NaN for an overflowing
-    area, and the maximum skips NaN (``fmax``) as the scalar loop it
-    replaces did."""
+    boxes, padded to the most any image has (``GroundTruths.per_image``).
+    A padding box overlaps nothing: its IoU is 0, or NaN for an
+    overflowing area, and the maximum skips NaN (``fmax``) as the scalar
+    loop it replaces did."""
     images = dataset.images
-    gt, owner, slot = [], [], []
-    for k, img in enumerate(images):
-        rows = [box.as_tuple() for cid, box in img.gt or () if cid == class_id]
-        gt += rows
-        owner += [k] * len(rows)
-        slot += range(len(rows))
-    padded = np.zeros((len(images), max(slot, default=-1) + 1, 4))
-    padded[owner, slot] = np.reshape(gt, (-1, 4))
+    padded = dataset.ground_truths.per_image(class_id, [img.image_id for img in images])
     sizes = [img.n_proposals for img in images]
     boxes = np.concatenate([np.empty((0, 4)), *(img.boxes for img in images)])
     their_gt = padded[np.repeat(np.arange(len(images)), sizes)]

@@ -9,27 +9,120 @@ plain gradient descent.
 import json
 import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from aligndet.datasets import Dataset, ImageRecord, check_id
-from aligndet.detection import HINGE_MARGIN, BBox, Detection, Detections, iou
+from aligndet.datasets import Dataset, ImageRecord, check_id, check_ids
+from aligndet.detection import (
+    HINGE_MARGIN, BBox, Detections, GroundTruths, iou, label_codes,
+)
 from aligndet.errors import DataError
 
 
-def detections_from_rows(rows, image_ids=None, class_ids=None) -> Detections:
-    """Columns of ``Detection`` rows, in their order (see
-    ``Detections.from_labels``)."""
+@dataclass(frozen=True)
+class Detection:
+    """Scored, class-labeled box: one row of ``Detections``."""
+
+    image_id: str
+    box: BBox
+    class_id: str
+    score: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.score):
+            raise DataError("detection score must be finite")
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """Annotated object box: one row of ``GroundTruths``."""
+
+    image_id: str
+    class_id: str
+    box: BBox
+
+
+def rows_of(dets: Detections) -> list[Detection]:
+    """The rows of ``dets`` as ``Detection`` objects, in order."""
+    return [
+        Detection(dets.image_ids[i], BBox(*box), dets.class_ids[c], score)
+        for box, score, i, c in zip(
+            dets.boxes.tolist(), dets.scores.tolist(),
+            dets.image_index.tolist(), dets.class_index.tolist(),
+        )
+    ]
+
+
+def gt_rows(gt: GroundTruths) -> list[GroundTruth]:
+    """The rows of ``gt`` as ``GroundTruth`` objects, in order."""
+    return [
+        GroundTruth(gt.image_ids[i], gt.class_ids[c], BBox(*box))
+        for box, i, c in zip(
+            gt.boxes.tolist(), gt.image_index.tolist(), gt.class_index.tolist()
+        )
+    ]
+
+
+def _box_array(rows) -> np.ndarray:
+    """The ``(n, 4)`` array of the rows' boxes."""
+    return np.array([r.box.as_tuple() for r in rows], dtype=np.float64).reshape(-1, 4)
+
+
+def ground_truths_from_rows(rows, image_ids=None, class_ids=None) -> GroundTruths:
+    """Columns of ``GroundTruth`` rows, in their order.  The name tables
+    default to the names in order of first appearance (``label_codes``)."""
     rows = list(rows)
-    return Detections.from_labels(
-        np.array([d.box.as_tuple() for d in rows], dtype=np.float64).reshape(-1, 4),
-        np.array([d.score for d in rows], dtype=np.float64),
-        [d.image_id for d in rows],
-        [d.class_id for d in rows],
-        image_ids,
-        class_ids,
+    images, image_ids = label_codes([g.image_id for g in rows], image_ids)
+    classes, class_ids = label_codes([g.class_id for g in rows], class_ids)
+    return GroundTruths(_box_array(rows), images, classes, image_ids, class_ids)
+
+
+def ground_truths_of(image_ids, gts, classes) -> GroundTruths:
+    """The table of per-image ground truth: ``gts[k]`` is the list of
+    ``(class_id, box)`` pairs of image ``image_ids[k]``, or None when it is
+    unlabeled, which the table does not list.  Its classes are
+    ``classes``, then any other class the pairs name, in order."""
+    listed = [i for i, gt in zip(image_ids, gts) if gt is not None]
+    rows = [
+        GroundTruth(i, c, box)
+        for i, gt in zip(image_ids, gts)
+        for c, box in gt or ()
+    ]
+    names = dict.fromkeys([*classes, *(g.class_id for g in rows)])
+    return ground_truths_from_rows(rows, listed, names)
+
+
+def labeled_dataset(name, classes, feature_dim, images, gts, features=None) -> Dataset:
+    """``Dataset`` of ``images`` whose ground truth is given per image, as
+    ``ground_truths_of`` takes it.  Ids are checked first, as ``Dataset``
+    checks them before the table's names."""
+    ids = [img.image_id for img in images]
+    check_ids(classes, ids)
+    return Dataset(
+        name, classes, feature_dim, images, features, ground_truths_of(ids, gts, classes)
     )
+
+
+def image_gt(dataset) -> list:
+    """Each image's ground truth as ``ground_truths_of`` takes it: a list
+    of ``(class_id, box)`` pairs in row order, or None when the dataset's
+    table does not list the image."""
+    per_image = {i: [] for i in dataset.ground_truths.image_ids}
+    for g in gt_rows(dataset.ground_truths):
+        per_image[g.image_id].append((g.class_id, g.box))
+    return [per_image.get(img.image_id) for img in dataset.images]
+
+
+def detections_from_rows(rows, image_ids=None, class_ids=None) -> Detections:
+    """Columns of ``Detection`` rows, in their order.  The name tables
+    default to the names in order of first appearance (``label_codes``)."""
+    rows = list(rows)
+    images, image_ids = label_codes([d.image_id for d in rows], image_ids)
+    classes, class_ids = label_codes([d.class_id for d in rows], class_ids)
+    scores = np.array([d.score for d in rows], dtype=np.float64)
+    return Detections(_box_array(rows), scores, images, classes, image_ids, class_ids)
 
 
 def rank_key(d: Detection):
@@ -298,7 +391,7 @@ def sequential_load_dataset(manifest_path):
         classes = list(manifest["classes"])
         for class_id in classes:
             check_id("class id", class_id)
-        images = []
+        images, gts = [], []
         for entry in manifest["images"]:
             image_id = entry.get("image_id")
             check_id("image id", image_id)
@@ -335,18 +428,20 @@ def sequential_load_dataset(manifest_path):
                         )
                     gt.append((parts[5], box))
             boxes = [box.as_tuple() for _, _, box, _ in rows]
-            images.append(
-                ImageRecord(image_id, features, np.reshape(boxes, (-1, 4)), gt)
-            )
-        return Dataset(manifest["name"], classes, int(manifest["feature_dim"]), images)
+            images.append(ImageRecord(image_id, features, np.reshape(boxes, (-1, 4))))
+            gts.append(gt)
+        return labeled_dataset(
+            manifest["name"], classes, int(manifest["feature_dim"]), images, gts
+        )
     except DataError as exc:
         raise DataError(f"manifest '{manifest_path}' is malformed: {exc}") from None
 
 
-def scalar_max_overlaps(img, class_id):
+def scalar_max_overlaps(img, gt, class_id):
     """Per proposal of ``img``, its largest scalar ``iou`` with a GT box
-    of class ``class_id``, 0 without one: the double loop."""
-    gt_boxes = [box for cid, box in (img.gt or []) if cid == class_id]
+    of class ``class_id`` among its ground truth ``gt`` (``image_gt``), 0
+    without one: the double loop."""
+    gt_boxes = [box for cid, box in (gt or []) if cid == class_id]
     out = np.zeros(img.n_proposals)
     for i, row in enumerate(img.boxes.tolist()):
         box = BBox(*row)
@@ -395,8 +490,6 @@ def random_orthonormal(rng, ambient, d):
 
 def random_detections(rng, n, class_id="obj", image_id="img0"):
     """Random overlapping boxes with distinct scores."""
-    from aligndet.detection import BBox
-
     out = []
     for _ in range(n):
         x, y = rng.uniform(0, 60, size=2)

@@ -12,6 +12,7 @@ import numpy as np
 
 from aligndet.datasets import Dataset
 from aligndet.pipeline import AdaptationConfig
+from oracles import image_gt
 
 _MARGIN = 1.0
 _INIT_CACHE = 1024
@@ -27,8 +28,8 @@ def _iou(a, b) -> float:
     return inter / union if union > 0.0 else 0.0
 
 
-def _overlaps(img, class_id) -> list[float]:
-    gt_boxes = [box.as_tuple() for cid, box in (img.gt or []) if cid == class_id]
+def _overlaps(img, gt, class_id) -> list[float]:
+    gt_boxes = [box.as_tuple() for cid, box in (gt or []) if cid == class_id]
     out = []
     for box in img.boxes.tolist():
         best = 0.0
@@ -160,8 +161,8 @@ def _detect_and_score(target, detectors, projector, cfg) -> dict[str, float | No
             entries.extend(_nms_from_scratch(pool, cfg.nms_thresh))
         gts = [
             (img.image_id, box.as_tuple())
-            for img in target.images
-            for cid, box in (img.gt or [])
+            for img, gt in zip(target.images, image_gt(target))
+            for cid, box in (gt or [])
             if cid == class_id
         ]
         ap[class_id] = _ap_bruteforce(entries, gts)
@@ -179,8 +180,8 @@ def reference_run(source: Dataset, target: Dataset, cfg: AdaptationConfig) -> di
     negatives: dict[str, np.ndarray] = {}
     for class_id in source.classes:
         pos_rows, neg_rows = [], []
-        for img in source.images:
-            ols = _overlaps(img, class_id)
+        for img, gt in zip(source.images, image_gt(source)):
+            ols = _overlaps(img, gt, class_id)
             for i, ol in enumerate(ols):
                 if ol >= cfg.gamma:
                     pos_rows.append(img.features[i])

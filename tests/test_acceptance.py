@@ -19,7 +19,7 @@ from aligndet.dataio import (
     load_dataset,
     save_dataset,
 )
-from aligndet.detection import BBox, Detection, GroundTruth, TrainConfig
+from aligndet.detection import BBox, TrainConfig
 from aligndet.errors import DataError
 from aligndet.evaluation import average_precision, similarity_matrix
 from aligndet.linalg import (
@@ -39,11 +39,15 @@ from aligndet.pipeline import (
     train_initial_detectors,
 )
 from oracles import (
+    Detection,
+    GroundTruth,
     brute_force_ap,
     detections_from_rows,
     exhaustive_nms,
     gd_align,
+    ground_truths_from_rows,
     random_orthonormal,
+    rows_of,
 )
 from reference import reference_run
 
@@ -140,7 +144,7 @@ def test_c2_fixed_point(tmp_path):
         diag = subspace_similarity(state.source_subspace, state.target_subspace)
         assert abs(diag - math.sqrt(cfg.d)) < 1e-6
 
-    gts = tgt.ground_truths()
+    gts = tgt.ground_truths
     map_plain = _mean_ap(detect(tgt, passthrough_states(init), cfg), gts, tgt.classes)
     map_adapted = _mean_ap(detect(tgt, states, cfg), gts, tgt.classes)
     assert abs(map_adapted - map_plain) < 0.5 * MAP_POINT
@@ -181,7 +185,7 @@ def test_c4_synthetic_shift_improvement(default_scenario, initial_detectors):
     source, target, _ = default_scenario
     cfg = accept_cfg()
     init = initial_detectors
-    gts = target.ground_truths()
+    gts = target.ground_truths
 
     map_plain = _mean_ap(
         detect(target, passthrough_states(init), cfg), gts, target.classes
@@ -220,7 +224,7 @@ def test_c5_oracle_equivalences():
                 Detection("img0", BBox(x, y, x + w, y + h), "obj", float(rng.uniform()))
             )
         kept = greedy_nms(detections_from_rows(dets), 0.3)
-        assert list(kept) == exhaustive_nms(dets, 0.3)
+        assert rows_of(kept) == exhaustive_nms(dets, 0.3)
 
     # AP vs brute-force PR evaluation on every enumerated instance
     gt_xs = [0.0, 50.0, 100.0]
@@ -243,7 +247,9 @@ def test_c5_oracle_equivalences():
                             0.9 - 0.1 * rank,
                         )
                     )
-                got = average_precision(detections_from_rows(dets), gts, "obj")
+                got = average_precision(
+                    detections_from_rows(dets), ground_truths_from_rows(gts), "obj"
+                )
                 want = brute_force_ap(dets, gts, "obj")
                 assert got == pytest.approx(want, abs=1e-12), (n_gt, n_det, code)
                 checked += 1

@@ -86,6 +86,33 @@ def test_bad_config_key_is_data_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_config_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 1\n\xff\n")
+    rc = cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"aligndet: data error: config file '{cfg}' is not UTF-8 text"
+    )
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_manifest_that_is_not_utf8_is_data_error(tmp_path, capsys, fast_config, command):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", fast_config, "--out", str(data)]) == 0
+    manifest = data / "source" / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes().replace(b'"name"', b'"n\xffame"'))
+    args = {
+        "train": ["--source", str(manifest)],
+        "evaluate": ["--dataset", str(manifest), "--detections", str(tmp_path / "d.csv")],
+    }[command]
+    rc = cli.main([command, *args, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"aligndet: data error: manifest '{manifest}' is not UTF-8 text"
+    )
+
+
 @pytest.mark.parametrize("command", ["synth", "pipeline"])
 def test_negative_seed_is_data_error(tmp_path, capsys, command):
     cfg = tmp_path / "bad.cfg"

@@ -42,11 +42,16 @@ from aligndet.dataio import (
     write_detections_csv,
     write_features,
 )
-from aligndet.detection import BBox, Detection, LinearDetector
+from aligndet.detection import BBox, LinearDetector
 from aligndet.errors import DataError
 from oracles import (
+    Detection,
     detections_from_rows,
+    gt_rows,
+    image_gt,
+    labeled_dataset,
     per_line_box_rows,
+    rows_of,
     rowwise_write_detections_csv,
     sequential_load_dataset,
 )
@@ -68,10 +73,10 @@ def tiny_dataset(labeled=True):
                 image_id=f"img{k}",
                 features=rng.normal(size=(3, 4)),
                 boxes=[(10.0 * i, 0.0, 10.0 * i + 8.0, 8.0) for i in range(3)],
-                gt=[("cat", BBox(0.0, 0.0, 8.0, 8.0))] if labeled else None,
             )
         )
-    return Dataset(name="tiny", classes=["cat"], feature_dim=4, images=images)
+    gt = [("cat", BBox(0.0, 0.0, 8.0, 8.0))] if labeled else None
+    return labeled_dataset("tiny", ["cat"], 4, images, [gt, gt])
 
 
 class TestContainers:
@@ -133,11 +138,9 @@ class TestContainers:
             Dataset("d", ["cat", bad], 2)
 
     def test_unknown_gt_class(self):
-        img = ImageRecord(
-            "a", np.ones((1, 2)), [(0, 0, 1, 1)], gt=[("dog", BBox(0, 0, 1, 1))]
-        )
+        img = ImageRecord("a", np.ones((1, 2)), [(0, 0, 1, 1)])
         with pytest.raises(DataError, match="unknown"):
-            Dataset("d", ["cat"], 2, [img])
+            labeled_dataset("d", ["cat"], 2, [img], [[("dog", BBox(0, 0, 1, 1))]])
 
     def test_feature_dim_mismatch(self):
         img = ImageRecord("a", np.ones((1, 3)), [(0, 0, 1, 1)])
@@ -149,7 +152,7 @@ class TestContainers:
         assert ds.n_proposals == 6
         assert ds.features.shape == (6, 4)
         npt.assert_array_equal(ds.features[3:], ds.images[1].features)
-        assert len(ds.ground_truths()) == 2
+        assert len(ds.ground_truths) == 2
         assert ds.labeled
 
 
@@ -258,7 +261,7 @@ class TestCsvFiles:
         ]
         p = tmp_path / "d.csv"
         write_detections_csv(p, detections_from_rows(dets))
-        assert list(read_detections_csv(p)) == dets
+        assert rows_of(read_detections_csv(p)) == dets
 
 
 # reader, "<kind> file" prefix of its messages, header, one valid row.
@@ -386,7 +389,7 @@ def test_detections_csv_round_trip_keeps_every_bit(tmp_path, rows):
     back = read_detections_csv(p)
     assert bits(back.boxes) == bits(dets.boxes)
     assert bits(back.scores) == bits(dets.scores)
-    assert [(d.image_id, d.class_id) for d in back] == [
+    assert [(d.image_id, d.class_id) for d in rows_of(back)] == [
         (d.image_id, d.class_id) for d in rows
     ]
     write_detections_csv(p2, back)
@@ -454,7 +457,8 @@ def _reader_result(reader, path) -> str:
         if reader is read_boxes_csv:  # ids and a box array: one BBox per row
             ids, boxes = reader(path)
             return repr([(i, BBox(*b)) for i, b in zip(ids, boxes.tolist())])
-        return repr(list(reader(path)))
+        got = reader(path)
+        return repr(rows_of(got) if reader is read_detections_csv else got)
     except DataError as exc:
         return str(exc)
 
@@ -518,9 +522,10 @@ class TestDatasetRoundTrip:
         "bad_id", ["a/b", "../../escaped", "..", ".", "a\\b", "a\0b"]
     )
     def test_path_like_image_id_is_rejected_before_writing(self, tmp_path, bad_id):
-        good = tiny_dataset().images[0]
-        bad = ImageRecord(bad_id, good.features, good.boxes, good.gt)
-        ds = Dataset("tiny", ["cat"], 4, [good, bad])
+        tiny = tiny_dataset()
+        good, gt = tiny.images[0], image_gt(tiny)[0]
+        bad = ImageRecord(bad_id, good.features, good.boxes)
+        ds = labeled_dataset("tiny", ["cat"], 4, [good, bad], [gt, gt])
         with pytest.raises(DataError, match=re.escape(repr(bad_id))):
             save_dataset(ds, tmp_path / "deep" / "out")
         # Nothing is written at all, so nothing outside the output directory.
@@ -530,7 +535,7 @@ class TestDatasetRoundTrip:
         ds = tiny_dataset(labeled=False)
         loaded = load_dataset(save_dataset(ds, tmp_path / "u"))
         assert not loaded.labeled
-        assert loaded.images[0].gt is None
+        assert image_gt(loaded)[0] is None
 
     def test_missing_feature_file(self, tmp_path):
         m = save_dataset(tiny_dataset(), tmp_path / "x")
@@ -679,8 +684,8 @@ class TestSynthGenerator:
 
         spec = SynthShiftSpec(samples_per_class=30, n_classes=2)
         src, _, _ = generate_synthetic(spec)
-        for img in src.images:
-            (class_id, gt_box), = img.gt
+        for img, gt in zip(src.images, image_gt(src)):
+            (class_id, gt_box), = gt
             object_boxes = img.boxes[: -spec.neg_per_image]
             background = img.boxes[-spec.neg_per_image :]
             assert all(
@@ -716,7 +721,11 @@ class TestSynthGenerator:
         R = oracle["rotation"]
         A = oracle["class_directions"]["class00"]
         rows = np.vstack(
-            [img.features[: spec.pos_per_image] for img in tgt.images if img.gt[0][0] == "class00"]
+            [
+                img.features[: spec.pos_per_image]
+                for img, gt in zip(tgt.images, image_gt(tgt))
+                if gt[0][0] == "class00"
+            ]
         )
         sub = pca(normalize(rows)[0], spec.latent_dim)
         # z-scoring rescales axes, so demand generous but real alignment
@@ -1087,7 +1096,7 @@ def small_datasets(draw):
     each image labeled with 0-2 GT boxes (three times in four), or
     unlabeled."""
     dim = draw(st.integers(1, 3))
-    images = []
+    images, gts = [], []
     for k in range(draw(st.integers(1, 4))):
         n = draw(st.integers(1, 3))
         values = draw(
@@ -1104,10 +1113,9 @@ def small_datasets(draw):
                 (draw(st.sampled_from(["cat", "dog"])), BBox(0.0, 0.0, 2.0, 2.5))
                 for _ in range(draw(st.integers(0, 2)))
             ]
-        images.append(
-            ImageRecord(f"img{k}", np.reshape(values, (n, dim)), boxes, gt)
-        )
-    return Dataset("h", ["cat", "dog"], dim, images)
+        images.append(ImageRecord(f"img{k}", np.reshape(values, (n, dim)), boxes))
+        gts.append(gt)
+    return labeled_dataset("h", ["cat", "dog"], dim, images, gts)
 
 
 def _mutate(data, root, mutation, kinds=None) -> None:
@@ -1118,6 +1126,7 @@ def _mutate(data, root, mutation, kinds=None) -> None:
         kind
         for kind in {
             "unknown_class": ["gt"],
+            "empty_gt_file": ["gt"],
             "missing": ["features", "boxes", "gt"],
             "row_count": ["boxes"],
             **{m: ["features"] for m in FEATURE_MUTATIONS},
@@ -1155,6 +1164,8 @@ def _mutate(data, root, mutation, kinds=None) -> None:
         rows = [k for k in range(1, len(lines)) if lines[k]]
         if mutation == "header":
             lines[0] = lines[0].replace("x_min", "xmin")
+        elif mutation == "empty_gt_file":
+            del lines[1:]
         elif mutation == "blank":
             lines.insert(data.draw(st.integers(1, len(lines))), "")
         elif mutation == "non_utf8":
@@ -1220,9 +1231,8 @@ def _load_outcome(load, manifest):
         ds.classes,
         ds.feature_dim,
         [
-            (img.image_id, img.features.shape, bits(img.features), bits(img.boxes))
-            + (img.gt,)
-            for img in ds.images
+            (img.image_id, img.features.shape, bits(img.features), bits(img.boxes), gt)
+            for img, gt in zip(ds.images, image_gt(ds))
         ],
     )
 
@@ -1250,18 +1260,23 @@ def test_load_dataset_reads_as_the_sequential_loader(tmp_path, first, ds, data):
 
 def _annotations_outcome(load, manifest):
     """What ``load`` makes of ``manifest``'s annotations: its error
-    message, or the name, classes, image ids and ground truth."""
+    message, or the name, classes, image ids and ground truth: the images
+    its table lists and its rows."""
     try:
         ds = load(manifest)
     except DataError as exc:
         return str(exc)
     if isinstance(ds, Dataset):
-        truths = ds.ground_truths() if ds.labeled else None
-        return ds.name, ds.classes, tuple(img.image_id for img in ds.images), truths
-    return ds.name, ds.classes, ds.image_ids, ds.ground_truths
+        ids = tuple(img.image_id for img in ds.images)
+        truths = ds.ground_truths if ds.labeled else None
+    else:
+        ids, truths = ds.image_ids, ds.ground_truths
+    if truths is not None:
+        truths = truths.image_ids, gt_rows(truths)
+    return ds.name, ds.classes, ids, truths
 
 
-GT_MUTATIONS = [*TEXT_MUTATIONS, "unknown_class", "missing"]
+GT_MUTATIONS = [*TEXT_MUTATIONS, "unknown_class", "missing", "empty_gt_file"]
 
 
 @pytest.mark.parametrize("first", [None, *GT_MUTATIONS, "duplicate_id", "bad_id"])
@@ -1334,15 +1349,13 @@ def test_first_fault_across_kinds_and_images_is_the_sequential_loaders(tmp_path,
     """Fault ``a`` in image 0 and ``b`` in image 1, then both in image 0:
     ``load_dataset`` reports what the per-image loader reports first."""
     images = [
-        ImageRecord(
-            f"img{k}", np.arange(6.0).reshape(3, 2), [(0.0, 0.0, 1.0, 1.0)] * 3,
-            [("cat", BBox(0.0, 0.0, 1.0, 1.0))],
-        )
+        ImageRecord(f"img{k}", np.arange(6.0).reshape(3, 2), [(0.0, 0.0, 1.0, 1.0)] * 3)
         for k in range(2)
     ]
+    gts = [[("cat", BBox(0.0, 0.0, 1.0, 1.0))]] * 2
     for where in ((0, 1), (0, 0)):
         with tempfile.TemporaryDirectory(dir=tmp_path) as out:
-            manifest = save_dataset(Dataset("pair", ["cat"], 2, images), out)
+            manifest = save_dataset(labeled_dataset("pair", ["cat"], 2, images, gts), out)
             for kind, k in zip((a, b), where):
                 _make_fault(manifest.parent, kind, k)
             expected = _load_outcome(sequential_load_dataset, manifest)
@@ -1386,13 +1399,11 @@ class TestFeatureArray:
         # float32 array, with no float64 copy and no per-file bytes.
         rng = np.random.default_rng(4)
         images = [
-            ImageRecord(
-                f"img{k}", rng.normal(size=(150, 1024)),
-                [(0.0, 0.0, 8.0, 8.0)] * 150, [("cat", BBox(0.0, 0.0, 8.0, 8.0))],
-            )
+            ImageRecord(f"img{k}", rng.normal(size=(150, 1024)), [(0.0, 0.0, 8.0, 8.0)] * 150)
             for k in range(6)
         ]
-        manifest = save_dataset(Dataset("wide", ["cat"], 1024, images), tmp_path)
+        gts = [[("cat", BBox(0.0, 0.0, 8.0, 8.0))]] * 6
+        manifest = save_dataset(labeled_dataset("wide", ["cat"], 1024, images, gts), tmp_path)
         tracemalloc.start()
         try:
             ds = load_dataset(manifest)

@@ -14,8 +14,8 @@ from aligndet import detection
 from aligndet.detection import (
     NMS_TILE_FLOATS,
     BBox,
-    Detection,
     Detections,
+    GroundTruths,
     LinearDetector,
     TrainConfig,
     greedy_nms,
@@ -30,12 +30,14 @@ from aligndet.datasets import Dataset, ImageRecord
 from aligndet.errors import DataError
 from aligndet.pipeline import raw_scores
 from oracles import (
+    Detection,
     detections_from_rows,
     exhaustive_nms,
     grouped_nms,
     per_image_nms,
     random_detections,
     rank_key,
+    rows_of,
     sequential_nms,
     subgradient_loop,
 )
@@ -745,7 +747,7 @@ def det_at(x, score, image_id="img0", class_id="obj"):
 
 def nms(dets, overlap_thresh):
     """``greedy_nms`` on a list of ``Detection`` rows, as a list."""
-    return list(greedy_nms(detections_from_rows(dets), overlap_thresh))
+    return rows_of(greedy_nms(detections_from_rows(dets), overlap_thresh))
 
 
 class TestDetections:
@@ -755,10 +757,12 @@ class TestDetections:
     def test_rows_round_trip(self):
         rows = self.rows()
         dets = detections_from_rows(rows)
-        assert len(dets) == 2 and list(dets) == rows
+        assert len(dets) == 2 and rows_of(dets) == rows
         assert dets.image_ids == ("img0", "img1") and dets.class_ids == ("obj", "b")
-        assert dets == detections_from_rows(rows, ("img1", "img0"), ("b", "obj"))
-        assert list(detections_from_rows([])) == []
+        assert rows_of(dets) == rows_of(
+            detections_from_rows(rows, ("img1", "img0"), ("b", "obj"))
+        )
+        assert rows_of(detections_from_rows([])) == []
 
     @pytest.mark.parametrize(
         "row, message",
@@ -801,6 +805,110 @@ class TestDetections:
     def test_unknown_label_rejected(self):
         with pytest.raises(DataError, match="'img9' is not among"):
             detections_from_rows([det_at(0, 0.5, image_id="img9")], ["img0"])
+
+    def test_take_gives_the_columns_of_the_constructor(self):
+        dets = paper_shape_detections(3)
+        mask = np.random.default_rng(5).random(len(dets)) < 0.3
+        columns = ("boxes", "scores", "image_index", "class_index")
+        for rows in (mask, np.flatnonzero(mask), np.flatnonzero(mask)[::-1]):
+            # Rows of checked columns are not checked again.
+            with mock.patch.object(detection, "box_faults", side_effect=AssertionError):
+                got = dets.take(rows)
+            want = Detections(
+                *(getattr(dets, name)[rows] for name in columns),
+                dets.image_ids, dets.class_ids,
+            )
+            for name in columns:
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert (got.image_ids, got.class_ids) == (want.image_ids, want.class_ids)
+        # The constructor still checks every row, with BBox's message.
+        taken = dets.take(mask)
+        boxes = taken.boxes.copy()
+        boxes[3, [0, 2]] = boxes[3, [2, 0]]  # x_min above x_max
+        with pytest.raises(DataError) as expected:
+            BBox(*boxes[3].tolist())
+        with pytest.raises(DataError) as info:
+            Detections(
+                boxes, taken.scores, taken.image_index, taken.class_index,
+                taken.image_ids, taken.class_ids,
+            )
+        assert str(info.value) == str(expected.value)
+
+
+def two_images():
+    return [ImageRecord(f"img{k}", np.zeros((1, 1)), [(0.0, 0.0, 1.0, 1.0)]) for k in range(2)]
+
+
+class TestGroundTruths:
+    FIELDS = dict(
+        boxes=[[0.0, 0.0, 1.0, 1.0], [2.0, 0.0, 3.0, 1.0]],
+        image_index=[0, 1],
+        class_index=[0, 0],
+        image_ids=("img0", "img1"),
+        class_ids=("cat",),
+    )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                {"boxes": np.zeros((2, 3))},
+                "ground-truth columns must be (m, 4) boxes and m image and class codes",
+            ),
+            (
+                {"class_index": [0]},
+                "ground-truth columns must be (m, 4) boxes and m image and class codes",
+            ),
+            ({"image_index": [0, 2]}, "codes outside [0, 2)"),
+            ({"class_index": [0, -1]}, "codes outside [0, 1)"),
+            ({"image_ids": ("img0", "img0")}, "duplicate names in ['img0', 'img0']"),
+            (
+                {"class_ids": ("cat", "dog"), "class_index": [0, 1]},
+                "image 'img1' references unknown class 'dog'",
+            ),
+            (
+                {"image_ids": ("img0", "img9")},
+                "dataset 'd': ground truth names an unknown image",
+            ),
+            (
+                {"boxes": [[0.0, 0.0, 1.0, 1.0], [0.0, math.nan, 1.0, 1.0]]},
+                "box coordinates must be finite",
+            ),
+            (
+                {"boxes": [[0.0, 0.0, 1.0, 1.0], [2.0, 1.0, 1.0, 2.0]]},
+                "degenerate box ordering: (2.0, 1.0, 1.0, 2.0)",
+            ),
+        ],
+    )
+    def test_faults_of_the_table_and_of_the_dataset_holding_it(self, change, message):
+        with pytest.raises(DataError) as info:
+            gt = GroundTruths(**{**self.FIELDS, **change})
+            Dataset("d", ["cat"], 1, two_images(), ground_truths=gt)
+        assert str(info.value) == message
+
+    def test_an_image_listed_without_rows_is_labeled(self):
+        gt = GroundTruths(**{**self.FIELDS, "image_index": [0, 0]})
+        assert Dataset("d", ["cat"], 1, two_images(), ground_truths=gt).labeled
+        gt = GroundTruths(**{**self.FIELDS, "image_index": [0, 0], "image_ids": ("img0",)})
+        assert not Dataset("d", ["cat"], 1, two_images(), ground_truths=gt).labeled
+        assert not Dataset("d", ["cat"], 1, two_images()).labeled
+
+    def test_per_image_pads_each_named_image_in_row_order(self):
+        gt = GroundTruths(
+            [[0, 0, 1, 1], [5, 5, 6, 6], [2, 2, 3, 3], [7, 7, 8, 8]],
+            [1, 0, 1, 1], [0, 0, 1, 0], ("a", "b"), ("cat", "dog"),
+        )
+        padded = gt.per_image("cat", ["b", "z", "a"])
+        npt.assert_array_equal(
+            padded,
+            [
+                [[0, 0, 1, 1], [7, 7, 8, 8]],
+                [[0, 0, 0, 0], [0, 0, 0, 0]],
+                [[5, 5, 6, 6], [0, 0, 0, 0]],
+            ],
+        )
+        assert gt.per_image("emu", ["a", "b"]).shape == (2, 0, 4)
 
 
 class TestGreedyNms:
@@ -998,7 +1106,7 @@ class TestGreedyNms:
                 for k in range(n_classes)
             ]
         assert one_call <= counted[0] - one_call
-        assert list(together) == [d for part in apart for d in part]
+        assert rows_of(together) == [d for part in apart for d in rows_of(part)]
 
     def test_paper_shape_peak_memory_stays_below_twice_the_input(self):
         dets = paper_shape_detections(20)

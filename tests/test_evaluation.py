@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aligndet.detection import BBox, Detection, GroundTruth
+from aligndet.detection import BBox
 from aligndet.errors import DataError
 from aligndet.evaluation import (
     _true_positives,
@@ -19,8 +19,11 @@ from aligndet.evaluation import (
 )
 from aligndet.linalg import Subspace, identity_stats, subspace_similarity
 from oracles import (
+    Detection,
+    GroundTruth,
     brute_force_ap,
     detections_from_rows,
+    ground_truths_from_rows,
     match_detections,
     random_orthonormal,
 )
@@ -35,8 +38,11 @@ def det_at(x, score, image_id="img0", class_id="obj"):
 
 
 def ap_of(dets, gts, class_id="obj", iou_thresh=0.5):
-    """``average_precision`` of a list of ``Detection`` rows."""
-    return average_precision(detections_from_rows(dets), gts, class_id, iou_thresh)
+    """``average_precision`` of lists of ``Detection`` and ``GroundTruth``
+    rows."""
+    return average_precision(
+        detections_from_rows(dets), ground_truths_from_rows(gts), class_id, iou_thresh
+    )
 
 
 grid = st.integers(0, 4).map(lambda v: 5.0 * v)
@@ -175,14 +181,15 @@ class TestAveragePrecision:
         dets, gts = case
         columns = detections_from_rows(dets)
         for class_id in ("a", "b", "c"):
-            got = average_precision(columns, gts, class_id, thresh)
+            got = average_precision(columns, ground_truths_from_rows(gts), class_id, thresh)
             want = brute_force_ap(dets, gts, class_id, thresh)
             assert got == pytest.approx(want, abs=1e-12)
             if want is not None:
                 tp, _ = match_detections(dets, gts, class_id, thresh)
                 gt_c = [g for g in gts if g.class_id == class_id]
                 npt.assert_array_equal(
-                    _true_positives(columns, gt_c, class_id, thresh), tp
+                    _true_positives(columns, ground_truths_from_rows(gt_c), class_id, thresh),
+                    tp,
                 )
 
 

@@ -42,8 +42,12 @@ from aligndet.pipeline import (
 )
 
 from oracles import (
+    Detection,
     detections_from_rows,
     grouped_nms,
+    image_gt,
+    labeled_dataset,
+    rows_of,
     scalar_max_overlaps,
     unfolded_detect,
 )
@@ -89,12 +93,7 @@ def grid_image(offsets, side=100.0):
     gt = BBox(0.0, 0.0, side, side)
     boxes = [(dx, 0.0, dx + side, side) for dx in offsets]
     feats = np.arange(len(boxes), dtype=float).reshape(-1, 1) @ np.ones((1, 3))
-    return Dataset(
-        name="grid",
-        classes=["obj"],
-        feature_dim=3,
-        images=[ImageRecord("g0", feats, boxes, gt=[("obj", gt)])],
-    )
+    return labeled_dataset("grid", ["obj"], 3, [ImageRecord("g0", feats, boxes)], [[("obj", gt)]])
 
 
 class TestMineSourcePositives:
@@ -153,7 +152,7 @@ def grid_box(draw):
 def overlap_datasets(draw):
     """Images of grid proposals, each with 0-3 GT boxes of classes 'a' and
     'b' (so some have no same-class GT), or unlabeled."""
-    images = []
+    images, gts = [], []
     for k in range(draw(st.integers(1, 4))):
         boxes = draw(st.lists(grid_box(), min_size=1, max_size=6))
         gt = None
@@ -162,8 +161,9 @@ def overlap_datasets(draw):
                 (draw(st.sampled_from("ab")), BBox(*draw(grid_box())))
                 for _ in range(draw(st.integers(0, 3)))
             ]
-        images.append(ImageRecord(f"i{k}", np.zeros((len(boxes), 1)), boxes, gt))
-    return Dataset("g", ["a", "b"], 1, images)
+        images.append(ImageRecord(f"i{k}", np.zeros((len(boxes), 1)), boxes))
+        gts.append(gt)
+    return labeled_dataset("g", ["a", "b"], 1, images, gts)
 
 
 class TestClassMaxOverlaps:
@@ -172,13 +172,15 @@ class TestClassMaxOverlaps:
     def test_equal_the_scalar_double_loop(self, ds):
         for c in ds.classes:
             got = pipeline._class_max_overlaps(ds, c)
-            want = np.concatenate([scalar_max_overlaps(img, c) for img in ds.images])
+            want = np.concatenate(
+                [scalar_max_overlaps(img, gt, c) for img, gt in zip(ds.images, image_gt(ds))]
+            )
             assert got.tobytes() == want.tobytes()
 
     def test_touching_and_zero_area_boxes_overlap_zero(self):
         gt = [("a", BBox(0.0, 0.0, 2.0, 2.0)), ("b", BBox(0.0, 0.0, 1.0, 1.0))]
         boxes = [(2.0, 0.0, 3.0, 2.0), (1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 2.0, 1.0)]
-        ds = Dataset("t", ["a", "b"], 1, [ImageRecord("i", np.zeros((3, 1)), boxes, gt)])
+        ds = labeled_dataset("t", ["a", "b"], 1, [ImageRecord("i", np.zeros((3, 1)), boxes)], [gt])
         ov = pipeline._class_max_overlaps(ds, "a")
         npt.assert_array_equal(ov, [0.0, 0.0, 0.5])
 
@@ -187,12 +189,14 @@ class TestClassMaxOverlaps:
         # box is NaN; the second image pads its missing GT box.
         gt = [("a", BBox(0.0, 0.0, 2.0, 2.0)), ("a", BBox(0.0, 0.0, 1.0, 1.0))]
         boxes = [(-1e308, 0.0, 1e308, 0.0), (0.0, 0.0, 1.0, 1.0)]
-        ds = Dataset("o", ["a"], 1, [
-            ImageRecord("i", np.zeros((2, 1)), boxes, gt),
-            ImageRecord("j", np.zeros((2, 1)), boxes, gt[:1]),
-        ])
+        ds = labeled_dataset("o", ["a"], 1, [
+            ImageRecord("i", np.zeros((2, 1)), boxes),
+            ImageRecord("j", np.zeros((2, 1)), boxes),
+        ], [gt, gt[:1]])
         got = pipeline._class_max_overlaps(ds, "a")
-        want = np.concatenate([scalar_max_overlaps(img, "a") for img in ds.images])
+        want = np.concatenate(
+            [scalar_max_overlaps(img, g, "a") for img, g in zip(ds.images, image_gt(ds))]
+        )
         assert got.tobytes() == want.tobytes()
         npt.assert_array_equal(got[:2], [0.0, 1.0])
 
@@ -227,20 +231,24 @@ class TestTrainInitialDetectors:
     def test_heldout_accuracy_on_separated_gaussians(self):
         spec = SynthShiftSpec(samples_per_class=80, n_classes=3, seed=5)
         src, _, _ = generate_synthetic(spec)
+        gt_of = {img.image_id: gt for img, gt in zip(src.images, image_gt(src))}
         per_class = {
-            c: [img for img in src.images if img.gt[0][0] == c]
+            c: [img for img in src.images if gt_of[img.image_id][0][0] == c]
             for c in src.classes
         }
         train_imgs = [im for c in src.classes for im in per_class[c][:4]]
         test_imgs = [im for c in src.classes for im in per_class[c][4:]]
-        train_ds = Dataset("train", src.classes, src.feature_dim, train_imgs)
+        train_ds = labeled_dataset(
+            "train", src.classes, src.feature_dim, train_imgs,
+            [gt_of[im.image_id] for im in train_imgs],
+        )
         cfg = small_cfg()
         detectors = train_initial_detectors(train_ds, cfg)
         correct = total = 0
         for img in test_imgs:
             for c, det in detectors.items():
                 scores = img.features @ det.weights + det.bias
-                is_class = img.gt[0][0] == c
+                is_class = gt_of[img.image_id][0][0] == c
                 n_obj = SMALL_SPEC.pos_per_image
                 for i, s in enumerate(scores):
                     want_positive = is_class and i < n_obj
@@ -289,7 +297,7 @@ class TestTrainInitialDetectors:
             ("far", BBox(50.0, 0.0, 150.0, 100.0)),
         ]
         feats = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
-        ds = Dataset("g", ["obj", "far"], 2, [ImageRecord("g0", feats, boxes, gt)])
+        ds = labeled_dataset("g", ["obj", "far"], 2, [ImageRecord("g0", feats, boxes)], [gt])
         warnings = []
         detectors = train_initial_detectors(ds, small_cfg(), warnings)
         assert set(detectors) == {"far"}
@@ -382,10 +390,11 @@ def low_rank_copy(ds, rank=2, seed=0):
     subspace, so no pool drawn from it can span d > rank dimensions."""
     Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(ds.feature_dim, rank)))
     images = [
-        ImageRecord(img.image_id, img.features @ Q @ Q.T, img.boxes, img.gt)
-        for img in ds.images
+        ImageRecord(img.image_id, img.features @ Q @ Q.T, img.boxes) for img in ds.images
     ]
-    return Dataset(ds.name, ds.classes, ds.feature_dim, images)
+    return Dataset(
+        ds.name, ds.classes, ds.feature_dim, images, ground_truths=ds.ground_truths
+    )
 
 
 def tiny_target(ds, n):
@@ -417,10 +426,10 @@ class TestDowngradePaths:
             assert s.source_subspace is None and s.target_subspace is None
             assert s.note
         assert warnings
-        expected = detect(target, passthrough_states(init), cfg)
-        assert detect(target, states, cfg) == expected
+        expected = rows_of(detect(target, passthrough_states(init), cfg))
+        assert rows_of(detect(target, states, cfg)) == expected
         save_states(tmp_path / "states.json", states, warnings)
-        assert detect(target, load_states(tmp_path / "states.json"), cfg) == expected
+        assert rows_of(detect(target, load_states(tmp_path / "states.json"), cfg)) == expected
 
     def run(self, src, target, cfg, init, tmp_path):
         warnings = []
@@ -467,16 +476,16 @@ class TestDetect:
             det = init[c]
             for img in tgt.images:
                 scores = img.features @ det.weights + det.bias
-                from aligndet.detection import Detection
-
                 picked = [
                     Detection(
                         img.image_id, BBox(*img.boxes[k].tolist()), c, float(scores[k])
                     )
                     for k in np.flatnonzero(scores >= cfg.detect_thresh)
                 ]
-                manual.extend(greedy_nms(detections_from_rows(picked), cfg.nms_thresh))
-        assert list(via_adapt) == manual
+                manual.extend(
+                    rows_of(greedy_nms(detections_from_rows(picked), cfg.nms_thresh))
+                )
+        assert rows_of(via_adapt) == manual
 
     def test_single_surviving_proposal_bypasses_nms(self):
         ds = grid_image([0.0, 30.0, 60.0])
@@ -486,21 +495,21 @@ class TestDetect:
         # features are row index constants: rows 2 has value 2 >= 1.5
         out = detect(ds, states, cfg)
         assert len(out) == 1
-        assert list(out)[0].box == BBox(*ds.images[0].boxes[2].tolist())
+        assert rows_of(out)[0].box == BBox(*ds.images[0].boxes[2].tolist())
 
     def test_detect_deterministic(self, small_pair):
         src, tgt = small_pair
         cfg = small_cfg()
         a = detect(tgt, adapt(src, tgt, cfg), cfg)
         b = detect(tgt, adapt(src, tgt, cfg), cfg)
-        assert a == b
+        assert rows_of(a) == rows_of(b)
 
     def test_nms_applied_per_image(self, small_pair):
         src, tgt = small_pair
         cfg = small_cfg()
         dets = detect(tgt, adapt(src, tgt, cfg), cfg)
         by_group = {}
-        for d in dets:
+        for d in rows_of(dets):
             by_group.setdefault((d.class_id, d.image_id), []).append(d)
         for group in by_group.values():
             for i, a in enumerate(group):
@@ -519,8 +528,8 @@ class TestDetect:
         folded = detect(tgt, states, cfg)
         unfolded = unfolded_detect(tgt, states, cfg)
         assert len(folded) == len(unfolded) > 0
-        assert {d.class_id for d in folded} == set(tgt.classes)
-        for a, b in zip(folded, unfolded):
+        assert {d.class_id for d in rows_of(folded)} == set(tgt.classes)
+        for a, b in zip(rows_of(folded), unfolded):
             assert (a.image_id, a.box, a.class_id) == (b.image_id, b.box, b.class_id)
             assert abs(a.score - b.score) <= 1e-12
 
@@ -534,7 +543,7 @@ class TestDetect:
             raise AssertionError("detect normalized target features")
 
         monkeypatch.setattr(pipeline, "normalize", refuse)
-        assert detect(tgt, states, cfg) == expected
+        assert rows_of(detect(tgt, states, cfg)) == rows_of(expected)
 
     def test_dense_full_image_matches_sequential_nms(self, monkeypatch):
         spec = SynthShiftSpec(
@@ -552,11 +561,11 @@ class TestDetect:
         def oracle(dets, thresh):
             calls.append(len(dets))
             return detections_from_rows(
-                grouped_nms(list(dets), thresh), dets.image_ids, dets.class_ids
+                grouped_nms(rows_of(dets), thresh), dets.image_ids, dets.class_ids
             )
 
         monkeypatch.setattr(pipeline, "greedy_nms", oracle)
-        assert detect(tgt, states, cfg) == fast
+        assert rows_of(detect(tgt, states, cfg)) == rows_of(fast)
         assert calls == [tgt.n_proposals * len(tgt.classes)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -668,7 +677,7 @@ class TestEndToEndQuality:
             d=12, train=TrainConfig(reg_lambda=0.001, iterations=2000)
         )
         init = train_initial_detectors(src, cfg)
-        gts = tgt.ground_truths()
+        gts = tgt.ground_truths
         plain = detect(tgt, passthrough_states(init), cfg)
         adapted = detect(tgt, adapt(src, tgt, cfg, init_detectors=init), cfg)
         map_plain = np.mean(
@@ -683,10 +692,12 @@ class TestEndToEndQuality:
 def float64_twin(ds: Dataset) -> Dataset:
     """A hand-built dataset holding the values of ``ds`` as float64."""
     images = [
-        ImageRecord(img.image_id, img.features.astype(np.float64), img.boxes, img.gt)
+        ImageRecord(img.image_id, img.features.astype(np.float64), img.boxes)
         for img in ds.images
     ]
-    return Dataset(ds.name, ds.classes, ds.feature_dim, images)
+    return Dataset(
+        ds.name, ds.classes, ds.feature_dim, images, ground_truths=ds.ground_truths
+    )
 
 
 def state_bits(state):
