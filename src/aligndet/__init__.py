@@ -8,7 +8,7 @@ from .alignment import (
     project_for_training,
     solve_alignment,
 )
-from .datasets import Dataset, ImageRecord
+from .datasets import Dataset
 from .detection import (
     BBox,
     Detections,
@@ -60,7 +60,6 @@ __all__ = [
     "Detections",
     "GroundTruths",
     "Histogram",
-    "ImageRecord",
     "LinearDetector",
     "NormalizationStats",
     "NumericalError",

@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 import time
@@ -35,7 +36,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process (parsing keeps it)."""
     parser = _Parser(
         prog="aligndet",
         description=(
@@ -100,12 +103,13 @@ def _check_detections(path, dets: Detections, dataset: Annotations) -> None:
     """Reject detections of a class or image the dataset does not have: AP
     would drop the class or count the image's rows as false positives.  The
     first such row is reported, its class checked before its image."""
-    bad = dets.outside(dataset.classes, dataset.image_ids)
+    gt = dataset.ground_truths
+    bad = dets.outside(gt.class_ids, gt.image_ids)
     if not bad.any():
         return
     row = int(bad.argmax())
     class_id = dets.class_ids[dets.class_index[row]]
-    if class_id not in dataset.classes:
+    if class_id not in gt.class_ids:
         unknown = f"class '{class_id}'"
     else:
         unknown = f"image id '{dets.image_ids[dets.image_index[row]]}'"
@@ -222,11 +226,12 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     """Score a detections file against a manifest's ground truth; the
     dataset's feature and boxes files are not read."""
     dataset = dataio.load_annotations(args.dataset)
-    if dataset.ground_truths is None:
+    gts = dataset.ground_truths
+    if gts is None:
         raise DataError(f"dataset '{dataset.name}' has no ground truth to score")
     dets = dataio.read_detections_csv(args.detections)
     _check_detections(args.detections, dets, dataset)
-    report = _report(dets, dataset.classes, dataset.ground_truths, cfg)
+    report = _report(dets, gts.class_ids, gts, cfg)
     (out / "report.json").write_text(canonical_json(report))
     return 0
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset, ImageRecord, check_id, check_ids
+from .datasets import Dataset, check_id, check_ids
 from .detection import (
     BBox, Detections, GroundTruths, LinearDetector, TrainConfig, label_codes,
 )
@@ -52,13 +52,14 @@ def write_features(path, X) -> None:
         fh.write(payload)
 
 
-def _feature_array(paths, dim: int) -> tuple[list, np.ndarray | None, DataError | None]:
-    """The matrices of the feature files at ``paths`` in order up to the
-    first faulty one, their one ``(N, dim)`` float32 array (sized from the
-    file sizes, each payload read into its rows and checked there), and
-    that file's DataError or None.  A sound file of another width gets an
-    array of its own and the one array is None: ``Dataset`` rejects the
-    width, as any ``dim`` below 1, after every per-image check."""
+def _feature_array(paths, dim: int) -> tuple[list, np.ndarray, DataError | None]:
+    """The one ``(N, dim)`` float32 array of the feature files at ``paths``
+    (sized from the file sizes, each payload read into its rows and checked
+    there), read in order up to the first faulty file: the ``(rows, width)``
+    of each file before it, the array, and that file's DataError or None.
+    A sound file of another width is read and checked on its own, its rows
+    of the array left unset: ``_read_images`` rejects the width, as any
+    ``dim`` below 1, after every per-image check."""
     dim, sizes = max(dim, 1), []
     for path in paths:
         try:
@@ -67,14 +68,14 @@ def _feature_array(paths, dim: int) -> tuple[list, np.ndarray | None, DataError 
             n, extra = 0, 0
         sizes.append(0 if n < 0 or extra else n)
     features = np.empty((sum(sizes), dim), "<f4")
-    matrices, fault = [], None
+    shapes, fault = [], None
     for path, rows in zip(paths, _blocks(features, sizes)):
         header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, len(rows), dim)
         try:
             with open(path, "rb") as fh:
                 head = fh.read(16)
                 if head != header:
-                    rows, features = _own_rows(fh, head, Path(path)), None
+                    rows = _own_rows(fh, head, Path(path))
                 fh.readinto(rows)
         except DataError as exc:
             fault = exc
@@ -88,11 +89,8 @@ def _feature_array(paths, dim: int) -> tuple[list, np.ndarray | None, DataError 
                 )
         if fault:
             break
-        matrices.append(rows)
-    if features is not None and features.dtype != np.float32:  # big-endian
-        features = features.astype(np.float32)
-        matrices = _blocks(features, sizes[: len(matrices)])
-    return matrices, features, fault
+        shapes.append(rows.shape)
+    return shapes, features.astype(np.float32, copy=False), fault
 
 
 def _own_rows(fh, head: bytes, path) -> np.ndarray:
@@ -208,14 +206,6 @@ def _line_error(path, row: int, problem: str) -> DataError:
     return DataError(f"{Path(path)}:{lineno}: {problem}")
 
 
-def _read_box_table(path, kind: str, header: str) -> tuple[list[tuple], np.ndarray]:
-    """The columns and numbers of one box CSV (see ``_box_tables``)."""
-    columns, numbers, _, fault = _box_tables([path], kind, header)
-    if fault:
-        raise fault
-    return columns, numbers
-
-
 def _box_line(image_id: str, box) -> str:
     x0, y0, x1, y1 = box
     return (
@@ -234,24 +224,10 @@ def write_boxes_csv(path, image_id: str, boxes) -> None:
     _write_lines(path, BOX_HEADER, (_box_line(image_id, b) for b in rows))
 
 
-def read_boxes_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """The image id of each row and the ``(n, 4)`` box array."""
-    columns, numbers = _read_box_table(path, "boxes", BOX_HEADER)
-    return columns[0], numbers
-
-
 def write_gt_csv(path, image_id: str, boxes, class_ids) -> None:
     """``write_boxes_csv`` with each row's class from ``class_ids``."""
     rows = zip(np.asarray(boxes, dtype=np.float64).tolist(), class_ids)
     _write_lines(path, GT_HEADER, (f"{_box_line(image_id, b)},{c}" for b, c in rows))
-
-
-def read_gt_csv(path) -> list[tuple[str, str, BBox]]:
-    """Rows of (image_id, class_id, box)."""
-    columns, numbers = _read_box_table(path, "gt", GT_HEADER)
-    return [
-        (i, c, BBox(*b)) for i, c, b in zip(columns[0], columns[5], numbers.tolist())
-    ]
 
 
 def write_detections_csv(path, dets: Detections) -> None:
@@ -280,7 +256,9 @@ def write_detections_csv(path, dets: Detections) -> None:
 
 def read_detections_csv(path) -> Detections:
     """Images and classes are named in order of first appearance."""
-    columns, numbers = _read_box_table(path, "detections", DETECTION_HEADER)
+    columns, numbers, _, fault = _box_tables([path], "detections", DETECTION_HEADER)
+    if fault:
+        raise fault
     (images, image_ids), (classes, class_ids) = map(label_codes, (columns[0], columns[5]))
     return Detections(numbers[:, :4], numbers[:, 4], images, classes, image_ids, class_ids)
 
@@ -409,14 +387,16 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     So is a feature too large for float32, the type of feature files: it
     would be written as inf, which ``load_dataset`` rejects.
     """
-    for img in dataset.images:
-        if img.image_id in (".", "..") or any(c in img.image_id for c in "/\\\0"):
-            raise DataError(f"image id {img.image_id!r} is not a single path component")
+    sizes = dataset.sizes.tolist()
+    features, boxes = _blocks(dataset.features, sizes), _blocks(dataset.boxes, sizes)
+    for image_id, rows in zip(dataset.image_ids, features):
+        if image_id in (".", "..") or any(c in image_id for c in "/\\\0"):
+            raise DataError(f"image id {image_id!r} is not a single path component")
         with np.errstate(over="ignore"):
-            big = np.isinf(img.features.astype("<f4", copy=False)).any(axis=1)
+            big = np.isinf(rows.astype("<f4", copy=False)).any(axis=1)
         if big.any():
             raise DataError(
-                f"image '{img.image_id}': feature row {int(big.argmax())} is "
+                f"image '{image_id}': feature row {int(big.argmax())} is "
                 "too large for float32, the type of feature files"
             )
     out_dir = Path(out_dir)
@@ -427,21 +407,21 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     listed = {image_id: k for k, image_id in enumerate(gt.image_ids)}
     if listed:
         (out_dir / "gt").mkdir(exist_ok=True)
-    for img in dataset.images:
-        feat_rel = f"features/{img.image_id}.fmx"
-        boxes_rel = f"boxes/{img.image_id}.csv"
-        write_features(out_dir / feat_rel, img.features)
-        write_boxes_csv(out_dir / boxes_rel, img.image_id, img.boxes)
+    for image_id, rows, box_rows in zip(dataset.image_ids, features, boxes):
+        feat_rel = f"features/{image_id}.fmx"
+        boxes_rel = f"boxes/{image_id}.csv"
+        write_features(out_dir / feat_rel, rows)
+        write_boxes_csv(out_dir / boxes_rel, image_id, box_rows)
         entry = {
-            "image_id": img.image_id,
+            "image_id": image_id,
             "feature_file": feat_rel,
             "boxes_file": boxes_rel,
         }
-        if img.image_id in listed:
-            rows = gt.image_index == listed[img.image_id]
-            gt_rel = f"gt/{img.image_id}.csv"
-            classes = [gt.class_ids[c] for c in gt.class_index[rows].tolist()]
-            write_gt_csv(out_dir / gt_rel, img.image_id, gt.boxes[rows], classes)
+        if image_id in listed:
+            gt_rows = gt.image_index == listed[image_id]
+            gt_rel = f"gt/{image_id}.csv"
+            classes = [gt.class_ids[c] for c in gt.class_index[gt_rows].tolist()]
+            write_gt_csv(out_dir / gt_rel, image_id, gt.boxes[gt_rows], classes)
             entry["gt_file"] = gt_rel
         entries.append(entry)
     manifest = {
@@ -468,32 +448,30 @@ def load_dataset(manifest_path) -> Dataset:
         # parse, and its error would blame the CSV instead of the id.
         for class_id in classes:
             check_id("class id", class_id)
-        images, features, gt = _read_images(entries, base, classes, feature_dim)
-        # Duplicate ids are the dataset's first check, before the table's.
-        check_ids(classes, [img.image_id for img in images])
-        return Dataset(name, classes, feature_dim, images, features, GroundTruths(*gt))
+        columns = _read_images(entries, base, classes, feature_dim)
+        return Dataset(name, classes, *columns[:4], GroundTruths(*columns[4]))
 
     return _load_bundle(manifest_path, "manifest", parse)
 
 
 def _read_images(
     entries, base: str, classes: list[str], feature_dim: int
-) -> tuple[list[ImageRecord], np.ndarray | None, tuple]:
-    """The images of a manifest's ``entries``, row views of the one feature
-    array (``_feature_array``) and of the boxes table, that array, and the
-    GT table's columns (``_read_gt``).  Each reader stops at its first
-    faulty file; the images are then checked in manifest order and the
-    first fault raises: the entry, its feature file, its boxes file, their
-    ids, the row count, its GT file, then the ``ImageRecord`` checks."""
+) -> tuple[list[str], list[int], np.ndarray, np.ndarray, tuple]:
+    """The image ids of a manifest's ``entries``, their row counts, the one
+    feature array (``_feature_array``), the one boxes table and the GT
+    table's columns (``_read_gt``).  Each reader stops at its first faulty
+    file; the images are then checked in manifest order and the first fault
+    raises: the entry, its feature file, its boxes file, their ids, the row
+    count, its GT file, then that it has a row and a column.  Duplicate
+    ids, a ``feature_dim`` below 1 and a file of another width follow."""
     fields = ("feature_file", "boxes_file")
     ids, (feature_paths, box_paths), fault = _entries(entries, base, fields)
-    matrices, features, feature_fault = _feature_array(feature_paths, feature_dim)
+    shapes, features, feature_fault = _feature_array(feature_paths, feature_dim)
     columns, numbers, sizes, box_fault = _box_tables(box_paths, "boxes", BOX_HEADER)
     gt, n_gt, gt_fault = _read_gt(entries, base, ids, classes)
-    row_ids, boxes = _blocks(columns[0], sizes), _blocks(numbers, sizes)
-    images = []
+    row_ids = _blocks(columns[0], sizes)
     for k, image_id in enumerate(ids):
-        if k == len(matrices):
+        if k == len(shapes):
             raise feature_fault
         if k == len(sizes):
             raise box_fault
@@ -503,18 +481,30 @@ def _read_images(
                 f"image id '{row_ids[k][row]}' does not match manifest entry "
                 f"'{image_id}'"
             ))
-        if sizes[k] != len(matrices[k]):
+        n, width = shapes[k]
+        if sizes[k] != n:
             raise DataError(
                 f"row-count mismatch for image '{image_id}': boxes file "
                 f"'{Path(box_paths[k])}' has {sizes[k]} rows but feature file "
-                f"'{Path(feature_paths[k])}' has {len(matrices[k])} rows"
+                f"'{Path(feature_paths[k])}' has {n} rows"
             )
         if k == n_gt:
             raise gt_fault
-        images.append(ImageRecord(image_id, matrices[k], boxes[k]))
+        if not (n and width):
+            raise DataError(f"features[{image_id}] must be at least 1x1, got {n}x{width}")
     if fault:
         raise fault
-    return images, features, gt
+    # Duplicate ids come before the GT table's checks, which would fail on them.
+    check_ids(classes, ids)
+    if feature_dim < 1:
+        raise DataError(f"feature_dim must be >= 1, got {feature_dim}")
+    for image_id, (_, width) in zip(ids, shapes):
+        if width != feature_dim:
+            raise DataError(
+                f"image '{image_id}' has feature dim {width}, dataset declares "
+                f"{feature_dim}"
+            )
+    return ids, sizes, features, numbers, gt
 
 
 def _entries(entries, base: str, fields=()) -> tuple[list, list[list], Exception | None]:
@@ -588,13 +578,11 @@ def _blocks(rows, sizes: list[int]) -> list:
 
 @dataclass(frozen=True)
 class Annotations:
-    """What scoring detections needs of a dataset: its name, class ids and
-    image ids, and its ground-truth table, or None when some image has no
-    GT file."""
+    """What scoring detections needs of a dataset: its name and its
+    ground-truth table, which names its classes and images, or None when
+    some image has no GT file."""
 
     name: str
-    classes: list[str]
-    image_ids: tuple[str, ...]
     ground_truths: GroundTruths | None
 
 
@@ -615,8 +603,7 @@ def load_annotations(manifest_path) -> Annotations:
             raise gt_fault or fault
         check_ids(classes, ids)
         truths = GroundTruths(*gt)
-        labeled = len(truths.image_ids) == len(ids)
-        return Annotations(name, classes, tuple(ids), truths if labeled else None)
+        return Annotations(name, truths if len(truths.image_ids) == len(ids) else None)
 
     return _load_bundle(manifest_path, "manifest", parse)
 
@@ -758,26 +745,29 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
         spec.samples_per_class + images_per_class * spec.neg_per_image
     )
 
+    # Every image ends with the same background boxes, disjoint from the GT.
+    bg_boxes = np.tile([400.0, 400.0, 400.0 + _GT_SIDE, 500.0], (spec.neg_per_image, 1))
+    bg_boxes[:, [0, 2]] += 140.0 * np.arange(spec.neg_per_image)[:, None]
+
     def build_domain(prefix: str, is_target: bool) -> Dataset:
-        # Every image's rows are written into one array, which the dataset
-        # adopts.
-        features = np.empty((n_rows, D))
-        end = 0
-        images = []
+        # Every image's rows are written into one feature array and one box
+        # table, which the dataset adopts.
+        features, boxes = np.empty((n_rows, D)), np.empty((n_rows, 4))
+        image_ids, sizes, end = [], [], 0
         for c in range(spec.n_classes):
             remaining = spec.samples_per_class
             j = 0
             while remaining > 0:
                 k = min(spec.pos_per_image, remaining)
                 remaining -= k
-                image_id = f"{prefix}-c{c:02d}-i{j:03d}"
+                image_ids.append(f"{prefix}-c{c:02d}-i{j:03d}")
                 j += 1
+                sizes.append(k + spec.neg_per_image)
+                mid, stop = end + k, end + sizes[-1]
 
-                boxes = []
-                for _ in range(k):
-                    dx, dy = rng.uniform(-jitter, jitter, size=2)
-                    x0, y0, x1, y1 = _GT_BOX
-                    boxes.append((x0 + dx, y0 + dy, x1 + dx, y1 + dy))
+                shift = rng.uniform(-jitter, jitter, size=(k, 2))
+                boxes[end:mid] = np.add(_GT_BOX, shift[:, [0, 1, 0, 1]])
+                boxes[mid:stop] = bg_boxes
                 if is_target and c in spec.corrupt_classes:
                     # Pure noise: class location survives, structure does not.
                     obj = (
@@ -796,27 +786,21 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
                             + rng.normal(scale=spec.noise_scale, size=(k, D))
                         )
 
-                for m in range(spec.neg_per_image):
-                    x0 = 400.0 + 140.0 * m
-                    boxes.append((x0, 400.0, x0 + _GT_SIDE, 500.0))
                 bg = rng.normal(scale=_BACKGROUND_SCALE, size=(spec.neg_per_image, D))
                 if is_target:
                     bg = bg @ rotation.T + rng.normal(
                         scale=spec.noise_scale, size=bg.shape
                     )
-
-                rows = features[end : end + k + spec.neg_per_image]
-                end += rows.shape[0]
-                rows[:k], rows[k:] = obj, bg
-                images.append(ImageRecord(image_id, rows, boxes))
-        n = len(images)  # one GT box each, of the class it was drawn for
+                features[end:mid], features[mid:stop] = obj, bg
+                end = stop
+        n = len(image_ids)  # one GT box each, of the class it was drawn for
         gt = GroundTruths(
             np.tile(_GT_BOX, (n, 1)), np.arange(n),
             np.repeat(np.arange(spec.n_classes), images_per_class),
-            [img.image_id for img in images], classes,
+            image_ids, classes,
         )
         name = f"synth-{'target' if is_target else 'source'}"
-        return Dataset(name, classes, D, images, features, gt)
+        return Dataset(name, classes, image_ids, sizes, features, boxes, gt)
 
     source = build_domain("src", is_target=False)
     target = build_domain("tgt", is_target=True)

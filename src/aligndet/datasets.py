@@ -1,9 +1,9 @@
-"""In-memory dataset containers binding proposal boxes, per-proposal
-features, and the ground-truth table."""
+"""The in-memory dataset: proposal features, proposal boxes and the
+ground-truth table, held as columns."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,99 +30,96 @@ def check_id(kind: str, value) -> None:
         )
 
 
-def check_ids(classes: list[str], image_ids: list[str]) -> None:
-    """Check each class id (``check_id``), then that no class id and no
-    image id occurs twice."""
+def check_ids(classes: list[str], image_ids) -> None:
+    """Check each class id (``check_id``), that no class id occurs twice,
+    then the same of the image ids."""
     for class_id in classes:
         check_id("class id", class_id)
         if classes.count(class_id) > 1:
             raise DataError(f"duplicate class id '{class_id}'")
     seen: set[str] = set()
     for image_id in image_ids:
+        check_id("image id", image_id)
         if image_id in seen:
             raise DataError(f"duplicate image id '{image_id}'")
         seen.add(image_id)
 
 
 @dataclass(eq=False)
-class ImageRecord:
-    """One image's proposals: row i of ``features`` belongs to box row
-    ``boxes[i]``, an ``(n, 4)`` float64 array in ``BBox.as_tuple`` order.
-
-    Each box row is checked as ``BBox`` checks a box, with its messages;
-    arrays are kept as given when already float64 (or, for features,
-    float32), so a loaded dataset's images hold row views of its tables.
-    """
-
-    image_id: str
-    features: np.ndarray
-    boxes: np.ndarray
-
-    def __post_init__(self):
-        check_id("image id", self.image_id)
-        self.features = ensure_feature_matrix(
-            self.features, f"features[{self.image_id}]"
-        )
-        b = self.boxes = np.asarray(self.boxes, dtype=np.float64)
-        if b.ndim != 2 or b.shape[1] != 4:
-            raise DataError(
-                f"image '{self.image_id}': boxes must be an (n, 4) array, got "
-                f"shape {b.shape}"
-            )
-        if not (np.isfinite(b).all() and (b[:, 2:] >= b[:, :2]).all()):
-            BBox(*b[box_faults(b).argmax()].tolist())  # raises BBox's error
-        if self.features.shape[0] != b.shape[0]:
-            raise DataError(
-                f"image '{self.image_id}': {b.shape[0]} boxes but "
-                f"{self.features.shape[0]} feature rows"
-            )
-
-    @property
-    def n_proposals(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass(eq=False)
 class Dataset:
-    """A named collection of images sharing one feature dimensionality.
+    """A named collection of images' proposals, held as columns.
 
-    ``features`` is the one ``(N, D)`` C-contiguous array of every
-    proposal's features, images in order, and each image's ``features``
-    is a view of its consecutive rows, so mining and scoring work on the
-    one array by row index.  A loader or generator that already holds the
-    images as row views of one array passes it and it is adopted as is:
-    float32 as read from feature files, float64 as generated.  Otherwise
-    the images' rows are stacked once into a float64 array.  Either way
-    each image is rebound to its view (an image shared with another
-    dataset follows the one built last).  Every float operation upcasts
-    float32 values exactly (``linalg.matvec`` in row blocks, ``normalize``
-    as it subtracts the float64 mean), so both dtypes give the bits of the
-    float64 array holding the same values.
+    Row i of ``features``, the one ``(N, D)`` C-contiguous array of every
+    proposal's features, belongs to row i of ``boxes``, the ``(N, 4)``
+    float64 table of proposal boxes in ``BBox.as_tuple`` order.  Each
+    image's rows are consecutive, images in the order of ``image_ids``, and
+    ``sizes[k] >= 1`` counts image k's rows, so mining and scoring work on
+    the one array by row index.  The feature dimension and each row's image
+    (``image_index``) are derived, never stored.
+
+    ``features`` is float32 as read from feature files, or float64 as
+    generated.  Every float operation upcasts float32 values exactly
+    (``linalg.matvec`` in row blocks, ``normalize`` as it subtracts the
+    float64 mean), so both dtypes give the bits of the float64 array
+    holding the same values.
 
     ``ground_truths`` is the one table of the images' annotated boxes,
     whose images must be the dataset's and whose rows' classes must be in
     ``classes``; an image it does not list is unlabeled (target-style), and
     None lists none.
+
+    The constructor checks each column once, a bad feature named by its
+    image and row and a bad box row with ``BBox``'s message.
     """
 
     name: str
     classes: list[str]
-    feature_dim: int
-    images: list[ImageRecord] = field(default_factory=list)
-    features: np.ndarray | None = None
+    image_ids: tuple[str, ...]
+    sizes: np.ndarray
+    features: np.ndarray
+    boxes: np.ndarray
     ground_truths: GroundTruths | None = None
 
     def __post_init__(self):
-        ids = [img.image_id for img in self.images]
+        ids = self.image_ids = tuple(self.image_ids)
         check_ids(self.classes, ids)
-        if self.feature_dim < 1:
-            raise DataError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        for img in self.images:
-            if img.features.shape[1] != self.feature_dim:
-                raise DataError(
-                    f"image '{img.image_id}' has feature dim "
-                    f"{img.features.shape[1]}, dataset declares {self.feature_dim}"
-                )
+        sizes = self.sizes = np.asarray(self.sizes, dtype=np.intp)
+        if sizes.shape != (len(ids),):
+            raise DataError(
+                f"dataset '{self.name}': sizes must hold one row count per image"
+            )
+        F, n = self.features, int(sizes.sum())
+        if not (
+            isinstance(F, np.ndarray)
+            and F.dtype in (np.float64, np.float32)
+            and F.flags.c_contiguous
+            and F.ndim == 2
+            and F.shape[0] == n
+            and F.shape[1] >= 1
+        ):
+            raise DataError(
+                f"dataset '{self.name}': features must be a C-contiguous float64 "
+                f"({n}, D) array with D >= 1, or float32"
+            )
+        if (sizes < 1).any():
+            k = int((sizes < 1).argmax())
+            raise DataError(
+                f"features[{ids[k]}] must be at least 1x1, got {sizes[k]}x{F.shape[1]}"
+            )
+        # min and max propagate NaN, and allocate nothing the size of F.
+        if n and not (np.isfinite(F.min()) and np.isfinite(F.max())):
+            row = int(np.isfinite(F).all(axis=1).argmin())
+            ends = np.cumsum(sizes)
+            k = int(np.searchsorted(ends, row, side="right"))
+            ensure_feature_matrix(F[ends[k] - sizes[k] : ends[k]], f"features[{ids[k]}]")
+        b = self.boxes = np.asarray(self.boxes, dtype=np.float64)
+        if b.shape != (n, 4):
+            raise DataError(
+                f"dataset '{self.name}': boxes must be an ({n}, 4) array, got "
+                f"shape {b.shape}"
+            )
+        if not (np.isfinite(b).all() and (b[:, 2:] >= b[:, :2]).all()):
+            BBox(*b[box_faults(b).argmax()].tolist())  # raises BBox's error
         if self.ground_truths is None:
             self.ground_truths = GroundTruths(np.empty((0, 4)), [], [], (), self.classes)
         gt = self.ground_truths
@@ -137,48 +134,17 @@ class Dataset:
                 f"image '{gt.image_ids[gt.image_index[row]]}' references unknown "
                 f"class '{gt.class_ids[gt.class_index[row]]}'"
             )
-        self._bind_features()
 
-    def _bind_features(self) -> None:
-        """Adopt or stack ``features`` and make each image a view of its rows."""
-        shape = (sum(img.n_proposals for img in self.images), self.feature_dim)
-        given = self.features is not None
-        if not given:
-            self.features = np.concatenate(
-                [np.empty((0, shape[1])), *(img.features for img in self.images)]
-            )
-        F = self.features
-        if not (
-            isinstance(F, np.ndarray)
-            and F.dtype in (np.float64, np.float32)
-            and F.flags.c_contiguous
-            and F.shape == shape
-        ):
-            raise DataError(
-                f"dataset '{self.name}': features must be a C-contiguous float64 "
-                f"{shape} array, or float32"
-            )
-        end = 0
-        for img in self.images:
-            rows = F[end : end + img.n_proposals]
-            if given and not _same_view(img.features, rows):
-                raise DataError(
-                    f"image '{img.image_id}': features are not rows "
-                    f"{end}-{end + rows.shape[0]} of the dataset's feature array"
-                )
-            end += rows.shape[0]
-            img.features = rows
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def image_index(self) -> np.ndarray:
+        """Each row's image, as an index into ``image_ids``."""
+        return np.repeat(np.arange(len(self.image_ids)), self.sizes)
 
     @property
     def labeled(self) -> bool:
         """Whether the ground truth lists every image."""
-        return len(self.ground_truths.image_ids) == len(self.images)
-
-    @property
-    def n_proposals(self) -> int:
-        return self.features.shape[0]
-
-
-def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ``a`` and ``b`` view the same memory the same way."""
-    return (a.ctypes.data, a.shape, a.strides) == (b.ctypes.data, b.shape, b.strides)
+        return len(self.ground_truths.image_ids) == len(self.image_ids)

@@ -126,13 +126,10 @@ def _class_max_overlaps(dataset: Dataset, class_id: str) -> np.ndarray:
     A padding box overlaps nothing: its IoU is 0, or NaN for an
     overflowing area, and the maximum skips NaN (``fmax``) as the scalar
     loop it replaces did."""
-    images = dataset.images
-    padded = dataset.ground_truths.per_image(class_id, [img.image_id for img in images])
-    sizes = [img.n_proposals for img in images]
-    boxes = np.concatenate([np.empty((0, 4)), *(img.boxes for img in images)])
-    their_gt = padded[np.repeat(np.arange(len(images)), sizes)]
+    gt = dataset.ground_truths.per_image(class_id, dataset.image_ids)
     return np.fmax.reduce(
-        pairwise_iou(boxes[:, None, :], their_gt)[:, 0, :], axis=1, initial=0.0
+        pairwise_iou(dataset.boxes[:, None, :], gt[dataset.image_index])[:, 0, :],
+        axis=1, initial=0.0,
     )
 
 
@@ -409,10 +406,6 @@ def detect(
     time: k times as many rows when every proposal passes, as with a
     threshold of -1000.
     """
-    image_ids = tuple(img.image_id for img in target.images)
-    boxes = np.concatenate([np.empty((0, 4)), *(img.boxes for img in target.images)])
-    sizes = [img.n_proposals for img in target.images]
-    image = np.repeat(np.arange(len(image_ids)), sizes)
     codes, detectors = [], []
     for k, class_id in enumerate(target.classes):
         state = states.get(class_id)
@@ -427,8 +420,8 @@ def detect(
     scores = raw_score_rows(target, detectors)
     which, rows = np.nonzero(scores >= cfg.detect_thresh)  # class-major
     picked = Detections(
-        boxes[rows], scores[which, rows], image[rows],
-        np.array(codes, dtype=np.intp)[which], image_ids, target.classes,
+        target.boxes[rows], scores[which, rows], target.image_index[rows],
+        np.array(codes, dtype=np.intp)[which], target.image_ids, target.classes,
     )
-    del boxes, image, scores, which, rows  # freed before NMS runs
+    del scores, which, rows  # freed before NMS runs
     return greedy_nms(picked, cfg.nms_thresh)

@@ -11,10 +11,12 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from aligndet.datasets import Dataset, ImageRecord, check_id, check_ids
+from aligndet.dataio import BOX_HEADER, GT_HEADER, _box_tables
+from aligndet.datasets import Dataset, check_id, check_ids
 from aligndet.detection import (
     HINGE_MARGIN, BBox, Detections, GroundTruths, iou, label_codes,
 )
@@ -94,14 +96,44 @@ def ground_truths_of(image_ids, gts, classes) -> GroundTruths:
     return ground_truths_from_rows(rows, listed, names)
 
 
-def labeled_dataset(name, classes, feature_dim, images, gts, features=None) -> Dataset:
-    """``Dataset`` of ``images`` whose ground truth is given per image, as
-    ``ground_truths_of`` takes it.  Ids are checked first, as ``Dataset``
-    checks them before the table's names."""
+class Image(NamedTuple):
+    """One image's rows of a ``Dataset``: its id, its ``(n, D)`` feature
+    rows and its ``(n, 4)`` box rows."""
+
+    image_id: str
+    features: np.ndarray
+    boxes: np.ndarray
+
+
+def images_of(dataset: Dataset) -> list[Image]:
+    """Each image of ``dataset`` as an ``Image`` of views of its rows, in
+    order."""
+    ends = np.cumsum(dataset.sizes).tolist()
+    return [
+        Image(i, dataset.features[end - n : end], dataset.boxes[end - n : end])
+        for i, n, end in zip(dataset.image_ids, dataset.sizes.tolist(), ends)
+    ]
+
+
+def dataset_of(name, classes, images, gts=None) -> Dataset:
+    """The ``Dataset`` of ``images``, ``Image`` rows or (image_id,
+    features, boxes) triples, their features stacked into one float64
+    array and their boxes into one table.  ``gts`` gives each image's
+    ground truth as ``ground_truths_of`` takes it; None labels no image.
+    Ids are checked first, as ``Dataset`` checks them before the table's
+    names."""
+    images = [Image(*img) for img in images]
     ids = [img.image_id for img in images]
-    check_ids(classes, ids)
+    features = [np.asarray(img.features, dtype=np.float64) for img in images]
+    boxes = [np.asarray(img.boxes, dtype=np.float64).reshape(-1, 4) for img in images]
+    truths = None
+    if gts is not None:
+        check_ids(classes, ids)
+        truths = ground_truths_of(ids, gts, classes)
     return Dataset(
-        name, classes, feature_dim, images, features, ground_truths_of(ids, gts, classes)
+        name, classes, ids, [len(f) for f in features],
+        np.concatenate(features or [np.empty((0, 1))]),
+        np.concatenate([np.empty((0, 4)), *boxes]), truths,
     )
 
 
@@ -112,7 +144,26 @@ def image_gt(dataset) -> list:
     per_image = {i: [] for i in dataset.ground_truths.image_ids}
     for g in gt_rows(dataset.ground_truths):
         per_image[g.image_id].append((g.class_id, g.box))
-    return [per_image.get(img.image_id) for img in dataset.images]
+    return [per_image.get(image_id) for image_id in dataset.image_ids]
+
+
+def read_boxes_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """One boxes CSV read on its own: the image id of each row and the
+    ``(n, 4)`` box array."""
+    columns, numbers, _, fault = _box_tables([path], "boxes", BOX_HEADER)
+    if fault:
+        raise fault
+    return columns[0], numbers
+
+
+def read_gt_csv(path) -> list[tuple[str, str, BBox]]:
+    """One GT CSV read on its own: rows of (image_id, class_id, box)."""
+    columns, numbers, _, fault = _box_tables([path], "gt", GT_HEADER)
+    if fault:
+        raise fault
+    return [
+        (i, c, BBox(*b)) for i, c, b in zip(columns[0], columns[5], numbers.tolist())
+    ]
 
 
 def detections_from_rows(rows, image_ids=None, class_ids=None) -> Detections:
@@ -380,9 +431,11 @@ def read_fmx(path):
 
 def sequential_load_dataset(manifest_path):
     """The per-image dataset loader: each image's feature file, boxes file
-    (its rows' image ids, then its row count) and GT file are read in
-    manifest order with ``read_fmx`` and ``per_line_box_rows``, and the
-    first fault raises ``load_dataset``'s message for it."""
+    (its rows' image ids, then its row count), GT file and feature shape
+    are checked in manifest order with ``read_fmx`` and
+    ``per_line_box_rows``, then duplicate ids, the declared feature
+    dimension and each file's width; the first fault raises
+    ``load_dataset``'s message for it."""
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
     base = manifest_path.parent
@@ -427,22 +480,35 @@ def sequential_load_dataset(manifest_path):
                             f"gt file '{gt_path}': unknown class '{parts[5]}'"
                         )
                     gt.append((parts[5], box))
+            n, width = features.shape
+            if n < 1 or width < 1:
+                raise DataError(
+                    f"features[{image_id}] must be at least 1x1, got {n}x{width}"
+                )
             boxes = [box.as_tuple() for _, _, box, _ in rows]
-            images.append(ImageRecord(image_id, features, np.reshape(boxes, (-1, 4))))
+            images.append(Image(image_id, features, boxes))
             gts.append(gt)
-        return labeled_dataset(
-            manifest["name"], classes, int(manifest["feature_dim"]), images, gts
-        )
+        check_ids(classes, [img.image_id for img in images])
+        feature_dim = int(manifest["feature_dim"])
+        if feature_dim < 1:
+            raise DataError(f"feature_dim must be >= 1, got {feature_dim}")
+        for img in images:
+            if img.features.shape[1] != feature_dim:
+                raise DataError(
+                    f"image '{img.image_id}' has feature dim "
+                    f"{img.features.shape[1]}, dataset declares {feature_dim}"
+                )
+        return dataset_of(manifest["name"], classes, images, gts)
     except DataError as exc:
         raise DataError(f"manifest '{manifest_path}' is malformed: {exc}") from None
 
 
 def scalar_max_overlaps(img, gt, class_id):
-    """Per proposal of ``img``, its largest scalar ``iou`` with a GT box
-    of class ``class_id`` among its ground truth ``gt`` (``image_gt``), 0
-    without one: the double loop."""
+    """Per proposal of the ``Image`` ``img``, its largest scalar ``iou``
+    with a GT box of class ``class_id`` among its ground truth ``gt``
+    (``image_gt``), 0 without one: the double loop."""
     gt_boxes = [box for cid, box in (gt or []) if cid == class_id]
-    out = np.zeros(img.n_proposals)
+    out = np.zeros(len(img.boxes))
     for i, row in enumerate(img.boxes.tolist()):
         box = BBox(*row)
         for g in gt_boxes:
@@ -467,7 +533,7 @@ def unfolded_detect(target, states, cfg):
         if c not in states:
             continue
         state, det = states[c], states[c].adapted_detector
-        for img in target.images:
+        for img in images_of(target):
             feats = img.features
             if state.mode != "none":
                 feats = project_target(feats, state.target_subspace)

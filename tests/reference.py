@@ -12,7 +12,7 @@ import numpy as np
 
 from aligndet.datasets import Dataset
 from aligndet.pipeline import AdaptationConfig
-from oracles import image_gt
+from oracles import image_gt, images_of
 
 _MARGIN = 1.0
 _INIT_CACHE = 1024
@@ -150,7 +150,7 @@ def _detect_and_score(target, detectors, projector, cfg) -> dict[str, float | No
     ap = {}
     for class_id, (w, b) in detectors.items():
         entries = []
-        for img in target.images:
+        for img in images_of(target):
             feats = projector(class_id, img.features)
             scores = feats @ w + b
             pool = [
@@ -161,7 +161,7 @@ def _detect_and_score(target, detectors, projector, cfg) -> dict[str, float | No
             entries.extend(_nms_from_scratch(pool, cfg.nms_thresh))
         gts = [
             (img.image_id, box.as_tuple())
-            for img, gt in zip(target.images, image_gt(target))
+            for img, gt in zip(images_of(target), image_gt(target))
             for cid, box in (gt or [])
             if cid == class_id
         ]
@@ -180,7 +180,7 @@ def reference_run(source: Dataset, target: Dataset, cfg: AdaptationConfig) -> di
     negatives: dict[str, np.ndarray] = {}
     for class_id in source.classes:
         pos_rows, neg_rows = [], []
-        for img, gt in zip(source.images, image_gt(source)):
+        for img, gt in zip(images_of(source), image_gt(source)):
             ols = _overlaps(img, gt, class_id)
             for i, ol in enumerate(ols):
                 if ol >= cfg.gamma:
@@ -203,7 +203,7 @@ def reference_run(source: Dataset, target: Dataset, cfg: AdaptationConfig) -> di
     frames = {}
     for class_id, (w, b) in initial.items():
         tgt_rows = []
-        for img in target.images:
+        for img in images_of(target):
             scores = img.features @ w + b
             for i in np.flatnonzero(scores >= cfg.sigma):
                 tgt_rows.append(img.features[i])

@@ -8,6 +8,7 @@ import pytest
 from aligndet import cli, detection, evaluation, pipeline
 from aligndet.dataio import load_dataset, load_detectors, load_states
 from aligndet.errors import DataError, NumericalError
+from oracles import images_of
 
 FAST_CFG = """
 d = 5
@@ -29,6 +30,22 @@ def test_missing_required_argument_is_usage_error(capsys):
     assert cli.main(["pipeline"]) == 1
     err = capsys.readouterr().err
     assert "usage" in err
+
+
+def test_one_process_parses_each_command_afresh(tmp_path, capsys, fast_config):
+    # The parser is built once per process; a usage error between two good
+    # commands leaves nothing of either behind.
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["synth", "--config", fast_config, "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["detect", "--states", "s.json", "--out", str(tmp_path / "x")]) == 1
+    assert "the following arguments are required: --dataset" in capsys.readouterr().err
+    assert cli.main(["synth", "--out", str(tmp_path / "b")]) == 0
+    classes = [
+        json.loads((tmp_path / run / "source" / "manifest.json").read_text())["classes"]
+        for run in "ab"
+    ]
+    assert [len(c) for c in classes] == [2, 5]  # fast_config's, then the default
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_command_is_usage_error():
@@ -389,7 +406,7 @@ def test_pipeline_initial_score_histograms(tmp_path):
             [
                 img.features @ det.weights + det.bias
                 for det in detectors.values()
-                for img in dataset.images
+                for img in images_of(dataset)
             ]
         )
         want = evaluation.score_histogram(scores, 7, (-2.5, 1.5)).to_dict()
@@ -397,7 +414,7 @@ def test_pipeline_initial_score_histograms(tmp_path):
         assert got == want
         assert sum(got["counts"]) > 0
         assert sum(got["counts"]) + got["underflow"] + got["overflow"] == (
-            len(detectors) * dataset.n_proposals
+            len(detectors) * len(dataset.boxes)
         )
 
 

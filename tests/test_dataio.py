@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aligndet import dataio
-from aligndet.datasets import Dataset, ImageRecord, check_id
+from aligndet.datasets import Dataset, check_id
 from aligndet.dataio import (
     BOX_HEADER,
     DETECTION_HEADER,
@@ -31,9 +31,7 @@ from aligndet.dataio import (
     load_dataset,
     load_detectors,
     load_states,
-    read_boxes_csv,
     read_detections_csv,
-    read_gt_csv,
     save_dataset,
     save_detectors,
     save_oracle,
@@ -46,19 +44,23 @@ from aligndet.detection import BBox, LinearDetector
 from aligndet.errors import DataError
 from oracles import (
     Detection,
+    Image,
+    dataset_of,
     detections_from_rows,
     gt_rows,
     image_gt,
-    labeled_dataset,
+    images_of,
     per_line_box_rows,
+    read_boxes_csv,
+    read_gt_csv,
     rows_of,
     rowwise_write_detections_csv,
     sequential_load_dataset,
 )
 
 # Every character ``str.splitlines`` ends a line at.  The readers would
-# split an id holding one, so ``ImageRecord`` and ``Dataset`` reject such
-# ids when built, before any file is written.
+# split an id holding one, so ``Dataset`` rejects such ids when built,
+# before any file is written.
 LINE_BREAKS = [
     "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
 ]
@@ -66,33 +68,37 @@ LINE_BREAKS = [
 
 def tiny_dataset(labeled=True):
     rng = np.random.default_rng(0)
-    images = []
-    for k in range(2):
-        images.append(
-            ImageRecord(
-                image_id=f"img{k}",
-                features=rng.normal(size=(3, 4)),
-                boxes=[(10.0 * i, 0.0, 10.0 * i + 8.0, 8.0) for i in range(3)],
-            )
+    images = [
+        Image(
+            image_id=f"img{k}",
+            features=rng.normal(size=(3, 4)),
+            boxes=[(10.0 * i, 0.0, 10.0 * i + 8.0, 8.0) for i in range(3)],
         )
+        for k in range(2)
+    ]
     gt = [("cat", BBox(0.0, 0.0, 8.0, 8.0))] if labeled else None
-    return labeled_dataset("tiny", ["cat"], 4, images, [gt, gt])
+    return dataset_of("tiny", ["cat"], images, [gt, gt])
+
+
+def one_row_each(*image_ids, classes=(), dim=2, boxes=None):
+    """Dataset ``d`` of one proposal per image, all features 1, each box
+    (0, 0, 1, 1) unless ``boxes`` are given."""
+    n = len(image_ids)
+    if boxes is None:
+        boxes = np.tile([0.0, 0.0, 1.0, 1.0], (n, 1))
+    return Dataset("d", list(classes), image_ids, [1] * n, np.ones((n, dim)), boxes)
 
 
 class TestContainers:
-    def test_row_count_mismatch(self):
-        with pytest.raises(DataError, match="boxes"):
-            ImageRecord("a", np.ones((2, 3)), [(0, 0, 1, 1)])
-
     def test_box_rows_must_match_feature_rows(self):
         with pytest.raises(DataError) as info:
-            ImageRecord("a", np.ones((2, 3)), np.zeros((3, 4)))
-        assert str(info.value) == "image 'a': 3 boxes but 2 feature rows"
+            Dataset("d", [], ["a"], [2], np.ones((2, 3)), np.zeros((3, 4)))
+        assert str(info.value) == "dataset 'd': boxes must be an (2, 4) array, got shape (3, 4)"
 
     @pytest.mark.parametrize("shape", [(2, 3), (2, 4, 1), (8,)])
     def test_boxes_must_be_n_by_4(self, shape):
         with pytest.raises(DataError, match=re.escape(f"got shape {shape}")):
-            ImageRecord("a", np.ones((2, 3)), np.zeros(shape))
+            Dataset("d", [], ["a"], [2], np.ones((2, 3)), np.zeros(shape))
 
     @pytest.mark.parametrize(
         "bad_row",
@@ -110,48 +116,66 @@ class TestContainers:
         # The first bad row is reported; the last row is bad in another way.
         boxes = [(0, 0, 1, 1), bad_row, (3, 0, 1, 1)]
         with pytest.raises(DataError) as info:
-            ImageRecord("a", np.ones((3, 2)), boxes)
+            one_row_each("a", "b", "c", boxes=boxes)
         assert str(info.value) == str(expected.value)
 
     def test_duplicate_image_ids(self):
-        img = ImageRecord("a", np.ones((1, 2)), [(0, 0, 1, 1)])
-        img2 = ImageRecord("a", np.ones((1, 2)), [(0, 0, 1, 1)])
-        with pytest.raises(DataError, match="duplicate"):
-            Dataset("d", [], 2, [img, img2])
+        with pytest.raises(DataError, match="duplicate image id 'a'"):
+            one_row_each("a", "a")
 
     def test_duplicate_class_ids(self):
         with pytest.raises(DataError, match="duplicate class id 'cat'"):
-            Dataset("d", ["cat", "dog", "cat"], 2)
+            one_row_each(classes=["cat", "dog", "cat"])
 
     @pytest.mark.parametrize(
         "bad", ["im,0", "im\n0", "im\r0", ""] + [f"im{c}0" for c in LINE_BREAKS[2:]]
     )
     def test_image_id_that_breaks_the_csv_files(self, bad):
         with pytest.raises(DataError, match=f"image id {re.escape(repr(bad))}"):
-            ImageRecord(bad, np.ones((1, 2)), [(0, 0, 1, 1)])
+            one_row_each(bad)
 
     @pytest.mark.parametrize(
         "bad", ["cls,a", "cls\na", "cls\ra", ""] + [f"cls{c}a" for c in LINE_BREAKS[2:]]
     )
     def test_class_id_that_breaks_the_csv_files(self, bad):
         with pytest.raises(DataError, match=f"class id {re.escape(repr(bad))}"):
-            Dataset("d", ["cat", bad], 2)
+            one_row_each(classes=["cat", bad])
 
     def test_unknown_gt_class(self):
-        img = ImageRecord("a", np.ones((1, 2)), [(0, 0, 1, 1)])
+        img = Image("a", np.ones((1, 2)), [(0, 0, 1, 1)])
         with pytest.raises(DataError, match="unknown"):
-            labeled_dataset("d", ["cat"], 2, [img], [[("dog", BBox(0, 0, 1, 1))]])
+            dataset_of("d", ["cat"], [img], [[("dog", BBox(0, 0, 1, 1))]])
 
-    def test_feature_dim_mismatch(self):
-        img = ImageRecord("a", np.ones((1, 3)), [(0, 0, 1, 1)])
-        with pytest.raises(DataError, match="feature dim"):
-            Dataset("d", [], 2, [img])
+    def test_sizes_must_count_each_images_rows(self):
+        with pytest.raises(DataError, match="^dataset 'd': sizes must hold one row count"):
+            Dataset("d", [], ["a", "b"], [2], np.ones((2, 3)), np.zeros((2, 4)))
+        with pytest.raises(DataError, match=re.escape("C-contiguous float64 (3, D) array")):
+            Dataset("d", [], ["a", "b"], [2, 1], np.ones((2, 3)), np.zeros((2, 4)))
 
-    def test_iteration_helpers(self):
+    def test_image_without_proposals_is_rejected_by_name(self):
+        with pytest.raises(DataError) as info:
+            Dataset("d", [], ["a", "b"], [1, 0], np.ones((1, 3)), [(0, 0, 1, 1)])
+        assert str(info.value) == "features[b] must be at least 1x1, got 0x3"
+
+    def test_non_finite_feature_names_its_image_row_and_column(self):
         ds = tiny_dataset()
-        assert ds.n_proposals == 6
-        assert ds.features.shape == (6, 4)
-        npt.assert_array_equal(ds.features[3:], ds.images[1].features)
+        for value in (np.nan, np.inf, -np.inf):
+            F = ds.features.copy()
+            F[4, 2] = value
+            with pytest.raises(DataError) as info:
+                Dataset("d", ["cat"], ds.image_ids, ds.sizes, F, ds.boxes)
+            assert str(info.value) == (
+                "features[img1] has a non-finite entry at row 1, column 2"
+            )
+
+    def test_derived_columns(self):
+        ds = tiny_dataset()
+        assert len(ds.boxes) == 6 and ds.feature_dim == 4
+        assert ds.features.shape == (6, 4) and ds.boxes.shape == (6, 4)
+        assert ds.image_ids == ("img0", "img1")
+        npt.assert_array_equal(ds.sizes, [3, 3])
+        npt.assert_array_equal(ds.image_index, [0, 0, 0, 1, 1, 1])
+        npt.assert_array_equal(ds.features[3:], images_of(ds)[1].features)
         assert len(ds.ground_truths) == 2
         assert ds.labeled
 
@@ -159,8 +183,8 @@ class TestContainers:
 def one_image_dataset(tmp_path, n, D):
     """A saved dataset of one image with ``n`` proposals of ``D`` features:
     its manifest and its image's feature file."""
-    image = ImageRecord("img0", np.zeros((n, D)), [(0.0, 0.0, 1.0, 1.0)] * n)
-    manifest = save_dataset(Dataset("one", ["cat"], D, [image]), tmp_path)
+    image = Image("img0", np.zeros((n, D)), [(0.0, 0.0, 1.0, 1.0)] * n)
+    manifest = save_dataset(dataset_of("one", ["cat"], [image]), tmp_path)
     return manifest, tmp_path / "features" / "img0.fmx"
 
 
@@ -169,7 +193,7 @@ class TestFeatureFiles:
         X = np.random.default_rng(1).normal(size=(5, 3))
         m, p = one_image_dataset(tmp_path, 5, 3)
         write_features(p, X)
-        loaded = load_dataset(m).images[0].features
+        loaded = load_dataset(m).features
         p2 = tmp_path / "y.fmx"
         write_features(p2, loaded)
         assert p.read_bytes() == p2.read_bytes()
@@ -213,7 +237,7 @@ class TestFeatureFiles:
 
     def test_save_rejects_features_beyond_float32_before_writing(self, tmp_path):
         ds = tiny_dataset()
-        ds.images[1].features[2, 3] = -1e39
+        images_of(ds)[1].features[2, 3] = -1e39
         with pytest.raises(
             DataError,
             match=r"^image 'img1': feature row 2 is too large for float32, "
@@ -225,9 +249,9 @@ class TestFeatureFiles:
     def test_float32_extremes_round_trip(self, tmp_path):
         ds = tiny_dataset()
         top = float(np.finfo(np.float32).max)
-        ds.images[0].features[0] = [top, -top, np.finfo(np.float32).tiny, 0.0]
+        ds.features[0] = [top, -top, np.finfo(np.float32).tiny, 0.0]
         loaded = load_dataset(save_dataset(ds, tmp_path))
-        npt.assert_array_equal(loaded.images[0].features[0], ds.images[0].features[0])
+        npt.assert_array_equal(loaded.features[0], ds.features[0])
 
 
 class TestCsvFiles:
@@ -523,9 +547,8 @@ class TestDatasetRoundTrip:
     )
     def test_path_like_image_id_is_rejected_before_writing(self, tmp_path, bad_id):
         tiny = tiny_dataset()
-        good, gt = tiny.images[0], image_gt(tiny)[0]
-        bad = ImageRecord(bad_id, good.features, good.boxes)
-        ds = labeled_dataset("tiny", ["cat"], 4, [good, bad], [gt, gt])
+        good, gt = images_of(tiny)[0], image_gt(tiny)[0]
+        ds = dataset_of("tiny", ["cat"], [good, good._replace(image_id=bad_id)], [gt, gt])
         with pytest.raises(DataError, match=re.escape(repr(bad_id))):
             save_dataset(ds, tmp_path / "deep" / "out")
         # Nothing is written at all, so nothing outside the output directory.
@@ -593,6 +616,31 @@ class TestDatasetRoundTrip:
         gt.write_text(gt.read_text().replace("cat", "dog"))
         with pytest.raises(DataError, match="unknown class 'dog'"):
             load_dataset(m)
+
+    def test_file_of_another_width_names_its_image(self, tmp_path):
+        m = save_dataset(tiny_dataset(), tmp_path)
+        write_features(tmp_path / "features" / "img1.fmx", np.ones((3, 3)))
+        with pytest.raises(DataError) as info:
+            load_dataset(m)
+        assert str(info.value) == (
+            f"manifest '{m}' is malformed: image 'img1' has feature dim 3, "
+            "dataset declares 4"
+        )
+
+    @pytest.mark.parametrize("width", [4, 3])
+    def test_image_without_proposals_is_rejected_by_name(self, tmp_path, width):
+        # A header-only boxes file and a feature file of no rows: the image
+        # is rejected, in its place in the fault order, whatever its width.
+        m = save_dataset(tiny_dataset(), tmp_path)
+        write_features(tmp_path / "features" / "img1.fmx", np.ones((0, width)))
+        write_boxes_csv(tmp_path / "boxes" / "img1.csv", "img1", np.ones((0, 4)))
+        with pytest.raises(DataError) as info:
+            load_dataset(m)
+        assert str(info.value) == (
+            f"manifest '{m}' is malformed: features[img1] must be at least 1x1, "
+            f"got 0x{width}"
+        )
+        assert str(info.value) == _load_outcome(sequential_load_dataset, m)
 
     @pytest.mark.parametrize(
         "value, message",
@@ -669,14 +717,16 @@ class TestSynthGenerator:
         a_src, a_tgt, _ = generate_synthetic(spec)
         b_src, b_tgt, _ = generate_synthetic(spec)
         for a, b in [(a_src, b_src), (a_tgt, b_tgt)]:
-            for ia, ib in zip(a.images, b.images):
-                npt.assert_array_equal(ia.features, ib.features)
+            assert a.image_ids == b.image_ids
+            npt.assert_array_equal(a.sizes, b.sizes)
+            npt.assert_array_equal(a.features, b.features)
+            npt.assert_array_equal(a.boxes, b.boxes)
         m1 = save_dataset(a_src, tmp_path / "r1")
         m2 = save_dataset(b_src, tmp_path / "r2")
         assert m1.read_bytes() == m2.read_bytes()
-        assert (tmp_path / "r1" / "features" / a_src.images[0].image_id
+        assert (tmp_path / "r1" / "features" / a_src.image_ids[0]
                 ).with_suffix(".fmx").read_bytes() == (
-            tmp_path / "r2" / "features" / b_src.images[0].image_id
+            tmp_path / "r2" / "features" / b_src.image_ids[0]
         ).with_suffix(".fmx").read_bytes()
 
     def test_object_proposals_meet_iou_floor(self):
@@ -684,7 +734,7 @@ class TestSynthGenerator:
 
         spec = SynthShiftSpec(samples_per_class=30, n_classes=2)
         src, _, _ = generate_synthetic(spec)
-        for img, gt in zip(src.images, image_gt(src)):
+        for img, gt in zip(images_of(src), image_gt(src)):
             (class_id, gt_box), = gt
             object_boxes = img.boxes[: -spec.neg_per_image]
             background = img.boxes[-spec.neg_per_image :]
@@ -723,7 +773,7 @@ class TestSynthGenerator:
         rows = np.vstack(
             [
                 img.features[: spec.pos_per_image]
-                for img, gt in zip(tgt.images, image_gt(tgt))
+                for img, gt in zip(images_of(tgt), image_gt(tgt))
                 if gt[0][0] == "class00"
             ]
         )
@@ -1113,9 +1163,9 @@ def small_datasets(draw):
                 (draw(st.sampled_from(["cat", "dog"])), BBox(0.0, 0.0, 2.0, 2.5))
                 for _ in range(draw(st.integers(0, 2)))
             ]
-        images.append(ImageRecord(f"img{k}", np.reshape(values, (n, dim)), boxes))
+        images.append(Image(f"img{k}", np.reshape(values, (n, dim)), boxes))
         gts.append(gt)
-    return labeled_dataset("h", ["cat", "dog"], dim, images, gts)
+    return dataset_of("h", ["cat", "dog"], images, gts)
 
 
 def _mutate(data, root, mutation, kinds=None) -> None:
@@ -1232,7 +1282,7 @@ def _load_outcome(load, manifest):
         ds.feature_dim,
         [
             (img.image_id, img.features.shape, bits(img.features), bits(img.boxes), gt)
-            for img, gt in zip(ds.images, image_gt(ds))
+            for img, gt in zip(images_of(ds), image_gt(ds))
         ],
     )
 
@@ -1260,20 +1310,19 @@ def test_load_dataset_reads_as_the_sequential_loader(tmp_path, first, ds, data):
 
 def _annotations_outcome(load, manifest):
     """What ``load`` makes of ``manifest``'s annotations: its error
-    message, or the name, classes, image ids and ground truth: the images
-    its table lists and its rows."""
+    message, or its name and, when every image is labeled, its class ids,
+    image ids and ground-truth rows."""
     try:
         ds = load(manifest)
     except DataError as exc:
         return str(exc)
     if isinstance(ds, Dataset):
-        ids = tuple(img.image_id for img in ds.images)
+        names = tuple(ds.classes), ds.image_ids
         truths = ds.ground_truths if ds.labeled else None
     else:
-        ids, truths = ds.image_ids, ds.ground_truths
-    if truths is not None:
-        truths = truths.image_ids, gt_rows(truths)
-    return ds.name, ds.classes, ids, truths
+        truths = ds.ground_truths
+        names = None if truths is None else (truths.class_ids, truths.image_ids)
+    return ds.name, None if truths is None else (*names, gt_rows(truths))
 
 
 GT_MUTATIONS = [*TEXT_MUTATIONS, "unknown_class", "missing", "empty_gt_file"]
@@ -1349,13 +1398,13 @@ def test_first_fault_across_kinds_and_images_is_the_sequential_loaders(tmp_path,
     """Fault ``a`` in image 0 and ``b`` in image 1, then both in image 0:
     ``load_dataset`` reports what the per-image loader reports first."""
     images = [
-        ImageRecord(f"img{k}", np.arange(6.0).reshape(3, 2), [(0.0, 0.0, 1.0, 1.0)] * 3)
+        Image(f"img{k}", np.arange(6.0).reshape(3, 2), [(0.0, 0.0, 1.0, 1.0)] * 3)
         for k in range(2)
     ]
     gts = [[("cat", BBox(0.0, 0.0, 1.0, 1.0))]] * 2
     for where in ((0, 1), (0, 0)):
         with tempfile.TemporaryDirectory(dir=tmp_path) as out:
-            manifest = save_dataset(labeled_dataset("pair", ["cat"], 2, images, gts), out)
+            manifest = save_dataset(dataset_of("pair", ["cat"], images, gts), out)
             for kind, k in zip((a, b), where):
                 _make_fault(manifest.parent, kind, k)
             expected = _load_outcome(sequential_load_dataset, manifest)
@@ -1364,46 +1413,45 @@ def test_first_fault_across_kinds_and_images_is_the_sequential_loaders(tmp_path,
 
 
 class TestFeatureArray:
-    """A dataset holds one feature array and its images view its rows."""
+    """A dataset holds one feature array and one box table, each image's
+    rows consecutive."""
 
     @staticmethod
-    def assert_views(ds, dtype=np.float64):
+    def assert_columns(ds, dtype=np.float64):
         F = ds.features
         assert F.flags.c_contiguous and F.dtype == dtype
-        assert F.shape == (ds.n_proposals, ds.feature_dim)
-        end = 0
-        for img in ds.images:
-            assert np.shares_memory(img.features, F)
-            assert img.features.base is not None
-            npt.assert_array_equal(img.features, F[end : end + img.n_proposals])
-            end += img.n_proposals
-        assert end == F.shape[0]
+        assert F.shape == (ds.sizes.sum(), ds.feature_dim)
+        assert ds.boxes.dtype == np.float64 and ds.boxes.shape == (F.shape[0], 4)
+        assert (ds.sizes >= 1).all() and len(ds.sizes) == len(ds.image_ids)
+        npt.assert_array_equal(
+            ds.image_index, np.repeat(np.arange(len(ds.image_ids)), ds.sizes)
+        )
 
-    def test_hand_built_rows_are_stacked_once(self):
+    def test_image_rows_view_the_one_array(self):
         ds = tiny_dataset()
-        self.assert_views(ds)
-        ds.images[1].features[0, 0] = 7.0
+        self.assert_columns(ds)
+        images_of(ds)[1].features[0, 0] = 7.0
         assert ds.features[3, 0] == 7.0
 
     def test_generated_dataset_adopts_its_array(self):
         for ds in generate_synthetic(SynthShiftSpec(samples_per_class=15, n_classes=2))[:2]:
-            self.assert_views(ds)
+            self.assert_columns(ds)
 
     def test_loaded_dataset_adopts_its_array(self, tmp_path):
         # The .fmx payload is the array: float32, as stored.
         ds = load_dataset(save_dataset(tiny_dataset(), tmp_path))
-        self.assert_views(ds, np.float32)
+        self.assert_columns(ds, np.float32)
 
     def test_load_peaks_under_its_float32_array(self, tmp_path):
         # 1024-dim features: each payload is read into its rows of the one
         # float32 array, with no float64 copy and no per-file bytes.
         rng = np.random.default_rng(4)
         images = [
-            ImageRecord(f"img{k}", rng.normal(size=(150, 1024)), [(0.0, 0.0, 8.0, 8.0)] * 150)
+            Image(f"img{k}", rng.normal(size=(150, 1024)), [(0.0, 0.0, 8.0, 8.0)] * 150)
             for k in range(6)
         ]
         gts = [[("cat", BBox(0.0, 0.0, 8.0, 8.0))]] * 6
-        manifest = save_dataset(labeled_dataset("wide", ["cat"], 1024, images, gts), tmp_path)
+        manifest = save_dataset(dataset_of("wide", ["cat"], images, gts), tmp_path)
         tracemalloc.start()
         try:
             ds = load_dataset(manifest)
@@ -1413,12 +1461,12 @@ class TestFeatureArray:
         assert ds.features.dtype == np.float32
         assert peak < 1.25 * ds.features.nbytes
 
-    def test_given_array_must_hold_the_images_rows(self):
-        a, b = tiny_dataset().images
-        F = np.vstack([a.features, b.features])
-        with pytest.raises(DataError, match="image 'img0': features are not rows 0-3"):
-            Dataset("d", ["cat"], 4, [a, b], F)
-        with pytest.raises(DataError, match=r"C-contiguous float64 \(6, 4\) array"):
-            Dataset("d", ["cat"], 4, [a, b], np.asfortranarray(F))
-        ds = Dataset("d", ["cat"], 4, [a, b], None)
-        assert Dataset("e", ["cat"], 4, [a, b], ds.features).features is ds.features
+    def test_features_must_be_one_c_contiguous_array_and_are_adopted(self):
+        ds = tiny_dataset()
+        columns = ds.image_ids, ds.sizes
+        with pytest.raises(DataError, match=r"C-contiguous float64 \(6, D\) array"):
+            Dataset("d", ["cat"], *columns, np.asfortranarray(ds.features), ds.boxes)
+        with pytest.raises(DataError, match=r"C-contiguous float64 \(6, D\) array"):
+            Dataset("d", ["cat"], *columns, ds.features.astype(np.float16), ds.boxes)
+        again = Dataset("e", ["cat"], *columns, ds.features, ds.boxes)
+        assert again.features is ds.features and again.boxes is ds.boxes

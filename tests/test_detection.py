@@ -26,11 +26,12 @@ from aligndet.detection import (
     _replay,
     train_detector,
 )
-from aligndet.datasets import Dataset, ImageRecord
+from aligndet.datasets import Dataset
 from aligndet.errors import DataError
 from aligndet.pipeline import raw_scores
 from oracles import (
     Detection,
+    dataset_of,
     detections_from_rows,
     exhaustive_nms,
     grouped_nms,
@@ -695,8 +696,7 @@ class TestSubgradientDescent:
 def one_image(X) -> Dataset:
     """A dataset ``one`` of a single image whose proposal features are ``X``."""
     X = np.asarray(X, dtype=float)
-    boxes = [(0, 0, 1, 1)] * X.shape[0]
-    return Dataset("one", ["a"], X.shape[1], [ImageRecord("img0", X, boxes)])
+    return dataset_of("one", ["a"], [("img0", X, [(0, 0, 1, 1)] * X.shape[0])])
 
 
 def score_one(det, X) -> np.ndarray:
@@ -836,8 +836,10 @@ class TestDetections:
         assert str(info.value) == str(expected.value)
 
 
-def two_images():
-    return [ImageRecord(f"img{k}", np.zeros((1, 1)), [(0.0, 0.0, 1.0, 1.0)]) for k in range(2)]
+def two_images(gt=None) -> Dataset:
+    """A dataset ``d`` of two images of one proposal each, with ``gt``."""
+    boxes = [(0.0, 0.0, 1.0, 1.0)] * 2
+    return Dataset("d", ["cat"], ("img0", "img1"), [1, 1], np.zeros((2, 1)), boxes, gt)
 
 
 class TestGroundTruths:
@@ -884,15 +886,15 @@ class TestGroundTruths:
     def test_faults_of_the_table_and_of_the_dataset_holding_it(self, change, message):
         with pytest.raises(DataError) as info:
             gt = GroundTruths(**{**self.FIELDS, **change})
-            Dataset("d", ["cat"], 1, two_images(), ground_truths=gt)
+            two_images(gt)
         assert str(info.value) == message
 
     def test_an_image_listed_without_rows_is_labeled(self):
         gt = GroundTruths(**{**self.FIELDS, "image_index": [0, 0]})
-        assert Dataset("d", ["cat"], 1, two_images(), ground_truths=gt).labeled
+        assert two_images(gt).labeled
         gt = GroundTruths(**{**self.FIELDS, "image_index": [0, 0], "image_ids": ("img0",)})
-        assert not Dataset("d", ["cat"], 1, two_images(), ground_truths=gt).labeled
-        assert not Dataset("d", ["cat"], 1, two_images()).labeled
+        assert not two_images(gt).labeled
+        assert not two_images().labeled
 
     def test_per_image_pads_each_named_image_in_row_order(self):
         gt = GroundTruths(

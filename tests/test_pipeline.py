@@ -17,7 +17,7 @@ from aligndet.dataio import (
     save_dataset,
     save_states,
 )
-from aligndet.datasets import Dataset, ImageRecord
+from aligndet.datasets import Dataset
 from aligndet.detection import (
     BBox,
     LinearDetector,
@@ -44,9 +44,10 @@ from aligndet.pipeline import (
 from oracles import (
     Detection,
     detections_from_rows,
+    dataset_of,
     grouped_nms,
     image_gt,
-    labeled_dataset,
+    images_of,
     rows_of,
     scalar_max_overlaps,
     unfolded_detect,
@@ -93,7 +94,7 @@ def grid_image(offsets, side=100.0):
     gt = BBox(0.0, 0.0, side, side)
     boxes = [(dx, 0.0, dx + side, side) for dx in offsets]
     feats = np.arange(len(boxes), dtype=float).reshape(-1, 1) @ np.ones((1, 3))
-    return labeled_dataset("grid", ["obj"], 3, [ImageRecord("g0", feats, boxes)], [[("obj", gt)]])
+    return dataset_of("grid", ["obj"], [("g0", feats, boxes)], [[("obj", gt)]])
 
 
 class TestMineSourcePositives:
@@ -107,13 +108,13 @@ class TestMineSourcePositives:
             if (100.0 - dx) / (100.0 + dx) >= 0.7
         ]
         mined = mine_source_positives(ds, "obj", 0.7)
-        npt.assert_array_equal(mined, ds.images[0].features[expected_rows])
+        npt.assert_array_equal(mined, ds.features[expected_rows])
         assert len(expected_rows) == 4  # dx in {0, 5, 10, 17}
 
     def test_gamma_one_keeps_exact_matches_only(self):
         ds = grid_image([0.0, 1.0, 50.0])
         mined = mine_source_positives(ds, "obj", 1.0)
-        npt.assert_array_equal(mined, ds.images[0].features[[0]])
+        npt.assert_array_equal(mined, ds.features[[0]])
 
     def test_single_exact_proposal_is_sole_positive(self):
         ds = grid_image([0.0, 50.0, 90.0])
@@ -131,8 +132,7 @@ class TestMineSourcePositives:
             mine_source_positives(ds, "obj", 0.0)
 
     def test_unlabeled_dataset_rejected(self):
-        img = ImageRecord("a", np.ones((1, 3)), [(0, 0, 1, 1)])
-        ds = Dataset("u", ["obj"], 3, [img])
+        ds = dataset_of("u", ["obj"], [("a", np.ones((1, 3)), [(0, 0, 1, 1)])])
         with pytest.raises(DataError, match="ground truth"):
             mine_source_positives(ds, "obj", 0.7)
 
@@ -161,9 +161,9 @@ def overlap_datasets(draw):
                 (draw(st.sampled_from("ab")), BBox(*draw(grid_box())))
                 for _ in range(draw(st.integers(0, 3)))
             ]
-        images.append(ImageRecord(f"i{k}", np.zeros((len(boxes), 1)), boxes))
+        images.append((f"i{k}", np.zeros((len(boxes), 1)), boxes))
         gts.append(gt)
-    return labeled_dataset("g", ["a", "b"], 1, images, gts)
+    return dataset_of("g", ["a", "b"], images, gts)
 
 
 class TestClassMaxOverlaps:
@@ -173,14 +173,17 @@ class TestClassMaxOverlaps:
         for c in ds.classes:
             got = pipeline._class_max_overlaps(ds, c)
             want = np.concatenate(
-                [scalar_max_overlaps(img, gt, c) for img, gt in zip(ds.images, image_gt(ds))]
+                [
+                    scalar_max_overlaps(img, gt, c)
+                    for img, gt in zip(images_of(ds), image_gt(ds))
+                ]
             )
             assert got.tobytes() == want.tobytes()
 
     def test_touching_and_zero_area_boxes_overlap_zero(self):
         gt = [("a", BBox(0.0, 0.0, 2.0, 2.0)), ("b", BBox(0.0, 0.0, 1.0, 1.0))]
         boxes = [(2.0, 0.0, 3.0, 2.0), (1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 2.0, 1.0)]
-        ds = labeled_dataset("t", ["a", "b"], 1, [ImageRecord("i", np.zeros((3, 1)), boxes)], [gt])
+        ds = dataset_of("t", ["a", "b"], [("i", np.zeros((3, 1)), boxes)], [gt])
         ov = pipeline._class_max_overlaps(ds, "a")
         npt.assert_array_equal(ov, [0.0, 0.0, 0.5])
 
@@ -189,13 +192,13 @@ class TestClassMaxOverlaps:
         # box is NaN; the second image pads its missing GT box.
         gt = [("a", BBox(0.0, 0.0, 2.0, 2.0)), ("a", BBox(0.0, 0.0, 1.0, 1.0))]
         boxes = [(-1e308, 0.0, 1e308, 0.0), (0.0, 0.0, 1.0, 1.0)]
-        ds = labeled_dataset("o", ["a"], 1, [
-            ImageRecord("i", np.zeros((2, 1)), boxes),
-            ImageRecord("j", np.zeros((2, 1)), boxes),
+        ds = dataset_of("o", ["a"], [
+            ("i", np.zeros((2, 1)), boxes),
+            ("j", np.zeros((2, 1)), boxes),
         ], [gt, gt[:1]])
         got = pipeline._class_max_overlaps(ds, "a")
         want = np.concatenate(
-            [scalar_max_overlaps(img, g, "a") for img, g in zip(ds.images, image_gt(ds))]
+            [scalar_max_overlaps(img, g, "a") for img, g in zip(images_of(ds), image_gt(ds))]
         )
         assert got.tobytes() == want.tobytes()
         npt.assert_array_equal(got[:2], [0.0, 1.0])
@@ -209,7 +212,7 @@ class TestMineTargetPositives:
         manual = np.vstack(
             [
                 img.features[img.features @ det.weights + det.bias >= 0.1]
-                for img in tgt.images
+                for img in images_of(tgt)
             ]
         )
         npt.assert_array_equal(mined, manual)
@@ -231,16 +234,15 @@ class TestTrainInitialDetectors:
     def test_heldout_accuracy_on_separated_gaussians(self):
         spec = SynthShiftSpec(samples_per_class=80, n_classes=3, seed=5)
         src, _, _ = generate_synthetic(spec)
-        gt_of = {img.image_id: gt for img, gt in zip(src.images, image_gt(src))}
+        gt_of = dict(zip(src.image_ids, image_gt(src)))
         per_class = {
-            c: [img for img in src.images if gt_of[img.image_id][0][0] == c]
+            c: [img for img in images_of(src) if gt_of[img.image_id][0][0] == c]
             for c in src.classes
         }
         train_imgs = [im for c in src.classes for im in per_class[c][:4]]
         test_imgs = [im for c in src.classes for im in per_class[c][4:]]
-        train_ds = labeled_dataset(
-            "train", src.classes, src.feature_dim, train_imgs,
-            [gt_of[im.image_id] for im in train_imgs],
+        train_ds = dataset_of(
+            "train", src.classes, train_imgs, [gt_of[im.image_id] for im in train_imgs]
         )
         cfg = small_cfg()
         detectors = train_initial_detectors(train_ds, cfg)
@@ -297,7 +299,7 @@ class TestTrainInitialDetectors:
             ("far", BBox(50.0, 0.0, 150.0, 100.0)),
         ]
         feats = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
-        ds = labeled_dataset("g", ["obj", "far"], 2, [ImageRecord("g0", feats, boxes)], [gt])
+        ds = dataset_of("g", ["obj", "far"], [("g0", feats, boxes)], [gt])
         warnings = []
         detectors = train_initial_detectors(ds, small_cfg(), warnings)
         assert set(detectors) == {"far"}
@@ -389,22 +391,16 @@ def low_rank_copy(ds, rank=2, seed=0):
     """``ds`` with every feature row projected on one random rank-``rank``
     subspace, so no pool drawn from it can span d > rank dimensions."""
     Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(ds.feature_dim, rank)))
-    images = [
-        ImageRecord(img.image_id, img.features @ Q @ Q.T, img.boxes) for img in ds.images
-    ]
     return Dataset(
-        ds.name, ds.classes, ds.feature_dim, images, ground_truths=ds.ground_truths
+        ds.name, ds.classes, ds.image_ids, ds.sizes, ds.features @ Q @ Q.T, ds.boxes,
+        ds.ground_truths,
     )
 
 
 def tiny_target(ds, n):
     """One unlabeled image holding the first ``n`` proposals of ``ds``."""
-    img = ds.images[0]
     return Dataset(
-        ds.name,
-        ds.classes,
-        ds.feature_dim,
-        [ImageRecord("tiny", img.features[:n], img.boxes[:n])],
+        ds.name, ds.classes, ["tiny"], [n], ds.features[:n], ds.boxes[:n]
     )
 
 
@@ -474,7 +470,7 @@ class TestDetect:
         manual = []
         for c in tgt.classes:
             det = init[c]
-            for img in tgt.images:
+            for img in images_of(tgt):
                 scores = img.features @ det.weights + det.bias
                 picked = [
                     Detection(
@@ -495,7 +491,7 @@ class TestDetect:
         # features are row index constants: rows 2 has value 2 >= 1.5
         out = detect(ds, states, cfg)
         assert len(out) == 1
-        assert rows_of(out)[0].box == BBox(*ds.images[0].boxes[2].tolist())
+        assert rows_of(out)[0].box == BBox(*ds.boxes[2].tolist())
 
     def test_detect_deterministic(self, small_pair):
         src, tgt = small_pair
@@ -566,7 +562,7 @@ class TestDetect:
 
         monkeypatch.setattr(pipeline, "greedy_nms", oracle)
         assert rows_of(detect(tgt, states, cfg)) == rows_of(fast)
-        assert calls == [tgt.n_proposals * len(tgt.classes)]
+        assert calls == [len(tgt.boxes) * len(tgt.classes)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stacked_scores_have_each_detectors_bits(self, small_pair, dtype, monkeypatch):
@@ -585,12 +581,12 @@ class TestDetect:
             for c in tgt.classes
         ]
         monkeypatch.setattr(linalg, "GATHER_FLOATS", 7 * tgt.feature_dim)
-        assert ds.n_proposals % 7
+        assert len(ds.boxes) % 7
         stacked = raw_score_rows(ds, dets)
-        assert stacked.shape == (len(dets), ds.n_proposals)
+        assert stacked.shape == (len(dets), len(ds.boxes))
         for row, det in zip(stacked, dets):
             assert row.tobytes() == raw_scores(ds, det).tobytes()
-        assert raw_score_rows(ds, []).shape == (0, ds.n_proposals)
+        assert raw_score_rows(ds, []).shape == (0, len(ds.boxes))
 
 
 class TestMiningMonotonicity:
@@ -691,12 +687,9 @@ class TestEndToEndQuality:
 
 def float64_twin(ds: Dataset) -> Dataset:
     """A hand-built dataset holding the values of ``ds`` as float64."""
-    images = [
-        ImageRecord(img.image_id, img.features.astype(np.float64), img.boxes)
-        for img in ds.images
-    ]
     return Dataset(
-        ds.name, ds.classes, ds.feature_dim, images, ground_truths=ds.ground_truths
+        ds.name, ds.classes, ds.image_ids, ds.sizes, ds.features.astype(np.float64),
+        ds.boxes, ds.ground_truths,
     )
 
 
@@ -735,7 +728,7 @@ class TestFloat32AtRest:
                 for ds in generate_synthetic(spec)[:2]
             )
         assert src.features.dtype == tgt.features.dtype == np.float32
-        assert src.n_proposals == 240
+        assert len(src.boxes) == 240
         train = TrainConfig(reg_lambda=0.001, iterations=200)
         cfg = small_cfg(d=4, mode=mode, train=train)
         runs = []
