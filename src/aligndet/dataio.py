@@ -31,7 +31,7 @@ FEATURE_VERSION = 1
 BOX_HEADER = "image_id,x_min,y_min,x_max,y_max"
 GT_HEADER = BOX_HEADER + ",class"
 DETECTION_HEADER = BOX_HEADER + ",class,score"
-# write_detections_csv formats and writes at most this many lines at a time.
+# The box-CSV writer formats and writes at most this many lines at a time.
 CSV_CHUNK_ROWS = 1024
 
 
@@ -112,10 +112,6 @@ def _own_rows(fh, head: bytes, path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV box files (fixed header; floats serialized with repr round-tripping)
 # ---------------------------------------------------------------------------
-
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
 
 def _box_tables(
     paths, kind: str, header: str
@@ -206,52 +202,38 @@ def _line_error(path, row: int, problem: str) -> DataError:
     return DataError(f"{Path(path)}:{lineno}: {problem}")
 
 
-def _box_line(image_id: str, box) -> str:
-    x0, y0, x1, y1 = box
-    return (
-        f"{image_id},{_fmt_float(x0)},{_fmt_float(y0)},"
-        f"{_fmt_float(x1)},{_fmt_float(y1)}"
-    )
-
-
-def _write_lines(path, header: str, lines) -> None:
-    Path(path).write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+def _write_box_csv(path, header: str, names, boxes, *tail) -> None:
+    """The box CSV at ``path``: ``header``, then one line per row of the
+    ``(n, 4)`` box array ``boxes``, led by the row's entry of ``names`` and
+    followed by its entry of each ``tail`` column (text, or floats), every
+    float as its ``repr``.  Each distinct box coordinate (by bit pattern, so
+    ``-0.0`` and ``0.0`` stay apart) is formatted once, and the lines are
+    written in chunks of at most ``CSV_CHUNK_ROWS``, so the file's text is
+    never held whole."""
+    bits = np.ascontiguousarray(boxes, dtype=np.float64).view(np.uint64)
+    distinct = np.unique(bits)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for a in range(0, len(bits), CSV_CHUNK_ROWS):
+            rows = slice(a, a + CSV_CHUNK_ROWS)
+            coords = texts[np.searchsorted(distinct, bits[rows])].T.tolist()
+            # ``str`` of a float is its ``repr``; of a text, the text.
+            cells = [map(str, column[rows].tolist()) for column in tail]
+            lines = map(",".join, zip(names[rows].tolist(), *coords, *cells))
+            fh.write("\n".join(lines) + "\n")
 
 
 def write_boxes_csv(path, image_id: str, boxes) -> None:
     """One line per row of the ``(n, 4)`` box array ``boxes``."""
-    rows = np.asarray(boxes, dtype=np.float64).tolist()
-    _write_lines(path, BOX_HEADER, (_box_line(image_id, b) for b in rows))
-
-
-def write_gt_csv(path, image_id: str, boxes, class_ids) -> None:
-    """``write_boxes_csv`` with each row's class from ``class_ids``."""
-    rows = zip(np.asarray(boxes, dtype=np.float64).tolist(), class_ids)
-    _write_lines(path, GT_HEADER, (f"{_box_line(image_id, b)},{c}" for b, c in rows))
+    _write_box_csv(path, BOX_HEADER, np.full(len(boxes), image_id, dtype=object), boxes)
 
 
 def write_detections_csv(path, dets: Detections) -> None:
-    """One line per row of ``dets``, each float as its ``repr``.  Each
-    distinct box coordinate (by bit pattern, so ``-0.0`` and ``0.0``
-    stay apart) is formatted once, and the lines are written in chunks of
-    at most ``CSV_CHUNK_ROWS``, so the file's text is never held whole."""
-    bits = np.ascontiguousarray(dets.boxes).view(np.uint64)
-    distinct = np.unique(bits)
-    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    images = np.array(dets.image_ids, dtype=object)
-    classes = np.array(dets.class_ids, dtype=object)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(DETECTION_HEADER + "\n")
-        for a in range(0, len(dets), CSV_CHUNK_ROWS):
-            rows = slice(a, a + CSV_CHUNK_ROWS)
-            coords = texts[np.searchsorted(distinct, bits[rows])].T.tolist()
-            columns = (
-                images[dets.image_index[rows]].tolist(),
-                *coords,
-                classes[dets.class_index[rows]].tolist(),
-                map(repr, dets.scores[rows].tolist()),
-            )
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    """One line per row of ``dets``."""
+    images = np.array(dets.image_ids, dtype=object)[dets.image_index]
+    classes = np.array(dets.class_ids, dtype=object)[dets.class_index]
+    _write_box_csv(path, DETECTION_HEADER, images, dets.boxes, classes, dets.scores)
 
 
 def read_detections_csv(path) -> Detections:
@@ -405,6 +387,8 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     entries = []
     gt = dataset.ground_truths
     listed = {image_id: k for k, image_id in enumerate(gt.image_ids)}
+    gt_images = np.array(gt.image_ids, dtype=object)[gt.image_index]
+    gt_classes = np.array(gt.class_ids, dtype=object)[gt.class_index]
     if listed:
         (out_dir / "gt").mkdir(exist_ok=True)
     for image_id, rows, box_rows in zip(dataset.image_ids, features, boxes):
@@ -420,8 +404,8 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         if image_id in listed:
             gt_rows = gt.image_index == listed[image_id]
             gt_rel = f"gt/{image_id}.csv"
-            classes = [gt.class_ids[c] for c in gt.class_index[gt_rows].tolist()]
-            write_gt_csv(out_dir / gt_rel, image_id, gt.boxes[gt_rows], classes)
+            columns = gt_images[gt_rows], gt.boxes[gt_rows], gt_classes[gt_rows]
+            _write_box_csv(out_dir / gt_rel, GT_HEADER, *columns)
             entry["gt_file"] = gt_rel
         entries.append(entry)
     manifest = {
@@ -440,18 +424,28 @@ def load_dataset(manifest_path) -> Dataset:
     base = str(Path(manifest_path).parent)
 
     def parse(manifest: dict) -> Dataset:
-        name, classes = manifest["name"], list(manifest["classes"])
-        feature_dim, entries = manifest["feature_dim"], manifest["images"]
+        name, feature_dim = manifest["name"], manifest["feature_dim"]
+        classes, entries = _manifest_arrays(manifest)
         if type(feature_dim) is not int:
             raise DataError(f"feature_dim must be an integer, got {feature_dim!r}")
-        # Checked before any file is read: a file holding a bad id fails to
-        # parse, and its error would blame the CSV instead of the id.
-        for class_id in classes:
-            check_id("class id", class_id)
         columns = _read_images(entries, base, classes, feature_dim)
         return Dataset(name, classes, *columns[:4], GroundTruths(*columns[4]))
 
     return _load_bundle(manifest_path, "manifest", parse)
+
+
+def _manifest_arrays(manifest: dict) -> tuple[list, list]:
+    """The ``classes`` and ``images`` of a manifest, each a JSON array, with
+    the class ids checked.  They are checked before any file is read: a file
+    holding a bad id fails to parse, and its error would blame the CSV
+    instead of the id."""
+    for key in ("classes", "images"):
+        if type(manifest[key]) is not list:
+            kind = type(manifest[key]).__name__
+            raise DataError(f"'{key}' must be a JSON array, got {kind}")
+    for class_id in manifest["classes"]:
+        check_id("class id", class_id)
+    return manifest["classes"], manifest["images"]
 
 
 def _read_images(
@@ -594,11 +588,9 @@ def load_annotations(manifest_path) -> Annotations:
     base = str(Path(manifest_path).parent)
 
     def parse(manifest: dict) -> Annotations:
-        name, classes = manifest["name"], list(manifest["classes"])
-        for class_id in classes:
-            check_id("class id", class_id)
-        ids, _, fault = _entries(manifest["images"], base)
-        gt, _, gt_fault = _read_gt(manifest["images"], base, ids, classes)
+        name, (classes, entries) = manifest["name"], _manifest_arrays(manifest)
+        ids, _, fault = _entries(entries, base)
+        gt, _, gt_fault = _read_gt(entries, base, ids, classes)
         if gt_fault or fault:
             raise gt_fault or fault
         check_ids(classes, ids)

@@ -266,18 +266,42 @@ def grouped_nms(dets, overlap_thresh):
     ]
 
 
+def _fmt_float(v) -> str:
+    return repr(float(v))
+
+
+def _box_line(image_id: str, box) -> str:
+    x0, y0, x1, y1 = box
+    return (
+        f"{image_id},{_fmt_float(x0)},{_fmt_float(y0)},"
+        f"{_fmt_float(x1)},{_fmt_float(y1)}"
+    )
+
+
+def _write_lines(path, header: str, lines) -> None:
+    Path(path).write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+
+
+# The box CSVs built row by row, every float formatted with its ``repr``
+# and the whole text joined before it is written.
+
+def rowwise_write_boxes_csv(path, image_id: str, boxes) -> None:
+    rows = np.asarray(boxes, dtype=np.float64).tolist()
+    _write_lines(path, BOX_HEADER, (_box_line(image_id, b) for b in rows))
+
+
+def rowwise_write_gt_csv(path, image_id: str, boxes, class_ids) -> None:
+    rows = zip(np.asarray(boxes, dtype=np.float64).tolist(), class_ids)
+    _write_lines(path, GT_HEADER, (f"{_box_line(image_id, b)},{c}" for b, c in rows))
+
+
 def rowwise_write_detections_csv(path, dets: Detections) -> None:
-    """The detections CSV built row by row, every float formatted with its
-    ``repr`` and the whole text joined before it is written."""
     images = np.array(dets.image_ids, dtype=object)[dets.image_index].tolist()
     classes = np.array(dets.class_ids, dtype=object)[dets.class_index].tolist()
-    numbers = map(np.ndarray.tolist, np.column_stack((dets.boxes, dets.scores)))
-    lines = (
-        f"{i},{x0!r},{y0!r},{x1!r},{y1!r},{c},{s!r}"
-        for i, (x0, y0, x1, y1, s), c in zip(images, numbers, classes)
-    )
+    rows = zip(images, dets.boxes.tolist(), classes, dets.scores.tolist())
     header = "image_id,x_min,y_min,x_max,y_max,class,score"
-    Path(path).write_text("\n".join([header, *lines]) + "\n")
+    lines = (f"{_box_line(i, b)},{c},{_fmt_float(s)}" for i, b, c, s in rows)
+    _write_lines(path, header, lines)
 
 
 def match_detections(dets, gts, class_id, iou_thresh):

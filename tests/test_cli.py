@@ -74,6 +74,29 @@ def test_malformed_manifest_is_data_error(tmp_path, capsys, images):
     assert str(manifest) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+@pytest.mark.parametrize(
+    "key, value, kind", [("classes", "ab", "str"), ("images", {}, "dict")]
+)
+def test_manifest_classes_and_images_must_be_json_arrays(
+    tmp_path, capsys, command, key, value, kind
+):
+    # A string would load as its characters, an object as its keys.
+    manifest = tmp_path / "manifest.json"
+    doc = {"name": "m", "classes": ["a", "b"], "feature_dim": 4, "images": []}
+    manifest.write_text(json.dumps({**doc, key: value}))
+    args = {
+        "detect": ["--states", str(tmp_path / "states.json")],
+        "evaluate": ["--detections", str(tmp_path / "d.csv")],
+    }[command]
+    rc = cli.main([command, "--dataset", str(manifest), *args, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"aligndet: data error: manifest '{manifest}' is malformed: '{key}' must be "
+        f"a JSON array, got {kind}"
+    )
+
+
 @pytest.mark.parametrize("bundle", ["--states", "--detectors"])
 @pytest.mark.parametrize("text", ["not json", '{"warnings": []}'])
 def test_malformed_bundle_is_data_error(tmp_path, capsys, fast_config, bundle, text):

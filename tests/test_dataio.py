@@ -7,11 +7,12 @@ import struct
 import tempfile
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from aligndet import dataio
@@ -54,7 +55,9 @@ from oracles import (
     read_boxes_csv,
     read_gt_csv,
     rows_of,
+    rowwise_write_boxes_csv,
     rowwise_write_detections_csv,
+    rowwise_write_gt_csv,
     sequential_load_dataset,
 )
 
@@ -422,8 +425,19 @@ def test_detections_csv_round_trip_keeps_every_bit(tmp_path, rows):
         assert p.read_text() == DETECTION_HEADER + "\n"
 
 
+# Rows whose floats are the signed zeros, the smallest subnormal and a
+# float near the largest, each written as its ``repr``; and no rows.
+EDGE_ROWS = [
+    Detection("a", BBox(-0.0, 0.0, 5e-324, 1e308), "c", -0.0),
+    Detection("b", BBox(-1e308, -5e-324, 0.0, -0.0), "c", 5e-324),
+    Detection("a", BBox(0.0, -0.0, 0.0, 0.0), "d", 1e308),
+]
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, dataio.CSV_CHUNK_ROWS])
 @given(rows=detection_rows())
+@example(rows=EDGE_ROWS)
+@example(rows=[])
 @codec_settings
 def test_detections_csv_is_the_row_by_row_text(tmp_path, rows, chunk):
     # Chunks of one to three rows put chunk boundaries inside the file;
@@ -434,6 +448,44 @@ def test_detections_csv_is_the_row_by_row_text(tmp_path, rows, chunk):
         write_detections_csv(tmp_path / "d.csv", dets)
     rowwise_write_detections_csv(tmp_path / "o.csv", dets)
     assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, dataio.CSV_CHUNK_ROWS])
+@given(rows=detection_rows())
+@example(rows=EDGE_ROWS)
+@example(rows=[])
+@settings(codec_settings, max_examples=50)  # a dataset of files per example
+def test_boxes_and_gt_csvs_are_the_row_by_row_text(tmp_path, rows, chunk):
+    # Each drawn image's rows are its proposals and, with their classes, its
+    # ground truth; a last image has one zero box and no GT rows.  All rows
+    # also go to one boxes file, which has none when none are drawn.
+    groups = {}
+    for d in rows:  # the prefix keeps '.' and '..' out of the file names
+        groups.setdefault(f"i{d.image_id}", []).append(d)
+    images = [
+        (i, np.zeros((len(g), 1)), [d.box.as_tuple() for d in g])
+        for i, g in groups.items()
+    ] + [("empty", np.zeros((1, 1)), [(0.0, -0.0, 0.0, 0.0)])]
+    gts = [[(d.class_id, d.box) for d in g] for g in groups.values()] + [[]]
+    classes = list(dict.fromkeys(["c", *(d.class_id for d in rows)]))
+    ds = dataset_of("d", classes, images, gts)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+        out = Path(out)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "CSV_CHUNK_ROWS", chunk)
+            save_dataset(ds, out / "ds")
+            write_boxes_csv(out / "all.csv", "all", detections_from_rows(rows).boxes)
+        rowwise_write_boxes_csv(out / "o.csv", "all", [d.box.as_tuple() for d in rows])
+        assert (out / "all.csv").read_bytes() == (out / "o.csv").read_bytes()
+        for (image_id, _, boxes), gt in zip(images, gts):
+            rowwise_write_boxes_csv(out / "b.csv", image_id, boxes)
+            rowwise_write_gt_csv(
+                out / "g.csv", image_id, [b.as_tuple() for _, b in gt], [c for c, _ in gt]
+            )
+            written = out / "ds" / "boxes" / f"{image_id}.csv"
+            assert written.read_bytes() == (out / "b.csv").read_bytes()
+            written = out / "ds" / "gt" / f"{image_id}.csv"
+            assert written.read_bytes() == (out / "g.csv").read_bytes()
 
 
 def test_detections_csv_keeps_zero_signs_apart(tmp_path):
@@ -682,6 +734,32 @@ class TestDatasetRoundTrip:
         for load in loaders:
             with pytest.raises(DataError, match="unknown class 'dog'"):
                 load(m)
+
+    @pytest.mark.parametrize("load", [load_dataset, load_annotations])
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("classes", "ab", "str"),
+            ("classes", {"a": 0, "b": 1}, "dict"),
+            ("classes", None, "NoneType"),
+            ("images", {}, "dict"),
+            ("images", "img0", "str"),
+            ("images", 5, "int"),
+        ],
+    )
+    def test_classes_and_images_must_be_json_arrays(self, tmp_path, load, key, value, kind):
+        # Iterated, a string gives its characters and an object its keys: on
+        # an unlabeled dataset, classes "ab" would load as ['a', 'b'] and
+        # images {} as a dataset without images.
+        m = save_dataset(tiny_dataset(labeled=False), tmp_path)
+        data = json.loads(m.read_text())
+        data[key] = value
+        m.write_text(canonical_json(data))
+        with pytest.raises(DataError) as info:
+            load(m)
+        assert str(info.value) == (
+            f"manifest '{m}' is malformed: '{key}' must be a JSON array, got {kind}"
+        )
 
     def test_manifest_missing_key(self, tmp_path):
         m = save_dataset(tiny_dataset(), tmp_path / "k")

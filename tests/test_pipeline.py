@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -20,6 +21,7 @@ from aligndet.dataio import (
 from aligndet.datasets import Dataset
 from aligndet.detection import (
     BBox,
+    Detections,
     LinearDetector,
     TrainConfig,
     greedy_nms,
@@ -752,3 +754,78 @@ class TestFloat32AtRest:
         for name in ("boxes", "scores", "image_index", "class_index"):
             assert getattr(dets32, name).tobytes() == getattr(dets64, name).tobytes()
         assert len(dets32) > 0
+
+
+# Boxes the degenerate datasets draw from: two equal boxes, zero-area boxes
+# (a point, a vertical and a horizontal segment) and one far away.
+DEGENERATE_BOXES = [
+    (0.0, 0.0, 4.0, 4.0), (0.0, 0.0, 4.0, 4.0), (1.0, 1.0, 1.0, 1.0),
+    (2.0, 0.0, 2.0, 4.0), (0.0, 3.0, 4.0, 3.0), (9.0, 9.0, 12.0, 12.0),
+]
+
+
+@st.composite
+def degenerate_datasets(draw, name, classes, dim):
+    """1-4 images of 1-4 proposals (single-proposal images are likely)
+    drawn from ``DEGENERATE_BOXES``, each image labeled with 1-2 of its own;
+    every feature row equal to one constant vector, or near it."""
+    images, gts = [], []
+    center = draw(st.sampled_from([0.0, 1.0, -2.5]))
+    constant = draw(st.booleans())
+    for k in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 4))
+        boxes = draw(st.lists(st.sampled_from(DEGENERATE_BOXES), min_size=n, max_size=n))
+        features = np.full((n, dim), center)
+        if not constant:
+            noise = st.lists(st.floats(-1e-3, 1e-3), min_size=n * dim, max_size=n * dim)
+            features += np.reshape(draw(noise), (n, dim))
+        gt = [
+            (draw(st.sampled_from(classes)), BBox(*draw(st.sampled_from(boxes))))
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+        images.append((f"{name}{k}", features, boxes))
+        gts.append(gt)
+    return dataset_of(name, classes, images, gts)
+
+
+@st.composite
+def degenerate_runs(draw):
+    """A source and a target of ``degenerate_datasets`` of one width, and a
+    subspace dimension ``d`` no larger than it."""
+    dim = draw(st.integers(1, 3))
+    source, target = (draw(degenerate_datasets(name, ["a", "b"], dim)) for name in "st")
+    return source, target, draw(st.integers(1, dim))
+
+
+@given(run=degenerate_runs())
+@settings(max_examples=100, deadline=None)
+def test_degenerate_datasets_skip_or_downgrade_classes_and_never_raise(run):
+    # Single-proposal images, duplicate and zero-area boxes and constant
+    # features: every class trains, or is skipped with a warning naming it;
+    # then, in every mode, every trained class adapts or is downgraded with
+    # a warning, and detection runs.
+    source, target, d = run
+    train = TrainConfig(reg_lambda=0.01, iterations=20, max_hard_rounds=2)
+    # Every target proposal is a target positive and a detection.
+    cfg = small_cfg(d=d, train=train, sigma=-1e3, detect_thresh=-1e3)
+    warnings = []
+    init = train_initial_detectors(source, cfg, warnings)
+    skipped = [c for c in source.classes if c not in init]
+    assert len(warnings) == len(skipped)
+    for class_id, warning in zip(skipped, warnings):
+        assert warning.startswith("initial-training: ")
+        assert f"class '{class_id}'" in warning and warning.endswith("; class skipped")
+    for mode in pipeline.MODES:
+        cfg, warnings = replace(cfg, mode=mode), []
+        states = adapt(source, target, cfg, init_detectors=init, warnings=warnings)
+        assert states.keys() == init.keys()
+        downgraded = [c for c, state in states.items() if state.downgraded]
+        for class_id in downgraded:
+            assert any(
+                f"class '{class_id}'" in w or w.startswith("adapt: full-image pool: ")
+                for w in warnings
+            )
+        assert all(states[c].mode == mode for c in states if c not in downgraded)
+        dets = detect(target, states, cfg)
+        assert isinstance(dets, Detections)
+        assert {dets.class_ids[k] for k in dets.class_index.tolist()} <= states.keys()
