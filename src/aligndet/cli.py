@@ -147,8 +147,18 @@ def _timed(timing: dict[str, float], key: str):
     timing[key] = time.perf_counter() - t0
 
 
+@contextmanager
+def _logged(warnings: list[str]):
+    """Log at WARNING level each warning the block appends to ``warnings``."""
+    start = len(warnings)
+    yield
+    for warning in warnings[start:]:
+        log.warning("%s", warning)
+
+
 def _train(source: Dataset, cfg: RunConfig, out: Path, warnings: list[str]):
-    detectors = pipeline.train_initial_detectors(source, cfg.adaptation, warnings)
+    with _logged(warnings):
+        detectors = pipeline.train_initial_detectors(source, cfg.adaptation, warnings)
     dataio.save_detectors(out / "detectors.json", detectors, warnings)
     log.info("trained %d detectors", len(detectors))
     return detectors
@@ -163,9 +173,10 @@ def _adapt(
     detectors=None,
 ):
     """Adapt from ``detectors``, or from detectors trained here when None."""
-    states = pipeline.adapt(
-        source, target, cfg.adaptation, init_detectors=detectors, warnings=warnings
-    )
+    with _logged(warnings):
+        states = pipeline.adapt(
+            source, target, cfg.adaptation, init_detectors=detectors, warnings=warnings
+        )
     dataio.save_states(out / "states.json", states, warnings)
     log.info("adapted %d classes (%s mode)", len(states), cfg.adaptation.mode)
     return states

@@ -23,7 +23,7 @@ from .detection import (
 from .errors import DataError, NumericalError
 from .evaluation import check_histogram_layout
 from .linalg import NormalizationStats, Subspace
-from .pipeline import AdaptationConfig, ClassAdaptationState
+from .pipeline import AdaptationConfig, ClassAdaptationState, frame_tag
 
 FEATURE_MAGIC = b"FMX1"
 FEATURE_VERSION = 1
@@ -970,12 +970,11 @@ def _subspace_to_dict(s: Subspace) -> dict:
     }
 
 
-def _subspace_from_dict(label: str, d: dict) -> Subspace:
+def _subspace_from_dict(d: dict) -> Subspace:
     return Subspace(
         basis=_stored_array(d["basis"]),
         eigenvalues=_stored_array(d["eigenvalues"]),
         stats=_stats_from_dict(d["stats"]),
-        label=label,
     )
 
 
@@ -988,12 +987,28 @@ def _detector_to_dict(det: LinearDetector) -> dict:
     }
 
 
+def _json_field(d: dict, key: str, kinds: tuple[type, ...], what: str):
+    """``d[key]`` when ``json.loads`` gave it one of the types ``kinds``
+    (``bool`` is not ``int`` here), else a DataError naming ``what``."""
+    value = d[key]
+    if type(value) not in kinds:
+        raise DataError(f"'{key}' must be {what}, got {type(value).__name__}")
+    return value
+
+
+def _json_count(d: dict, key: str) -> int:
+    value = _json_field(d, key, (int,), "a non-negative JSON integer")
+    if value < 0:
+        raise DataError(f"'{key}' must be a non-negative JSON integer, got {value}")
+    return value
+
+
 def _detector_from_dict(d: dict) -> LinearDetector:
     return LinearDetector(
         class_id=d["class_id"],
         weights=_stored_array(d["weights"]),
-        bias=float(d["bias"]),
-        frame=d["frame"],
+        bias=float(_json_field(d, "bias", (int, float), "a JSON number")),
+        frame=_json_field(d, "frame", (str,), "a JSON string"),
     )
 
 
@@ -1025,21 +1040,23 @@ def load_detectors(path) -> dict[str, LinearDetector]:
 def save_states(
     path, states: dict[str, ClassAdaptationState], warnings=None
 ) -> None:
-    """Write the states, which name their subspaces by label, and each
-    subspace once under ``subspaces``; alignment maps are never written."""
-    subspaces: dict[str, Subspace] = {}
+    """Write each subspace pair once under ``pairs``, keyed by the tag its
+    detectors' frame names (``frame_tag``), and each state's detector and
+    counts; alignment maps are never written."""
+    pairs: dict[str, tuple[Subspace, Subspace]] = {}
     for state in states.values():
-        for s in (state.source_subspace, state.target_subspace):
-            if s is not None and subspaces.setdefault(s.label, s) is not s:
-                raise DataError(f"two different subspaces are labeled '{s.label}'")
+        tag = frame_tag(state.adapted_detector.frame)
+        pair = (state.source_subspace, state.target_subspace)
+        if tag is not None and pairs.setdefault(tag, pair) != pair:
+            raise DataError(f"two different subspace pairs have the tag '{tag}'")
     bundle = {
+        "pairs": {
+            tag: {"source": _subspace_to_dict(S), "target": _subspace_to_dict(T)}
+            for tag, (S, T) in pairs.items()
+        },
         "states": {
             c: {
-                "class_id": state.class_id,
-                "mode": state.mode,
                 "adapted_detector": _detector_to_dict(state.adapted_detector),
-                "source_subspace": state.source_subspace and state.source_subspace.label,
-                "target_subspace": state.target_subspace and state.target_subspace.label,
                 "n_pos_src": state.n_pos_src,
                 "n_pos_tgt": state.n_pos_tgt,
                 "downgraded": state.downgraded,
@@ -1047,7 +1064,6 @@ def save_states(
             }
             for c, state in states.items()
         },
-        "subspaces": {label: _subspace_to_dict(s) for label, s in subspaces.items()},
         "warnings": list(warnings or []),
     }
     _save_bundle(path, bundle)
@@ -1055,36 +1071,29 @@ def save_states(
 
 def _states_from_bundle(bundle: dict) -> dict[str, ClassAdaptationState]:
     entries = bundle["states"]
-    if "subspaces" not in bundle:
+    if "pairs" not in bundle:
         raise DataError(
-            "no 'subspaces' map: the bundle predates the current layout; "
+            "no 'pairs' map: the bundle predates the current layout; "
             "rerun 'adapt' to rewrite it"
         )
-    subspaces = {
-        label: _subspace_from_dict(label, d) for label, d in bundle["subspaces"].items()
+    pairs = {
+        tag: (_subspace_from_dict(p["source"]), _subspace_from_dict(p["target"]))
+        for tag, p in bundle["pairs"].items()
     }
+    pairs[None] = (None, None)  # the raw frame's: no pair; JSON keys are strings
 
-    def lookup(label: str | None) -> Subspace | None:
-        if label is None:
-            return None
-        if label not in subspaces:
-            raise DataError(f"state names unknown subspace '{label}'")
-        return subspaces[label]
-
-    return _by_class({
-        c: ClassAdaptationState(
-            class_id=d["class_id"],
-            mode=d["mode"],
-            adapted_detector=_detector_from_dict(d["adapted_detector"]),
-            source_subspace=lookup(d["source_subspace"]),
-            target_subspace=lookup(d["target_subspace"]),
-            n_pos_src=int(d["n_pos_src"]),
-            n_pos_tgt=int(d["n_pos_tgt"]),
-            downgraded=bool(d["downgraded"]),
-            note=d["note"],
+    def state(d: dict) -> ClassAdaptationState:
+        det = _detector_from_dict(d["adapted_detector"])
+        return ClassAdaptationState(
+            det,
+            *pairs[frame_tag(det.frame)],
+            n_pos_src=_json_count(d, "n_pos_src"),
+            n_pos_tgt=_json_count(d, "n_pos_tgt"),
+            downgraded=_json_field(d, "downgraded", (bool,), "a JSON boolean"),
+            note=_json_field(d, "note", (str,), "a JSON string"),
         )
-        for c, d in entries.items()
-    })
+
+    return _by_class({c: state(d) for c, d in entries.items()})
 
 
 def load_states(path) -> dict[str, ClassAdaptationState]:

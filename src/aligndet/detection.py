@@ -286,9 +286,9 @@ class TrainConfig:
 class LinearDetector:
     """Linear scoring rule w . x + b for one class, tied to one frame.
 
-    ``frame`` names the projection the training data lived in ("raw",
-    "aligned:<class>", ...); scoring data from any other frame is a hard
-    error.
+    ``frame`` names the projection the training data lived in (the raw
+    features, or a class's aligned frame; see ``pipeline.frame_tag``);
+    scoring data from any other frame is a hard error.
     """
 
     class_id: str

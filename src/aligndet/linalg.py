@@ -179,16 +179,11 @@ class Subspace:
         Nonincreasing, clamped to be nonnegative.
     stats : NormalizationStats
         Normalization applied to the data this subspace was fit on.
-    label : str
-        Provenance identifier, e.g. ``"src:car"``; an adaptation state
-        checks that its two subspaces form one ``src:<tag>``/``tgt:<tag>``
-        pair matching its detector's frame.
     """
 
     basis: np.ndarray
     eigenvalues: np.ndarray
     stats: NormalizationStats
-    label: str = ""
 
     def __post_init__(self):
         # C order whatever the source (an eigh slice is Fortran-ordered, a
@@ -204,6 +199,10 @@ class Subspace:
             raise DataError("eigenvalues must have length d")
         if self.stats.dim != D:
             raise DataError("stats dimension does not match basis rows")
+        # Every comparison below is false for NaN, so non-finite entries
+        # must be rejected first.
+        if not (np.isfinite(self.basis).all() and np.isfinite(self.eigenvalues).all()):
+            raise DataError("basis and eigenvalues must be finite")
         gram = self.basis.T @ self.basis
         if np.linalg.norm(gram - np.eye(d)) >= 1e-8:
             raise DataError("basis columns are not orthonormal")
@@ -231,12 +230,7 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
-def pca(
-    X,
-    d: int,
-    stats: NormalizationStats | None = None,
-    label: str = "",
-) -> Subspace:
+def pca(X, d: int, stats: NormalizationStats | None = None) -> Subspace:
     """Top-``d`` PCA subspace of ``X``.
 
     ``X`` is expected to be normalized already (see :func:`normalize`); it is
@@ -251,8 +245,6 @@ def pca(
         Requested dimensionality, 1 <= d <= min(n-1, D).
     stats : NormalizationStats, optional
         Recorded on the returned subspace; defaults to identity stats.
-    label : str
-        Provenance identifier stored on the subspace.
 
     Raises
     ------
@@ -295,7 +287,7 @@ def pca(
         basis = (Xc.T @ V[:, :d]) / np.sqrt(denom * w[:d])
     basis = _fix_signs(basis)
     eigenvalues = np.maximum(w[:d], 0.0)
-    return Subspace(basis=basis, eigenvalues=eigenvalues, stats=stats, label=label)
+    return Subspace(basis=basis, eigenvalues=eigenvalues, stats=stats)
 
 
 def project(X, basis) -> np.ndarray:

@@ -68,21 +68,34 @@ class AdaptationConfig:
             raise DataError("detect_thresh must be finite")
 
 
+FULL_IMAGE_TAG = "__full__"
+
+
+def frame_tag(frame: str) -> str | None:
+    """The tag of the subspace pair a detector's frame names: None for the
+    frame ``raw``, and ``<tag>`` for ``aligned:<tag>``, where the tag is
+    the class id, or ``FULL_IMAGE_TAG`` for the one global pair of
+    full-image mode.  Any other frame is a DataError."""
+    if frame == "raw":
+        return None
+    if not frame.startswith("aligned:"):
+        raise DataError(f"unknown detector frame '{frame}'")
+    return frame.removeprefix("aligned:")
+
+
 @dataclass(eq=False)
 class ClassAdaptationState:
     """Everything adaptation produced for one class.
 
-    An adapted class keeps the subspace pair ``src:<tag>``/``tgt:<tag>`` it
-    was retrained against, and its detector lives in frame
-    ``aligned:<tag>``; the tag is the class id, or ``__full__`` for the one
-    global pair of full-image mode.  The alignment map and the aligned
-    source basis follow from the pair in closed form and are not stored.
-    Pass-through classes (mode ``none``, including downgraded ones) keep
-    the initial raw-frame detector and carry no subspaces.
+    An adapted class keeps the subspace pair it was retrained against, and
+    its detector's frame is the one record of which pair that is
+    (``frame_tag``).  The class id and the mode are read off the detector,
+    and the alignment map and the aligned source basis follow from the
+    pair in closed form; none of them is stored.  Pass-through classes
+    (mode ``none``, including downgraded ones) keep the initial raw-frame
+    detector and carry no subspaces.
     """
 
-    class_id: str
-    mode: str
     adapted_detector: LinearDetector
     source_subspace: Subspace | None = None
     target_subspace: Subspace | None = None
@@ -92,30 +105,29 @@ class ClassAdaptationState:
     note: str = ""
 
     def __post_init__(self):
-        if self.adapted_detector.class_id != self.class_id:
+        det, S, T = self.adapted_detector, self.source_subspace, self.target_subspace
+        tag = frame_tag(det.frame)
+        if (S is None, T is None) != (tag is None, tag is None):
             raise DataError(
-                f"state '{self.class_id}' holds the detector of class "
-                f"'{self.adapted_detector.class_id}'"
+                f"class '{det.class_id}' in frame '{det.frame}' needs both "
+                "subspaces exactly when the frame is aligned"
             )
-        frame = "raw"
-        if self.mode != "none":
-            S, T = self.source_subspace, self.target_subspace
-            if S is None or T is None:
-                raise DataError(f"adapted state '{self.class_id}' needs both subspaces")
-            if S.d != T.d:
-                raise DataError("state subspaces disagree on d")
-            tag = S.label.removeprefix("src:")
-            if (S.label, T.label) != (f"src:{tag}", f"tgt:{tag}"):
-                raise DataError(
-                    f"subspace provenance {(S.label, T.label)} is not a "
-                    "'src:<tag>', 'tgt:<tag>' pair"
-                )
-            frame = f"aligned:{tag}"
-        if self.adapted_detector.frame != frame:
+        if tag not in (None, det.class_id, FULL_IMAGE_TAG):
+            raise DataError(f"class '{det.class_id}' is in the frame of class '{tag}'")
+        if tag is not None and not S.d == T.d == det.weights.shape[0]:
             raise DataError(
-                f"detector frame '{self.adapted_detector.frame}' does not "
-                f"match the state's frame '{frame}'"
+                f"class '{det.class_id}': subspace dimensions {S.d}, {T.d} and "
+                f"detector width {det.weights.shape[0]} disagree"
             )
+
+    @property
+    def class_id(self) -> str:
+        return self.adapted_detector.class_id
+
+    @property
+    def mode(self) -> str:
+        tag = frame_tag(self.adapted_detector.frame)
+        return {None: "none", FULL_IMAGE_TAG: "full-image"}.get(tag, "class-specific")
 
 
 def _class_max_overlaps(dataset: Dataset, class_id: str) -> np.ndarray:
@@ -261,9 +273,9 @@ def train_initial_detectors(
 
 
 def _fit_pair(
-    src_pool: np.ndarray, tgt_pool: np.ndarray, d: int, tag: str
+    src_pool: np.ndarray, tgt_pool: np.ndarray, d: int
 ) -> tuple[Subspace, Subspace]:
-    """Subspaces ``src:<tag>`` and ``tgt:<tag>`` of one pool per domain.
+    """The source and target subspaces of one pool per domain.
 
     Each pool is normalized with its own statistics, which travel with its
     subspace.
@@ -273,9 +285,9 @@ def _fit_pair(
     if n_src < d + 1 or n_tgt < d + 1:
         raise DataError(f"sample counts src={n_src}, tgt={n_tgt} below d+1={d + 1}")
     pair = []
-    for domain, pool in (("src", src_pool), ("tgt", tgt_pool)):
+    for pool in (src_pool, tgt_pool):
         Xn, stats = normalize(pool)
-        pair.append(pca(Xn, d, stats=stats, label=f"{domain}:{tag}"))
+        pair.append(pca(Xn, d, stats=stats))
     return pair[0], pair[1]
 
 
@@ -302,36 +314,33 @@ def _adapt_class(
         if shared is None:
             pos_tgt = mine_target_positives(target, det, cfg.sigma)
             n_tgt = pos_tgt.shape[0]
-            S, T = _fit_pair(pos_src, pos_tgt, cfg.d, class_id)
+            S, T = _fit_pair(pos_src, pos_tgt, cfg.d)
         else:
             S, T = shared
         neg = _mine_source_negatives(class_id, cfg.neg_lambda, overlaps)
     except (DataError, NumericalError) as exc:
         warnings.append(f"adapt: class '{class_id}': {exc}; downgraded")
         return ClassAdaptationState(
-            class_id, "none", det, n_pos_src=n_src, n_pos_tgt=n_tgt,
-            downgraded=True, note=str(exc),
+            det, n_pos_src=n_src, n_pos_tgt=n_tgt, downgraded=True, note=str(exc)
         )
 
     # The whole source array is normalized and projected once; positives
     # are gathered from the projection and negatives stay its rows.
     Xa = aligned_source_basis(S, solve_alignment(S, T))
     proj = project_for_training(normalize(source.features, S.stats)[0], Xa)
-    frame = "aligned:" + S.label.removeprefix("src:")
+    tag = class_id if shared is None else FULL_IMAGE_TAG
     adapted = train_detector(
         proj[overlaps >= cfg.gamma], proj, cfg.train, class_id=class_id,
-        frame=frame, rows=neg,
+        frame=f"aligned:{tag}", rows=neg,
     )
-    return ClassAdaptationState(
-        class_id, cfg.mode, adapted, S, T, n_pos_src=n_src, n_pos_tgt=n_tgt
-    )
+    return ClassAdaptationState(adapted, S, T, n_pos_src=n_src, n_pos_tgt=n_tgt)
 
 
 def passthrough_states(
     detectors: dict[str, LinearDetector],
 ) -> dict[str, ClassAdaptationState]:
     """Wrap raw-frame detectors as unadapted per-class states."""
-    return {c: ClassAdaptationState(c, "none", det) for c, det in detectors.items()}
+    return {c: ClassAdaptationState(det) for c, det in detectors.items()}
 
 
 def adapt(
@@ -369,11 +378,11 @@ def adapt(
     shared = None
     if cfg.mode == "full-image":
         try:
-            shared = _fit_pair(source.features, target.features, cfg.d, "__full__")
+            shared = _fit_pair(source.features, target.features, cfg.d)
         except (DataError, NumericalError) as exc:
             warnings.append(f"adapt: full-image pool: {exc}; all classes downgraded")
             return {
-                c: ClassAdaptationState(c, "none", det, downgraded=True, note=str(exc))
+                c: ClassAdaptationState(det, downgraded=True, note=str(exc))
                 for c, det in init.items()
             }
     return {
@@ -412,7 +421,7 @@ def detect(
         if state is None:
             continue
         det = state.adapted_detector
-        if state.mode != "none":
+        if state.target_subspace is not None:
             v, c = project_for_testing(det.weights, det.bias, state.target_subspace)
             det = LinearDetector(class_id, v, c, "raw")
         codes.append(k)

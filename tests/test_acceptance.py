@@ -88,12 +88,11 @@ def initial_detectors(default_scenario):
     return train_initial_detectors(source, accept_cfg())
 
 
-def _random_subspace(rng, ambient, d, label=""):
+def _random_subspace(rng, ambient, d):
     return Subspace(
         basis=random_orthonormal(rng, ambient, d),
         eigenvalues=np.ones(d),
         stats=identity_stats(ambient),
-        label=label,
     )
 
 
@@ -172,8 +171,8 @@ def test_c3_principal_angle_identities():
             subspace_similarity(A, B @ Q) - subspace_similarity(A, B)
         ) < 1e-8
 
-        S = _random_subspace(r, 14, 5, "src:x")
-        T = _random_subspace(r, 14, 5, "tgt:x")
+        S = _random_subspace(r, 14, 5)
+        T = _random_subspace(r, 14, 5)
         M = solve_alignment(S, T)
         cos = principal_angle_cosines(S, T)
         assert abs(np.linalg.norm(M) ** 2 - np.sum(cos**2)) < 1e-8

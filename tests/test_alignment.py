@@ -23,21 +23,20 @@ from aligndet.linalg import (
 from oracles import brute_force_objective, gd_align, project_target, random_orthonormal
 
 
-def make_subspace(basis, label=""):
+def make_subspace(basis):
     basis = np.asarray(basis, dtype=float)
     d = basis.shape[1]
     return Subspace(
         basis=basis,
         eigenvalues=np.ones(d),
         stats=identity_stats(basis.shape[0]),
-        label=label,
     )
 
 
 def random_pair(seed, ambient=10, d=3):
     rng = np.random.default_rng(seed)
-    S = make_subspace(random_orthonormal(rng, ambient, d), f"src:{seed}")
-    T = make_subspace(random_orthonormal(rng, ambient, d), f"tgt:{seed}")
+    S = make_subspace(random_orthonormal(rng, ambient, d))
+    T = make_subspace(random_orthonormal(rng, ambient, d))
     return S, T
 
 
@@ -148,8 +147,8 @@ class TestAlignedBasis:
         npt.assert_allclose(Xa, S.basis, atol=1e-10)
 
     def test_orthogonal_pair_gives_zero(self):
-        S = make_subspace(np.eye(6)[:, :2], "src:a")
-        T = make_subspace(np.eye(6)[:, 2:4], "tgt:a")
+        S = make_subspace(np.eye(6)[:, :2])
+        T = make_subspace(np.eye(6)[:, 2:4])
         Xa = aligned_source_basis(S, solve_alignment(S, T))
         npt.assert_allclose(Xa, np.zeros((6, 2)), atol=1e-15)
 
@@ -175,8 +174,8 @@ class TestProjections:
         )
 
     def test_zero_alignment_gives_zeros(self):
-        S = make_subspace(np.eye(6)[:, :2], "src:a")
-        T = make_subspace(np.eye(6)[:, 2:4], "tgt:a")
+        S = make_subspace(np.eye(6)[:, :2])
+        T = make_subspace(np.eye(6)[:, 2:4])
         Xa = aligned_source_basis(S, solve_alignment(S, T))
         out = project_for_training(np.ones((5, 6)), Xa)
         npt.assert_allclose(out, np.zeros((5, 2)), atol=1e-14)
@@ -206,7 +205,7 @@ class TestProjections:
         stats = NormalizationStats(
             rng.normal(scale=10.0, size=D), np.exp(rng.uniform(-3.0, 3.0, size=D))
         )
-        T = Subspace(random_orthonormal(rng, D, d), np.ones(d), stats, "tgt:x")
+        T = Subspace(random_orthonormal(rng, D, d), np.ones(d), stats)
         w = rng.normal(size=d)
         X = rng.normal(loc=stats.mean, scale=5.0 * stats.scale, size=(n, D))
         v, c = project_for_testing(w, bias, T)
@@ -219,7 +218,7 @@ class TestProjections:
         rng = np.random.default_rng(17)
         _, T0 = random_pair(17)
         stats = NormalizationStats(rng.normal(size=10), rng.uniform(0.1, 5.0, 10))
-        T = Subspace(T0.basis, T0.eigenvalues, stats, T0.label)
+        T = Subspace(T0.basis, T0.eigenvalues, stats)
         for _ in range(20):
             w = rng.normal(size=T.d)
             v, _ = project_for_testing(w, 0.5, T)

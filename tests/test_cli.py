@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -378,9 +379,11 @@ def test_adapt_mode_none_flags_pass_through(tmp_path):
     )
     assert rc == 0
     bundle = json.loads((out / "states.json").read_text())
-    assert all(s["mode"] == "none" for s in bundle["states"].values())
-    assert all(s["source_subspace"] is None for s in bundle["states"].values())
-    assert bundle["subspaces"] == {}
+    assert all(
+        s["adapted_detector"]["frame"] == "raw" for s in bundle["states"].values()
+    )
+    assert bundle["pairs"] == {}
+    assert all(s.mode == "none" for s in load_states(out / "states.json").values())
 
 
 def test_pipeline_produces_full_artifact_set(tmp_path, fast_config):
@@ -453,6 +456,44 @@ def test_pipeline_trains_initial_detectors_once(tmp_path):
         f"initial-training: no source positives for class '{c}' at gamma=1.0; "
         "class skipped"
         for c in ("class00", "class01")
+    ]
+
+
+# gamma = 1 skips every class in initial training; d = 28 downgrades
+# class01, whose 28 target positives are below d + 1.
+SKIPPING_CFG = FAST_CFG + "gamma = 1.0\n"
+DOWNGRADING_CFG = FAST_CFG.replace("d = 5", "d = 28")
+
+
+@pytest.mark.parametrize(
+    "command, text, written",
+    [
+        ("train", SKIPPING_CFG, "detectors.json"),
+        ("adapt", DOWNGRADING_CFG, "states.json"),
+        ("pipeline", SKIPPING_CFG, "report.json"),
+        ("pipeline", DOWNGRADING_CFG, "report.json"),
+    ],
+    ids=["train-skips", "adapt-downgrades", "pipeline-skips", "pipeline-downgrades"],
+)
+def test_recorded_warnings_are_logged_once(tmp_path, caplog, command, text, written):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    manifests = {
+        "train": ["--source", str(data / "source" / "manifest.json")],
+        "adapt": ["--source", str(data / "source" / "manifest.json"),
+                  "--target", str(data / "target" / "manifest.json")],
+        "pipeline": [],
+    }[command]
+    out = tmp_path / "out"
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="aligndet"):
+        assert cli.main([command, "--config", str(cfg), *manifests, "--out", str(out)]) == 0
+    recorded = json.loads((out / written).read_text())["warnings"]
+    assert recorded
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", w) for w in recorded
     ]
 
 
@@ -858,20 +899,50 @@ def test_bad_array_file_is_data_error(
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "detect"])
+def test_state_bundle_with_a_nan_basis_entry_is_data_error(
+    tmp_path, capsys, pipeline_run, command
+):
+    # One NaN in class00's source basis, the CRC-32 recomputed to match, so
+    # only the subspace check can catch it.
+    run, cfg = pipeline_run
+    path, f8 = tmp_path / "states.json", tmp_path / "states.f8"
+    bundle = json.loads((run / "states.json").read_text())
+    raw = bytearray((run / "states.f8").read_bytes())
+    offset = bundle["pairs"]["class00"]["source"]["basis"]["f8_offset"]
+    raw[offset : offset + 8] = np.float64(np.nan).tobytes()
+    f8.write_bytes(raw)
+    bundle["array_file"]["crc32"] = zlib.crc32(raw)
+    path.write_text(json.dumps(bundle))
+    args = {
+        "analyze": [],
+        "detect": ["--dataset", str(run / "target" / "manifest.json")],
+    }[command]
+    rc = cli.main(
+        [command, "--config", str(cfg), *args, "--states", str(path),
+         "--out", str(tmp_path / "out")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"state bundle '{path}' is malformed: basis and eigenvalues must be finite" in err
+
+
 @pytest.mark.parametrize("option, name", [("--detectors", "detectors"), ("--states", "states")])
 def test_bundle_entry_of_another_class_is_data_error(
     tmp_path, capsys, pipeline_run, option, name
 ):
-    # The entry stored under class00 claims class01; in the state bundle its
-    # detector does too, so only the key it is stored under disagrees.
+    # The detector stored under class00 claims class01; in the state bundle
+    # its frame names class01's pair too, so only the key it is stored under
+    # disagrees.
     run, cfg = pipeline_run
     path = tmp_path / f"{name}.json"
     shutil.copy(run / f"{name}.f8", tmp_path / f"{name}.f8")
     bundle = json.loads((run / f"{name}.json").read_text())
     entry = bundle[name]["class00"]
-    entry["class_id"] = "class01"
     if name == "states":
-        entry["adapted_detector"]["class_id"] = "class01"
+        entry = entry["adapted_detector"]
+        entry["frame"] = "aligned:class01"
+    entry["class_id"] = "class01"
     path.write_text(json.dumps(bundle))
     rc = cli.main(
         [

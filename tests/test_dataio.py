@@ -1045,8 +1045,23 @@ class TestConfigTable:
 
 def _transpose_bases(bundle: dict) -> dict:
     """The bundle with each basis reference's shape read as d x D."""
-    for sub in bundle["subspaces"].values():
-        sub["basis"]["shape"].reverse()
+    for pair in bundle["pairs"].values():
+        for sub in pair.values():
+            sub["basis"]["shape"].reverse()
+    return bundle
+
+
+def _detector_field(bundle: dict, key: str, value) -> dict:
+    """The detector bundle with ``key`` of its detector 'cat' set to ``value``."""
+    bundle["detectors"]["cat"][key] = value
+    return bundle
+
+
+def _state_entry(bundle: dict, key: str, value) -> dict:
+    """The bundle with ``key`` of its first state's entry set to ``value``;
+    ``bias`` is the key of that state's detector."""
+    entry = next(iter(bundle["states"].values()))
+    (entry["adapted_detector"] if key == "bias" else entry)[key] = value
     return bundle
 
 
@@ -1066,37 +1081,67 @@ class TestBundles:
         assert p.with_suffix(".f8").read_bytes() == p2.with_suffix(".f8").read_bytes()
 
     @pytest.fixture(scope="class")
-    def adapted(self):
-        """States of a small synthetic pair, per adaptation mode."""
-        from aligndet.pipeline import AdaptationConfig, adapt
+    def runs(self):
+        """The target of a small synthetic pair, and its states for each
+        kind of run: each adaptation mode (d = 5), and class-specific mode
+        with d = 28, which downgrades class01 (28 target positives, below
+        d + 1) and adapts class00."""
+        from aligndet.pipeline import MODES, AdaptationConfig, adapt
         from aligndet.detection import TrainConfig
 
         spec = SynthShiftSpec(samples_per_class=30, n_classes=2)
         src, tgt, _ = generate_synthetic(spec)
         train = TrainConfig(reg_lambda=0.001, iterations=500)
-        return {
-            mode: adapt(src, tgt, AdaptationConfig(d=5, mode=mode, train=train))
-            for mode in ("class-specific", "full-image")
-        }
+        cfgs = {mode: AdaptationConfig(d=5, mode=mode, train=train) for mode in MODES}
+        cfgs["downgraded"] = AdaptationConfig(d=28, train=train)
+        return tgt, {name: adapt(src, tgt, cfg) for name, cfg in cfgs.items()}
 
-    def test_state_bundle_round_trip(self, tmp_path, adapted):
-        for mode, states in adapted.items():
-            p = tmp_path / f"{mode}.json"
+    @pytest.fixture(scope="class")
+    def adapted(self, runs):
+        return runs[1]
+
+    def test_state_bundle_round_trip(self, tmp_path, runs):
+        from aligndet.pipeline import MODES, AdaptationConfig, detect, frame_tag
+
+        target, adapted = runs
+        for mode in MODES:
+            assert {s.mode for s in adapted[mode].values()} == {mode}
+        assert [s.mode for s in adapted["downgraded"].values()] == ["class-specific", "none"]
+        assert [s.downgraded for s in adapted["downgraded"].values()] == [False, True]
+        for name, states in adapted.items():
+            p = tmp_path / f"{name}.json"
             save_states(p, states, warnings=[])
             loaded = load_states(p)
             assert set(loaded) == set(states)
             for c in states:
-                npt.assert_array_equal(
-                    loaded[c].adapted_detector.weights,
-                    states[c].adapted_detector.weights,
+                a, b = loaded[c], states[c]
+                tag = frame_tag(b.adapted_detector.frame)
+                assert (a.class_id, a.mode, frame_tag(a.adapted_detector.frame)) == (
+                    c, b.mode, tag,
                 )
+                assert (a.n_pos_src, a.n_pos_tgt, a.downgraded, a.note) == (
+                    b.n_pos_src, b.n_pos_tgt, b.downgraded, b.note,
+                )
+                npt.assert_array_equal(a.adapted_detector.weights, b.adapted_detector.weights)
+                assert a.adapted_detector.bias == b.adapted_detector.bias
                 for side in ("source_subspace", "target_subspace"):
-                    a, b = getattr(loaded[c], side), getattr(states[c], side)
-                    assert a.label == b.label
-                    npt.assert_array_equal(a.basis, b.basis)
-                    npt.assert_array_equal(a.stats.mean, b.stats.mean)
-                    assert a.basis.flags.writeable
-            p2 = tmp_path / f"{mode}2.json"
+                    sa, sb = getattr(a, side), getattr(b, side)
+                    assert (sa is None) == (sb is None) == (tag is None)
+                    if sb is not None:
+                        npt.assert_array_equal(sa.basis, sb.basis)
+                        npt.assert_array_equal(sa.eigenvalues, sb.eigenvalues)
+                        npt.assert_array_equal(sa.stats.mean, sb.stats.mean)
+                        npt.assert_array_equal(sa.stats.scale, sb.stats.scale)
+                        assert sa.basis.flags.writeable
+            if name == "full-image":
+                for side in ("source_subspace", "target_subspace"):
+                    assert len({id(getattr(s, side)) for s in loaded.values()}) == 1
+            cfg = AdaptationConfig(d=5)
+            live, back = detect(target, states, cfg), detect(target, loaded, cfg)
+            for column in ("boxes", "scores", "image_index", "class_index"):
+                x, y = getattr(live, column), getattr(back, column)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            p2 = tmp_path / f"{name}2.json"
             save_states(p2, loaded, warnings=[])
             assert p.read_bytes() == p2.read_bytes()
             f8, f8_2 = p.with_suffix(".f8"), p2.with_suffix(".f8")
@@ -1148,63 +1193,100 @@ class TestBundles:
         assert offset == len(blob)
         assert doc["spec"]["corrupt_classes"] == []
 
-    def test_state_bundle_stores_each_subspace_once(self, tmp_path, adapted):
-        for mode, states in adapted.items():
-            p = tmp_path / f"{mode}.json"
+    def test_state_bundle_stores_each_pair_once(self, tmp_path, adapted):
+        from aligndet.pipeline import frame_tag
+
+        for name, states in adapted.items():
+            p = tmp_path / f"{name}.json"
             save_states(p, states)
             bundle = json.loads(p.read_text())
-            labels = {
-                s.label
-                for st in states.values()
-                for s in (st.source_subspace, st.target_subspace)
-            }
-            assert set(bundle["subspaces"]) == labels
-            assert len(labels) == (2 if mode == "full-image" else 2 * len(states))
+            tags = {frame_tag(st.adapted_detector.frame) for st in states.values()}
+            expected = {
+                "class-specific": {"class00", "class01"},
+                "full-image": {"__full__"},
+                "none": set(),
+                "downgraded": {"class00"},
+            }[name]
+            assert set(bundle["pairs"]) == tags - {None} == expected
+            for pair in bundle["pairs"].values():
+                assert pair.keys() == {"source", "target"}
             for entry in bundle["states"].values():
-                assert "map" not in entry and "aligned_basis" not in entry
-                assert entry["source_subspace"] in labels
-                assert entry["target_subspace"] in labels
+                assert entry.keys() == {
+                    "adapted_detector", "n_pos_src", "n_pos_tgt", "downgraded", "note"
+                }
 
     @pytest.mark.parametrize(
         "edit, match",
         [
             (lambda b: "not json", "not valid JSON"),
             (lambda b: json.dumps({"warnings": []}), "missing key 'states'"),
-            (lambda b: json.dumps({k: v for k, v in b.items() if k != "subspaces"}),
+            (lambda b: json.dumps({k: v for k, v in b.items() if k != "pairs"}),
              "rerun 'adapt'"),
-            (lambda b: json.dumps({**b, "subspaces": {}}), "unknown subspace"),
+            (lambda b: json.dumps({**b, "pairs": {}}), "missing key 'class00'"),
             (lambda b: json.dumps({**b, "states": []}), "malformed"),
             (lambda b: json.dumps(_transpose_bases(b)), "eigenvalues must have length d"),
+            # Fields are checked, never coerced.
+            (lambda b: json.dumps(_state_entry(b, "downgraded", "no")),
+             "is malformed: 'downgraded' must be a JSON boolean, got str"),
+            (lambda b: json.dumps(_state_entry(b, "downgraded", 0)),
+             "is malformed: 'downgraded' must be a JSON boolean, got int"),
+            (lambda b: json.dumps(_state_entry(b, "n_pos_src", 2.7)),
+             "is malformed: 'n_pos_src' must be a non-negative JSON integer, got float"),
+            (lambda b: json.dumps(_state_entry(b, "n_pos_tgt", True)),
+             "is malformed: 'n_pos_tgt' must be a non-negative JSON integer, got bool"),
+            (lambda b: json.dumps(_state_entry(b, "n_pos_src", -1)),
+             "is malformed: 'n_pos_src' must be a non-negative JSON integer, got -1"),
+            (lambda b: json.dumps(_state_entry(b, "note", None)),
+             "is malformed: 'note' must be a JSON string, got NoneType"),
+            (lambda b: json.dumps(_state_entry(b, "bias", "1.5")),
+             "is malformed: 'bias' must be a JSON number, got str"),
         ],
         ids=[
             "invalid-json",
             "missing-key",
             "old-layout",
-            "unknown-label",
+            "unknown-pair",
             "wrong-type",
             "transposed-basis",
+            "downgraded-string",
+            "downgraded-int",
+            "count-float",
+            "count-bool",
+            "count-negative",
+            "note-null",
+            "bias-string",
         ],
     )
     def test_malformed_state_bundle_is_data_error(self, tmp_path, adapted, edit, match):
         p = tmp_path / "states.json"
         save_states(p, adapted["class-specific"])
         p.write_text(edit(json.loads(p.read_text())))
-        with pytest.raises(DataError, match=match) as info:
+        with pytest.raises(DataError, match=re.escape(match)) as info:
             load_states(p)
         assert str(p) in str(info.value)
 
     @pytest.mark.parametrize(
-        "text, match",
+        "edit, match",
         [
-            ("not json", "not valid JSON"),
-            ('{"warnings": []}', "missing key 'detectors'"),
-            ('{"detectors": {"cat": {"class_id": "cat"}}}', "missing key 'weights'"),
+            (lambda b: "not json", "not valid JSON"),
+            (lambda b: '{"warnings": []}', "missing key 'detectors'"),
+            (lambda b: '{"detectors": {"cat": {"class_id": "cat"}}}', "missing key 'weights'"),
+            # Fields are checked, never coerced.
+            (lambda b: json.dumps(_detector_field(b, "bias", "1.5")),
+             "is malformed: 'bias' must be a JSON number, got str"),
+            (lambda b: json.dumps(_detector_field(b, "bias", True)),
+             "is malformed: 'bias' must be a JSON number, got bool"),
+            (lambda b: json.dumps(_detector_field(b, "frame", 0)),
+             "is malformed: 'frame' must be a JSON string, got int"),
         ],
+        ids=["invalid-json", "missing-key", "missing-weights", "bias-string", "bias-bool",
+             "frame-int"],
     )
-    def test_malformed_detector_bundle_is_data_error(self, tmp_path, text, match):
+    def test_malformed_detector_bundle_is_data_error(self, tmp_path, edit, match):
         p = tmp_path / "det.json"
-        p.write_text(text)
-        with pytest.raises(DataError, match=match) as info:
+        save_detectors(p, {"cat": LinearDetector("cat", np.array([0.5, -1.25]), 0.375, "raw")})
+        p.write_text(edit(json.loads(p.read_text())))
+        with pytest.raises(DataError, match=re.escape(match)) as info:
             load_detectors(p)
         assert str(p) in str(info.value)
 

@@ -317,9 +317,8 @@ class TestPca:
     def test_stats_recorded(self):
         X = np.random.default_rng(1).normal(size=(20, 4))
         Xn, stats = normalize(X)
-        sub = pca(Xn, 2, stats=stats, label="src:x")
+        sub = pca(Xn, 2, stats=stats)
         assert sub.stats is stats
-        assert sub.label == "src:x"
         assert pca(Xn, 2).stats.dim == 4  # identity default
 
 
@@ -445,3 +444,14 @@ class TestSubspaceType:
             stats=identity_stats(4),
         )
         assert sub.eigenvalues[1] == 0.0
+
+    @pytest.mark.parametrize("where", ["basis", "eigenvalues"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, where, value):
+        # NaN fails no orthonormality or ordering comparison, so it needs
+        # its own check.
+        parts = {"basis": np.eye(4)[:, :2], "eigenvalues": np.array([2.0, 1.0])}
+        parts[where] = parts[where].copy()
+        parts[where].flat[-1] = value
+        with pytest.raises(DataError, match="must be finite"):
+            Subspace(stats=identity_stats(4), **parts)

@@ -29,7 +29,7 @@ from aligndet.detection import (
 )
 from aligndet.errors import DataError
 from aligndet.evaluation import average_precision
-from aligndet.linalg import subspace_similarity
+from aligndet.linalg import Subspace, subspace_similarity
 from aligndet.pipeline import (
     AdaptationConfig,
     ClassAdaptationState,
@@ -521,7 +521,7 @@ class TestDetect:
         init = train_initial_detectors(src, cfg)
         states = adapt(src, tgt, cfg, init_detectors=init)
         c0 = tgt.classes[0]
-        states[c0] = ClassAdaptationState(c0, "none", init[c0], downgraded=True)
+        states[c0] = ClassAdaptationState(init[c0], downgraded=True)
         assert {s.mode for s in states.values()} == {mode, "none"}
         folded = detect(tgt, states, cfg)
         unfolded = unfolded_detect(tgt, states, cfg)
@@ -627,43 +627,62 @@ class TestClassAdaptationState:
         src, tgt = small_pair
         return next(iter(adapt(src, tgt, small_cfg()).values()))
 
-    def test_provenance_mismatch_rejected(self, good):
-        with pytest.raises(DataError, match="provenance"):
-            ClassAdaptationState(
-                class_id=good.class_id,
-                mode="class-specific",
-                adapted_detector=good.adapted_detector,
-                source_subspace=good.target_subspace,  # swapped on purpose
-                target_subspace=good.source_subspace,
-            )
-
     def test_adapted_state_needs_both_subspaces(self, good):
         with pytest.raises(DataError, match="both subspaces"):
             ClassAdaptationState(
-                good.class_id, "class-specific", good.adapted_detector,
-                source_subspace=good.source_subspace,
+                good.adapted_detector, source_subspace=good.source_subspace
             )
 
-    def test_detector_frame_must_match_subspace_tag(self, good):
+    def test_raw_detector_carries_no_subspaces(self, good):
         raw = LinearDetector(good.class_id, good.adapted_detector.weights, 0.0, "raw")
-        with pytest.raises(DataError, match="frame"):
-            ClassAdaptationState(
-                good.class_id, "class-specific", raw,
-                good.source_subspace, good.target_subspace,
-            )
+        with pytest.raises(DataError, match="both subspaces exactly when"):
+            ClassAdaptationState(raw, good.source_subspace, good.target_subspace)
 
     def test_passthrough_detector_must_be_raw(self, good):
-        with pytest.raises(DataError, match="state's frame 'raw'"):
-            ClassAdaptationState(good.class_id, "none", good.adapted_detector)
+        with pytest.raises(DataError, match="both subspaces exactly when"):
+            ClassAdaptationState(good.adapted_detector)
 
-    @pytest.mark.parametrize("mode", ["none", "class-specific"])
-    def test_detector_of_another_class_rejected(self, good, mode):
+    def test_unknown_frame_rejected(self, good):
+        det = good.adapted_detector
+        other = LinearDetector(det.class_id, det.weights, det.bias, "projected")
+        with pytest.raises(DataError, match="unknown detector frame 'projected'"):
+            ClassAdaptationState(other, good.source_subspace, good.target_subspace)
+
+    def test_tag_of_another_class_rejected(self, good):
         det = good.adapted_detector
         other = LinearDetector(det.class_id + "x", det.weights, det.bias, det.frame)
-        with pytest.raises(DataError, match=f"holds the detector of class '{other.class_id}'"):
-            ClassAdaptationState(
-                good.class_id, mode, other, good.source_subspace, good.target_subspace
+        with pytest.raises(
+            DataError, match=f"class '{other.class_id}' is in the frame of class '{det.class_id}'"
+        ):
+            ClassAdaptationState(other, good.source_subspace, good.target_subspace)
+
+    @pytest.mark.parametrize("wider", ["detector", "source", "target"])
+    def test_widths_must_be_d(self, good, wider):
+        # One part one column wider than d: the detector, S or T.
+        det, S, T = good.adapted_detector, good.source_subspace, good.target_subspace
+        parts = {"detector": det, "source": S, "target": T}
+        if wider == "detector":
+            parts[wider] = LinearDetector(
+                det.class_id, np.append(det.weights, 0.0), det.bias, det.frame
             )
+        else:
+            sub = parts[wider]
+            parts[wider] = Subspace(
+                np.eye(sub.ambient_dim)[:, : sub.d + 1], np.ones(sub.d + 1), sub.stats
+            )
+        with pytest.raises(DataError, match="disagree"):
+            ClassAdaptationState(*parts.values())
+
+    def test_class_id_and_mode_are_read_off_the_detector(self, good):
+        det, S, T = good.adapted_detector, good.source_subspace, good.target_subspace
+        assert det.frame == f"aligned:{det.class_id}"
+        assert (good.class_id, good.mode) == (det.class_id, "class-specific")
+        full = LinearDetector(det.class_id, det.weights, det.bias, "aligned:__full__")
+        assert ClassAdaptationState(full, S, T).mode == "full-image"
+        raw = LinearDetector(det.class_id, det.weights, det.bias, "raw")
+        assert (ClassAdaptationState(raw).class_id, ClassAdaptationState(raw).mode) == (
+            det.class_id, "none",
+        )
 
 
 class TestEndToEndQuality:
