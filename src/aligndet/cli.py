@@ -90,9 +90,8 @@ def _write_histogram(out: Path, name: str, scores, cfg: RunConfig, title: str) -
 
 
 def _synth(cfg: RunConfig, out: Path) -> tuple[Path, Path]:
-    """Write the synthetic source, target and oracle; return the manifests."""
-    source, target, oracle = dataio.generate_synthetic(cfg.synth)
-    dataio.save_oracle(out / "oracle.json", oracle)
+    """Write the synthetic source and target; return their manifests."""
+    source, target, _ = dataio.generate_synthetic(cfg.synth)
     return (
         dataio.save_dataset(source, out / "source"),
         dataio.save_dataset(target, out / "target"),

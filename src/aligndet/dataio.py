@@ -1,6 +1,6 @@
 """Dataset persistence (binary feature files, CSV boxes, JSON manifests),
 the synthetic domain-shift generator, run configuration, and bundle
-serialization for detectors, adaptation states and the synthetic oracle."""
+serialization for detectors and adaptation states."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import os
 import struct
 import zlib
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
@@ -255,12 +255,12 @@ def canonical_json(obj) -> str:
 
 
 # A bundle is canonical JSON at ``<stem>.json`` plus the array file
-# ``<stem>.f8``: every float ndarray of the document, as raw little-endian
-# float64 in C order, concatenated in the order the sorted-key JSON visits
-# them.  In the JSON each array is a reference {"f8_offset": <byte offset>,
-# "shape": [...]}, and ``array_file`` records the array file's byte length
-# and CRC-32.  The array file's name is derived from the JSON path, never
-# stored, so a bundle saved under two names has identical JSON.
+# ``<stem>.f8``: every float ndarray of the document's maps (never of a
+# list), as raw little-endian float64 in C order, concatenated in the order
+# the sorted-key JSON visits them.  In the JSON each array is a reference
+# {"f8_offset": <byte offset>, "shape": [...]}; ``array_file`` records the
+# array file's byte length and CRC-32.  The array file's name is derived from
+# the JSON path, so a bundle saved under two names has identical JSON.
 _ARRAY_REF_KEYS = {"f8_offset", "shape"}
 
 
@@ -282,8 +282,6 @@ def _save_bundle(path, doc: dict) -> None:
             return ref
         if isinstance(v, dict):
             return {k: swap(v[k]) for k in sorted(v)}
-        if isinstance(v, (list, tuple)):
-            return [swap(x) for x in v]
         return v
 
     doc = swap(doc)
@@ -322,8 +320,6 @@ def _resolve_arrays(doc, path):
                     f"past the end of array file '{f8}'"
                 )
             return np.frombuffer(buf, "<f8", count, offset).reshape(shape)
-        if isinstance(v, list):
-            return [resolve(x) for x in v]
         return v
 
     return resolve(doc)
@@ -804,9 +800,7 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
             for c in range(spec.n_classes)
         },
         "class_directions": {classes[c]: dirs[c] for c in range(spec.n_classes)},
-        "latent_scales": scales,
         "drifts": {classes[c]: drifts[c] for c in range(spec.n_classes)},
-        "spec": asdict(spec),
     }
     return source, target, oracle
 
@@ -951,7 +945,7 @@ def config_echo(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Detector / state / oracle bundles (byte-exact round trips)
+# Detector and state bundles (byte-exact round trips)
 # ---------------------------------------------------------------------------
 
 def _stats_to_dict(s: NormalizationStats) -> dict:
@@ -1029,11 +1023,19 @@ def save_detectors(path, detectors: dict[str, LinearDetector], warnings=None) ->
     _save_bundle(path, bundle)
 
 
+def _raw_detector(d: dict) -> LinearDetector:
+    """A detector bundle's entry, whose detector scores raw features."""
+    det = _detector_from_dict(d)
+    if det.frame != "raw":
+        raise DataError(f"detector '{det.class_id}' has frame '{det.frame}', not 'raw'")
+    return det
+
+
 def load_detectors(path) -> dict[str, LinearDetector]:
     return _load_bundle(
         path,
         "detector bundle",
-        lambda b: _by_class({c: _detector_from_dict(d) for c, d in b["detectors"].items()}),
+        lambda b: _by_class({c: _raw_detector(d) for c, d in b["detectors"].items()}),
     )
 
 
@@ -1093,12 +1095,13 @@ def _states_from_bundle(bundle: dict) -> dict[str, ClassAdaptationState]:
             note=_json_field(d, "note", (str,), "a JSON string"),
         )
 
-    return _by_class({c: state(d) for c, d in entries.items()})
+    states = _by_class({c: state(d) for c, d in entries.items()})
+    named = {frame_tag(s.adapted_detector.frame) for s in states.values()}
+    unnamed = sorted(bundle["pairs"].keys() - named)
+    if unnamed:
+        raise DataError(f"no state's frame names the pair '{unnamed[0]}'")
+    return states
 
 
 def load_states(path) -> dict[str, ClassAdaptationState]:
     return _load_bundle(path, "state bundle", _states_from_bundle)
-
-
-def save_oracle(path, oracle: dict) -> None:
-    _save_bundle(path, oracle)

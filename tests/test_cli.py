@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shutil
@@ -7,7 +8,15 @@ import numpy as np
 import pytest
 
 from aligndet import cli, detection, evaluation, pipeline
-from aligndet.dataio import load_dataset, load_detectors, load_states
+from aligndet.dataio import (
+    SynthShiftSpec,
+    generate_synthetic,
+    load_config,
+    load_dataset,
+    load_detectors,
+    load_states,
+    save_dataset,
+)
 from aligndet.errors import DataError, NumericalError
 from oracles import images_of
 
@@ -191,12 +200,8 @@ def test_synth_outputs_are_deterministic(tmp_path, fast_config):
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["synth", "--config", fast_config, "--out", str(a)]) == 0
     assert cli.main(["synth", "--config", fast_config, "--out", str(b)]) == 0
-    for rel in [
-        "source/manifest.json",
-        "target/manifest.json",
-        "oracle.json",
-        "oracle.f8",
-    ]:
+    assert sorted(p.name for p in a.iterdir()) == ["source", "target"]
+    for rel in ["source/manifest.json", "target/manifest.json"]:
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
     feat = next((a / "source" / "features").iterdir()).name
     assert (a / "source" / "features" / feat).read_bytes() == (
@@ -389,7 +394,7 @@ def test_adapt_mode_none_flags_pass_through(tmp_path):
 def test_pipeline_produces_full_artifact_set(tmp_path, fast_config):
     out = tmp_path / "run"
     assert cli.main(["pipeline", "--config", fast_config, "--out", str(out)]) == 0
-    for name in [
+    files = {
         "report.json",
         "detections.csv",
         "states.json",
@@ -403,10 +408,11 @@ def test_pipeline_produces_full_artifact_set(tmp_path, fast_config):
         "histogram_target.json",
         "histogram_target.svg",
         "timing.json",
-        "oracle.json",
-        "oracle.f8",
-    ]:
+    }
+    for name in files:
         assert (out / name).is_file(), name
+    # The synthetic pair is the only data written; the generator's truth is not.
+    assert {p.name for p in out.iterdir()} == files | {"source", "target"}
     report = json.loads((out / "report.json").read_text())
     assert report["mode"] == "class-specific"
     assert set(report["per_class"]) == {"class00", "class01"}
@@ -414,6 +420,37 @@ def test_pipeline_produces_full_artifact_set(tmp_path, fast_config):
         assert "ap" in entry and "similarity_diag" in entry
         assert "n_pos_src" in entry and "n_pos_tgt" in entry
     assert "timing" not in report
+
+
+def test_synthetic_pair_is_rebuilt_from_the_report_config_echo(tmp_path):
+    # The generator is seeded and deterministic, and the report echoes every
+    # field of its spec, so a run's synthetic pair (and with it the
+    # generator's truth) can be rebuilt from the report alone.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG + "seed = 7\nsynth_corrupt = 1\nsynth_drift = 0.75\n")
+    out = tmp_path / "run"
+    assert cli.main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    echo = json.loads((out / "report.json").read_text())["config"]
+    keys = ["seed"] + [k for k in echo if k.startswith("synth_")]
+    assert len(keys) == len(dataclasses.fields(SynthShiftSpec)) == 14
+
+    def text(value):
+        return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    rebuilt_cfg = tmp_path / "rebuilt.cfg"
+    rebuilt_cfg.write_text("".join(f"{k} = {text(echo[k])}\n" for k in keys))
+    source, target, _ = generate_synthetic(load_config(rebuilt_cfg).synth)
+    rebuilt = tmp_path / "rebuilt"
+    save_dataset(source, rebuilt / "source")
+    save_dataset(target, rebuilt / "target")
+    for side in ("source", "target"):
+        ran, made = (
+            sorted(p.relative_to(root) for p in (root / side).rglob("*") if p.is_file())
+            for root in (out, rebuilt)
+        )
+        assert ran == made and len(ran) > 1
+        for rel in ran:
+            assert (out / rel).read_bytes() == (rebuilt / rel).read_bytes(), rel
 
 
 def test_pipeline_initial_score_histograms(tmp_path):

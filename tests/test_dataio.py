@@ -35,7 +35,6 @@ from aligndet.dataio import (
     read_detections_csv,
     save_dataset,
     save_detectors,
-    save_oracle,
     save_states,
     write_boxes_csv,
     write_detections_csv,
@@ -1154,13 +1153,14 @@ class TestBundles:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.f8").read_bytes() == (tmp_path / "b.f8").read_bytes()
 
-    def test_oracle_bundle_layout(self, tmp_path):
-        """Read the oracle's arrays back by the documented layout alone."""
-        _, _, oracle = generate_synthetic(SynthShiftSpec(n_classes=2, samples_per_class=10))
-        p = tmp_path / "oracle.json"
-        save_oracle(p, oracle)
+    def test_state_bundle_layout(self, tmp_path, adapted):
+        """Read a state bundle's arrays back by the documented layout alone:
+        sorted-key order, offsets, and the array file's length and CRC-32."""
+        states = adapted["class-specific"]
+        p = tmp_path / "states.json"
+        save_states(p, states)
         doc = json.loads(p.read_text())
-        blob = (tmp_path / "oracle.f8").read_bytes()
+        blob = (tmp_path / "states.f8").read_bytes()
         assert doc["array_file"] == {"bytes": len(blob), "crc32": zlib.crc32(blob)}
 
         def arrays(v):  # the array references in sorted-key order
@@ -1170,20 +1170,18 @@ class TestBundles:
                 return [r for k in sorted(v) for r in arrays(v[k])]
             return []
 
-        expected = [
-            oracle["class_directions"]["class00"],
-            oracle["class_directions"]["class01"],
-            oracle["drifts"]["class00"],
-            oracle["drifts"]["class01"],
-            oracle["latent_scales"],
-            oracle["rotation"],
-            oracle["source_means"]["class00"],
-            oracle["source_means"]["class01"],
-            oracle["target_means"]["class00"],
-            oracle["target_means"]["class01"],
-        ]
+        classes = ["class00", "class01"]
+        expected = [  # pairs/<tag>/{source,target}/..., then states/<c>/...
+            a
+            for c in classes
+            for S in (states[c].source_subspace, states[c].target_subspace)
+            for a in (S.basis, S.eigenvalues, S.stats.mean, S.stats.scale)
+        ] + [states[c].adapted_detector.weights for c in classes]
+        refs = arrays(doc)
+        assert doc["pairs"]["class01"]["target"]["stats"]["scale"] == refs[15]
+        assert doc["states"]["class00"]["adapted_detector"]["weights"] == refs[16]
         offset = 0
-        for ref, a in zip(arrays(doc), expected, strict=True):
+        for ref, a in zip(refs, expected, strict=True):
             assert ref == {"f8_offset": offset, "shape": list(a.shape)}
             n = math.prod(a.shape)
             npt.assert_array_equal(
@@ -1191,7 +1189,6 @@ class TestBundles:
             )
             offset += 8 * n
         assert offset == len(blob)
-        assert doc["spec"]["corrupt_classes"] == []
 
     def test_state_bundle_stores_each_pair_once(self, tmp_path, adapted):
         from aligndet.pipeline import frame_tag
@@ -1223,6 +1220,8 @@ class TestBundles:
             (lambda b: json.dumps({k: v for k, v in b.items() if k != "pairs"}),
              "rerun 'adapt'"),
             (lambda b: json.dumps({**b, "pairs": {}}), "missing key 'class00'"),
+            (lambda b: json.dumps({**b, "pairs": {**b["pairs"], "zzz": b["pairs"]["class00"]}}),
+             "is malformed: no state's frame names the pair 'zzz'"),
             (lambda b: json.dumps({**b, "states": []}), "malformed"),
             (lambda b: json.dumps(_transpose_bases(b)), "eigenvalues must have length d"),
             # Fields are checked, never coerced.
@@ -1246,6 +1245,7 @@ class TestBundles:
             "missing-key",
             "old-layout",
             "unknown-pair",
+            "unnamed-pair",
             "wrong-type",
             "transposed-basis",
             "downgraded-string",
@@ -1278,9 +1278,12 @@ class TestBundles:
              "is malformed: 'bias' must be a JSON number, got bool"),
             (lambda b: json.dumps(_detector_field(b, "frame", 0)),
              "is malformed: 'frame' must be a JSON string, got int"),
+            # A detector bundle holds raw-frame detectors only.
+            (lambda b: json.dumps(_detector_field(b, "frame", "aligned:cat")),
+             "is malformed: detector 'cat' has frame 'aligned:cat', not 'raw'"),
         ],
         ids=["invalid-json", "missing-key", "missing-weights", "bias-string", "bias-bool",
-             "frame-int"],
+             "frame-int", "frame-aligned"],
     )
     def test_malformed_detector_bundle_is_data_error(self, tmp_path, edit, match):
         p = tmp_path / "det.json"
