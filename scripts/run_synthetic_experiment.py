@@ -7,7 +7,7 @@ subspace alignment.  Prints a per-class AP table plus mean AP, mirroring
 the report the CLI writes.
 
 Usage:
-    python scripts/run_synthetic_experiment.py [--config run.cfg]
+    python scripts/run_synthetic_experiment.py [--config run.cfg] [--d D]
 """
 
 import argparse
@@ -18,14 +18,15 @@ import numpy as np
 
 from aligndet.dataio import generate_synthetic, load_config
 from aligndet.evaluation import average_precision, similarity_matrix
-from aligndet.pipeline import adapt, detect, train_initial_detectors
+from aligndet.pipeline import adapt, detect, raw_score_rows, train_initial_detectors
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument(
-        "--d", type=int, default=12, help="subspace dimension (default 12)"
+        "--d", type=int,
+        help="subspace dimension (default: the config's d, or 12 without --config)",
     )
     args = parser.parse_args()
 
@@ -33,9 +34,11 @@ def main() -> int:
     acfg = cfg.adaptation
     if args.config is None:
         # desk-scale defaults: the stock d=100 cannot fit a 30-dim feature space
-        acfg.d = args.d
+        acfg.d = 12
         acfg.train.reg_lambda = 0.001
         acfg.train.iterations = 3000
+    if args.d is not None:
+        acfg.d = args.d
 
     print(f"generating synthetic pair (seed={cfg.synth.seed}) ...")
     source, target, _ = generate_synthetic(cfg.synth)
@@ -44,12 +47,14 @@ def main() -> int:
     t0 = time.perf_counter()
     init = train_initial_detectors(source, acfg)
     print(f"initial detectors trained in {time.perf_counter() - t0:.1f}s")
+    # Every mode mines its target positives from this one score matrix.
+    scores = raw_score_rows(target, init.values())
 
     results = {}
     for mode in ["none", "full-image", "class-specific"]:
         acfg.mode = mode
         t0 = time.perf_counter()
-        states = adapt(source, target, acfg, init_detectors=init)
+        states = adapt(source, target, acfg, init, scores)
         dets = detect(target, states, acfg)
         results[mode] = {
             c: average_precision(dets, gts, c) for c in target.classes

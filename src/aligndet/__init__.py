@@ -45,7 +45,6 @@ from .pipeline import (
     mine_source_positives,
     mine_target_positives,
     raw_score_rows,
-    raw_scores,
     train_initial_detectors,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "project_for_testing",
     "project_for_training",
     "raw_score_rows",
-    "raw_scores",
     "score_histogram",
     "similarity_matrix",
     "solve_alignment",

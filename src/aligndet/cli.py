@@ -169,12 +169,12 @@ def _adapt(
     cfg: RunConfig,
     out: Path,
     warnings: list[str],
-    detectors=None,
+    detectors: dict,
+    target_scores: np.ndarray,
 ):
-    """Adapt from ``detectors``, or from detectors trained here when None."""
     with _logged(warnings):
         states = pipeline.adapt(
-            source, target, cfg.adaptation, init_detectors=detectors, warnings=warnings
+            source, target, cfg.adaptation, detectors, target_scores, warnings
         )
     dataio.save_states(out / "states.json", states, warnings)
     log.info("adapted %d classes (%s mode)", len(states), cfg.adaptation.mode)
@@ -228,7 +228,11 @@ def cmd_detect(args, cfg: RunConfig, out: Path) -> int:
 def cmd_adapt(args, cfg: RunConfig, out: Path) -> int:
     source = dataio.load_dataset(args.source)
     target = dataio.load_dataset(args.target)
-    _adapt(source, target, cfg, out, [])
+    warnings: list[str] = []
+    with _logged(warnings):
+        detectors = pipeline.train_initial_detectors(source, cfg.adaptation, warnings)
+    scores = pipeline.raw_score_rows(target, detectors.values())
+    _adapt(source, target, cfg, out, warnings, detectors, scores)
     return 0
 
 
@@ -274,13 +278,15 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
 
     with _timed(timing, "histograms"):
         for name, dataset in (("source", source), ("target", target)):
-            scores = pipeline.raw_score_rows(dataset, detectors.values()).ravel()
+            scores = pipeline.raw_score_rows(dataset, detectors.values())
             _write_histogram(
-                out, f"histogram_{name}", scores, cfg, f"initial detector scores on {name}"
+                out, f"histogram_{name}", scores.ravel(), cfg,
+                f"initial detector scores on {name}",
             )
 
     with _timed(timing, "adapt"):
-        states = _adapt(source, target, cfg, out, warnings, detectors)
+        # ``scores`` is the target's (k, n) matrix, the last the loop made.
+        states = _adapt(source, target, cfg, out, warnings, detectors, scores)
 
     with _timed(timing, "detect"):
         dets = _detect(target, states, cfg, out)

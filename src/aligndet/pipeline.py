@@ -145,12 +145,6 @@ def _class_max_overlaps(dataset: Dataset, class_id: str) -> np.ndarray:
     )
 
 
-def raw_scores(dataset: Dataset, det: LinearDetector) -> np.ndarray:
-    """The raw margins ``features @ w + b`` of every proposal of the
-    dataset, in its row order; ``raw_score_rows`` of the one detector."""
-    return raw_score_rows(dataset, [det])[0]
-
-
 def raw_score_rows(dataset: Dataset, detectors) -> np.ndarray:
     """A (k, n) array whose row c holds the raw margins of detector c of
     the sequence ``detectors`` for every proposal of the dataset, in its
@@ -228,17 +222,25 @@ def _mine_source_negatives(
 
 
 def mine_target_positives(
-    target: Dataset, init_detector: LinearDetector, sigma: float
+    target: Dataset, class_id: str, scores: np.ndarray, sigma: float
 ) -> np.ndarray:
-    """Features of all target proposals the initial detector scores >= sigma,
-    a row copy in the dtype of the dataset's array.
+    """Features of all target proposals whose initial score is >= sigma, a
+    row copy in the dtype of the dataset's array.  ``scores`` is the
+    class's row of ``raw_score_rows(target, initial detectors)``.
 
     NMS is deliberately not applied here so the sample count feeding the
     target subspace stays consistent.
     """
+    if class_id not in target.classes:
+        raise DataError(f"unknown class '{class_id}'")
+    if scores.shape != (target.boxes.shape[0],):
+        raise DataError(
+            f"class '{class_id}' has {scores.shape} initial scores, "
+            f"dataset '{target.name}' has {target.boxes.shape[0]} proposals"
+        )
     return _nonempty(
-        target.features[raw_scores(target, init_detector) >= sigma],
-        f"no target positives for class '{init_detector.class_id}' at sigma={sigma}",
+        target.features[scores >= sigma],
+        f"no target positives for class '{class_id}' at sigma={sigma}",
     )
 
 
@@ -297,14 +299,16 @@ def _adapt_class(
     cfg: AdaptationConfig,
     class_id: str,
     det: LinearDetector,
+    scores: np.ndarray,
     shared: tuple[Subspace, Subspace] | None,
     warnings: list[str],
 ) -> ClassAdaptationState:
     """Align one class and retrain its detector on projected source data.
 
     The subspace pair is fitted on the class's mined positives in both
-    domains, or is ``shared``, the global pair of full-image mode.  A class
-    whose mining or fitting fails is downgraded to its initial detector.
+    domains (the target's from ``scores``, its initial target scores), or
+    is ``shared``, the global pair of full-image mode.  A class whose
+    mining or fitting fails is downgraded to its initial detector.
     """
     n_src = n_tgt = 0
     overlaps = _class_max_overlaps(source, class_id)
@@ -312,7 +316,7 @@ def _adapt_class(
         pos_src = mine_source_positives(source, class_id, cfg.gamma, overlaps)
         n_src = pos_src.shape[0]
         if shared is None:
-            pos_tgt = mine_target_positives(target, det, cfg.sigma)
+            pos_tgt = mine_target_positives(target, class_id, scores, cfg.sigma)
             n_tgt = pos_tgt.shape[0]
             S, T = _fit_pair(pos_src, pos_tgt, cfg.d)
         else:
@@ -347,14 +351,15 @@ def adapt(
     source: Dataset,
     target: Dataset,
     cfg: AdaptationConfig,
-    init_detectors: dict[str, LinearDetector] | None = None,
+    init_detectors: dict[str, LinearDetector],
+    target_scores: np.ndarray,
     warnings: list[str] | None = None,
 ) -> dict[str, ClassAdaptationState]:
     """Run subspace-alignment adaptation from ``source`` to ``target``.
 
-    Returns one :class:`ClassAdaptationState` per class that produced an
-    initial detector: ``init_detectors`` when given, even empty, and
-    otherwise the detectors trained here.  Per-class failures (empty
+    Returns one :class:`ClassAdaptationState` per initial detector.
+    ``target_scores`` is ``raw_score_rows(target, init_detectors.values())``,
+    the initial scores target mining thresholds.  Per-class failures (empty
     mining, rank trouble) downgrade that class to a pass-through of its
     initial detector instead of aborting the run; in full-image mode a
     failure of the global pool downgrades every class.
@@ -369,12 +374,15 @@ def adapt(
             f"subspace dimension d={cfg.d} exceeds the feature dimension "
             f"{source.feature_dim}; no class can form a subspace"
         )
+    expected = (len(init_detectors), target.boxes.shape[0])
+    if target_scores.shape != expected:
+        raise DataError(
+            f"target scores have shape {target_scores.shape}, expected {expected}: "
+            "one row per initial detector, one column per target proposal"
+        )
     warnings = warnings if warnings is not None else []
-    init = init_detectors
-    if init is None:
-        init = train_initial_detectors(source, cfg, warnings)
     if cfg.mode == "none":
-        return passthrough_states(init)
+        return passthrough_states(init_detectors)
     shared = None
     if cfg.mode == "full-image":
         try:
@@ -383,11 +391,11 @@ def adapt(
             warnings.append(f"adapt: full-image pool: {exc}; all classes downgraded")
             return {
                 c: ClassAdaptationState(det, downgraded=True, note=str(exc))
-                for c, det in init.items()
+                for c, det in init_detectors.items()
             }
     return {
-        c: _adapt_class(source, target, cfg, c, det, shared, warnings)
-        for c, det in init.items()
+        c: _adapt_class(source, target, cfg, c, det, row, shared, warnings)
+        for (c, det), row in zip(init_detectors.items(), target_scores)
     }
 
 

@@ -3,7 +3,8 @@
 Re-derives the full pipeline (mining, PCA, alignment, retraining, detection,
 AP) with plain loops and direct formulas, sharing no computational code with
 the main modules.  Used to cross-check end-to-end numbers; it is slow and
-deliberately unclever.
+deliberately unclever.  ``adapt_from_scratch`` alone is no reference: it is
+the library's own route from two datasets to adapted states.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from aligndet.datasets import Dataset
-from aligndet.pipeline import AdaptationConfig
+from aligndet.pipeline import (
+    AdaptationConfig, adapt, raw_score_rows, train_initial_detectors,
+)
 from oracles import image_gt, images_of
 
 _MARGIN = 1.0
@@ -244,3 +247,10 @@ def reference_run(source: Dataset, target: Dataset, cfg: AdaptationConfig) -> di
         "adapted_map": adapted_map,
         "margin": adapted_map - unadapted_map,
     }
+
+
+def adapt_from_scratch(source, target, cfg, warnings=None):
+    """``adapt`` from the initial detectors trained on ``source``, with the
+    target scored once by them, as ``aligndet adapt`` runs it."""
+    init = train_initial_detectors(source, cfg, warnings)
+    return adapt(source, target, cfg, init, raw_score_rows(target, init.values()), warnings)

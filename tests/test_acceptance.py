@@ -36,6 +36,7 @@ from aligndet.pipeline import (
     mine_source_positives,
     mine_target_positives,
     passthrough_states,
+    raw_score_rows,
     train_initial_detectors,
 )
 from oracles import (
@@ -49,7 +50,7 @@ from oracles import (
     random_orthonormal,
     rows_of,
 )
-from reference import reference_run
+from reference import adapt_from_scratch, reference_run
 
 # Margin of the class-specific route over no adaptation on the default
 # seeded scenario, locked in by running reference.reference_run
@@ -135,7 +136,7 @@ def test_c2_fixed_point(tmp_path):
     cfg = accept_cfg()
 
     init = train_initial_detectors(src, cfg)
-    states = adapt(src, tgt, cfg, init_detectors=init)
+    states = adapt(src, tgt, cfg, init, raw_score_rows(tgt, init.values()))
     for c, state in states.items():
         assert not state.downgraded, f"{c} downgraded in fixed-point run"
         M = solve_alignment(state.source_subspace, state.target_subspace)
@@ -189,7 +190,7 @@ def test_c4_synthetic_shift_improvement(default_scenario, initial_detectors):
     map_plain = _mean_ap(
         detect(target, passthrough_states(init), cfg), gts, target.classes
     )
-    states = adapt(source, target, cfg, init_detectors=init)
+    states = adapt(source, target, cfg, init, raw_score_rows(target, init.values()))
     map_adapted = _mean_ap(detect(target, states, cfg), gts, target.classes)
     margin = map_adapted - map_plain
 
@@ -301,11 +302,11 @@ def test_c7_threshold_monotonicity(default_scenario, initial_detectors):
     source, target, _ = default_scenario
     init = initial_detectors
 
-    for c, det in init.items():
+    for c, row in zip(init, raw_score_rows(target, init.values())):
         prev = None
         for sigma in np.linspace(0.0, 0.8, 9):
             try:
-                count = mine_target_positives(target, det, float(sigma)).shape[0]
+                count = mine_target_positives(target, c, row, float(sigma)).shape[0]
             except DataError:
                 count = 0
             if prev is not None:
@@ -332,7 +333,7 @@ def test_c8_weak_class_degradation(tmp_path):
     spec = SynthShiftSpec(rotation_budget=0.3, corrupt_classes=(2,))
     source, target, _ = generate_synthetic(spec)
     cfg = accept_cfg()
-    states = adapt(source, target, cfg)
+    states = adapt_from_scratch(source, target, cfg)
     sim = similarity_matrix(states)
     diag = sim.diagonal()
     healthy = [v for c, v in diag.items() if c != corrupt]

@@ -483,7 +483,8 @@ def test_pipeline_initial_score_histograms(tmp_path):
 
 def test_pipeline_trains_initial_detectors_once(tmp_path):
     # gamma = 1 mines no source positives, so initial training skips every
-    # class and adaptation receives no detectors; it must not train again.
+    # class, and adaptation receives no detectors and a (0, n) target score
+    # matrix; adaptation never trains, so each class is warned about once.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FAST_CFG + "gamma = 1.0\n")
     out = tmp_path / "run"
@@ -494,6 +495,31 @@ def test_pipeline_trains_initial_detectors_once(tmp_path):
         "class skipped"
         for c in ("class00", "class01")
     ]
+
+
+def test_target_is_scored_once(tmp_path, monkeypatch, fast_config):
+    # In a class-specific pipeline with k = 2 classes the initial detectors
+    # score the source and the target once each, and target mining reads
+    # the target's matrix; the third call is detect's.  The adapt command
+    # scores the target once.
+    calls = []
+    score = pipeline.raw_score_rows
+
+    def spy(dataset, detectors):
+        detectors = list(detectors)
+        calls.append((dataset.name, len(detectors)))
+        return score(dataset, detectors)
+
+    monkeypatch.setattr(pipeline, "raw_score_rows", spy)
+    run = tmp_path / "run"
+    assert cli.main(["pipeline", "--config", fast_config, "--out", str(run)]) == 0
+    src_name, tgt_name = "synth-source", "synth-target"
+    assert calls == [(src_name, 2), (tgt_name, 2), (tgt_name, 2)]
+    calls.clear()
+    src, tgt = (str(run / name / "manifest.json") for name in ("source", "target"))
+    argv = ["--config", fast_config, "--source", src, "--target", tgt]
+    assert cli.main(["adapt", *argv, "--out", str(tmp_path / "adapt")]) == 0
+    assert calls == [(tgt_name, 2)]
 
 
 # gamma = 1 skips every class in initial training; d = 28 downgrades

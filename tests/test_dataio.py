@@ -1085,15 +1085,16 @@ class TestBundles:
         kind of run: each adaptation mode (d = 5), and class-specific mode
         with d = 28, which downgrades class01 (28 target positives, below
         d + 1) and adapts class00."""
-        from aligndet.pipeline import MODES, AdaptationConfig, adapt
+        from aligndet.pipeline import MODES, AdaptationConfig
         from aligndet.detection import TrainConfig
+        from reference import adapt_from_scratch
 
         spec = SynthShiftSpec(samples_per_class=30, n_classes=2)
         src, tgt, _ = generate_synthetic(spec)
         train = TrainConfig(reg_lambda=0.001, iterations=500)
         cfgs = {mode: AdaptationConfig(d=5, mode=mode, train=train) for mode in MODES}
         cfgs["downgraded"] = AdaptationConfig(d=28, train=train)
-        return tgt, {name: adapt(src, tgt, cfg) for name, cfg in cfgs.items()}
+        return tgt, {name: adapt_from_scratch(src, tgt, cfg) for name, cfg in cfgs.items()}
 
     @pytest.fixture(scope="class")
     def adapted(self, runs):

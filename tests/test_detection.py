@@ -28,7 +28,7 @@ from aligndet.detection import (
 )
 from aligndet.datasets import Dataset
 from aligndet.errors import DataError
-from aligndet.pipeline import raw_scores
+from aligndet.pipeline import raw_score_rows
 from oracles import (
     Detection,
     dataset_of,
@@ -700,12 +700,12 @@ def one_image(X) -> Dataset:
 
 
 def score_one(det, X) -> np.ndarray:
-    """``raw_scores`` of ``det`` over the one-image dataset of ``X``."""
-    return raw_scores(one_image(X), det)
+    """``raw_score_rows`` of ``det`` alone over the one-image dataset of ``X``."""
+    return raw_score_rows(one_image(X), [det])[0]
 
 
 class TestScoreProposals:
-    """``pipeline.raw_scores``, the one scorer of raw-frame detectors."""
+    """``pipeline.raw_score_rows``, the one scorer of raw-frame detectors."""
 
     def test_unit_weight_reads_first_column(self):
         det = LinearDetector("a", np.array([1.0, 0.0, 0.0]), 0.0, "raw")
@@ -731,14 +731,14 @@ class TestScoreProposals:
     def test_frame_mismatch_is_hard_error(self):
         det = LinearDetector("a", np.ones(2), 0.0, "aligned:a")
         with pytest.raises(DataError, match="expects frame 'aligned:a', got 'raw'"):
-            raw_scores(one_image(np.ones((1, 2))), det)
+            score_one(det, np.ones((1, 2)))
 
     def test_dim_mismatch(self):
         det = LinearDetector("a", np.ones(3), 0.0, "raw")
         with pytest.raises(
             DataError, match="class 'a' scores 3-dim features, dataset 'one' has 2"
         ):
-            raw_scores(one_image(np.ones((1, 2))), det)
+            score_one(det, np.ones((1, 2)))
 
 
 def det_at(x, score, image_id="img0", class_id="obj"):

@@ -6,19 +6,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 TINY_CFG = """
-d = 4
 train_iterations = 100
 synth_classes = 2
 synth_samples = 30
 """
 
 
-def test_experiment_script_prints_mean_ap(tmp_path):
+@pytest.mark.parametrize(
+    "d_line, flags",
+    [("d = 4\n", []), ("", ["--d", "4"])],
+    ids=["d-in-config", "d-flag-with-config"],
+)
+def test_experiment_script_prints_mean_ap(tmp_path, d_line, flags):
+    # The config without d would adapt at the stock d = 100, which exceeds
+    # its 30-dim features: --d must apply with a config too.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(TINY_CFG)
+    cfg.write_text(d_line + TINY_CFG)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [
@@ -26,6 +34,7 @@ def test_experiment_script_prints_mean_ap(tmp_path):
             str(ROOT / "scripts" / "run_synthetic_experiment.py"),
             "--config",
             str(cfg),
+            *flags,
         ],
         env=env,
         cwd=tmp_path,

@@ -39,7 +39,6 @@ from aligndet.pipeline import (
     mine_target_positives,
     passthrough_states,
     raw_score_rows,
-    raw_scores,
     train_initial_detectors,
 )
 
@@ -54,6 +53,7 @@ from oracles import (
     scalar_max_overlaps,
     unfolded_detect,
 )
+from reference import adapt_from_scratch
 
 FAST_TRAIN = TrainConfig(reg_lambda=0.001, iterations=800)
 SMALL_SPEC = SynthShiftSpec(samples_per_class=40, n_classes=3)
@@ -210,7 +210,7 @@ class TestMineTargetPositives:
     def test_matches_brute_force_filter(self, small_pair):
         src, tgt = small_pair
         det = LinearDetector("class00", np.ones(tgt.feature_dim) * 0.05, -0.2, "raw")
-        mined = mine_target_positives(tgt, det, 0.1)
+        mined = mine_target_positives(tgt, "class00", raw_score_rows(tgt, [det])[0], 0.1)
         manual = np.vstack(
             [
                 img.features[img.features @ det.weights + det.bias >= 0.1]
@@ -223,13 +223,51 @@ class TestMineTargetPositives:
         _, tgt = small_pair
         det = LinearDetector("class00", np.zeros(tgt.feature_dim), 0.1, "raw")
         with pytest.raises(DataError, match="class00"):
-            mine_target_positives(tgt, det, 0.4)
+            mine_target_positives(tgt, "class00", raw_score_rows(tgt, [det])[0], 0.4)
 
-    def test_requires_raw_frame(self, small_pair):
-        _, tgt = small_pair
-        det = LinearDetector("class00", np.zeros(tgt.feature_dim), 9.0, "aligned:x")
-        with pytest.raises(DataError, match="raw"):
-            mine_target_positives(tgt, det, 0.4)
+
+# Each call gets the pair, k = 3 initial detectors and their (k, n) target
+# scores, and passes one malformed piece of score input.
+BAD_SCORE_INPUT = {
+    "adapt-row-missing": (
+        lambda src, tgt, init, S: adapt(src, tgt, small_cfg(), init, S[:-1]),
+        "target scores have shape",
+    ),
+    "adapt-column-missing": (
+        lambda src, tgt, init, S: adapt(src, tgt, small_cfg(), init, S[:, :-1]),
+        "target scores have shape",
+    ),
+    "adapt-raveled": (
+        lambda src, tgt, init, S: adapt(src, tgt, small_cfg(), init, S.ravel()),
+        "target scores have shape",
+    ),
+    "adapt-mode-none-row-missing": (
+        lambda src, tgt, init, S: adapt(src, tgt, small_cfg(mode="none"), init, S[:-1]),
+        "target scores have shape",
+    ),
+    "mine-unknown-class": (
+        lambda src, tgt, init, S: mine_target_positives(tgt, "zzz", S[0], 0.4),
+        "unknown class 'zzz'",
+    ),
+    "mine-row-short": (
+        lambda src, tgt, init, S: mine_target_positives(tgt, "class00", S[0, :-1], 0.4),
+        "initial scores",
+    ),
+    "mine-matrix": (
+        lambda src, tgt, init, S: mine_target_positives(tgt, "class00", S, 0.4),
+        "initial scores",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SCORE_INPUT))
+def test_bad_score_input_is_data_error(small_pair, case):
+    src, tgt = small_pair
+    zero = np.zeros(tgt.feature_dim)
+    init = {c: LinearDetector(c, zero, 1.0, "raw") for c in tgt.classes}
+    call, match = BAD_SCORE_INPUT[case]
+    with pytest.raises(DataError, match=match):
+        call(src, tgt, init, raw_score_rows(tgt, init.values()))
 
 
 class TestTrainInitialDetectors:
@@ -317,7 +355,7 @@ class TestAdapt:
     def test_fixed_point_target_equals_source(self, small_pair):
         src, _ = small_pair
         cfg = small_cfg()
-        states = adapt(src, src, cfg)
+        states = adapt_from_scratch(src, src, cfg)
         for c, s in states.items():
             assert not s.downgraded
             M = solve_alignment(s.source_subspace, s.target_subspace)
@@ -332,7 +370,7 @@ class TestAdapt:
         )[:2]
         cfg = small_cfg(d=25)  # 20 mined positives < d+1
         warnings = []
-        states = adapt(src, tgt, cfg, warnings=warnings)
+        states = adapt_from_scratch(src, tgt, cfg, warnings)
         assert all(s.downgraded for s in states.values())
         assert all(s.mode == "none" for s in states.values())
         assert all("below d+1" in s.note for s in states.values())
@@ -341,19 +379,18 @@ class TestAdapt:
     def test_d_above_feature_dim_rejected(self, small_pair):
         src, tgt = small_pair
         with pytest.raises(DataError, match="feature dimension"):
-            adapt(src, tgt, small_cfg(d=64))
+            adapt_from_scratch(src, tgt, small_cfg(d=64))
 
     def test_state_counts_match_mining(self, small_pair):
         src, tgt = small_pair
         cfg = small_cfg()
         init = train_initial_detectors(src, cfg)
-        states = adapt(src, tgt, cfg, init_detectors=init)
+        states = adapt(src, tgt, cfg, init, raw_score_rows(tgt, init.values()))
         for c, s in states.items():
             assert s.n_pos_src == mine_source_positives(src, c, cfg.gamma).shape[0]
-            assert (
-                s.n_pos_tgt
-                == mine_target_positives(tgt, init[c], cfg.sigma).shape[0]
-            )
+            # Each class's row of the stacked matrix against its one-detector row.
+            row = raw_score_rows(tgt, [init[c]])[0]
+            assert s.n_pos_tgt == mine_target_positives(tgt, c, row, cfg.sigma).shape[0]
             assert s.n_pos_src >= cfg.d + 1
             assert s.n_pos_tgt >= cfg.d + 1
 
@@ -361,7 +398,7 @@ class TestAdapt:
         src, tgt = small_pair
         cfg = small_cfg(mode="none")
         init = train_initial_detectors(src, cfg)
-        states = adapt(src, tgt, cfg, init_detectors=init)
+        states = adapt(src, tgt, cfg, init, raw_score_rows(tgt, init.values()))
         assert all(s.mode == "none" and not s.downgraded for s in states.values())
         assert all(
             states[c].adapted_detector is init[c] for c in init
@@ -370,7 +407,7 @@ class TestAdapt:
     def test_full_image_mode_shares_one_subspace_pair(self, small_pair):
         src, tgt = small_pair
         cfg = small_cfg(mode="full-image")
-        states = adapt(src, tgt, cfg)
+        states = adapt_from_scratch(src, tgt, cfg)
         subs = {id(s.source_subspace) for s in states.values()}
         assert len(subs) == 1
         assert all(s.mode == "full-image" for s in states.values())
@@ -385,8 +422,10 @@ class TestAdapt:
                 samples_per_class=20, n_classes=3, feature_dim=10, latent_dim=5
             )
         )[1]
+        init = train_initial_detectors(src, small_cfg())
+        scores = np.zeros((len(init), len(other.boxes)))
         with pytest.raises(DataError, match="feature dims differ"):
-            adapt(src, other, small_cfg())
+            adapt(src, other, small_cfg(), init, scores)
 
 
 def low_rank_copy(ds, rank=2, seed=0):
@@ -431,7 +470,8 @@ class TestDowngradePaths:
 
     def run(self, src, target, cfg, init, tmp_path):
         warnings = []
-        states = adapt(src, target, cfg, init_detectors=init, warnings=warnings)
+        scores = raw_score_rows(target, init.values())
+        states = adapt(src, target, cfg, init, scores, warnings)
         self.check_downgraded(states, init, warnings, target, cfg, tmp_path)
         return warnings
 
@@ -466,7 +506,7 @@ class TestDetect:
         src, tgt = small_pair
         cfg = small_cfg(mode="none")
         init = train_initial_detectors(src, cfg)
-        states = adapt(src, tgt, cfg, init_detectors=init)
+        states = adapt(src, tgt, cfg, init, raw_score_rows(tgt, init.values()))
         via_adapt = detect(tgt, states, cfg)
 
         manual = []
@@ -498,14 +538,14 @@ class TestDetect:
     def test_detect_deterministic(self, small_pair):
         src, tgt = small_pair
         cfg = small_cfg()
-        a = detect(tgt, adapt(src, tgt, cfg), cfg)
-        b = detect(tgt, adapt(src, tgt, cfg), cfg)
+        a = detect(tgt, adapt_from_scratch(src, tgt, cfg), cfg)
+        b = detect(tgt, adapt_from_scratch(src, tgt, cfg), cfg)
         assert rows_of(a) == rows_of(b)
 
     def test_nms_applied_per_image(self, small_pair):
         src, tgt = small_pair
         cfg = small_cfg()
-        dets = detect(tgt, adapt(src, tgt, cfg), cfg)
+        dets = detect(tgt, adapt_from_scratch(src, tgt, cfg), cfg)
         by_group = {}
         for d in rows_of(dets):
             by_group.setdefault((d.class_id, d.image_id), []).append(d)
@@ -519,7 +559,7 @@ class TestDetect:
         src, tgt = small_pair
         cfg = small_cfg(mode=mode)
         init = train_initial_detectors(src, cfg)
-        states = adapt(src, tgt, cfg, init_detectors=init)
+        states = adapt(src, tgt, cfg, init, raw_score_rows(tgt, init.values()))
         c0 = tgt.classes[0]
         states[c0] = ClassAdaptationState(init[c0], downgraded=True)
         assert {s.mode for s in states.values()} == {mode, "none"}
@@ -534,7 +574,7 @@ class TestDetect:
     def test_detect_normalizes_no_image(self, small_pair, monkeypatch):
         src, tgt = small_pair
         cfg = small_cfg()
-        states = adapt(src, tgt, cfg)
+        states = adapt_from_scratch(src, tgt, cfg)
         expected = detect(tgt, states, cfg)
 
         def refuse(*args, **kwargs):
@@ -549,7 +589,7 @@ class TestDetect:
         )
         src, tgt = generate_synthetic(spec)[:2]
         cfg = small_cfg(mode="full-image", detect_thresh=-1000)
-        states = adapt(src, tgt, cfg)
+        states = adapt_from_scratch(src, tgt, cfg)
         fast = detect(tgt, states, cfg)
         assert len(fast) > 0
         # detect passes every class's detections over every image to one
@@ -569,8 +609,8 @@ class TestDetect:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stacked_scores_have_each_detectors_bits(self, small_pair, dtype, monkeypatch):
         # One pass over the features for every detector gives each
-        # detector's own raw_scores bits, float32 blocks upcast once; blocks
-        # of 7 rows do not divide the dataset's rows.
+        # detector's bits of a one-detector pass, float32 blocks upcast once;
+        # blocks of 7 rows do not divide the dataset's rows.
         _, tgt = small_pair
         ds = tgt
         if dtype == np.float32:
@@ -587,7 +627,7 @@ class TestDetect:
         stacked = raw_score_rows(ds, dets)
         assert stacked.shape == (len(dets), len(ds.boxes))
         for row, det in zip(stacked, dets):
-            assert row.tobytes() == raw_scores(ds, det).tobytes()
+            assert row.tobytes() == raw_score_rows(ds, [det])[0].tobytes()
         assert raw_score_rows(ds, []).shape == (0, len(ds.boxes))
 
 
@@ -596,11 +636,11 @@ class TestMiningMonotonicity:
         src, tgt = small_pair
         cfg = small_cfg()
         init = train_initial_detectors(src, cfg)
-        for c, det in init.items():
+        for c, row in zip(init, raw_score_rows(tgt, init.values())):
             prev = None
             for sigma in np.linspace(0.0, 0.8, 9):
                 try:
-                    count = mine_target_positives(tgt, det, float(sigma)).shape[0]
+                    count = mine_target_positives(tgt, c, row, float(sigma)).shape[0]
                 except DataError:
                     count = 0
                 if prev is not None:
@@ -625,7 +665,7 @@ class TestClassAdaptationState:
     @pytest.fixture(scope="class")
     def good(self, small_pair):
         src, tgt = small_pair
-        return next(iter(adapt(src, tgt, small_cfg()).values()))
+        return next(iter(adapt_from_scratch(src, tgt, small_cfg()).values()))
 
     def test_adapted_state_needs_both_subspaces(self, good):
         with pytest.raises(DataError, match="both subspaces"):
@@ -696,7 +736,8 @@ class TestEndToEndQuality:
         init = train_initial_detectors(src, cfg)
         gts = tgt.ground_truths
         plain = detect(tgt, passthrough_states(init), cfg)
-        adapted = detect(tgt, adapt(src, tgt, cfg, init_detectors=init), cfg)
+        scores = raw_score_rows(tgt, init.values())
+        adapted = detect(tgt, adapt(src, tgt, cfg, init, scores), cfg)
         map_plain = np.mean(
             [average_precision(plain, gts, c) for c in tgt.classes]
         )
@@ -759,7 +800,7 @@ class TestFloat32AtRest:
                     mp.setattr(module, "GATHER_FLOATS", block_rows * spec.feature_dim)
             for s, t in ((src, tgt), (float64_twin(src), float64_twin(tgt))):
                 init = train_initial_detectors(s, cfg)
-                states = adapt(s, t, cfg, init_detectors=init)
+                states = adapt(s, t, cfg, init, raw_score_rows(t, init.values()))
                 runs.append((init, states, detect(t, states, cfg)))
         (init32, states32, dets32), (init64, states64, dets64) = runs
         assert init32.keys() == init64.keys() and init32
@@ -836,7 +877,8 @@ def test_degenerate_datasets_skip_or_downgrade_classes_and_never_raise(run):
         assert f"class '{class_id}'" in warning and warning.endswith("; class skipped")
     for mode in pipeline.MODES:
         cfg, warnings = replace(cfg, mode=mode), []
-        states = adapt(source, target, cfg, init_detectors=init, warnings=warnings)
+        scores = raw_score_rows(target, init.values())
+        states = adapt(source, target, cfg, init, scores, warnings)
         assert states.keys() == init.keys()
         downgraded = [c for c, state in states.items() if state.downgraded]
         for class_id in downgraded:
