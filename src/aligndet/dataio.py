@@ -115,21 +115,26 @@ def _own_rows(fh, head: bytes, path) -> np.ndarray:
 
 def _box_tables(
     paths, kind: str, header: str
-) -> tuple[list[tuple], np.ndarray, list[int], DataError | None]:
+) -> tuple[dict[int, tuple], np.ndarray, list[int], DataError | None]:
     """The rows of the box CSVs at ``paths`` as one table, read in order up
-    to the first faulty file: the cells of each column as a tuple of text,
-    an ``(n, k)`` float array of the numeric columns (the four of
-    ``BOX_HEADER``, then those after ``class``, the sixth), each file's row
-    count, and that file's DataError or None.  Blank lines are skipped.
-    Only when the one parse fails (``_parse_rows``) are the rows walked to
-    the first bad one, whose file alone is read again to number its line."""
+    to the first faulty file: the text columns, as a dict from the column's
+    index (0, the image id, and 5, the class, when the header has it) to
+    the tuple of its cells, an ``(n, k)`` float array of the numeric
+    columns (the four of ``BOX_HEADER``, then those after ``class``), each
+    file's row count, and that file's DataError or None.  Blank lines are
+    skipped.  The table is parsed by one C-level read (``_parse_lines``).
+    Only when that fails are the lines split and parsed cell by cell
+    (``_parse_rows``), which accepts every number ``float`` accepts, and
+    only when that fails too are the rows walked to the first bad one,
+    whose file alone is read again to number its line."""
     n_columns = header.count(",") + 1
-    rows, sizes, fault = [], [], None
+    lines, sizes, fault, unit_separator = [], [], None, False
     for path in paths:
         try:
             with open(path, "rb") as fh:
-                lines = fh.read().decode("utf-8").splitlines()
-            if not lines or lines[0] != header:
+                text = fh.read().decode("utf-8")
+            file_lines = text.splitlines()
+            if not file_lines or file_lines[0] != header:
                 fault = f"must start with '{header}'"
         except UnicodeDecodeError:
             fault = "is not UTF-8 text"
@@ -138,10 +143,15 @@ def _box_tables(
         if fault:
             fault = DataError(f"{kind} file '{Path(path)}' {fault}")
             break
-        body = [line.split(",") for line in lines[1:] if line]
-        rows += body
+        body = [line for line in file_lines[1:] if line]
+        lines += body
         sizes.append(len(body))
-    table = _parse_rows(rows, n_columns)
+        # numpy strips U+001F around a number as whitespace; ``float`` does not.
+        unit_separator = unit_separator or "\x1f" in text
+    table = None if unit_separator else _parse_lines(lines, n_columns)
+    if table is None:
+        rows = [line.split(",") for line in lines]
+        table = _parse_rows(rows, n_columns)
     if table is None:
         bad, problem = next(
             (k, p) for k, p in enumerate(_row_fault(r, n_columns) for r in rows) if p
@@ -150,12 +160,42 @@ def _box_tables(
         first = sum(sizes[:j])
         fault = _line_error(paths[j], bad - first, problem)
         sizes, table = sizes[:j], _parse_rows(rows[:first], n_columns)
-    return *table, sizes, fault
+    columns, numbers = table
+    return {k: columns[k] for k in _columns(n_columns)[0]}, numbers, sizes, fault
+
+
+def _columns(n_columns: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The indices of a box CSV's text columns (the image id, then the
+    class when there is one) and of its numeric columns."""
+    text = (0, 5) if n_columns > 5 else (0,)
+    return text, tuple(k for k in range(n_columns) if k not in text)
+
+
+def _parse_lines(lines: list[str], n_columns: int) -> tuple | None:
+    """The columns and numbers of CSV lines (see ``_box_tables``), parsed
+    by one ``np.loadtxt`` into a structured array and checked on one
+    array; None if numpy rejects a line or a check fails."""
+    text, number = _columns(n_columns)
+    dtype = np.dtype(
+        [(str(k), object if k in text else np.float64) for k in range(n_columns)]
+    )
+    if not lines:  # numpy would warn that the input contained no data
+        table = np.empty(0, dtype)
+    else:
+        try:
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+    numbers = np.stack([table[str(k)] for k in number], axis=1)
+    if not _sound(numbers):
+        return None
+    return {k: tuple(table[str(k)].tolist()) for k in text}, numbers
 
 
 def _parse_rows(rows: list[list[str]], n_columns: int) -> tuple | None:
     """The columns and numbers of split CSV rows (see ``_box_tables``),
-    parsed in one pass and checked on one array; None if a row is bad."""
+    parsed in one ``float`` pass and checked on one array; None if a row is
+    bad."""
     if not set(map(len, rows)) <= {n_columns}:
         return None
     columns = list(zip(*rows)) or [()] * n_columns
@@ -163,16 +203,20 @@ def _parse_rows(rows: list[list[str]], n_columns: int) -> tuple | None:
         numbers = np.stack(
             [
                 np.fromiter(map(float, columns[k]), np.float64, len(rows))
-                for k in (1, 2, 3, 4, *range(6, n_columns))
+                for k in _columns(n_columns)[1]
             ],
             axis=1,
         )
     except ValueError:  # a cell that is not a number
         return None
+    return (columns, numbers) if _sound(numbers) else None
+
+
+def _sound(numbers: np.ndarray) -> bool:
+    """Whether every number of a box table is finite and every box, its
+    first four columns, in order."""
     x0, y0, x1, y1 = numbers[:, :4].T
-    if not (np.isfinite(numbers).all() and (x1 >= x0).all() and (y1 >= y0).all()):
-        return None
-    return columns, numbers
+    return bool(np.isfinite(numbers).all() and (x1 >= x0).all() and (y1 >= y0).all())
 
 
 def _row_fault(parts: list[str], n_columns: int) -> str | None:
@@ -337,9 +381,9 @@ def _stored_array(v) -> np.ndarray:
 
 def _load_bundle(path, kind: str, parse):
     """``parse`` applied to the JSON in ``path``, its array references
-    resolved; text that is not UTF-8, invalid JSON, a bad array file, a
-    missing key, a wrong type or a rejected value is a DataError naming
-    the file."""
+    resolved; a file that cannot be read, text that is not UTF-8, invalid
+    JSON, a bad array file, a missing key, a wrong type or a rejected value
+    is a DataError naming the file."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{kind} '{path}' does not exist")
@@ -347,6 +391,8 @@ def _load_bundle(path, kind: str, parse):
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise DataError(f"{kind} '{path}' is not UTF-8 text") from None
+    except OSError as exc:
+        raise DataError(f"{kind} '{path}' cannot be read: {exc.strerror}") from None
     try:
         return parse(_resolve_arrays(json.loads(text), path))
     except json.JSONDecodeError as exc:
@@ -897,6 +943,10 @@ def load_config(path=None) -> RunConfig:
             lines = path.read_text(encoding="utf-8").splitlines()
         except UnicodeDecodeError:
             raise DataError(f"config file '{path}' is not UTF-8 text") from None
+        except OSError as exc:
+            raise DataError(
+                f"config file '{path}' cannot be read: {exc.strerror}"
+            ) from None
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

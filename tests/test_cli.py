@@ -3,6 +3,7 @@ import json
 import math
 import shutil
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +161,52 @@ def test_manifest_that_is_not_utf8_is_data_error(tmp_path, capsys, fast_config, 
     assert rc == 2
     assert capsys.readouterr().err.strip() == (
         f"aligndet: data error: manifest '{manifest}' is not UTF-8 text"
+    )
+
+
+def _deny_reading(monkeypatch, denied: Path) -> None:
+    """``Path.read_text`` of ``denied`` raises as a file without read
+    permission does.  ``chmod`` cannot stand in: it denies nothing to root."""
+    read_text = Path.read_text
+
+    def guarded(self, *args, **kwargs):
+        if self == denied:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", guarded)
+
+
+def test_config_that_cannot_be_read_is_data_error(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "dense-m.cfg"
+    cfg.write_text(FAST_CFG)
+    _deny_reading(monkeypatch, cfg)
+    rc = cli.main([
+        "evaluate", "--config", str(cfg), "--dataset", str(tmp_path / "m.json"),
+        "--detections", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"aligndet: data error: config file '{cfg}' cannot be read: Permission denied"
+    )
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_manifest_that_cannot_be_read_is_data_error(
+    tmp_path, capsys, monkeypatch, fast_config, command
+):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", fast_config, "--out", str(data)]) == 0
+    manifest = data / "source" / "manifest.json"
+    _deny_reading(monkeypatch, manifest)
+    args = {
+        "train": ["--source", str(manifest)],
+        "evaluate": ["--dataset", str(manifest), "--detections", str(tmp_path / "d.csv")],
+    }[command]
+    rc = cli.main([command, *args, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"aligndet: data error: manifest '{manifest}' cannot be read: Permission denied"
     )
 
 

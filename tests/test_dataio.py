@@ -581,6 +581,98 @@ def test_mutated_lines_read_as_the_per_line_reader_does(tmp_path, reader, rows, 
     assert _reader_result(reader, p) == _oracle_result(reader, p)
 
 
+KINDS = {BOX_HEADER: "boxes", GT_HEADER: "gt", DETECTION_HEADER: "detections"}
+# Number cells that only ``float`` reads ('_', digits of other scripts),
+# that only numpy reads (U+001F, which it strips as whitespace), that
+# neither reads, or that are not finite.
+ODD_NUMBERS = [
+    "1_5", "١", "１", "\x1f1", "1\x1f", "nan", "inf", "-inf", "1e400", "", "a",
+]
+# Whitespace ``float`` strips around a number.
+PADDING = ["", " ", "\t", "\xa0", "　"]
+id_cell = st.text(alphabet=list("ab #\"'\x00\xa0\t"), max_size=3)
+
+
+@st.composite
+def box_csv_texts(draw):
+    """A box-CSV header and file text: rows of ``repr`` floats, mostly in
+    box order, some cells whitespace-padded or odd (``ODD_NUMBERS``), some
+    rows ragged and some lines blank."""
+    header = draw(st.sampled_from(list(KINDS)))
+    n_columns = header.count(",") + 1
+    lines = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        x0, x1 = sorted([draw(edge_or_any), draw(edge_or_any)])
+        y0, y1 = sorted([draw(edge_or_any), draw(edge_or_any)])
+        cells = [draw(id_cell), *map(repr, (x0, y0, x1, y1))]
+        cells += [draw(id_cell), repr(draw(edge_or_any))][: n_columns - 5]
+        numeric = [k for k in (1, 2, 3, 4, 6) if k < n_columns]
+        for k in draw(st.lists(st.sampled_from(numeric), max_size=2)):
+            pad = draw(st.sampled_from(PADDING))
+            cells[k] = pad + cells[k] + draw(st.sampled_from(PADDING))
+        if draw(st.integers(0, 14)) == 0:
+            cells[draw(st.sampled_from(numeric))] = draw(st.sampled_from(ODD_NUMBERS))
+        if draw(st.integers(0, 19)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else [*cells, "1"]
+        lines.append(",".join(cells))
+    return header, "\n".join(lines) + "\n"
+
+
+def _per_row_tables(paths, kind, header):
+    """``_box_tables`` without the C-level read: split rows parsed by
+    ``float``, and the walk to the first bad row."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_parse_lines", lambda lines, n_columns: None)
+        return dataio._box_tables(paths, kind, header)
+
+
+@given(case=box_csv_texts())
+@example(case=(BOX_HEADER, f"{BOX_HEADER}\na,\x1f1,0,2,2\n"))
+@example(case=(GT_HEADER, f"{GT_HEADER}\na, 1,-0.0,2\t,5e-324,c\n\nb,1_5,0,2,2,c\n"))
+@example(case=(DETECTION_HEADER, f"{DETECTION_HEADER}\n\x00#,0,0,1,1,\"c,1e400\n"))
+@settings(codec_settings, max_examples=200)
+def test_c_level_parse_equals_the_per_row_parse(tmp_path, case):
+    header, text = case
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode("utf-8"))
+    columns, numbers, sizes, fault = dataio._box_tables([p], KINDS[header], header)
+    columns_r, numbers_r, sizes_r, fault_r = _per_row_tables([p], KINDS[header], header)
+    assert columns == columns_r
+    assert numbers.shape == numbers_r.shape and bits(numbers) == bits(numbers_r)
+    assert sizes == sizes_r
+    assert str(fault) == str(fault_r)
+
+
+def test_the_package_files_are_read_without_the_per_row_parse(tmp_path, monkeypatch):
+    # A silent fallback to the per-row parse would undo the C-level read's
+    # speed; every file the package writes must parse without it.  The
+    # second image's GT file and one detections file hold only the header.
+    ds = dataset_of(
+        "tiny", ["cat"], images_of(tiny_dataset()),
+        [[("cat", BBox(-0.0, 0.0, 5e-324, 1e308))], []],
+    )
+    manifest = save_dataset(ds, tmp_path / "ds")
+    write_detections_csv(tmp_path / "d.csv", detections_from_rows(EDGE_ROWS))
+    write_detections_csv(tmp_path / "e.csv", detections_from_rows([]))
+
+    def per_row(rows, n_columns):
+        raise AssertionError("the per-row parse ran")
+
+    monkeypatch.setattr(dataio, "_parse_rows", per_row)
+    dets = read_detections_csv(tmp_path / "d.csv")
+    assert rows_of(dets) == EDGE_ROWS
+    assert rows_of(read_detections_csv(tmp_path / "e.csv")) == []
+    loaded = load_dataset(manifest)
+    assert bits(loaded.boxes) == bits(ds.boxes)
+    for gt in (loaded.ground_truths, load_annotations(manifest).ground_truths):
+        assert gt_rows(gt) == gt_rows(ds.ground_truths)
+        assert gt.image_ids == ds.ground_truths.image_ids
+        assert bits(gt.boxes) == bits(ds.ground_truths.boxes)
+
+
 class TestDatasetRoundTrip:
     def test_save_load_save_identical(self, tmp_path):
         ds = tiny_dataset()
