@@ -79,8 +79,12 @@ def _feature_array(paths, dim: int) -> tuple[list, np.ndarray, DataError | None]
                 fh.readinto(rows)
         except DataError as exc:
             fault = exc
-        except (OSError, ValueError):
+        except (FileNotFoundError, ValueError):
             fault = DataError(f"feature file '{Path(path)}' does not exist")
+        except OSError as exc:
+            fault = DataError(
+                f"feature file '{Path(path)}' cannot be read: {exc.strerror}"
+            )
         else:
             if not np.isfinite(rows).all():
                 row = int(np.isfinite(rows).all(axis=1).argmin())
@@ -138,8 +142,10 @@ def _box_tables(
                 fault = f"must start with '{header}'"
         except UnicodeDecodeError:
             fault = "is not UTF-8 text"
-        except (OSError, ValueError):
+        except (FileNotFoundError, ValueError):
             fault = "does not exist"
+        except OSError as exc:
+            fault = f"cannot be read: {exc.strerror}"
         if fault:
             fault = DataError(f"{kind} file '{Path(path)}' {fault}")
             break

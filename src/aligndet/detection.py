@@ -32,6 +32,9 @@ NMS_TILE_FLOATS = 1 << 15
 # up to this many floats in all (16 MiB); past it, a step recomputes its
 # margins instead.
 GRAM_CACHE_FLOATS = 1 << 21
+# _replay folds its queued violators into the counts after at most this
+# many steps, which bounds the queue at this many arrays.
+_FOLD_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -264,9 +267,11 @@ class TrainConfig:
     the trainer replays the step-by-step trajectory exactly from per-row
     violation counts (see ``_replay``).  The Gram columns that replay uses
     live for one ``train_detector`` call and are computed in blocks, within
-    the ``GRAM_CACHE_FLOATS`` bound.  Mining appends to the negative cache,
-    so a column carried into the next round gains only the entries of the
-    appended rows.
+    the ``GRAM_CACHE_FLOATS`` bound; past it, replay recomputes its margins
+    from a running ``Z.T @ c``.  It folds queued violators into the counts
+    every ``_FOLD_STEPS`` steps at most.  Mining appends to the negative
+    cache, so a column carried into the next round gains only the entries
+    of the appended rows.
     """
 
     reg_lambda: float = 0.01
@@ -367,6 +372,39 @@ class _GramCache:
         self.cols.extend(Z[new] @ Z.T)
 
 
+def _fold(c: np.ndarray, queued: list) -> None:
+    """Add the queued violator index arrays ``queued`` to the counts ``c``
+    in one ``np.bincount``, and empty the queue."""
+    if queued:
+        c += np.bincount(np.concatenate(queued), minlength=c.size)
+        queued.clear()
+
+
+def _refresh(
+    Z: np.ndarray, c: np.ndarray, queued: list, v: np.ndarray, v_counts: np.ndarray
+) -> np.ndarray:
+    """``_replay``'s margins ``u = Z @ Z.T @ c``, recomputed: folds the
+    queue into ``c``, brings the running ``v = Z.T @ v_counts`` up to date
+    with ``c`` and returns ``Z @ v``.  When fewer than a third of the rows
+    changed count, the changes are added over just those rows, gathered in
+    blocks of at most ``GATHER_FLOATS``: one pass over ``Z`` plus the
+    gather.  Otherwise ``v`` is ``Z.T @ c`` afresh, a second pass over
+    ``Z`` that moves less memory than the gather would (read, write and
+    read back each row)."""
+    _fold(c, queued)
+    touched = (c != v_counts).nonzero()[0]
+    if 3 * touched.size < c.size:
+        step = max(1, GATHER_FLOATS // Z.shape[1])
+        for a in range(0, touched.size, step):
+            rows = touched[a : a + step]
+            v += (c[rows] - v_counts[rows]) @ Z[rows]
+        v_counts[touched] = c[touched]
+    else:
+        v[:] = Z.T @ c
+        v_counts[:] = c
+    return Z @ v
+
+
 def _replay(
     Z: np.ndarray, gram: _GramCache, cfg: TrainConfig
 ) -> tuple[np.ndarray, float, np.ndarray]:
@@ -388,9 +426,15 @@ def _replay(
     ``u[i] < HINGE_MARGIN * reg_lambda * n * (t - 1)``.  A step adds its
     violators' Gram columns ``Z @ z_j`` to ``u``, computing those not yet
     cached in one block; a step with many violators, or whose new columns
-    would pass the ``GRAM_CACHE_FLOATS`` bound, recomputes ``u`` instead,
-    and steps without a violator are skipped.  The violators, and so the
-    iterates, are those of the step-by-step loop up to float rounding.
+    would pass the ``GRAM_CACHE_FLOATS`` bound, recomputes ``u`` instead
+    (``_refresh``, from a running ``v = Z.T @ c``), and steps without a
+    violator are skipped.  A step finds its violators in one comparison
+    pass; only a step without one takes the minimum of ``u``, to find the
+    next step with one (``_first_loud_step``).  The counts are lazy: each
+    step queues its violators, and ``_fold`` adds the queue to ``c`` at
+    every recompute, every ``_FOLD_STEPS`` queued steps and at the end.
+    The violators, and so the iterates, are those of the step-by-step loop
+    up to float rounding.
 
     Returns the weights, the bias and the final counts ``c`` as int64.
     """
@@ -398,36 +442,51 @@ def _replay(
     n, D = Z.shape
     lam, T = cfg.reg_lambda, cfg.iterations
     c = np.ones(n)  # at w = 0 every row violates
-    u = Z @ (Z.T @ c)
+    v, v_counts = np.empty(D), np.zeros(n)  # v = Z.T @ v_counts from here on
+    queued: list[np.ndarray] = []  # violators of the steps not yet in c
+    u = _refresh(Z, c, queued, v, v_counts)
+    mask = np.empty(n, dtype=bool)
     scale = HINGE_MARGIN * lam * n
     t = 2
     while t <= T:
         thr = scale * (t - 1)
-        umin = u[u.argmin()]  # argmin is cheaper than min on short arrays
-        if not umin < thr:
-            t = _first_loud_step(float(umin), scale, t, T)
+        viol = np.less(u, thr, out=mask).nonzero()[0]
+        if not viol.size:
+            # argmin is cheaper than min on short arrays
+            t = _first_loud_step(float(u[u.argmin()]), scale, t, T)
             continue
-        viol = (u < thr).nonzero()[0]
-        c[viol] += 1.0
-        rows = slot[viol]
-        new = viol[rows < 0]
-        # A cached column costs n flops, a block of new ones about one pass
-        # over Z (n * D: one product streams Z once) and recomputing u two.
-        cost = viol.size + (D if new.size else 0)
-        if cost < 2 * D and len(cols) + new.size <= gram.max_cols:
-            if new.size:
+        queued.append(viol)
+        # A cached column costs n flops and a block of new ones about one
+        # pass over Z (n * D: one product streams Z once), so a step with
+        # at least 2 * D violators, or with new columns and at least D, or
+        # whose new columns would pass the bound, recomputes.  A recompute
+        # is one pass over Z plus a gather of the rows that violated since
+        # the last one (two passes when they are many; see _refresh), but
+        # the rule prices it at two passes all the same: a step's branch
+        # sets the rounding of its margins, and a lower price would move
+        # steps to the other branch and could change the counts that the
+        # detectors come from.
+        rows = slot[viol].tolist() if viol.size < 2 * D else None
+        if rows is not None and min(rows) < 0:
+            new = viol[slot[viol] < 0]
+            if viol.size < D and len(cols) + new.size <= gram.max_cols:
                 gram.add(Z, new)
-                rows = slot[viol]
-            if rows.size == 1:  # the common case
-                u += cols[rows[0]]
-            else:  # summed in row order, as an axis-0 sum would
-                total = cols[rows[0]] + cols[rows[1]]
-                for r in rows[2:].tolist():
-                    total += cols[r]
-                u += total
-        else:
-            u = Z @ (Z.T @ c)
+                rows = slot[viol].tolist()
+            else:
+                rows = None
+        if rows is None:
+            u = _refresh(Z, c, queued, v, v_counts)
+        elif len(rows) == 1:
+            u += cols[rows[0]]
+        else:  # summed in row order, as an axis-0 sum would
+            total = cols[rows[0]] + cols[rows[1]]
+            for r in rows[2:]:
+                total += cols[r]
+            u += total
+        if len(queued) == _FOLD_STEPS:
+            _fold(c, queued)
         t += 1
+    _fold(c, queued)
     w = (Z.T @ c) / (lam * T * n)
     return w[:-1], float(w[-1]), c.astype(np.int64)
 

@@ -79,13 +79,17 @@ def matvec(X: np.ndarray, w, name: str = "X") -> np.ndarray:
     step = max(1, GATHER_FLOATS // D)
     out = np.empty((len(ws), n))
     buf = None if X.dtype == np.float64 else np.empty((min(step, n), D))
-    for a in range(0, n, step):
-        block = X[a : a + step]
-        if buf is not None:
-            np.copyto(buf[: len(block)], block)
-            block = buf[: len(block)]
-        for wk, row in zip(ws, out):
-            np.matmul(block, wk, out=row[a : a + step])
+    # A non-finite entry of X or w can raise numpy's invalid-value warning
+    # in the product; the non-finite products are what the search below
+    # names, so the warning would only precede the DataError.
+    with np.errstate(invalid="ignore"):
+        for a in range(0, n, step):
+            block = X[a : a + step]
+            if buf is not None:
+                np.copyto(buf[: len(block)], block)
+                block = buf[: len(block)]
+            for wk, row in zip(ws, out):
+                np.matmul(block, wk, out=row[a : a + step])
     if not np.isfinite(out).all():
         for r in np.flatnonzero(~np.isfinite(out).all(axis=0)).tolist():
             _raise_non_finite(X[r : r + 1], name, r)

@@ -313,7 +313,7 @@ CSV_KINDS = [
     "defect",
     [
         "missing", "header", "columns", "not_a_number", "non_finite", "order",
-        "non_utf8", "nul_in_path",
+        "non_utf8", "nul_in_path", "directory",
     ],
 )
 def test_malformed_csv_names_file_or_line(tmp_path, reader, kind, header, row, defect):
@@ -335,11 +335,14 @@ def test_malformed_csv_names_file_or_line(tmp_path, reader, kind, header, row, d
         p.write_bytes(f"{header}\n{row}\n".encode() + b"\xff\n")
     elif defect == "nul_in_path":
         p = tmp_path / "ro\0ws.csv"
+    elif defect == "directory":
+        p.mkdir()
     elif defect != "missing":
         p.write_text(f"{header}\n{row}\n{bad}\n")
     expected = {
         "missing": f"{kind} '{p}' does not exist",
         "nul_in_path": f"{kind} '{p}' does not exist",
+        "directory": f"{kind} '{p}' cannot be read: Is a directory",
         "non_utf8": f"{kind} '{p}' is not UTF-8 text",
         "header": f"{kind} '{p}' must start with '{header}'",
         "columns": f"{p}:3: expected {len(cells)} columns, got {len(cells) + 1}",
@@ -708,6 +711,17 @@ class TestDatasetRoundTrip:
         (tmp_path / "x" / "features" / "img0.fmx").unlink()
         with pytest.raises(DataError, match="does not exist"):
             load_dataset(m)
+
+    def test_feature_file_that_is_a_directory_cannot_be_read(self, tmp_path):
+        m = save_dataset(tiny_dataset(), tmp_path / "x")
+        p = tmp_path / "x" / "features" / "img0.fmx"
+        p.unlink()
+        p.mkdir()
+        with pytest.raises(DataError) as info:
+            load_dataset(m)
+        assert str(info.value).endswith(
+            f"is malformed: feature file '{p}' cannot be read: Is a directory"
+        )
 
     def test_row_count_mismatch_names_both_counts(self, tmp_path):
         m = save_dataset(tiny_dataset(), tmp_path / "y")

@@ -484,18 +484,27 @@ class TestTrainDetector:
             npt.assert_array_equal(ra["cache"], rb["cache"])
             npt.assert_array_equal(ra["counts"], rb["counts"])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
-        "where", [(2, 1), (40, 0), (45, 2)], ids=["in-cache", "pool", "outside-pool"]
+        "where, value",
+        [
+            ((2, 1), np.nan), ((40, 0), np.nan), ((45, 2), np.nan),
+            ((2, 1), np.inf), ((2, 1), -np.inf),
+        ],
+        ids=["in-cache", "pool", "outside-pool", "in-cache-inf", "in-cache-minus-inf"],
     )
-    def test_non_finite_negative_named_by_row_and_column(self, dtype, where):
+    def test_non_finite_negative_named_by_row_and_column(self, dtype, where, value):
         # Row 2 is in the initial cache (4 rows), row 40 only in the pool
         # that mining scores, row 45 outside the pool; rows are those of
-        # ``neg``, whichever of them the pool holds.
+        # ``neg``, whichever of them the pool holds.  An infinite entry in
+        # the cache leaves some margins infinite rather than NaN, so the
+        # replay runs its steps on them before ``matvec`` names the entry,
+        # and no step may warn.
         rng = np.random.default_rng(9)
         pos = rng.normal(size=(10, 3)) + 3.0
         neg = (rng.normal(size=(50, 3)) - 3.0).astype(dtype)
-        neg[where] = np.nan
+        neg[where] = value
         neg[48, 0] = np.inf
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(detection, "INITIAL_NEG_CACHE", 4)
@@ -661,6 +670,51 @@ class TestSubgradientDescent:
             w, b, counts = replay(X, y, cfg)
         npt.assert_array_equal(counts, counts0)
         npt.assert_allclose(np.append(w, b), np.append(w0, b0), rtol=1e-9)
+
+    @pytest.mark.parametrize("cache_columns", [None, 0, 5])
+    def test_wide_problem_recomputes_from_the_running_sum(
+        self, cache_columns, monkeypatch
+    ):
+        # 600 rows of 256 dims, 300 steps, classes 5 sigma apart on one
+        # axis; reg_lambda 0.1 keeps nearly every step loud.  A bound of 0
+        # columns recomputes u from the running v at every loud step, 5
+        # mixes recomputes with Gram columns, and the default bound never
+        # recomputes, so the queued counts are folded every _FOLD_STEPS.
+        rng = np.random.default_rng(7)
+        pos = rng.normal(size=(60, 256))
+        neg = rng.normal(size=(540, 256))
+        pos[:, 0] += 2.5
+        neg[:, 0] -= 2.5
+        X = np.vstack([pos, neg])
+        y = np.concatenate([np.ones(60), -np.ones(540)])
+        cfg = TrainConfig(reg_lambda=0.1, iterations=300)
+        w0, b0, counts0 = subgradient_loop(X, y, cfg)
+        events = []  # the steps each fold adds to the counts; None: a recompute
+        fold, refresh = detection._fold, detection._refresh
+
+        def spy_fold(c, queued):
+            events.append(len(queued))
+            fold(c, queued)
+
+        def spy_refresh(*args):
+            events.append(None)
+            return refresh(*args)
+
+        monkeypatch.setattr(detection, "_fold", spy_fold)
+        monkeypatch.setattr(detection, "_refresh", spy_refresh)
+        if cache_columns is not None:
+            monkeypatch.setattr(detection, "GRAM_CACHE_FLOATS", cache_columns * len(y))
+        w, b, counts = replay(X, y, cfg)
+        npt.assert_array_equal(counts, counts0)
+        npt.assert_allclose(np.append(w, b), np.append(w0, b0), rtol=1e-9)
+        assert events[:2] == [None, 0]  # u at the start, with nothing queued
+        events = events[2:]
+        loud = sum(steps for steps in events if steps is not None)
+        if cache_columns == 0:  # a recompute folds its own step's violators
+            assert events.count(None) == loud
+        elif cache_columns is None:  # a fold every _FOLD_STEPS, no recompute
+            assert None not in events and loud > detection._FOLD_STEPS
+            assert events[0] == detection._FOLD_STEPS
 
     @pytest.mark.parametrize("iterations,expected", [(1, [1, 1]), (2, [1, 2]), (3, [2, 3])])
     def test_margin_tie_is_not_a_violation(self, iterations, expected):
