@@ -22,7 +22,7 @@ from .detection import (
 )
 from .errors import DataError, NumericalError
 from .evaluation import check_histogram_layout
-from .linalg import NormalizationStats, Subspace
+from .linalg import NormalizationStats, Subspace, sorted_distinct
 from .pipeline import AdaptationConfig, ClassAdaptationState, frame_tag
 
 FEATURE_MAGIC = b"FMX1"
@@ -261,7 +261,7 @@ def _write_box_csv(path, header: str, names, boxes, *tail) -> None:
     written in chunks of at most ``CSV_CHUNK_ROWS``, so the file's text is
     never held whole."""
     bits = np.ascontiguousarray(boxes, dtype=np.float64).view(np.uint64)
-    distinct = np.unique(bits)
+    distinct = sorted_distinct(bits)
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")

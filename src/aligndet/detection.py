@@ -10,7 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .linalg import GATHER_FLOATS, as_feature_matrix, ensure_feature_matrix, matvec
+from .linalg import (
+    GATHER_FLOATS,
+    as_feature_matrix,
+    ensure_feature_matrix,
+    matvec,
+    sorted_distinct,
+)
 
 # Negatives scoring above -HINGE_MARGIN violate the margin and get mined.
 HINGE_MARGIN = 1.0
@@ -553,6 +559,10 @@ def train_detector(
     p, dim = P.shape
     gram = _GramCache()
     cache = np.arange(min(pool.size, INITIAL_NEG_CACHE))
+    # Which pool positions the cache holds, so a round's new violators are
+    # one mask away (``np.setdiff1d`` would import ``numpy.ma``).
+    cached = np.zeros(pool.size, dtype=bool)
+    cached[cache] = True
     w, b = np.zeros(dim), 0.0
     for _ in range(cfg.max_hard_rounds):
         # Z = y * [X, 1] of the round, built in place: the cache rows are
@@ -569,7 +579,7 @@ def train_detector(
         w, b, counts = _replay(Z, gram, cfg)
         del Z, negs  # freed before the next round builds its rows
         violators = np.flatnonzero((matvec(N, w, "neg") + b)[pool] > -HINGE_MARGIN)
-        new = np.setdiff1d(violators, cache)  # ascending
+        new = violators[~cached[violators]]  # ascending
         if record is not None:
             record.append(
                 {
@@ -583,6 +593,7 @@ def train_detector(
         if new.size == 0:
             break
         cache = np.concatenate((cache, new))
+        cached[new] = True
     return LinearDetector(class_id=class_id, weights=w, bias=b, frame=frame)
 
 
@@ -761,7 +772,7 @@ def _walk_tiles(ranked, group_image, groups, keep, overlap_thresh) -> None:
     each kept row's conflicts are added to its group's suppressed set."""
     if not groups.size:
         return
-    images = np.unique(group_image[groups])
+    images = sorted_distinct(group_image[groups])
     images = images[np.argsort(-ranked.counts[images], kind="stable")]
     tile_of = np.full(ranked.counts.size, -1)
     slot = np.zeros(ranked.counts.size, dtype=np.intp)

@@ -44,6 +44,18 @@ def ensure_feature_matrix(X, name: str = "X") -> np.ndarray:
     return A
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of the integer array ``values``, flattened and
+    ascending: the array ``np.unique(values)`` returns, from one sort and
+    a mask.  ``np.unique`` without ``return_*`` asks ``np.ma.is_masked``,
+    which imports ``numpy.ma`` (8-10 ms in a fresh process); no command
+    needs it."""
+    a = np.sort(values, axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _raise_non_finite(A: np.ndarray, name: str, first_row: int = 0) -> None:
     """Name the first non-finite entry of ``A``, whose rows are those of
     ``name`` from ``first_row`` on; return when every entry is finite."""

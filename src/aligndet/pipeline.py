@@ -5,6 +5,12 @@ frame, and adapted detection."""
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,6 +250,111 @@ def mine_target_positives(
     )
 
 
+def _usable_cpus() -> int:
+    """How many processes the per-class loops may run in: the CPUs this
+    process may run on (``os.sched_getaffinity``), or 1 where the platform
+    cannot tell or where another thread runs, which a fork would not copy."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _share(fn, first: int, n: int, step: int) -> tuple[dict, tuple | None]:
+    """``fn(k)`` for ``k`` in ``range(first, n, step)``, as ``{k: result}``,
+    and ``(k, exception)`` for the first ``k`` that raised (None if none
+    did); the indices after it are not run."""
+    results = {}
+    for k in range(first, n, step):
+        try:
+            results[k] = fn(k)
+        except Exception as exc:
+            return results, (k, exc)
+    return results, None
+
+
+def _per_class(fn, n: int) -> list:
+    """``[fn(0), ..., fn(n - 1)]``, computed in ``min(n, _usable_cpus())``
+    processes: this one and forked children, worker ``i`` taking the
+    indices ``i, i + workers, ...``.  Each child pickles its results back
+    through a pipe and leaves with ``os._exit``; every child is reaped
+    before this returns or raises.  An exception ``fn`` raises is raised
+    here, the one of the lowest index first, as the loop would raise it.
+    A child that ends without sending its results is a RuntimeError that
+    names its exit status.
+
+    The classes are independent and ``fn`` computes each one as it would
+    in one process, so the results are the same bit for bit.  Each child
+    holds only its own class's transients on top of the pages it shares
+    with this process."""
+    workers = min(n, _usable_cpus())
+    if workers < 2:
+        return [fn(k) for k in range(n)]
+    # A child must not write out buffered text a second time.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = {}  # pid -> read end of its pipe until that is opened
+    try:
+        for i in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as out:
+                        pickle.dump(_share(fn, i, n, workers), out, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children[pid] = read
+        results, first_error = _share(fn, 0, n, workers)
+        errors = [first_error]
+        for pid in list(children):
+            with open(children[pid], "rb") as fh:
+                children[pid] = None
+                payload = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code != 0:
+                how = f"status {code}" if code > 0 else f"signal {-code}"
+                raise RuntimeError(
+                    f"per-class worker process {pid} ended with {how} "
+                    "before sending its results"
+                )
+            part, error = pickle.loads(payload)
+            results.update(part)
+            errors.append(error)
+    finally:
+        for pid, read in children.items():
+            if read is not None:
+                os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    errors = [e for e in errors if e is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return [results[k] for k in range(n)]
+
+
+def _train_class(
+    source: Dataset, cfg: AdaptationConfig, class_id: str
+) -> LinearDetector | str:
+    """The initial detector of one class, or the warning that skips it
+    when it has no positives or no negatives."""
+    overlaps = _class_max_overlaps(source, class_id)
+    try:
+        pos = mine_source_positives(source, class_id, cfg.gamma, overlaps)
+        neg = _mine_source_negatives(class_id, cfg.neg_lambda, overlaps)
+    except DataError as exc:
+        return f"initial-training: {exc}; class skipped"
+    return train_detector(
+        pos, source.features, cfg.train, class_id=class_id, frame="raw", rows=neg
+    )
+
+
 def train_initial_detectors(
     source: Dataset,
     cfg: AdaptationConfig,
@@ -256,21 +367,21 @@ def train_initial_detectors(
     excluded.  The negative pool stays rows of the source feature array.
     Classes without positives or without negatives are skipped with a
     warning record.
+
+    The classes are trained in ``min(classes, usable CPUs)`` processes
+    (``_per_class``; Linux only, one CPU under ``taskset -c 0``), with the
+    detectors and warnings of the one-process loop, byte for byte.
     """
     _require_labeled(source)
+    classes = source.classes
+    trained = _per_class(lambda k: _train_class(source, cfg, classes[k]), len(classes))
     detectors: dict[str, LinearDetector] = {}
-    for class_id in source.classes:
-        overlaps = _class_max_overlaps(source, class_id)
-        try:
-            pos = mine_source_positives(source, class_id, cfg.gamma, overlaps)
-            neg = _mine_source_negatives(class_id, cfg.neg_lambda, overlaps)
-        except DataError as exc:
+    for class_id, result in zip(classes, trained):
+        if isinstance(result, str):
             if warnings is not None:
-                warnings.append(f"initial-training: {exc}; class skipped")
-            continue
-        detectors[class_id] = train_detector(
-            pos, source.features, cfg.train, class_id=class_id, frame="raw", rows=neg
-        )
+                warnings.append(result)
+        else:
+            detectors[class_id] = result
     return detectors
 
 
@@ -298,17 +409,18 @@ def _adapt_class(
     target: Dataset,
     cfg: AdaptationConfig,
     class_id: str,
-    det: LinearDetector,
     scores: np.ndarray,
     shared: tuple[Subspace, Subspace] | None,
-    warnings: list[str],
-) -> ClassAdaptationState:
+) -> tuple:
     """Align one class and retrain its detector on projected source data.
 
     The subspace pair is fitted on the class's mined positives in both
     domains (the target's from ``scores``, its initial target scores), or
-    is ``shared``, the global pair of full-image mode.  A class whose
-    mining or fitting fails is downgraded to its initial detector.
+    is ``shared``, the global pair of full-image mode.  Returns
+    ``(detector, pair, n_pos_src, n_pos_tgt, note)``: the retrained
+    detector, the fitted pair (None when it is ``shared``) and an empty
+    note; or, for a class whose mining or fitting fails, no detector and
+    pair and the failure as the note, and the class is downgraded.
     """
     n_src = n_tgt = 0
     overlaps = _class_max_overlaps(source, class_id)
@@ -323,10 +435,7 @@ def _adapt_class(
             S, T = shared
         neg = _mine_source_negatives(class_id, cfg.neg_lambda, overlaps)
     except (DataError, NumericalError) as exc:
-        warnings.append(f"adapt: class '{class_id}': {exc}; downgraded")
-        return ClassAdaptationState(
-            det, n_pos_src=n_src, n_pos_tgt=n_tgt, downgraded=True, note=str(exc)
-        )
+        return None, None, n_src, n_tgt, str(exc)
 
     # The whole source array is normalized and projected once; positives
     # are gathered from the projection and negatives stay its rows.
@@ -337,7 +446,7 @@ def _adapt_class(
         proj[overlaps >= cfg.gamma], proj, cfg.train, class_id=class_id,
         frame=f"aligned:{tag}", rows=neg,
     )
-    return ClassAdaptationState(adapted, S, T, n_pos_src=n_src, n_pos_tgt=n_tgt)
+    return adapted, (S, T) if shared is None else None, n_src, n_tgt, ""
 
 
 def passthrough_states(
@@ -363,6 +472,12 @@ def adapt(
     mining, rank trouble) downgrade that class to a pass-through of its
     initial detector instead of aborting the run; in full-image mode a
     failure of the global pool downgrades every class.
+
+    The classes are adapted in ``min(classes, usable CPUs)`` processes
+    (``_per_class``; Linux only, one CPU under ``taskset -c 0``), with the
+    states and warnings of the one-process loop, byte for byte: a
+    downgraded class keeps its initial detector object, and in full-image
+    mode every class holds the one global pair.
     """
     if source.feature_dim != target.feature_dim:
         raise DataError(
@@ -393,10 +508,24 @@ def adapt(
                 c: ClassAdaptationState(det, downgraded=True, note=str(exc))
                 for c, det in init_detectors.items()
             }
-    return {
-        c: _adapt_class(source, target, cfg, c, det, row, shared, warnings)
-        for (c, det), row in zip(init_detectors.items(), target_scores)
-    }
+    classes = list(init_detectors)
+    adapted = _per_class(
+        lambda k: _adapt_class(
+            source, target, cfg, classes[k], target_scores[k], shared
+        ),
+        len(classes),
+    )
+    states = {}
+    for (c, det), (new, pair, n_src, n_tgt, note) in zip(init_detectors.items(), adapted):
+        if new is None:
+            warnings.append(f"adapt: class '{c}': {note}; downgraded")
+            states[c] = ClassAdaptationState(
+                det, n_pos_src=n_src, n_pos_tgt=n_tgt, downgraded=True, note=note
+            )
+        else:
+            S, T = shared or pair
+            states[c] = ClassAdaptationState(new, S, T, n_pos_src=n_src, n_pos_tgt=n_tgt)
+    return states
 
 
 def detect(

@@ -1,8 +1,13 @@
 import dataclasses
 import json
 import math
+import os
 import shutil
+import signal
+import subprocess
+import sys
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +25,8 @@ from aligndet.dataio import (
 )
 from aligndet.errors import DataError, NumericalError
 from oracles import images_of
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FAST_CFG = """
 d = 5
@@ -638,6 +645,8 @@ def test_gram_cache_leaves_pipeline_outputs_unchanged(tmp_path, monkeypatch):
         return det
 
     monkeypatch.setattr(pipeline, "train_detector", recorded)
+    # The spy sees the calls of this process only: one worker makes it all.
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
     default = detection.GRAM_CACHE_FLOATS
     outputs = {}
     for floats in (0, default):
@@ -1106,3 +1115,159 @@ def test_stage_commands_reproduce_pipeline(tmp_path, pipeline_run):
         "mean_ap": full["mean_ap"],
         "config": full["config"],
     }
+
+
+THREE_CLASS_CFG = """
+d = 4
+reg_lambda = 0.001
+train_iterations = 300
+synth_classes = 3
+synth_samples = 24
+mode = {mode}
+"""
+
+
+_FORK = os.fork
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def _within(seconds: int):
+    """Fail the block with TimeoutError once it has run ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _with_workers(monkeypatch, workers: int) -> list:
+    """Run the per-class loops in ``workers`` processes; returns the list
+    that each ``os.fork`` of this process appends to."""
+    forks = []
+
+    def counted():
+        pid = _FORK()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("mode", ["class-specific", "full-image"])
+def test_worker_count_leaves_pipeline_outputs_unchanged(tmp_path, monkeypatch, mode):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THREE_CLASS_CFG.format(mode=mode))
+    outputs = {}
+    for workers in (1, 2, 3):
+        forks = _with_workers(monkeypatch, workers)
+        out = tmp_path / f"run{workers}"
+        assert cli.main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        _no_child_left()
+        # Training and adaptation each fork every worker but this one.
+        assert len(forks) == 2 * (workers - 1)
+        outputs[workers] = {
+            name: (out / name).read_bytes()
+            for name in ("detectors.f8", "states.f8", "report.json", "detections.csv")
+        }
+    assert json.loads(outputs[1]["report.json"])["downgraded_classes"] == []
+    assert outputs[1] == outputs[2] == outputs[3]
+
+
+@pytest.mark.parametrize(
+    "workers, refused",
+    [(1, {"class01"}), (3, {"class01"}), (2, {"class01", "class02"})],
+    ids=["loop", "one-in-a-child", "lowest-index-first"],
+)
+def test_worker_data_error_exits_2_with_the_loops_message(
+    tmp_path, monkeypatch, capsys, workers, refused
+):
+    # With two workers class02 is this process's and class01 a child's: the
+    # error of class01 is raised, as the loop raises it.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THREE_CLASS_CFG.format(mode="class-specific"))
+    train = pipeline.train_detector
+
+    def refuse(pos, neg, cfg, class_id, **kwargs):
+        if class_id in refused:
+            raise DataError(f"class '{class_id}' refused")
+        return train(pos, neg, cfg, class_id=class_id, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_detector", refuse)
+    _with_workers(monkeypatch, workers)
+    with _within(60):
+        code = cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    _no_child_left()
+    assert capsys.readouterr().err == "aligndet: data error: class 'class01' refused\n"
+
+
+def test_dead_worker_is_named_by_its_status(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THREE_CLASS_CFG.format(mode="class-specific"))
+    train = pipeline.train_detector
+    parent = os.getpid()
+
+    def die(pos, neg, cfg, class_id, **kwargs):
+        if class_id == "class01":
+            # Only ever in a child: class01 is the second worker's.
+            assert os.getpid() != parent
+            os._exit(3)
+        return train(pos, neg, cfg, class_id=class_id, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_detector", die)
+    _with_workers(monkeypatch, 3)
+    with _within(60), pytest.raises(
+        RuntimeError, match=r"worker process \d+ ended with status 3"
+    ):
+        cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    _no_child_left()
+
+
+def _python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+def test_one_cpu_or_a_second_thread_means_one_process():
+    assert _python(
+        "import os; from aligndet import pipeline; "
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "print(pipeline._usable_cpus())"
+    ) == "1"
+    assert _python(
+        "import threading; from aligndet import pipeline; "
+        "stop = threading.Event(); t = threading.Thread(target=stop.wait); t.start(); "
+        "print(pipeline._usable_cpus()); stop.set(); t.join()"
+    ) == "1"
+
+
+def test_commands_never_import_numpy_ma(tmp_path, fast_config):
+    if _python("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("importing numpy loads numpy.ma")
+    out = tmp_path / "run"
+    assert _python(
+        "import sys; from aligndet import cli; "
+        f"assert cli.main(['synth', '--config', {fast_config!r}, '--out', {str(out)!r}]) == 0; "
+        f"assert cli.main(['pipeline', '--config', {fast_config!r}, '--out', {str(out)!r}]) == 0; "
+        "print('numpy.ma' in sys.modules)"
+    ) == "False"

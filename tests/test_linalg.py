@@ -17,6 +17,7 @@ from aligndet.linalg import (
     pca,
     principal_angle_cosines,
     project,
+    sorted_distinct,
     subspace_similarity,
 )
 from oracles import random_orthonormal
@@ -455,3 +456,12 @@ class TestSubspaceType:
         parts[where].flat[-1] = value
         with pytest.raises(DataError, match="must be finite"):
             Subspace(stats=identity_stats(4), **parts)
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (7,), (50, 4)])
+@pytest.mark.parametrize("dtype", [np.intp, np.uint64])
+def test_sorted_distinct_is_np_unique(shape, dtype):
+    values = np.random.default_rng(3).integers(0, 9, size=shape).astype(dtype)
+    got = sorted_distinct(values)
+    want = np.unique(values)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

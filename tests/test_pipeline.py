@@ -298,7 +298,7 @@ class TestTrainInitialDetectors:
                     total += 1
         assert correct / total >= 0.95
 
-    def test_no_negative_pool_is_copied(self):
+    def test_no_negative_pool_is_copied(self, monkeypatch):
         # 1024-dim proposals, 2,000 background boxes per image: each class's
         # pool is about 4,000 rows (31 MiB), far above the trainer's own
         # arrays (a 1,024-row cache and its Gram columns, about 15 MiB), so
@@ -313,6 +313,8 @@ class TestTrainInitialDetectors:
             int((pipeline._class_max_overlaps(src, c) < cfg.neg_lambda).sum())
             for c in src.classes
         )
+        # tracemalloc sees this process only: one worker trains every class.
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
         tracemalloc.start()
         try:
             detectors = train_initial_detectors(src, cfg)
