@@ -5,6 +5,7 @@ frame, and adapted detection."""
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -259,15 +260,26 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _share(fn, first: int, n: int, step: int) -> tuple[dict, tuple | None]:
-    """``fn(k)`` for ``k`` in ``range(first, n, step)``, as ``{k: result}``,
+def _share(fn, worker: int, workers: int, n: int, board, parent: int | None = None):
+    """``fn(k)`` for ``k`` in ``range(worker, n, workers)``, as ``{k: result}``,
     and ``(k, exception)`` for the first ``k`` that raised (None if none
-    did); the indices after it are not run."""
+    did).  ``board`` is shared by the workers: ``board[0]`` is the lowest
+    index known to have raised (``n`` until one has), and no worker starts
+    an index above it; ``board[1 + worker]`` is the index this worker is
+    on.  A child (``parent`` given) whose parent has gone leaves at once."""
     results = {}
-    for k in range(first, n, step):
+    for k in range(worker, n, workers):
+        if k > board[0]:
+            break
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        board[1 + worker] = k
         try:
             results[k] = fn(k)
         except Exception as exc:
+            # Two workers may race here; board[0] then stays an index that
+            # raised, which is all the stopping rule needs.
+            board[0] = min(board[0], k)
             return results, (k, exc)
     return results, None
 
@@ -278,57 +290,70 @@ def _per_class(fn, n: int) -> list:
     indices ``i, i + workers, ...``.  Each child pickles its results back
     through a pipe and leaves with ``os._exit``; every child is reaped
     before this returns or raises.  An exception ``fn`` raises is raised
-    here, the one of the lowest index first, as the loop would raise it.
-    A child that ends without sending its results is a RuntimeError that
-    names its exit status.
+    here, the one of the lowest index, as the loop would raise it; once an
+    index has raised, no worker starts a higher one.  A child that ends
+    without sending its results is a RuntimeError that names its exit
+    status, ranked by the index it was on.
 
     The classes are independent and ``fn`` computes each one as it would
     in one process, so the results are the same bit for bit.  Each child
     holds only its own class's transients on top of the pages it shares
     with this process."""
-    workers = min(n, _usable_cpus())
-    if workers < 2:
-        return [fn(k) for k in range(n)]
+    workers = max(1, min(n, _usable_cpus()))
+    board = memoryview(mmap.mmap(-1, 8 * (1 + workers))).cast("q")
+    board[0] = n
+    parent = os.getpid()
     # A child must not write out buffered text a second time.
     sys.stdout.flush()
     sys.stderr.flush()
-    children = {}  # pid -> read end of its pipe until that is opened
+    children = {}  # pid -> [worker index, read end of its pipe until read]
     try:
         for i in range(1, workers):
+            board[1 + i] = i
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
                     os.close(read)
+                    for _, sibling in children.values():
+                        os.close(sibling)
                     with open(write, "wb") as out:
-                        pickle.dump(_share(fn, i, n, workers), out, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(
+                            _share(fn, i, workers, n, board, parent),
+                            out,
+                            pickle.HIGHEST_PROTOCOL,
+                        )
                     code = 0
                 except BaseException:
                     traceback.print_exc()
                 finally:
                     os._exit(code)
             os.close(write)
-            children[pid] = read
-        results, first_error = _share(fn, 0, n, workers)
-        errors = [first_error]
-        for pid in list(children):
-            with open(children[pid], "rb") as fh:
-                children[pid] = None
+            children[pid] = [i, read]
+        results, error = _share(fn, 0, workers, n, board)
+        errors = [error]
+        for pid, child in list(children.items()):
+            with open(child[1], "rb") as fh:
+                child[1] = None
                 payload = fh.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
             if code != 0:
+                k = board[1 + child[0]]
+                board[0] = min(board[0], k)
                 how = f"status {code}" if code > 0 else f"signal {-code}"
-                raise RuntimeError(
+                dead = RuntimeError(
                     f"per-class worker process {pid} ended with {how} "
                     "before sending its results"
                 )
+                errors.append((k, dead))
+                continue
             part, error = pickle.loads(payload)
             results.update(part)
             errors.append(error)
     finally:
-        for pid, read in children.items():
+        for pid, (_, read) in children.items():
             if read is not None:
                 os.close(read)
             os.kill(pid, signal.SIGKILL)

@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
@@ -1235,6 +1236,109 @@ def test_dead_worker_is_named_by_its_status(tmp_path, monkeypatch):
     ):
         cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")])
     _no_child_left()
+
+
+
+def _started(log: Path) -> set[int]:
+    return {int(k) for k in log.read_text().split()} if log.exists() else set()
+
+
+def _await_start(log: Path, k: int) -> None:
+    """Wait until some process has started class ``k``, and a little more."""
+    deadline = time.monotonic() + 30
+    while k not in _started(log):
+        assert time.monotonic() < deadline, f"class {k} never started"
+        time.sleep(0.01)
+    time.sleep(0.2)
+
+
+def _logging(log: Path, fn):
+    """``fn`` that first appends ``k`` to ``log``, from whichever process."""
+
+    def logged(k):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{k}\n".encode())
+        finally:
+            os.close(fd)
+        return fn(k)
+
+    return logged
+
+
+@pytest.mark.parametrize(
+    "dies, raised",
+    [(1, RuntimeError), (3, DataError)],
+    ids=["dead-worker-below-the-error", "error-below-the-dead-worker"],
+)
+def test_per_class_raises_what_the_loop_would_raise(tmp_path, monkeypatch, dies, raised):
+    # Two workers over four classes: this process takes 0 and 2, the child
+    # 1 and 3.  Class 2 raises here once the child has reached class
+    # ``dies``, where it dies.
+    parent = os.getpid()
+    log = tmp_path / "started"
+
+    def fn(k):
+        if k == 0:
+            _await_start(log, dies)
+        if k == 2:
+            raise DataError("class 2 refused")
+        if k == dies:
+            assert os.getpid() != parent
+            os._exit(3)
+        return k
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    with _within(60), pytest.raises(raised):
+        pipeline._per_class(_logging(log, fn), 4)
+    _no_child_left()
+    assert _started(log) == {0, 1, 2, dies}
+
+
+@pytest.mark.parametrize("raises, waits", [(0, 1), (1, 0)], ids=["here", "in-a-child"])
+def test_no_worker_starts_a_class_above_one_that_raised(
+    tmp_path, monkeypatch, raises, waits
+):
+    # Two workers over nine classes; class ``waits``, in the other process,
+    # runs until class ``raises`` has failed.
+    log = tmp_path / "started"
+
+    def fn(k):
+        if k == raises:
+            raise DataError(f"class {k} refused")
+        if k == waits:
+            _await_start(log, raises)
+        return k
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    with _within(60), pytest.raises(DataError, match=f"class {raises} refused"):
+        pipeline._per_class(_logging(log, fn), 9)
+    _no_child_left()
+    assert _started(log) <= {0, 1}
+
+
+def test_orphaned_worker_stops_at_its_next_class(tmp_path):
+    # This process is killed while its child is on class 3 or 5 of the
+    # child's 1, 3, ..., 19; the child leaves before the class after.
+    code = (
+        "import os, signal, time; from aligndet import pipeline; "
+        "pipeline._usable_cpus = lambda: 2\n"
+        "def fn(k):\n"
+        "    if k == 0:\n"
+        "        time.sleep(0.3); os.kill(os.getpid(), signal.SIGKILL)\n"
+        f"    open(os.path.join({str(tmp_path)!r}, str(k)), 'w').close()\n"
+        "    time.sleep(0.2)\n"
+        "pipeline._per_class(fn, 20)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    # The child keeps the pipes to stderr and stdout open, so this returns
+    # once it has left too.
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == -signal.SIGKILL
+    started = {int(p.name) for p in tmp_path.iterdir()}
+    assert 1 in started and max(started) <= 9
 
 
 def _python(code: str) -> str:
