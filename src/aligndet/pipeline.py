@@ -251,11 +251,28 @@ def mine_target_positives(
     )
 
 
+def _blas_single_threaded() -> bool:
+    """Whether the environment pins OpenBLAS to one thread.  The variables
+    are read in OpenBLAS's order of precedence, an empty or 0 one skipped."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value not in ("", "0"):
+            return value == "1"
+    return False
+
+
 def _usable_cpus() -> int:
     """How many processes the per-class loops may run in: the CPUs this
     process may run on (``os.sched_getaffinity``), or 1 where the platform
-    cannot tell or where another thread runs, which a fork would not copy."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    cannot tell, where another thread runs, which a fork would not copy, or
+    where the BLAS may run a thread per CPU in each process (workers and
+    BLAS threads then contend for the CPUs: a ``mid`` pipeline on 2 CPUs took
+    15.4 s with 2 workers against 2.8 s in one process)."""
+    if (
+        not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+        or not _blas_single_threaded()
+    ):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -394,7 +411,8 @@ def train_initial_detectors(
     warning record.
 
     The classes are trained in ``min(classes, usable CPUs)`` processes
-    (``_per_class``; Linux only, one CPU under ``taskset -c 0``), with the
+    (``_per_class``; Linux only, with ``OPENBLAS_NUM_THREADS=1``, one CPU
+    under ``taskset -c 0``), with the
     detectors and warnings of the one-process loop, byte for byte.
     """
     _require_labeled(source)
@@ -499,7 +517,8 @@ def adapt(
     failure of the global pool downgrades every class.
 
     The classes are adapted in ``min(classes, usable CPUs)`` processes
-    (``_per_class``; Linux only, one CPU under ``taskset -c 0``), with the
+    (``_per_class``; Linux only, with ``OPENBLAS_NUM_THREADS=1``, one CPU
+    under ``taskset -c 0``), with the
     states and warnings of the one-process loop, byte for byte: a
     downgraded class keeps its initial detector object, and in full-image
     mode every class holds the one global pair.

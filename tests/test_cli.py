@@ -1238,7 +1238,6 @@ def test_dead_worker_is_named_by_its_status(tmp_path, monkeypatch):
     _no_child_left()
 
 
-
 def _started(log: Path) -> set[int]:
     return {int(k) for k in log.read_text().split()} if log.exists() else set()
 
@@ -1341,8 +1340,18 @@ def test_orphaned_worker_stops_at_its_next_class(tmp_path):
     assert 1 in started and max(started) <= 9
 
 
-def _python(code: str) -> str:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+def _python(code: str, **blas) -> str:
+    """Run ``code`` with ``OPENBLAS_NUM_THREADS=1`` and no other BLAS thread
+    variable, or with the ones given (None leaves one unset)."""
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = str(ROOT / "src")
+    for name, value in (blas or {"OPENBLAS_NUM_THREADS": "1"}).items():
+        if value is not None:
+            env[name] = value
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=120,
@@ -1363,6 +1372,30 @@ def test_one_cpu_or_a_second_thread_means_one_process():
         "stop = threading.Event(); t = threading.Thread(target=stop.wait); t.start(); "
         "print(pipeline._usable_cpus()); stop.set(); t.join()"
     ) == "1"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+@pytest.mark.parametrize(
+    "blas, forks",
+    [
+        ({"OPENBLAS_NUM_THREADS": None}, False),
+        ({"OPENBLAS_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        ({"GOTO_NUM_THREADS": "1"}, True),
+    ],
+    ids=["unset", "two", "two-over-omp", "one-over-omp", "zero-then-omp", "goto"],
+)
+def test_workers_only_where_blas_runs_one_thread(blas, forks):
+    # A BLAS that may run a thread per CPU in each worker contends with the
+    # other workers for the CPUs.
+    cpus, usable = _python(
+        "import os; from aligndet import pipeline; "
+        "print(len(os.sched_getaffinity(0)), pipeline._usable_cpus())",
+        **blas,
+    ).split()
+    assert usable == (cpus if forks else "1")
 
 
 def test_commands_never_import_numpy_ma(tmp_path, fast_config):
