@@ -148,37 +148,46 @@ def _timed(timing: dict[str, float], key: str):
 
 @contextmanager
 def _logged(warnings: list[str]):
-    """Log at WARNING level each warning the block appends to ``warnings``."""
+    """Log at WARNING level each warning the block appends to ``warnings``,
+    also when the block raises."""
     start = len(warnings)
-    yield
-    for warning in warnings[start:]:
-        log.warning("%s", warning)
+    try:
+        yield
+    finally:
+        for warning in warnings[start:]:
+            log.warning("%s", warning)
+
+
+def _save_detectors(out: Path, warnings: list[str], detectors: dict) -> None:
+    dataio.save_detectors(out / "detectors.json", detectors, warnings)
+    log.info("trained %d detectors", len(detectors))
 
 
 def _train(source: Dataset, cfg: RunConfig, out: Path, warnings: list[str]):
     with _logged(warnings):
         detectors = pipeline.train_initial_detectors(source, cfg.adaptation, warnings)
-    dataio.save_detectors(out / "detectors.json", detectors, warnings)
-    log.info("trained %d detectors", len(detectors))
+    _save_detectors(out, warnings, detectors)
     return detectors
 
 
-def _adapt(
+def _train_adapt(
     source: Dataset,
     target: Dataset,
     cfg: RunConfig,
     out: Path,
     warnings: list[str],
-    detectors: dict,
-    target_scores: np.ndarray,
+    trained=None,
 ):
+    """Train, score the target and adapt in one round of the per-class
+    workers (``pipeline.train_and_adapt``), and write the state bundle;
+    ``trained`` is called with the detectors once they exist."""
     with _logged(warnings):
-        states = pipeline.adapt(
-            source, target, cfg.adaptation, detectors, target_scores, warnings
+        detectors, scores, states = pipeline.train_and_adapt(
+            source, target, cfg.adaptation, warnings, trained
         )
     dataio.save_states(out / "states.json", states, warnings)
     log.info("adapted %d classes (%s mode)", len(states), cfg.adaptation.mode)
-    return states
+    return detectors, scores, states
 
 
 def _detect(dataset: Dataset, states, cfg: RunConfig, out: Path):
@@ -228,11 +237,7 @@ def cmd_detect(args, cfg: RunConfig, out: Path) -> int:
 def cmd_adapt(args, cfg: RunConfig, out: Path) -> int:
     source = dataio.load_dataset(args.source)
     target = dataio.load_dataset(args.target)
-    warnings: list[str] = []
-    with _logged(warnings):
-        detectors = pipeline.train_initial_detectors(source, cfg.adaptation, warnings)
-    scores = pipeline.raw_score_rows(target, detectors.values())
-    _adapt(source, target, cfg, out, warnings, detectors, scores)
+    _train_adapt(source, target, cfg, out, [])
     return 0
 
 
@@ -273,20 +278,22 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
         source, target = map(dataio.load_dataset, manifests)
 
     warnings: list[str] = []
-    with _timed(timing, "train_initial"):
-        detectors = _train(source, cfg, out, warnings)
+    with _timed(timing, "train_adapt"):
+        # The detector bundle holds the training warnings only.
+        detectors, target_scores, states = _train_adapt(
+            source, target, cfg, out, warnings,
+            functools.partial(_save_detectors, out, warnings),
+        )
 
     with _timed(timing, "histograms"):
-        for name, dataset in (("source", source), ("target", target)):
-            scores = pipeline.raw_score_rows(dataset, detectors.values())
+        for name, dataset, scores in (
+            ("source", source, pipeline.raw_score_rows(source, detectors.values())),
+            ("target", target, target_scores),
+        ):
             _write_histogram(
                 out, f"histogram_{name}", scores.ravel(), cfg,
                 f"initial detector scores on {name}",
             )
-
-    with _timed(timing, "adapt"):
-        # ``scores`` is the target's (k, n) matrix, the last the loop made.
-        states = _adapt(source, target, cfg, out, warnings, detectors, scores)
 
     with _timed(timing, "detect"):
         dets = _detect(target, states, cfg, out)

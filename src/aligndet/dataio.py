@@ -791,10 +791,15 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
 
     def build_domain(prefix: str, is_target: bool) -> Dataset:
         # Every image's rows are written into one feature array and one box
-        # table, which the dataset adopts.
+        # table, which the dataset adopts.  The rows of a target class that
+        # is not corrupt stay unrotated until its last image and then take
+        # one product; what is added after the rotation (drift, noise) waits
+        # beside them.
         features, boxes = np.empty((n_rows, D)), np.empty((n_rows, 4))
         image_ids, sizes, end = [], [], 0
         for c in range(spec.n_classes):
+            rotated = is_target and c not in spec.corrupt_classes
+            first, added = end, []
             remaining = spec.samples_per_class
             j = 0
             while remaining > 0:
@@ -808,7 +813,7 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
                 shift = rng.uniform(-jitter, jitter, size=(k, 2))
                 boxes[end:mid] = np.add(_GT_BOX, shift[:, [0, 1, 0, 1]])
                 boxes[mid:stop] = bg_boxes
-                if is_target and c in spec.corrupt_classes:
+                if is_target and not rotated:
                     # Pure noise: class location survives, structure does not.
                     obj = (
                         means[c] @ rotation.T
@@ -819,20 +824,29 @@ def generate_synthetic(spec: SynthShiftSpec) -> tuple[Dataset, Dataset, dict]:
                     obj = draw_object_features(
                         c, k, spec.target_spread if is_target else 1.0
                     )
-                    if is_target:
-                        obj = (
-                            obj @ rotation.T
-                            + drifts[c]
-                            + rng.normal(scale=spec.noise_scale, size=(k, D))
-                        )
+                    if rotated:
+                        added.append((slice(end, mid), drifts[c]))
+                        added.append((slice(end, mid), rng.normal(
+                            scale=spec.noise_scale, size=(k, D)
+                        )))
 
                 bg = rng.normal(scale=_BACKGROUND_SCALE, size=(spec.neg_per_image, D))
-                if is_target:
+                if rotated:
+                    added.append((slice(mid, stop), rng.normal(
+                        scale=spec.noise_scale, size=bg.shape
+                    )))
+                elif is_target:
                     bg = bg @ rotation.T + rng.normal(
                         scale=spec.noise_scale, size=bg.shape
                     )
                 features[end:mid], features[mid:stop] = obj, bg
                 end = stop
+            if rotated:
+                # Row for row the bits of one product per image; the terms are
+                # added back in the order each row's sum took them.
+                features[first:end] = features[first:end] @ rotation.T
+                for rows, term in added:
+                    features[rows] += term
         n = len(image_ids)  # one GT box each, of the class it was drawn for
         gt = GroundTruths(
             np.tile(_GT_BOX, (n, 1)), np.arange(n),

@@ -4,15 +4,19 @@ frame, and adapted detection."""
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import os
 import pickle
+import select
 import signal
 import sys
 import threading
+import time
 import traceback
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -261,36 +265,90 @@ def _blas_single_threaded() -> bool:
     return False
 
 
+# Where ``_cpu_quota`` reads the process's cgroups and their CPU limits.
+_PROC_CGROUP = Path("/proc/self/cgroup")
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
+
+
+def _cpu_quota() -> int | None:
+    """How many CPUs the process's cgroup CPU quota amounts to, rounded up
+    (``ceil(quota / period)``), or None without a quota.  The quota is the
+    ``cpu.max`` of its own cgroup v2 (``0::<path>`` in /proc/self/cgroup;
+    ``max`` is none), and ``cpu.cfs_quota_us`` over ``cpu.cfs_period_us`` of
+    its cgroup v1 ``cpu`` controller (``-1`` is none); the lower one where
+    both are set.  A missing or unreadable file sets no quota."""
+    try:
+        lines = _PROC_CGROUP.read_text().splitlines()
+    except (OSError, UnicodeDecodeError):
+        return None
+    quotas = []
+    for line in lines:
+        try:
+            _, controllers, path = line.split(":", 2)
+            if not controllers:
+                cgroup = _CGROUP_ROOT / path.lstrip("/")
+                quota, period = (cgroup / "cpu.max").read_text().split()
+            elif "cpu" in controllers.split(","):
+                cgroup = _CGROUP_ROOT / controllers / path.lstrip("/")
+                quota, period = (
+                    (cgroup / name).read_text()
+                    for name in ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+                )
+            else:
+                continue
+            if quota.strip() not in ("max", "-1"):
+                quotas.append(max(1, -(-int(quota) // int(period))))
+        except (OSError, UnicodeDecodeError, ValueError, ZeroDivisionError):
+            continue
+    return min(quotas, default=None)
+
+
 def _usable_cpus() -> int:
     """How many processes the per-class loops may run in: the CPUs this
-    process may run on (``os.sched_getaffinity``), or 1 where the platform
-    cannot tell, where another thread runs, which a fork would not copy, or
-    where the BLAS may run a thread per CPU in each process (workers and
-    BLAS threads then contend for the CPUs: a ``mid`` pipeline on 2 CPUs took
-    15.4 s with 2 workers against 2.8 s in one process)."""
+    process may run on (``os.sched_getaffinity``), capped by its cgroup CPU
+    quota (``_cpu_quota``: more workers than the quota allows only run
+    slower); or 1 where the platform cannot tell, where another thread runs,
+    which a fork would not copy, or where the BLAS may run a thread per CPU
+    in each process (workers and BLAS threads then contend for the CPUs: a
+    ``mid`` pipeline on 2 CPUs took 15.4 s with 2 workers against 2.8 s in
+    one process)."""
     if (
         not hasattr(os, "sched_getaffinity")
         or threading.active_count() > 1
         or not _blas_single_threaded()
     ):
         return 1
-    return len(os.sched_getaffinity(0))
+    return min(len(os.sched_getaffinity(0)), _cpu_quota() or math.inf)
 
 
-def _share(fn, worker: int, workers: int, n: int, board, parent: int | None = None):
+# How long a worker whose next task is not ready waits between looks.
+_POLL_S = 0.001
+
+
+def _share(
+    fn, worker: int, workers: int, n: int, board, ready=None, wait=None,
+    parent: int | None = None,
+):
     """``fn(k)`` for ``k`` in ``range(worker, n, workers)``, as ``{k: result}``,
     and ``(k, exception)`` for the first ``k`` that raised (None if none
     did).  ``board`` is shared by the workers: ``board[0]`` is the lowest
-    index known to have raised (``n`` until one has), and no worker starts
-    an index above it; ``board[1 + worker]`` is the index this worker is
-    on.  A child (``parent`` given) whose parent has gone leaves at once."""
+    index known to have raised, or to have been on a worker that died
+    (``n`` until one has), and no worker starts an index above it;
+    ``board[1 + worker]`` is the index this worker is on.  Index ``k``
+    starts once ``ready(k)`` holds (at once without ``ready``), and
+    ``wait()`` runs between looks.  A child (``parent`` given) whose parent
+    has gone leaves at once."""
     results = {}
     for k in range(worker, n, workers):
-        if k > board[0]:
-            break
-        if parent is not None and os.getppid() != parent:
-            os._exit(1)
         board[1 + worker] = k
+        while True:
+            if k > board[0]:
+                return results, None
+            if parent is not None and os.getppid() != parent:
+                os._exit(1)
+            if ready is None or ready(k):
+                break
+            wait()
         try:
             results[k] = fn(k)
         except Exception as exc:
@@ -301,21 +359,25 @@ def _share(fn, worker: int, workers: int, n: int, board, parent: int | None = No
     return results, None
 
 
-def _per_class(fn, n: int) -> list:
+def _per_class(fn, n: int, ready=None) -> list:
     """``[fn(0), ..., fn(n - 1)]``, computed in ``min(n, _usable_cpus())``
     processes: this one and forked children, worker ``i`` taking the
-    indices ``i, i + workers, ...``.  Each child pickles its results back
-    through a pipe and leaves with ``os._exit``; every child is reaped
-    before this returns or raises.  An exception ``fn`` raises is raised
-    here, the one of the lowest index, as the loop would raise it; once an
-    index has raised, no worker starts a higher one.  A child that ends
-    without sending its results is a RuntimeError that names its exit
-    status, ranked by the index it was on.
+    indices ``i, i + workers, ...`` in order.  Index ``k`` starts once
+    ``ready(k)`` holds, which another worker's index may have to make true
+    (``ready`` must hold for every index once all lower ones are done).
+    Each child pickles its results back through a pipe and leaves with
+    ``os._exit``; every child is reaped before this returns or raises.  An
+    exception ``fn`` raises is raised here, the one of the lowest index, as
+    the loop would raise it; once an index has raised, no worker starts a
+    higher one, nor goes on waiting for one.  A child that ends without
+    sending its results is a RuntimeError that names its exit status,
+    ranked by the index it was on.  This process reads the children's pipes
+    while it waits, so it sees a child end as soon as it waits or is done,
+    and the workers waiting for that child's indices stop.
 
-    The classes are independent and ``fn`` computes each one as it would
-    in one process, so the results are the same bit for bit.  Each child
-    holds only its own class's transients on top of the pages it shares
-    with this process."""
+    The indices are computed as they would be in one process, so the
+    results are the same bit for bit.  Each child holds only its own
+    index's transients on top of the pages it shares with this process."""
     workers = max(1, min(n, _usable_cpus()))
     board = memoryview(mmap.mmap(-1, 8 * (1 + workers))).cast("q")
     board[0] = n
@@ -323,7 +385,35 @@ def _per_class(fn, n: int) -> list:
     # A child must not write out buffered text a second time.
     sys.stdout.flush()
     sys.stderr.flush()
-    children = {}  # pid -> [worker index, read end of its pipe until read]
+    children = {}  # read end of its pipe -> [pid, worker index, bytes read]
+    results, errors = {}, []
+
+    def receive(timeout):
+        """Read what the children send within ``timeout`` seconds (None:
+        until one sends or ends), and reap each child whose pipe closed."""
+        for fd in select.select(list(children), [], [], timeout)[0]:
+            pid, i, chunks = children[fd]
+            chunk = os.read(fd, 1 << 20)
+            if chunk:
+                chunks.append(chunk)
+                continue
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[fd]
+            os.close(fd)
+            if code == 0:
+                part, error = pickle.loads(b"".join(chunks))
+                results.update(part)
+                errors.append(error)
+                continue
+            k = board[1 + i]
+            board[0] = min(board[0], k)
+            how = f"status {code}" if code > 0 else f"signal {-code}"
+            dead = RuntimeError(
+                f"per-class worker process {pid} ended with {how} "
+                "before sending its results"
+            )
+            errors.append((k, dead))
+
     try:
         for i in range(1, workers):
             board[1 + i] = i
@@ -333,11 +423,12 @@ def _per_class(fn, n: int) -> list:
                 code = 1
                 try:
                     os.close(read)
-                    for _, sibling in children.values():
+                    for sibling in children:
                         os.close(sibling)
+                    nap = functools.partial(time.sleep, _POLL_S)
                     with open(write, "wb") as out:
                         pickle.dump(
-                            _share(fn, i, workers, n, board, parent),
+                            _share(fn, i, workers, n, board, ready, nap, parent),
                             out,
                             pickle.HIGHEST_PROTOCOL,
                         )
@@ -347,32 +438,17 @@ def _per_class(fn, n: int) -> list:
                 finally:
                     os._exit(code)
             os.close(write)
-            children[pid] = [i, read]
-        results, error = _share(fn, 0, workers, n, board)
-        errors = [error]
-        for pid, child in list(children.items()):
-            with open(child[1], "rb") as fh:
-                child[1] = None
-                payload = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if code != 0:
-                k = board[1 + child[0]]
-                board[0] = min(board[0], k)
-                how = f"status {code}" if code > 0 else f"signal {-code}"
-                dead = RuntimeError(
-                    f"per-class worker process {pid} ended with {how} "
-                    "before sending its results"
-                )
-                errors.append((k, dead))
-                continue
-            part, error = pickle.loads(payload)
-            results.update(part)
-            errors.append(error)
+            children[read] = [pid, i, []]
+        part, error = _share(
+            fn, 0, workers, n, board, ready, functools.partial(receive, _POLL_S)
+        )
+        results.update(part)
+        errors.append(error)
+        while children:
+            receive(None)
     finally:
-        for pid, (_, read) in children.items():
-            if read is not None:
-                os.close(read)
+        for fd, (pid, _, _) in children.items():
+            os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     errors = [e for e in errors if e is not None]
@@ -397,6 +473,77 @@ def _train_class(
     )
 
 
+# The status word of a class in a round's table: pending until its
+# training task has ended, then trained or skipped.
+_PENDING, _TRAINED, _SKIPPED = 0.0, 1.0, 2.0
+
+
+def _round(
+    source: Dataset,
+    cfg: AdaptationConfig,
+    target: Dataset | None = None,
+    shared: tuple[Subspace, Subspace] | None = None,
+    adapting: bool = False,
+) -> tuple[list, np.ndarray, list]:
+    """The per-class work of a command as one ``_per_class`` task list.
+
+    With k classes, task ``T_c`` (index c) trains class c (``_train_class``)
+    and, given a ``target``, scores it with that detector (one
+    ``raw_score_rows`` row, with the bits of that row of the ``(k, n)``
+    one-pass matrix); when ``adapting``, task ``A_c`` (index k + c) adapts
+    the class from that row (``_adapt_class``, with ``shared``).  ``T_c``
+    publishes the class's status and target scores in a table shared by the
+    workers, and ``A_c`` starts once the status is no longer pending, in
+    whichever worker it falls to; a skipped class is not adapted.  Returns
+    the k training results, the table's score rows of the trained classes
+    (``(trained, n)``, float64; ``(trained, 0)`` without a target) and the
+    adaptation results of the trained classes (empty unless adapting)."""
+    classes = source.classes
+    k = len(classes)
+    n = 0 if target is None else target.boxes.shape[0]
+    # Row c: class c's status word, then its target scores.
+    table = np.ndarray((k, 1 + n), buffer=mmap.mmap(-1, max(8, 8 * k * (1 + n))))
+
+    def task(j):
+        if j < k:
+            result = _train_class(source, cfg, classes[j])
+            if isinstance(result, str):
+                table[j, 0] = _SKIPPED
+            else:
+                if target is not None:
+                    table[j, 1:] = raw_score_rows(target, [result])[0]
+                # Written after the scores: the status says they are there.
+                table[j, 0] = _TRAINED
+            return result
+        c = j - k
+        if table[c, 0] == _SKIPPED:
+            return None
+        return _adapt_class(source, target, cfg, classes[c], table[c, 1:], shared)
+
+    results = _per_class(
+        task, 2 * k if adapting else k,
+        ready=lambda j: j < k or table[j - k, 0] != _PENDING,
+    )
+    kept = [c for c in range(k) if not isinstance(results[c], str)]
+    adapted = [results[k + c] for c in kept] if adapting else []
+    return results[:k], table[kept, 1:], adapted
+
+
+def _initial_detectors(
+    classes: list[str], trained: list, warnings: list[str] | None
+) -> dict[str, LinearDetector]:
+    """The detectors of a round's training results, in class order; each
+    skipped class's warning goes to ``warnings``."""
+    detectors: dict[str, LinearDetector] = {}
+    for class_id, result in zip(classes, trained):
+        if isinstance(result, str):
+            if warnings is not None:
+                warnings.append(result)
+        else:
+            detectors[class_id] = result
+    return detectors
+
+
 def train_initial_detectors(
     source: Dataset,
     cfg: AdaptationConfig,
@@ -410,22 +557,88 @@ def train_initial_detectors(
     Classes without positives or without negatives are skipped with a
     warning record.
 
-    The classes are trained in ``min(classes, usable CPUs)`` processes
-    (``_per_class``; Linux only, with ``OPENBLAS_NUM_THREADS=1``, one CPU
-    under ``taskset -c 0``), with the
-    detectors and warnings of the one-process loop, byte for byte.
+    The classes are trained by the training tasks of ``_round``, in
+    ``min(classes, usable CPUs)`` processes (``_per_class``; Linux only,
+    with ``OPENBLAS_NUM_THREADS=1``, one CPU under ``taskset -c 0``), with
+    the detectors and warnings of the one-process loop, byte for byte.
     """
     _require_labeled(source)
-    classes = source.classes
-    trained = _per_class(lambda k: _train_class(source, cfg, classes[k]), len(classes))
-    detectors: dict[str, LinearDetector] = {}
-    for class_id, result in zip(classes, trained):
-        if isinstance(result, str):
-            if warnings is not None:
-                warnings.append(result)
-        else:
-            detectors[class_id] = result
-    return detectors
+    trained, _, _ = _round(source, cfg)
+    return _initial_detectors(source.classes, trained, warnings)
+
+
+def _unadaptable(
+    source: Dataset, target: Dataset, cfg: AdaptationConfig
+) -> str | None:
+    """Why ``adapt`` refuses to adapt from ``source`` to ``target`` under
+    ``cfg`` whatever the detectors, or None."""
+    if source.feature_dim != target.feature_dim:
+        return (
+            f"feature dims differ: source {source.feature_dim}, "
+            f"target {target.feature_dim}"
+        )
+    if cfg.mode != "none" and cfg.d > source.feature_dim:
+        return (
+            f"subspace dimension d={cfg.d} exceeds the feature dimension "
+            f"{source.feature_dim}; no class can form a subspace"
+        )
+    return None
+
+
+def train_and_adapt(
+    source: Dataset,
+    target: Dataset,
+    cfg: AdaptationConfig,
+    warnings: list[str] | None = None,
+    trained=None,
+) -> tuple[dict[str, LinearDetector], np.ndarray, dict[str, ClassAdaptationState]]:
+    """``train_initial_detectors(source, cfg)``, the target's scores
+    ``raw_score_rows(target, detectors.values())`` and ``adapt`` from them,
+    as ``(detectors, target_scores, states)``, in one round of the
+    per-class workers (``_round``): each class is adapted as soon as its own
+    detector exists, and each detector scores the target once, in the
+    worker that trained it.  The outputs and warnings are those of the
+    three calls, byte for byte, and so are the errors: a training error
+    ranks before any adaptation error, and where ``adapt`` refuses the pair
+    (feature widths, ``d``) the classes are trained first.
+
+    ``trained(detectors)``, if given, is called once the detectors exist,
+    when ``warnings`` holds exactly the training warnings, before the
+    target's scores or ``adapt`` can raise.
+    """
+    _require_labeled(source)
+    scoring = source.feature_dim == target.feature_dim
+    adapting = cfg.mode != "none" and _unadaptable(source, target, cfg) is None
+    shared = _full_image_pair(source, target, cfg) if adapting else None
+    results, target_scores, adapted = _round(
+        source, cfg, target if scoring else None, shared,
+        adapting and not isinstance(shared, Exception),
+    )
+    detectors = _initial_detectors(source.classes, results, warnings)
+    if trained is not None:
+        trained(detectors)
+    if not scoring:
+        # Raises the width error of a first detector; adapt raises without one.
+        target_scores = raw_score_rows(target, detectors.values())
+    states = adapt(
+        source, target, cfg, detectors, target_scores, warnings,
+        (shared, adapted) if adapting else None,
+    )
+    return detectors, target_scores, states
+
+
+def _full_image_pair(
+    source: Dataset, target: Dataset, cfg: AdaptationConfig
+) -> tuple[Subspace, Subspace] | Exception | None:
+    """The one subspace pair of full-image mode, fitted on every proposal of
+    both domains, or the error that keeps its pool from forming one (every
+    class is then downgraded); None in the other modes."""
+    if cfg.mode != "full-image":
+        return None
+    try:
+        return _fit_pair(source.features, target.features, cfg.d)
+    except (DataError, NumericalError) as exc:
+        return exc
 
 
 def _fit_pair(
@@ -506,6 +719,7 @@ def adapt(
     init_detectors: dict[str, LinearDetector],
     target_scores: np.ndarray,
     warnings: list[str] | None = None,
+    adapted: tuple | None = None,
 ) -> dict[str, ClassAdaptationState]:
     """Run subspace-alignment adaptation from ``source`` to ``target``.
 
@@ -521,18 +735,14 @@ def adapt(
     under ``taskset -c 0``), with the
     states and warnings of the one-process loop, byte for byte: a
     downgraded class keeps its initial detector object, and in full-image
-    mode every class holds the one global pair.
+    mode every class holds the one global pair.  ``adapted``, from
+    ``train_and_adapt``, is ``(_full_image_pair(...), results)``: the
+    per-class results of a round that has adapted these classes already;
+    adapt then checks its arguments and builds the states from them.
     """
-    if source.feature_dim != target.feature_dim:
-        raise DataError(
-            f"feature dims differ: source {source.feature_dim}, "
-            f"target {target.feature_dim}"
-        )
-    if cfg.mode != "none" and cfg.d > source.feature_dim:
-        raise DataError(
-            f"subspace dimension d={cfg.d} exceeds the feature dimension "
-            f"{source.feature_dim}; no class can form a subspace"
-        )
+    fault = _unadaptable(source, target, cfg)
+    if fault is not None:
+        raise DataError(fault)
     expected = (len(init_detectors), target.boxes.shape[0])
     if target_scores.shape != expected:
         raise DataError(
@@ -542,25 +752,23 @@ def adapt(
     warnings = warnings if warnings is not None else []
     if cfg.mode == "none":
         return passthrough_states(init_detectors)
-    shared = None
-    if cfg.mode == "full-image":
-        try:
-            shared = _fit_pair(source.features, target.features, cfg.d)
-        except (DataError, NumericalError) as exc:
-            warnings.append(f"adapt: full-image pool: {exc}; all classes downgraded")
-            return {
-                c: ClassAdaptationState(det, downgraded=True, note=str(exc))
-                for c, det in init_detectors.items()
-            }
-    classes = list(init_detectors)
-    adapted = _per_class(
-        lambda k: _adapt_class(
-            source, target, cfg, classes[k], target_scores[k], shared
-        ),
-        len(classes),
-    )
+    shared, results = adapted or (_full_image_pair(source, target, cfg), None)
+    if isinstance(shared, Exception):
+        warnings.append(f"adapt: full-image pool: {shared}; all classes downgraded")
+        return {
+            c: ClassAdaptationState(det, downgraded=True, note=str(shared))
+            for c, det in init_detectors.items()
+        }
+    if results is None:
+        classes = list(init_detectors)
+        results = _per_class(
+            lambda k: _adapt_class(
+                source, target, cfg, classes[k], target_scores[k], shared
+            ),
+            len(classes),
+        )
     states = {}
-    for (c, det), (new, pair, n_src, n_tgt, note) in zip(init_detectors.items(), adapted):
+    for (c, det), (new, pair, n_src, n_tgt, note) in zip(init_detectors.items(), results):
         if new is None:
             warnings.append(f"adapt: class '{c}': {note}; downgraded")
             states[c] = ClassAdaptationState(

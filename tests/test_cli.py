@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import mmap
 import os
 import shutil
 import signal
@@ -22,6 +23,7 @@ from aligndet.dataio import (
     load_dataset,
     load_detectors,
     load_states,
+    read_detections_csv,
     save_dataset,
 )
 from aligndet.errors import DataError, NumericalError
@@ -553,10 +555,11 @@ def test_pipeline_trains_initial_detectors_once(tmp_path):
 
 
 def test_target_is_scored_once(tmp_path, monkeypatch, fast_config):
-    # In a class-specific pipeline with k = 2 classes the initial detectors
-    # score the source and the target once each, and target mining reads
-    # the target's matrix; the third call is detect's.  The adapt command
-    # scores the target once.
+    # In a class-specific pipeline with k = 2 classes each initial detector
+    # scores the target once, in the task that trained it, and target mining
+    # reads that row; then the detectors score the source once for its
+    # histogram, and the last call is detect's.  The adapt command scores
+    # the target once per initial detector too.
     calls = []
     score = pipeline.raw_score_rows
 
@@ -566,15 +569,17 @@ def test_target_is_scored_once(tmp_path, monkeypatch, fast_config):
         return score(dataset, detectors)
 
     monkeypatch.setattr(pipeline, "raw_score_rows", spy)
+    # The spy sees the calls of this process only: one worker makes them all.
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
     run = tmp_path / "run"
     assert cli.main(["pipeline", "--config", fast_config, "--out", str(run)]) == 0
     src_name, tgt_name = "synth-source", "synth-target"
-    assert calls == [(src_name, 2), (tgt_name, 2), (tgt_name, 2)]
+    assert calls == [(tgt_name, 1), (tgt_name, 1), (src_name, 2), (tgt_name, 2)]
     calls.clear()
     src, tgt = (str(run / name / "manifest.json") for name in ("source", "target"))
     argv = ["--config", fast_config, "--source", src, "--target", tgt]
     assert cli.main(["adapt", *argv, "--out", str(tmp_path / "adapt")]) == 0
-    assert calls == [(tgt_name, 2)]
+    assert calls == [(tgt_name, 1), (tgt_name, 1)]
 
 
 # gamma = 1 skips every class in initial training; d = 28 downgrades
@@ -1178,8 +1183,9 @@ def test_worker_count_leaves_pipeline_outputs_unchanged(tmp_path, monkeypatch, m
         out = tmp_path / f"run{workers}"
         assert cli.main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
         _no_child_left()
-        # Training and adaptation each fork every worker but this one.
-        assert len(forks) == 2 * (workers - 1)
+        # The one round of training and adaptation forks every worker but
+        # this one.
+        assert len(forks) == workers - 1
         outputs[workers] = {
             name: (out / name).read_bytes()
             for name in ("detectors.f8", "states.f8", "report.json", "detections.csv")
@@ -1316,6 +1322,173 @@ def test_no_worker_starts_a_class_above_one_that_raised(
     assert _started(log) <= {0, 1}
 
 
+# With 3 classes and 2 workers the round's tasks T0 T1 T2 A0 A1 A2 fall to
+# this process (T0, T2, A1) and a child (T1, A0, A2), so every class adapts
+# in the other worker than the one that trained it.
+def _handoff(monkeypatch, log: Path, train_class=None) -> list:
+    """Run the per-class work in 2 workers, appending ``<event> <class>
+    <pid>`` to ``log`` as each initial detector is ``trained`` and as each
+    adaptation starts (``adapt``) and ends (``adapted``); ``train_class`` is
+    called with each class id before its initial training.  Returns the
+    list of forks (``_with_workers``)."""
+    train, adapt_class = pipeline.train_detector, pipeline._adapt_class
+
+    def note(event, class_id):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{event} {class_id} {os.getpid()}\n".encode())
+        finally:
+            os.close(fd)
+
+    def trained(pos, neg, cfg, class_id, frame, **kwargs):
+        if frame == "raw" and train_class is not None:
+            train_class(class_id)
+        det = train(pos, neg, cfg, class_id=class_id, frame=frame, **kwargs)
+        if frame == "raw":
+            note("trained", class_id)
+        return det
+
+    def adapted(source, target, cfg, class_id, *args):
+        note("adapt", class_id)
+        result = adapt_class(source, target, cfg, class_id, *args)
+        note("adapted", class_id)
+        return result
+
+    monkeypatch.setattr(pipeline, "train_detector", trained)
+    monkeypatch.setattr(pipeline, "_adapt_class", adapted)
+    return _with_workers(monkeypatch, 2)
+
+
+def _events(log: Path) -> dict[tuple[str, str], int]:
+    """(event, class) -> pid of each line ``_handoff`` logged."""
+    lines = log.read_text().split("\n")[:-1] if log.exists() else []
+    return {(e, c): int(pid) for e, c, pid in (line.split() for line in lines)}
+
+
+def _await_event(log: Path, event: str, class_id: str) -> None:
+    """Wait until ``event`` of ``class_id`` is logged, and a little more."""
+    deadline = time.monotonic() + 30
+    while (event, class_id) not in _events(log):
+        assert time.monotonic() < deadline, f"{event} {class_id} never logged"
+        time.sleep(0.01)
+    time.sleep(0.2)
+
+
+def test_each_class_adapts_in_the_other_worker(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THREE_CLASS_CFG.format(mode="class-specific"))
+    log = tmp_path / "log"
+    forks = _handoff(monkeypatch, log)
+    with _within(60):
+        assert cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    _no_child_left()
+    events = _events(log)
+    here, child = os.getpid(), forks[0]
+    for c, trainer in (("class00", here), ("class01", child), ("class02", here)):
+        assert events[("trained", c)] == trainer
+        assert events[("adapt", c)] == ({here, child} - {trainer}).pop()
+
+
+def test_training_error_stops_a_worker_waiting_for_its_class(
+    tmp_path, monkeypatch, capsys
+):
+    # T2 raises here once the child has adapted class00 and waits in A2
+    # for class02's detector.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THREE_CLASS_CFG.format(mode="class-specific"))
+    log = tmp_path / "log"
+
+    def refuse(class_id):
+        if class_id == "class02":
+            _await_event(log, "adapted", "class00")
+            raise DataError(f"class '{class_id}' refused")
+
+    _handoff(monkeypatch, log, refuse)
+    with _within(60):
+        code = cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    _no_child_left()
+    assert capsys.readouterr().err == "aligndet: data error: class 'class02' refused\n"
+    assert {c for e, c in _events(log) if e == "adapt"} == {"class00"}
+
+
+def test_dead_worker_stops_this_process_waiting_for_its_class(tmp_path, monkeypatch):
+    # The child dies in T1 once this process has trained class02 and waits
+    # in A1 for class01's detector.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THREE_CLASS_CFG.format(mode="class-specific"))
+    log = tmp_path / "log"
+    parent = os.getpid()
+
+    def die(class_id):
+        if class_id == "class01":
+            assert os.getpid() != parent
+            _await_event(log, "trained", "class02")
+            os._exit(3)
+
+    _handoff(monkeypatch, log, die)
+    with _within(60), pytest.raises(
+        RuntimeError, match=r"worker process \d+ ended with status 3"
+    ):
+        cli.main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    _no_child_left()
+    assert ("adapt", "class01") not in _events(log)
+
+
+@pytest.mark.parametrize("command", ["pipeline", "adapt"])
+def test_refused_adaptation_fails_after_training(tmp_path, monkeypatch, capsys, command):
+    # d = 31 exceeds the 30-dim features: adaptation is refused once every
+    # detector exists, and pipeline has written them.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THREE_CLASS_CFG.format(mode="class-specific").replace("d = 4", "d = 31"))
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    manifests = {
+        "pipeline": [],
+        "adapt": ["--source", str(data / "source" / "manifest.json"),
+                  "--target", str(data / "target" / "manifest.json")],
+    }[command]
+    log = tmp_path / "log"
+    _handoff(monkeypatch, log)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with _within(60):
+        code = cli.main([command, "--config", str(cfg), *manifests, "--out", str(out)])
+    assert code == 2
+    _no_child_left()
+    assert capsys.readouterr().err == (
+        "aligndet: data error: subspace dimension d=31 exceeds the feature "
+        "dimension 30; no class can form a subspace\n"
+    )
+    assert {e for e, c in _events(log)} == {"trained"}
+    assert len(_events(log)) == 3
+    assert (out / "detectors.json").is_file() == (command == "pipeline")
+    assert not (out / "states.json").exists()
+
+
+def test_tasks_wait_for_what_they_read(monkeypatch):
+    # 4 workers, more than most runners' CPUs, over 2 x 25 tasks: task 25 + c
+    # returns what task c published in a shared table, always from another
+    # worker (25 is 1 modulo 4), and starts only once it is there.
+    k = 25
+    table = np.ndarray(k, buffer=mmap.mmap(-1, 8 * k))
+
+    def fn(j):
+        if j < k:
+            time.sleep(0.002 * (j % 3))
+            table[j] = j + 1
+            return j
+        return table[j - k]
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+    with _within(60):
+        results = pipeline._per_class(
+            fn, 2 * k, ready=lambda j: j < k or table[j - k] != 0
+        )
+    _no_child_left()
+    assert results == list(range(k)) + [c + 1.0 for c in range(k)]
+
+
 def test_orphaned_worker_stops_at_its_next_class(tmp_path):
     # This process is killed while its child is on class 3 or 5 of the
     # child's 1, 3, ..., 19; the child leaves before the class after.
@@ -1396,6 +1569,95 @@ def test_workers_only_where_blas_runs_one_thread(blas, forks):
         **blas,
     ).split()
     assert usable == (cpus if forks else "1")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+@pytest.mark.parametrize(
+    "cgroups, files, quota",
+    [
+        ("0::/job\n", {"job/cpu.max": "150000 100000\n"}, 2),
+        ("0::/job\n", {"job/cpu.max": "max 100000\n"}, None),
+        (
+            "2:cpu,cpuacct:/job\n",
+            {"cpu,cpuacct/job/cpu.cfs_quota_us": "50000\n",
+             "cpu,cpuacct/job/cpu.cfs_period_us": "100000\n"},
+            1,
+        ),
+        (
+            "2:cpu,cpuacct:/job\n",
+            {"cpu,cpuacct/job/cpu.cfs_quota_us": "-1\n",
+             "cpu,cpuacct/job/cpu.cfs_period_us": "100000\n"},
+            None,
+        ),
+        ("0::/job\n2:cpu,cpuacct:/job\n", {}, None),
+        (None, {}, None),
+    ],
+    ids=["v2-quota", "v2-max", "v1-quota", "v1-unlimited", "no-files", "no-cgroups"],
+)
+def test_cgroup_cpu_quota_caps_the_workers(tmp_path, monkeypatch, cgroups, files, quota):
+    listing, root = tmp_path / "cgroup", tmp_path / "fs"
+    if cgroups is not None:
+        listing.write_text(cgroups)
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    monkeypatch.setattr(pipeline, "_PROC_CGROUP", listing)
+    monkeypatch.setattr(pipeline, "_CGROUP_ROOT", root)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert pipeline._cpu_quota() == quota
+    cpus = len(os.sched_getaffinity(0))
+    assert pipeline._usable_cpus() == min(cpus, quota or cpus)
+
+
+# The wide benchmark workload (bench/run.py): 1024-dim features, 3 classes.
+WIDE_WORKLOAD_CFG = """
+d = 24
+reg_lambda = 0.001
+train_iterations = 300
+synth_dim = 1024
+synth_latent = 32
+synth_classes = 3
+synth_samples = 240
+synth_separation = 20
+source_manifest = data/source/manifest.json
+target_manifest = data/target/manifest.json
+"""
+
+
+def test_blas_thread_count_moves_no_detection(tmp_path):
+    # What holds across OpenBLAS thread counts today: the same detections
+    # (image, box, class), mean AP and initial detectors, and scores within
+    # 1e-9.  The PCA products of the 1024-dim pools differ in their last
+    # bits, so states.*, similarity.json and the scores may.  One thread
+    # forks a worker per CPU; two run every class in this one process.
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(WIDE_WORKLOAD_CFG)
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"run{threads}"
+        _python(
+            "from aligndet import cli; "
+            f"assert cli.main(['pipeline', '--config', {str(cfg)!r}, "
+            f"'--out', {str(out)!r}, '--log-level', 'warning']) == 0",
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        dets = read_detections_csv(out / "detections.csv")
+        runs[threads] = (
+            [dets.image_ids[i] for i in dets.image_index],
+            dets.boxes,
+            [dets.class_ids[c] for c in dets.class_index],
+            dets.scores,
+            json.loads((out / "report.json").read_text())["mean_ap"],
+            [(out / name).read_bytes() for name in ("detectors.json", "detectors.f8")],
+        )
+    (images, boxes, classes, scores, mean_ap, detectors), one = runs["2"], runs["1"]
+    assert len(images) > 1000
+    assert images == one[0] and classes == one[2]
+    assert np.array_equal(boxes, one[1])
+    assert np.abs(scores - one[3]).max() <= 1e-9
+    assert mean_ap == one[4]
+    assert detectors == one[5]
 
 
 def test_commands_never_import_numpy_ma(tmp_path, fast_config):

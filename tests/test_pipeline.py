@@ -39,6 +39,7 @@ from aligndet.pipeline import (
     mine_target_positives,
     passthrough_states,
     raw_score_rows,
+    train_and_adapt,
     train_initial_detectors,
 )
 
@@ -501,6 +502,30 @@ class TestDowngradePaths:
     def test_full_image_rank_failure(self, small_pair, init, tmp_path):
         src, tgt = small_pair
         self.run(src, low_rank_copy(tgt), small_cfg(mode="full-image"), init, tmp_path)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["no-target-positives", "too-few-samples", "rank-failure", "pool-too-small",
+         "pool-rank-failure"],
+    )
+    def test_one_round_downgrades_as_adapt(self, small_pair, init, tmp_path, case):
+        # train_and_adapt's round downgrades each case above as the three
+        # calls do, the full-image pool's failures included.
+        src, tgt = small_pair
+        d = small_cfg().d
+        target, cfg = {
+            "no-target-positives": (tgt, small_cfg(sigma=1e9)),
+            "too-few-samples": (tiny_target(tgt, d), small_cfg(sigma=-1e9)),
+            "rank-failure": (low_rank_copy(tgt), small_cfg(sigma=-1e9)),
+            "pool-too-small": (tiny_target(tgt, d), small_cfg(mode="full-image")),
+            "pool-rank-failure": (low_rank_copy(tgt), small_cfg(mode="full-image")),
+        }[case]
+        warnings = self.run(src, target, cfg, init, tmp_path)
+        again = []
+        detectors, scores, states = train_and_adapt(src, target, cfg, again)
+        self.check_downgraded(states, detectors, again, target, cfg, tmp_path)
+        assert again == warnings
+        assert np.array_equal(scores, raw_score_rows(target, init.values()))
 
 
 class TestDetect:
